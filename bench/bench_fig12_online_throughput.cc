@@ -23,17 +23,14 @@ std::vector<hist::CollectedTxn> Stream(const History& h) {
 
 void RunAionRow(const char* label, Aion::Mode mode,
                 const std::vector<hist::CollectedTxn>& stream,
-                online::GcPolicy gc, bool threaded = false,
-                size_t shards = 1) {
+                GcPolicy gc, size_t shards = 1) {
   CountingSink sink;
   Aion::Options opt;
   opt.mode = mode;
   opt.ext_timeout_ms = 50;
   std::unique_ptr<OnlineChecker> checker =
       online::MakeChecker(opt, shards, &sink);
-  online::RunResult r =
-      threaded ? online::RunThreaded(checker.get(), stream, gc)
-               : online::RunMaxRate(checker.get(), stream, gc);
+  online::RunResult r = online::RunMaxRate(checker.get(), stream, gc);
   std::printf("%24s  avg=%8.0f TPS  violations=%-6zu windows:", label,
               r.AvgTps(), static_cast<size_t>(sink.total()));
   for (size_t i = 0; i < r.tps_per_window.size() && i < 8; ++i) {
@@ -90,11 +87,11 @@ int main() {
   {
     auto stream = Stream(DefaultFor(true, txns));
     RunAionRow("Aion-SER-no-gc", Aion::Mode::kSer, stream,
-               online::GcPolicy::None());
+               GcPolicy::None());
     RunAionRow("Aion-SER-checking-gc", Aion::Mode::kSer, stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
     RunAionRow("Aion-SER-full-gc", Aion::Mode::kSer, stream,
-               online::GcPolicy::HardCap(5000));
+               GcPolicy::HardCap(5000));
     // Cobra's closure is O(N^2) bits of memory (GPU-resident in the
     // original): cap its slice so the CPU model stays within RAM.
     auto cobra_stream = std::vector<hist::CollectedTxn>(
@@ -112,21 +109,18 @@ int main() {
   {
     auto stream = Stream(DefaultFor(false, txns));
     RunAionRow("Aion-no-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::None());
+               GcPolicy::None());
     RunAionRow("Aion-checking-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
     RunAionRow("Aion-full-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::HardCap(5000));
-    RunAionRow("Aion-threaded-no-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::None(), /*threaded=*/true);
+               GcPolicy::HardCap(5000));
     // Key-partitioned checking (collector -> coordinator -> shards).
     RunAionRow("Aion-sharded2-no-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::None(), /*threaded=*/true, /*shards=*/2);
+               GcPolicy::None(), /*shards=*/2);
     RunAionRow("Aion-sharded4-no-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::None(), /*threaded=*/true, /*shards=*/4);
+               GcPolicy::None(), /*shards=*/4);
     RunAionRow("Aion-sharded4-chk-gc", Aion::Mode::kSi, stream,
-               online::GcPolicy::Threshold(20000, 10000), /*threaded=*/true,
-               /*shards=*/4);
+               GcPolicy::Threshold(20000, 10000), /*shards=*/4);
   }
 
   uint64_t app_txns = 20000 * scale;
@@ -138,10 +132,10 @@ int main() {
     ser_cfg.isolation = db::DbConfig::Isolation::kSer;
     auto ser_stream = Stream(workload::GenerateRubisHistory(rp, ser_cfg));
     RunAionRow("Aion-SER-rubis", Aion::Mode::kSer, ser_stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
     auto si_stream = Stream(workload::GenerateRubisHistory(rp));
     RunAionRow("Aion-SI-rubis", Aion::Mode::kSi, si_stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
   }
 
   bench::Header("Fig 12d/23b", "Twitter: SER and SI (more keys -> slower)");
@@ -152,10 +146,10 @@ int main() {
     ser_cfg.isolation = db::DbConfig::Isolation::kSer;
     auto ser_stream = Stream(workload::GenerateTwitterHistory(tp, ser_cfg));
     RunAionRow("Aion-SER-twitter", Aion::Mode::kSer, ser_stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
     auto si_stream = Stream(workload::GenerateTwitterHistory(tp));
     RunAionRow("Aion-SI-twitter", Aion::Mode::kSi, si_stream,
-               online::GcPolicy::Threshold(20000, 10000));
+               GcPolicy::Threshold(20000, 10000));
   }
   return 0;
 }

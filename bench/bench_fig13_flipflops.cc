@@ -20,7 +20,7 @@ int main() {
   Aion::Options opt;
   opt.ext_timeout_ms = 5000;  // the paper's conservative 5 s
   Aion checker(opt, &sink);
-  online::RunVirtualTime(&checker, stream);
+  online::RunMaxRate(&checker, stream, GcPolicy::None());
   const FlipFlopStats& fs = checker.flip_stats();
 
   std::printf("(a) flip-flop counts\n");

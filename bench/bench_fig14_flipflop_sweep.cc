@@ -20,7 +20,7 @@ void RunOne(const History& h, double mu, double sigma) {
   Aion::Options opt;
   opt.ext_timeout_ms = 5000;
   Aion checker(opt, &sink);
-  online::RunVirtualTime(&checker, stream);
+  online::RunMaxRate(&checker, stream, GcPolicy::None());
   const FlipFlopStats& fs = checker.flip_stats();
   auto lat = fs.latency_histogram();
   uint64_t fast = lat[0] + lat[1] + lat[2] + lat[3];

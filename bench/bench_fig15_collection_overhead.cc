@@ -20,11 +20,11 @@ int main() {
     db::DbConfig without;
     without.record_history = false;
     db::Database db1(without);
-    double tps_without = workload::RunThreadedWorkload(&db1, p, 8);
+    double tps_without = workload::RunConcurrentWorkload(&db1, p, 8);
 
     db::DbConfig with;
     db::Database db2(with);
-    double tps_with = workload::RunThreadedWorkload(&db2, p, 8);
+    double tps_with = workload::RunConcurrentWorkload(&db2, p, 8);
 
     std::printf("%10u %11.0f TPS %11.0f TPS %9.1f%%\n", ops, tps_without,
                 tps_with,

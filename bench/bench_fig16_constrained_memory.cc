@@ -21,7 +21,7 @@ int main() {
   opt.ext_timeout_ms = 50;
   Aion checker(opt, &sink);
   online::RunResult r = online::RunMaxRate(
-      &checker, stream, online::GcPolicy::HardCap(10000), 5000);
+      &checker, stream, GcPolicy::HardCap(10000), 5000);
   std::printf("completed %llu txns in %.2fs (avg %.0f TPS), violations=%zu\n",
               static_cast<unsigned long long>(r.txns), r.wall_seconds,
               r.AvgTps(), static_cast<size_t>(sink.total()));

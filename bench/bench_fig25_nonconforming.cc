@@ -3,6 +3,8 @@
 // present). AION-SER reports every violation and keeps going at full
 // speed; Cobra terminates at the first one. The violation count is
 // cross-validated against CHRONOS-SER.
+#include <utility>
+
 #include "baselines/cobra.h"
 #include "bench_util.h"
 #include "core/aion.h"
@@ -32,20 +34,17 @@ int main() {
   cp.delay_stddev_ms = 1;
   auto stream = hist::ScheduleDelivery(h, cp);
 
-  for (auto gc : {online::GcPolicy::None(),
-                  online::GcPolicy::Threshold(20000, 10000),
-                  online::GcPolicy::HardCap(5000)}) {
+  const std::pair<const char*, GcPolicy> rows[] = {
+      {"Aion-SER-no-gc", GcPolicy::None()},
+      {"Aion-SER-checking-gc", GcPolicy::Threshold(20000, 10000)},
+      {"Aion-SER-full-gc", GcPolicy::HardCap(5000)}};
+  for (const auto& [name, gc] : rows) {
     CountingSink sink;
     Aion::Options opt;
     opt.mode = Aion::Mode::kSer;
     opt.ext_timeout_ms = 50;
     Aion checker(opt, &sink);
     online::RunResult r = online::RunMaxRate(&checker, stream, gc);
-    const char* name = gc.mode == online::GcPolicy::Mode::kNone
-                           ? "Aion-SER-no-gc"
-                           : gc.mode == online::GcPolicy::Mode::kThreshold
-                                 ? "Aion-SER-checking-gc"
-                                 : "Aion-SER-full-gc";
     std::printf("%22s  avg=%8.0f TPS  violations=%zu (all reported)\n", name,
                 r.AvgTps(), static_cast<size_t>(sink.total()));
   }

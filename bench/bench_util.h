@@ -7,9 +7,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -83,15 +86,28 @@ inline History DefaultHistory(uint64_t txns, uint32_t ops_per_txn = 15,
 }
 
 /// Round-trips a history through the codec to measure the loading stage
-/// (Figs. 8, 9, 24). Returns (load_seconds, history).
+/// (Figs. 8, 9, 24). Returns (load_seconds, history). The file is
+/// per-process, so concurrent bench runs cannot clobber each other; a
+/// codec failure exits rather than benchmarking an empty history.
 inline std::pair<double, History> SaveAndLoad(const History& h,
                                               const std::string& name) {
-  std::string path = "/tmp/chronos-bench-" + name + ".hist";
-  hist::SaveHistory(h, path);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("chronos-bench-" + name + "-" + std::to_string(getpid()) + ".hist"))
+          .string();
+  auto check = [&path](const hist::CodecStatus& st, const char* what) {
+    if (st.ok) return;
+    std::fprintf(stderr, "%s %s failed: %s\n", what, path.c_str(),
+                 st.message.c_str());
+    std::remove(path.c_str());
+    std::exit(1);
+  };
+  check(hist::SaveHistory(h, path), "save");
   Stopwatch sw;
   History loaded;
-  hist::LoadHistory(path, &loaded);
+  hist::CodecStatus loaded_st = hist::LoadHistory(path, &loaded);
   double secs = sw.Seconds();
+  check(loaded_st, "load");
   std::remove(path.c_str());
   return {secs, std::move(loaded)};
 }

@@ -6,9 +6,8 @@
 #
 # Usage: bench/run_micro.sh [build_dir] [output_json]
 #   build_dir    defaults to ./build-bench (configured+built Release here
-#                if missing). A dir whose CMakeCache is not
-#                CMAKE_BUILD_TYPE=Release is refused: debug/RelWithDebInfo
-#                numbers silently pollute the artifact series. Set
+#                if missing). A dir with another CMAKE_BUILD_TYPE (empty
+#                counts as Release) is refused; see release_guard.sh. Set
 #                CHRONOS_BENCH_ALLOW_NONRELEASE=1 to override (CI smoke
 #                only verifies the harness runs, not the numbers).
 #   output_json  defaults to ./BENCH_micro.json
@@ -23,20 +22,8 @@ OUT="${2:-BENCH_micro.json}"
 FILTER="${BENCH_FILTER:-BM_AionPerTxn|BM_ShardedAionPerTxn|BM_ChronosPerTxn|BM_VersionedKv|BM_MapKv|BM_AionFootprint}"
 MIN_TIME="${BENCH_MIN_TIME:-0.5}"
 
-if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
-  echo "configuring Release build dir $BUILD_DIR" >&2
-  cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
-        -DCMAKE_BUILD_TYPE=Release >/dev/null
-fi
-BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD_DIR/CMakeCache.txt")
-if [[ "$BUILD_TYPE" != "Release" &&
-      "${CHRONOS_BENCH_ALLOW_NONRELEASE:-0}" != "1" ]]; then
-  echo "error: $BUILD_DIR has CMAKE_BUILD_TYPE='$BUILD_TYPE', not Release;" \
-       "benchmark numbers from it are not comparable. Point this script at" \
-       "a Release dir (default: build-bench) or set" \
-       "CHRONOS_BENCH_ALLOW_NONRELEASE=1 for a smoke run." >&2
-  exit 1
-fi
+source "$(dirname "$0")/release_guard.sh"
+ensure_release_build "$BUILD_DIR" "${CHRONOS_BENCH_ALLOW_NONRELEASE:-0}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro >/dev/null
 
 BIN="$BUILD_DIR/bench_micro"

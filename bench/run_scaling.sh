@@ -11,7 +11,8 @@
 #
 # Usage: bench/run_scaling.sh [build_dir] [output_json]
 #   build_dir    defaults to ./build-bench (configured+built Release here
-#                if missing; non-Release dirs are refused)
+#                if missing; non-Release dirs are refused, empty counts as
+#                Release: see release_guard.sh)
 #   output_json  defaults to ./BENCH_scaling.json
 set -euo pipefail
 
@@ -20,17 +21,8 @@ OUT="${2:-BENCH_scaling.json}"
 MIN_TIME="${BENCH_MIN_TIME:-0.5}"
 MIN_SPEEDUP="${CHRONOS_SCALING_MIN:-2.0}"
 
-if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
-  echo "configuring Release build dir $BUILD_DIR" >&2
-  cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
-        -DCMAKE_BUILD_TYPE=Release >/dev/null
-fi
-BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD_DIR/CMakeCache.txt")
-if [[ "$BUILD_TYPE" != "Release" ]]; then
-  echo "error: $BUILD_DIR has CMAKE_BUILD_TYPE='$BUILD_TYPE', not Release;" \
-       "scaling numbers from it would be meaningless" >&2
-  exit 1
-fi
+source "$(dirname "$0")/release_guard.sh"
+ensure_release_build "$BUILD_DIR"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro >/dev/null
 
 "$BUILD_DIR/bench_micro" \

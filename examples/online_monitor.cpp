@@ -35,7 +35,7 @@ int main() {
   opt.ext_timeout_ms = 5000;  // the paper's conservative timeout
   Aion checker(opt, &sink);
   online::RunResult result =
-      online::RunMaxRate(&checker, stream, online::GcPolicy::Threshold(8000, 4000));
+      online::RunMaxRate(&checker, stream, GcPolicy::Threshold(8000, 4000));
 
   std::printf("online check: %llu txns in %.2fs (avg %.0f TPS)\n",
               static_cast<unsigned long long>(result.txns),

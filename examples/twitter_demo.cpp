@@ -43,7 +43,7 @@ int main() {
   opt.ext_timeout_ms = 5000;
   Aion checker(opt, &online_sink);
   online::RunResult r = online::RunMaxRate(
-      &checker, stream, online::GcPolicy::Threshold(8000, 4000));
+      &checker, stream, GcPolicy::Threshold(8000, 4000));
   std::printf("online AION-SER: avg %.0f TPS, %zu violations, %llu "
               "flip-flops\n",
               r.AvgTps(), static_cast<size_t>(online_sink.total()),

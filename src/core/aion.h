@@ -24,9 +24,6 @@
 #ifndef CHRONOS_CORE_AION_H_
 #define CHRONOS_CORE_AION_H_
 
-#include <string>
-#include <utility>
-
 #include "core/flipflop_stats.h"
 #include "core/key_engine.h"
 #include "core/online_checker.h"
@@ -92,25 +89,6 @@ class Aion : public OnlineChecker, private TxnIngress::Dispatch {
   FlipFlopStats flip_stats_;
   KeyEngine engine_;
   TxnIngress ingress_;
-};
-
-/// AION-SER: the online serializability checker (paper Sec. VI). Same
-/// engine with the SER read-view rule; exposed as its own type to mirror
-/// the paper's presentation.
-class AionSer : public Aion {
- public:
-  AionSer(uint64_t ext_timeout_ms, ViolationSink* sink,
-          std::string spill_dir = "")
-      : Aion(MakeOptions(ext_timeout_ms, std::move(spill_dir)), sink) {}
-
- private:
-  static Options MakeOptions(uint64_t timeout, std::string dir) {
-    Options o;
-    o.mode = Mode::kSer;
-    o.ext_timeout_ms = timeout;
-    o.spill_dir = std::move(dir);
-    return o;
-  }
 };
 
 }  // namespace chronos

@@ -1,7 +1,8 @@
 // The common surface of the online checkers: the monolithic `Aion`
 // (core/aion.h) and the key-partitioned `ShardedAion`
-// (online/sharded_aion.h) implement the same contract, so the pipeline
-// drivers (online/pipeline.h) and the GC policies work against either.
+// (online/sharded_aion.h) implement the same contract, so the online
+// drivers (online/pipeline.h, online/checkpoint.h) and the GC policy
+// below work against either.
 // The mode/options/stats/footprint types live here — outside Aion — so
 // the key-scoped `KeyEngine` layer and the sharded coordinator can share
 // them without depending on the monolith.
@@ -182,6 +183,41 @@ class OnlineChecker {
   /// unaffected; stragglers into a trimmed region degrade to
   /// CheckerStats::unsafe_below_horizon accounting. Default: no-op.
   virtual void ShedMemory() {}
+};
+
+/// When an online driver collects garbage (RunMaxRate and DurableRunner
+/// share this type): every `every` arrivals, provided at least
+/// `max_live` transactions are resident, GcToLiveTarget(target_live).
+/// GC is clamped to the safe watermark inside the checker, so it only
+/// ever reclaims finalized state (paper: asynchrony may prevent
+/// recycling).
+struct GcPolicy {
+  uint64_t every = 0;      ///< poll cadence in arrivals (0: never collect)
+  size_t max_live = 0;     ///< live-txn trigger (0: collect at every poll)
+  size_t target_live = 0;  ///< live txns to collect down to
+
+  /// The paper's strategies (Sec. VI-B, Fig. 12). no-gc: memory grows
+  /// with the stream.
+  static GcPolicy None() { return {}; }
+  /// checking-gc: collect down to `target_live` once `max_live` is
+  /// reached, polled lazily.
+  static GcPolicy Threshold(size_t max_live, size_t target_live) {
+    return {1024, max_live, target_live};
+  }
+  /// full-gc (the paper's "maximum transaction limit"): polled often,
+  /// so a stream pinned at the cap collects constantly.
+  static GcPolicy HardCap(size_t cap) { return {64, cap, cap - cap / 16}; }
+  /// A fixed cadence regardless of footprint (chronos_check --gc-every).
+  static GcPolicy Every(uint64_t n, size_t target_live) {
+    return {n, 0, target_live};
+  }
+
+  /// Whether the driver collects after its `arrivals`-th arrival. Reads
+  /// the footprint only for a live-txn trigger.
+  bool Due(uint64_t arrivals, const OnlineChecker& checker) const {
+    return every > 0 && arrivals % every == 0 &&
+           (max_live == 0 || checker.GetFootprint().live_txns >= max_live);
+  }
 };
 
 }  // namespace chronos

@@ -33,6 +33,11 @@ bool Database::Flip(double prob, std::mt19937_64* rng) {
 std::unique_ptr<Database::Txn> Database::Begin(SessionId sid) {
   auto txn = std::unique_ptr<Txn>(new Txn());
   txn->sid_ = sid;
+  // Commit draws its timestamp and installs its writes under commit_mu_;
+  // drawing the snapshot under the same lock means every commit ordered
+  // before it is already visible to ReadAsOf (a lock-free draw could see
+  // a smaller commit_ts whose writes are not yet applied).
+  std::lock_guard<std::mutex> lock(commit_mu_);
   txn->start_ts_ = oracle_->Next(sid % std::max(1u, config_.hlc_nodes));
   return txn;
 }

@@ -1,6 +1,7 @@
 #include "hist/collector.h"
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <unordered_map>
 
@@ -15,9 +16,13 @@ std::vector<CollectedTxn> ScheduleDelivery(const History& history,
     return history.txns[a].commit_ts < history.txns[b].commit_ts;
   });
 
+  // N(mean, 0) is not a valid distribution (libstdc++ asserts stddev >
+  // 0), so a zero deviation delays every transaction by exactly the mean.
   std::mt19937_64 rng(params.seed);
-  std::normal_distribution<double> delay(params.delay_mean_ms,
-                                         params.delay_stddev_ms);
+  std::optional<std::normal_distribution<double>> delay;
+  if (params.delay_stddev_ms > 0) {
+    delay.emplace(params.delay_mean_ms, params.delay_stddev_ms);
+  }
 
   std::vector<CollectedTxn> out;
   out.reserve(order.size());
@@ -27,9 +32,7 @@ std::vector<CollectedTxn> ScheduleDelivery(const History& history,
     const Transaction& t = history.txns[order[i]];
     uint64_t batch_time =
         (i / params.batch_size) * params.batch_interval_ms;
-    double d = params.delay_stddev_ms > 0 || params.delay_mean_ms > 0
-                   ? std::max(0.0, delay(rng))
-                   : 0.0;
+    double d = std::max(0.0, delay ? (*delay)(rng) : params.delay_mean_ms);
     uint64_t at = batch_time + static_cast<uint64_t>(d);
     // Preserve session order: never deliver before the session's previous
     // transaction.

@@ -404,10 +404,9 @@ bool DurableRunner::Feed(const Transaction& t, uint64_t now_ms) {
   rec.seq = next_seq_;
   rec.now_ms = now_ms;
   rec.txn = t;
-  rec.gc_target = opts_.gc_target;
-  rec.gc =
-      opts_.gc_every_events > 0 && events_ % opts_.gc_every_events == 0;
-  if (rec.gc) checker_->GcToLiveTarget(opts_.gc_target);
+  rec.gc_target = opts_.gc.target_live;
+  rec.gc = opts_.gc.Due(events_, *checker_);
+  if (rec.gc) checker_->GcToLiveTarget(opts_.gc.target_live);
 
   // Bounded-memory degradation, on a fixed cadence with the barrier-
   // exact footprint so the decision is a pure function of the event

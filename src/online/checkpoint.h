@@ -125,8 +125,8 @@ class CheckpointManager {
   uint64_t next_seq_ = 1;
 };
 
-/// Drives a ShardedAion durably: every Feed step (arrival + GC cadence
-/// + ceiling decision) becomes one atomic WAL record, checkpoints are
+/// Drives a ShardedAion durably: every Feed step (arrival + GcPolicy
+/// decision + ceiling decision) becomes one atomic WAL record, checkpoints are
 /// cut every `checkpoint_every_events` arrivals, and when
 /// `memory_ceiling_bytes` is exceeded the runner GCs, sheds list memory
 /// (the bounded-memory degradation path), and checkpoints the shrunken
@@ -137,8 +137,12 @@ class DurableRunner {
   struct Options {
     std::string dir;                     ///< checkpoints + wal.log
     uint64_t checkpoint_every_events = 0;  ///< 0: only ceiling checkpoints
-    size_t gc_every_events = 0;          ///< GcToLiveTarget cadence (0: off)
-    size_t gc_target = 0;
+    /// Collection after each arrival (default: never). The WAL records
+    /// the decision, so replay repeats it; a `max_live` trigger polls
+    /// the checker's estimated footprint, so only fixed cadences
+    /// (GcPolicy::Every) re-derive identically when a lost step is
+    /// refed.
+    GcPolicy gc;
     size_t memory_ceiling_bytes = 0;     ///< 0: no ceiling
     /// Ceiling checks run every this-many events with the barrier-exact
     /// footprint: the check is deterministic (so replay and refeed make

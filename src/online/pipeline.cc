@@ -1,138 +1,45 @@
 #include "online/pipeline.h"
 
 #include <chrono>
-#include <thread>
 
 #include "core/aion.h"
-#include "online/queue.h"
 #include "online/sharded_aion.h"
 
 namespace chronos::online {
-namespace {
-
-/// Per-transaction bookkeeping shared by RunMaxRate and RunThreaded so
-/// both drivers report byte-identical RunResult series (modulo wall
-/// clock) and apply GC at the same points of the stream.
-class DriverLoop {
- public:
-  DriverLoop(OnlineChecker* checker, const GcPolicy& gc, uint64_t sample_every,
-             RunResult* result)
-      : checker_(checker),
-        gc_(gc),
-        sample_every_(sample_every),
-        result_(result),
-        meter_(1000),
-        start_(std::chrono::steady_clock::now()) {}
-
-  uint64_t WallMs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
-  void Feed(const hist::CollectedTxn& ct) {
-    checker_->OnTransaction(ct.txn, ct.deliver_at_ms);
-    ++done_;
-    meter_.Record(WallMs());
-
-    // GC is clamped to the safe watermark inside Aion: transactions whose
-    // EXT timeout has not expired are never evicted, so collection only
-    // reclaims finalized state (paper: asynchrony may prevent recycling).
-    // Attempts are rate-limited: a hard cap retries constantly (the
-    // paper's thrashing full-gc mode), a threshold policy checks more
-    // lazily.
-    if (gc_.mode != GcPolicy::Mode::kNone) {
-      uint64_t gc_check_every =
-          gc_.mode == GcPolicy::Mode::kHardCap ? 64 : 1024;
-      if (done_ % gc_check_every == 0 &&
-          checker_->GetFootprint().live_txns >= gc_.max_live) {
-        checker_->GcToLiveTarget(gc_.target_live);
-      }
-    }
-
-    if (done_ % sample_every_ == 0) {
-      result_->samples.push_back({static_cast<double>(WallMs()) / 1000.0,
-                                  done_, ReadRssBytes(),
-                                  checker_->GetFootprint().live_txns});
-    }
-  }
-
-  void Finish() {
-    checker_->Finish();
-    result_->txns = done_;
-    result_->wall_seconds = static_cast<double>(WallMs()) / 1000.0;
-    for (size_t i = 0; i < meter_.counts().size(); ++i) {
-      result_->tps_per_window.push_back(meter_.Tps(i));
-    }
-  }
-
- private:
-  OnlineChecker* checker_;
-  GcPolicy gc_;
-  uint64_t sample_every_;
-  RunResult* result_;
-  ThroughputMeter meter_;
-  std::chrono::steady_clock::time_point start_;
-  uint64_t done_ = 0;
-};
-
-}  // namespace
 
 RunResult RunMaxRate(OnlineChecker* checker,
                      const std::vector<hist::CollectedTxn>& stream,
                      const GcPolicy& gc, uint64_t sample_every) {
   RunResult result;
-  DriverLoop loop(checker, gc, sample_every, &result);
-  for (const hist::CollectedTxn& ct : stream) loop.Feed(ct);
-  loop.Finish();
-  return result;
-}
+  ThroughputMeter meter(1000);
+  const auto start = std::chrono::steady_clock::now();
+  auto wall_ms = [&start] {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  };
 
-RunResult RunThreaded(OnlineChecker* checker,
-                      const std::vector<hist::CollectedTxn>& stream,
-                      const GcPolicy& gc, uint64_t sample_every,
-                      size_t batch_size, size_t queue_capacity) {
-  if (batch_size == 0) batch_size = 1;
-  RunResult result;
-  DriverLoop loop(checker, gc, sample_every, &result);
-  BoundedQueue<hist::CollectedTxn> queue(queue_capacity);
-
-  // Producer: the "collector" side. Decoding/preparing batches happens
-  // here, off the checker thread; with a pre-collected stream this is the
-  // copy into the queue.
-  std::thread producer([&] {
-    std::vector<hist::CollectedTxn> batch;
-    batch.reserve(batch_size);
-    for (const hist::CollectedTxn& ct : stream) {
-      batch.push_back(ct);
-      if (batch.size() >= batch_size) {
-        if (!queue.PushBatch(std::move(batch))) return;
-        batch.clear();
-        batch.reserve(batch_size);
-      }
-    }
-    if (!batch.empty()) queue.PushBatch(std::move(batch));
-    queue.Close();
-  });
-
-  // Consumer: the checker/coordinator thread (this thread). A sharded
-  // checker fans the drained transactions out to its workers from here.
-  std::vector<hist::CollectedTxn> chunk;
-  while (queue.PopBatch(&chunk, batch_size)) {
-    for (const hist::CollectedTxn& ct : chunk) loop.Feed(ct);
-  }
-  producer.join();
-  loop.Finish();
-  return result;
-}
-
-void RunVirtualTime(OnlineChecker* checker,
-                    const std::vector<hist::CollectedTxn>& stream) {
+  uint64_t done = 0;
   for (const hist::CollectedTxn& ct : stream) {
     checker->OnTransaction(ct.txn, ct.deliver_at_ms);
+    ++done;
+    meter.Record(wall_ms());
+    if (gc.Due(done, *checker)) checker->GcToLiveTarget(gc.target_live);
+    if (done % sample_every == 0) {
+      result.samples.push_back({static_cast<double>(wall_ms()) / 1000.0,
+                                done, ReadRssBytes(),
+                                checker->GetFootprint().live_txns});
+    }
   }
+
   checker->Finish();
+  result.txns = done;
+  result.wall_seconds = static_cast<double>(wall_ms()) / 1000.0;
+  for (size_t i = 0; i < meter.counts().size(); ++i) {
+    result.tps_per_window.push_back(meter.Tps(i));
+  }
+  return result;
 }
 
 std::unique_ptr<OnlineChecker> MakeChecker(const CheckerOptions& options,

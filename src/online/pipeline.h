@@ -1,6 +1,8 @@
-// Drivers that feed collected transaction streams into AION under the
-// paper's three GC strategies (Fig. 12: no-gc / checking-gc / full-gc)
-// and sample throughput and memory as they go.
+// The online driver: feeds a collected transaction stream into AION
+// under one of the paper's GC strategies (Fig. 12: no-gc / checking-gc /
+// full-gc, see GcPolicy in core/online_checker.h) and samples throughput
+// and memory as it goes. The crash-safe variant of the same step loop is
+// DurableRunner (online/checkpoint.h).
 #ifndef CHRONOS_ONLINE_PIPELINE_H_
 #define CHRONOS_ONLINE_PIPELINE_H_
 
@@ -14,27 +16,6 @@
 #include "online/metrics.h"
 
 namespace chronos::online {
-
-/// The paper's GC strategies for online checking (Sec. VI-B).
-struct GcPolicy {
-  enum class Mode {
-    kNone,       ///< never collect: memory grows with the stream
-    kThreshold,  ///< collect down to `target_live` when `max_live` reached
-    kHardCap,    ///< collect every time the hard cap is hit (paper's
-                 ///< "maximum transaction limit" / full-gc mode)
-  };
-  Mode mode = Mode::kNone;
-  size_t max_live = 100000;
-  size_t target_live = 50000;
-
-  static GcPolicy None() { return {}; }
-  static GcPolicy Threshold(size_t max_live, size_t target_live) {
-    return {Mode::kThreshold, max_live, target_live};
-  }
-  static GcPolicy HardCap(size_t cap) {
-    return {Mode::kHardCap, cap, cap > 1 ? cap - cap / 16 : cap};
-  }
-};
 
 /// One sample of the run's progress.
 struct RunSample {
@@ -58,33 +39,16 @@ struct RunResult {
 
 /// Feeds the stream into `checker` as fast as it will go (the paper's
 /// throughput-limit methodology: pre-collected logs arriving faster than
-/// the checker can process). Virtual delivery timestamps drive the EXT
-/// timeout clock; wall time drives the TPS series. The checker is either
-/// the monolithic `Aion` or a `ShardedAion` (the shards knob: see
-/// MakeChecker below) — the driver bookkeeping is identical, so their
-/// RunResult series stay comparable.
+/// the checker can process), then finishes it. Virtual delivery
+/// timestamps drive the EXT timeout clock, so the checker sees exactly
+/// the calls a delivery-time replay would make (flip-flop studies,
+/// Figs. 13/14); wall time only drives the TPS series. The checker is
+/// either the monolithic `Aion` or a `ShardedAion` (the shards knob: see
+/// MakeChecker below), whose SPSC ingress rings make the collector ->
+/// coordinator -> shards pipeline of Fig. 3 real.
 RunResult RunMaxRate(OnlineChecker* checker,
                      const std::vector<hist::CollectedTxn>& stream,
                      const GcPolicy& gc, uint64_t sample_every = 10000);
-
-/// Feeds the stream honoring virtual delivery times (for flip-flop
-/// studies, Figs. 13/14): each transaction is delivered at its scheduled
-/// virtual millisecond and timeouts fire in virtual time.
-void RunVirtualTime(OnlineChecker* checker,
-                    const std::vector<hist::CollectedTxn>& stream);
-
-/// Two-stage collector->checker pipeline (paper Fig. 3): a producer
-/// thread batches the stream into a bounded queue (`PushBatch`, one lock
-/// per batch) and the calling thread drains it with `PopBatch`, feeding
-/// the checker — with a `ShardedAion` the drained commands fan out again
-/// to the shard workers, making this a three-stage
-/// collector->coordinator->shards pipeline. GC policy, sampling, and the
-/// reported RunResult series are identical to RunMaxRate on the same
-/// stream, so Fig. 12 style runs can use either driver interchangeably.
-RunResult RunThreaded(OnlineChecker* checker,
-                      const std::vector<hist::CollectedTxn>& stream,
-                      const GcPolicy& gc, uint64_t sample_every = 10000,
-                      size_t batch_size = 500, size_t queue_capacity = 4096);
 
 /// The shards knob: constructs the checker for `shards` (<= 1 the
 /// monolithic `Aion`, otherwise a `ShardedAion` with that many key

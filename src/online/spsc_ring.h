@@ -1,7 +1,7 @@
 // Single-producer single-consumer ring buffer: the lock-free hand-off
 // between the stages of the sharded pipeline (caller -> pre-stage
-// classifiers -> sequencer -> shard workers). Replaces the BoundedQueue
-// mutex hand-off on the per-transaction hot path.
+// classifiers -> sequencer -> shard workers), with no mutex on the
+// per-transaction hot path.
 //
 // Memory-ordering contract:
 //   - The producer writes a slot, then publishes it with a release store

@@ -132,8 +132,8 @@ History GenerateDefaultHistory(const WorkloadParams& params,
   return h;
 }
 
-double RunThreadedWorkload(db::Database* db, const WorkloadParams& params,
-                           uint32_t threads) {
+double RunConcurrentWorkload(db::Database* db, const WorkloadParams& params,
+                             uint32_t threads) {
   threads = std::max(1u, std::min(threads, params.sessions));
   std::atomic<uint64_t> committed{0};
   // Run-local unique-value source (see RunDefaultWorkload); shared by

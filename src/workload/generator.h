@@ -66,8 +66,8 @@ History GenerateDefaultHistory(const WorkloadParams& params,
 /// Multi-threaded variant used by the DB-throughput bench (Fig. 15):
 /// `threads` worker threads each drive a disjoint set of sessions.
 /// Returns the committed-transaction throughput in txns/second.
-double RunThreadedWorkload(db::Database* db, const WorkloadParams& params,
-                           uint32_t threads);
+double RunConcurrentWorkload(db::Database* db, const WorkloadParams& params,
+                             uint32_t threads);
 
 }  // namespace chronos::workload
 

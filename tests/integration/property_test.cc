@@ -10,6 +10,7 @@
 //  P4  SER-mode histories pass the SER checkers; SI write-skew histories
 //      fail them.
 #include <filesystem>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,11 @@ struct FaultCase {
   db::FaultConfig faults;
   ViolationType expected;
 };
+
+// gtest's default printer dumps the raw bytes, `name` pointer included, so
+// the listed test name (and the ctest name derived from it) would change
+// with the load address on every run.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
 
 class FaultSweep : public ::testing::TestWithParam<FaultCase> {};
 

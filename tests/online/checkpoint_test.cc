@@ -16,6 +16,7 @@
 #include "../testutil.h"
 #include "core/state_io.h"
 #include "online/checkpoint.h"
+#include "online/pipeline.h"
 #include "online/recovery.h"
 #include "online/sharded_aion.h"
 #include "workload/generator.h"
@@ -444,6 +445,68 @@ TEST(SpillCorruptionTest, CorruptEpochsDegradeDeterministically) {
   EXPECT_EQ(a.watermark, b.watermark);
 }
 
+TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {
+  // The two online drivers share one GcPolicy decision: the same stream
+  // and policy must collect at the same arrivals, so the checker ends in
+  // the same state, and every collection is one gc=1 WAL record.
+  std::string dir = FreshDir("driver_parity");
+  History h = MakeWorkload(900, 29, /*list_mode=*/false);
+  hist::CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  auto stream = hist::ScheduleDelivery(h, cp);
+  const GcPolicy gc = GcPolicy::Every(50, 40);
+
+  CheckerOptions opt;
+  opt.ext_timeout_ms = 100;
+  Outcome max_rate;
+  {
+    CheckerOptions o = opt;
+    o.spill_dir = dir + "/spill_max_rate";
+    VectorSink sink;
+    auto checker = std::make_unique<ShardedAion>(o, 1, &sink);
+    RunMaxRate(checker.get(), stream, gc);
+    max_rate.stats = checker->stats();
+    max_rate.watermark = checker->watermark();
+    checker.reset();
+    max_rate.emissions = sink.TakeAll();
+  }
+
+  CheckerOptions o = opt;
+  o.spill_dir = dir + "/spill_durable";
+  VectorSink sink;
+  auto checker = std::make_unique<ShardedAion>(o, 1, &sink);
+  DurableRunner::Options dopts;
+  dopts.dir = dir + "/run";
+  dopts.gc = gc;
+  size_t due = 0;
+  {
+    DurableRunner runner(checker.get(), dopts);
+    AssumeRole driver(runner.driver_role);  // single-threaded test driver
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(runner.Feed(stream[i].txn, stream[i].deliver_at_ms));
+      due += gc.Due(i + 1, *checker) ? 1 : 0;
+    }
+    runner.Finish();
+  }
+  EXPECT_GT(max_rate.stats.gc_passes, 0u);
+  EXPECT_EQ(checker->stats(), max_rate.stats);
+  EXPECT_EQ(checker->watermark(), max_rate.watermark);
+  checker.reset();
+  EXPECT_EQ(sink.TakeAll(), max_rate.emissions);
+
+  std::vector<WalRecord> recs;
+  uint64_t valid = 0;
+  ASSERT_TRUE(ReadWal(dopts.dir + "/wal.log", &recs, &valid));
+  ASSERT_EQ(recs.size(), stream.size());
+  EXPECT_EQ(due, stream.size() / 50);
+  EXPECT_EQ(static_cast<size_t>(std::count_if(
+                recs.begin(), recs.end(),
+                [](const WalRecord& r) { return r.gc; })),
+            due);
+  fs::remove_all(dir);
+}
+
 TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
   // Append-heavy clean list workload in commit order: the ceiling
   // forces aggressive GC + list-buffer trims. Degradation is
@@ -476,8 +539,7 @@ TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
     auto checker = std::make_unique<ShardedAion>(o, 2, &sink);
     DurableRunner::Options dopts;
     dopts.dir = dir + "/ref";
-    dopts.gc_every_events = 64;
-    dopts.gc_target = 64;
+    dopts.gc = GcPolicy::Every(64, 64);
     DurableRunner runner(checker.get(), dopts);
     AssumeRole driver(runner.driver_role);  // single-threaded test driver
     for (size_t i = 0; i < h.txns.size(); ++i) {
@@ -501,8 +563,7 @@ TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
   auto checker = std::make_unique<ShardedAion>(o, 2, &sink);
   DurableRunner::Options dopts;
   dopts.dir = dir + "/run";
-  dopts.gc_every_events = 64;
-  dopts.gc_target = 64;
+  dopts.gc = GcPolicy::Every(64, 64);
   dopts.memory_ceiling_bytes = ceiling;
   dopts.ceiling_check_every = 16;
   DurableRunner runner(checker.get(), dopts);

@@ -1,43 +1,75 @@
-// Online pipeline: bounded queue semantics, throughput meter, and the
-// max-rate driver under the three GC policies.
+// Online pipeline: collector delivery schedule, throughput meter, the
+// GC policy decision, and the max-rate driver under the GC policies.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "core/aion.h"
 #include "core/chronos.h"
 #include "hist/collector.h"
 #include "online/metrics.h"
 #include "online/pipeline.h"
-#include "online/queue.h"
 #include "workload/generator.h"
 
 namespace chronos::online {
 namespace {
 
-TEST(BoundedQueueTest, FifoAndClose) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  q.Close();
-  EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_FALSE(q.Push(3));
+TEST(CollectorTest, ZeroStddevDelaysEveryTxnByExactlyTheMean) {
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 1200;  // three batches
+  p.ops_per_txn = 4;
+  p.keys = 50;
+  History h = workload::GenerateDefaultHistory(p);
+  hist::CollectorParams cp;
+  cp.delay_mean_ms = 7;
+  cp.delay_stddev_ms = 0;
+  auto stream = hist::ScheduleDelivery(h, cp);
+  ASSERT_EQ(stream.size(), h.txns.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const uint64_t batch_time = (i / cp.batch_size) * cp.batch_interval_ms;
+    EXPECT_EQ(stream[i].deliver_at_ms, batch_time + 7) << "txn " << i;
+    if (i > 0) {
+      EXPECT_LE(stream[i - 1].txn.commit_ts, stream[i].txn.commit_ts)
+          << "delivery must follow commit order";
+    }
+  }
 }
 
-TEST(BoundedQueueTest, BlockingProducerConsumer) {
-  BoundedQueue<int> q(2);
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) q.Push(i);
-    q.Close();
-  });
-  int expected = 0;
-  while (auto v = q.Pop()) {
-    EXPECT_EQ(*v, expected++);
+/// Counts footprint reads; every other checker call is a no-op.
+class FootprintProbe : public OnlineChecker {
+ public:
+  void OnTransaction(const Transaction&, uint64_t) override {}
+  void AdvanceTime(uint64_t) override {}
+  Timestamp Gc(Timestamp up_to) override { return up_to; }
+  void GcToLiveTarget(size_t) override {}
+  void Finish() override {}
+  CheckerFootprint GetFootprint() const override {
+    ++reads;
+    CheckerFootprint f;
+    f.live_txns = live;
+    return f;
   }
-  EXPECT_EQ(expected, 100);
-  producer.join();
+  size_t live = 0;
+  mutable int reads = 0;
+};
+
+TEST(GcPolicyTest, DueFollowsCadenceAndLiveTrigger) {
+  FootprintProbe c;
+  c.live = 100;
+  EXPECT_FALSE(GcPolicy::None().Due(1024, c));
+  const GcPolicy every = GcPolicy::Every(8, 3);
+  EXPECT_TRUE(every.Due(16, c));
+  EXPECT_FALSE(every.Due(17, c));
+  EXPECT_EQ(c.reads, 0) << "a fixed cadence never reads the footprint";
+
+  const GcPolicy threshold = GcPolicy::Threshold(100, 50);
+  EXPECT_FALSE(threshold.Due(1023, c));
+  EXPECT_TRUE(threshold.Due(1024, c));
+  c.live = 99;
+  EXPECT_FALSE(threshold.Due(2048, c));
+
+  const GcPolicy cap = GcPolicy::HardCap(64);
+  EXPECT_EQ(cap.every, 64u);
+  EXPECT_EQ(cap.target_live, 60u);
 }
 
 TEST(ThroughputMeterTest, BucketsBySecond) {
@@ -105,7 +137,7 @@ TEST_F(PipelineTest, DelayedStreamStillChecksClean) {
   Aion::Options opt;
   opt.ext_timeout_ms = 10000;  // above max delay: no premature verdicts
   Aion checker(opt, &sink);
-  RunVirtualTime(&checker, stream);
+  RunMaxRate(&checker, stream, GcPolicy::None());
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 }
@@ -116,7 +148,7 @@ TEST_F(PipelineTest, FlipFlopsAppearUnderDelays) {
   Aion::Options opt;
   opt.ext_timeout_ms = 10000;
   Aion checker(opt, &sink);
-  RunVirtualTime(&checker, stream);
+  RunMaxRate(&checker, stream, GcPolicy::None());
   EXPECT_GT(checker.flip_stats().total_flips(), 0u)
       << "out-of-order arrivals should cause transient EXT flips";
 }

@@ -78,8 +78,7 @@ DurableRunner::Options Dopts(const Scenario& sc, const std::string& dir) {
   DurableRunner::Options d;
   d.dir = dir;
   d.checkpoint_every_events = sc.checkpoint_every;
-  d.gc_every_events = sc.gc_every;
-  d.gc_target = sc.gc_target;
+  d.gc = GcPolicy::Every(sc.gc_every, sc.gc_target);
   d.memory_ceiling_bytes = sc.memory_ceiling;
   return d;
 }

@@ -272,14 +272,14 @@ TEST(ShardedAionTest, FlipFlopMergeMatchesMonolith) {
 
   CountingSink mono_sink;
   Aion mono(opt, &mono_sink);
-  RunVirtualTime(&mono, stream);
+  RunMaxRate(&mono, stream, GcPolicy::None());
   const FlipFlopStats& ref = mono.flip_stats();
   ASSERT_GT(ref.total_flips(), 0u) << "delays should cause flips";
 
   for (size_t shards : {1u, 2u, 8u}) {
     CountingSink sink;
     ShardedAion sharded(opt, shards, &sink);
-    RunVirtualTime(&sharded, stream);
+    RunMaxRate(&sharded, stream, GcPolicy::None());
     FlipFlopStats merged = sharded.flip_stats();
     EXPECT_EQ(merged.total_flips(), ref.total_flips()) << "shards=" << shards;
     EXPECT_EQ(merged.txns_with_flips(), ref.txns_with_flips())
@@ -293,29 +293,35 @@ TEST(ShardedAionTest, FlipFlopMergeMatchesMonolith) {
   }
 }
 
-TEST(ShardedAionTest, RunThreadedDrivesShardedChecker) {
-  History h = MakeWorkload(2000, 16, /*faulty=*/true);
+TEST(ShardedAionTest, RunMaxRateDrivesShardedCheckerUnderThresholdGc) {
+  History h = MakeWorkload(2500, 16, /*faulty=*/true);
   hist::CollectorParams cp;
   auto stream = hist::ScheduleDelivery(h, cp);
 
   CheckerOptions opt;
   opt.ext_timeout_ms = 50;
+  // Polled every 1024 arrivals: collects at arrivals 1024 and 2048.
+  const GcPolicy gc = GcPolicy::Threshold(300, 100);
 
   CountingSink mono_sink;
   Aion mono(opt, &mono_sink);
-  RunResult mono_r = RunMaxRate(&mono, stream, GcPolicy::None(), 500);
+  RunResult mono_r = RunMaxRate(&mono, stream, gc, 500);
 
   CountingSink shard_sink;
   ShardedAion sharded(opt, 4, &shard_sink);
-  RunResult shard_r =
-      RunThreaded(&sharded, stream, GcPolicy::None(), 500, 128);
+  RunResult shard_r = RunMaxRate(&sharded, stream, gc, 500);
 
+  EXPECT_GT(mono.stats().gc_passes, 0u);
+  EXPECT_EQ(sharded.stats().gc_passes, mono.stats().gc_passes);
   EXPECT_EQ(shard_r.txns, mono_r.txns);
-  EXPECT_EQ(shard_sink.total(), mono_sink.total());
-  EXPECT_EQ(shard_sink.count(ViolationType::kExt),
-            mono_sink.count(ViolationType::kExt));
-  EXPECT_EQ(shard_sink.count(ViolationType::kNoConflict),
-            mono_sink.count(ViolationType::kNoConflict));
+  EXPECT_GT(mono_sink.total(), 0u);
+  for (ViolationType t :
+       {ViolationType::kSession, ViolationType::kInt, ViolationType::kExt,
+        ViolationType::kNoConflict, ViolationType::kTsOrder,
+        ViolationType::kTsDuplicate}) {
+    EXPECT_EQ(shard_sink.count(t), mono_sink.count(t))
+        << "type " << static_cast<int>(t);
+  }
   EXPECT_EQ(shard_r.samples.size(), mono_r.samples.size());
 }
 

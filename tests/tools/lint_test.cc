@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 namespace {
@@ -56,8 +57,19 @@ size_t CountOccurrences(const std::string& haystack, const std::string& needle) 
   return count;
 }
 
-class LintFixtureTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+struct LintCase {
+  const char* fixture;
+  const char* rule;
+};
+
+// Prints the strings, not the pointers gtest would show for a pair of
+// const char*, so the listed test name does not change with the load
+// address from run to run.
+void PrintTo(const LintCase& c, std::ostream* os) {
+  *os << c.fixture << " -> " << c.rule;
+}
+
+class LintFixtureTest : public ::testing::TestWithParam<LintCase> {
  protected:
   void SetUp() override {
     if (!BinaryExists()) GTEST_SKIP() << "chronos_lint not built";
@@ -67,8 +79,8 @@ class LintFixtureTest
 // Each planted-violation fixture trips its rule exactly once and
 // nothing else, and the run exits 1 (findings present).
 TEST_P(LintFixtureTest, RuleFiresExactlyOnce) {
-  const std::string fixture = GetParam().first;
-  const std::string rule = GetParam().second;
+  const std::string fixture = GetParam().fixture;
+  const std::string rule = GetParam().rule;
   LintResult r = RunLint("--root=" + FixtureRoot(fixture));
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(CountOccurrences(r.output, ": " + rule + ": "), 1u) << r.output;
@@ -79,19 +91,20 @@ TEST_P(LintFixtureTest, RuleFiresExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(
     AllRules, LintFixtureTest,
     ::testing::Values(
-        std::make_pair("banned_clock", "banned-clock"),
-        std::make_pair("banned_random", "banned-random"),
-        std::make_pair("ptr_ordered_container", "ptr-ordered-container"),
-        std::make_pair("ring_alignas", "ring-alignas"),
-        std::make_pair("atomic_order", "atomic-explicit-order"),
-        std::make_pair("seqcst_waiter", "seqcst-waiter-only"),
-        std::make_pair("ring_single_producer", "ring-single-producer"),
-        std::make_pair("footprint_lockfree", "footprint-lockfree"),
-        std::make_pair("include_guard", "include-guard"),
-        std::make_pair("assert_style", "assert-style"),
-        std::make_pair("unknown_allow", "unknown-allow")),
-    [](const ::testing::TestParamInfo<std::pair<const char*, const char*>>&
-           param_info) { return std::string(param_info.param.first); });
+        LintCase{"banned_clock", "banned-clock"},
+        LintCase{"banned_random", "banned-random"},
+        LintCase{"ptr_ordered_container", "ptr-ordered-container"},
+        LintCase{"ring_alignas", "ring-alignas"},
+        LintCase{"atomic_order", "atomic-explicit-order"},
+        LintCase{"seqcst_waiter", "seqcst-waiter-only"},
+        LintCase{"ring_single_producer", "ring-single-producer"},
+        LintCase{"footprint_lockfree", "footprint-lockfree"},
+        LintCase{"include_guard", "include-guard"},
+        LintCase{"assert_style", "assert-style"},
+        LintCase{"unknown_allow", "unknown-allow"}),
+    [](const ::testing::TestParamInfo<LintCase>& param_info) {
+      return std::string(param_info.param.fixture);
+    });
 
 class LintTest : public ::testing::Test {
  protected:

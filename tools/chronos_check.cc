@@ -3,7 +3,6 @@
 //   chronos_check --in=h.hist [--level=si|ser|list]
 //                 [--online] [--timeout-ms=5000] [--spill=/tmp/aion]
 //                 [--delay-mean=0 --delay-stddev=0]   (online only)
-//                 [--threaded] [--batch=500]          (online only)
 //                 [--shards=1] [--pre-stage-workers=2] (online only)
 //                 [--checkpoint-dir=DIR] [--checkpoint-every=5000]
 //                 [--resume] [--memory-ceiling=BYTES] (online only)
@@ -18,12 +17,15 @@
 // key-partitioned ShardedAion (N worker threads); violations are then
 // reported in deterministic (commit_ts, txn id) order.
 //
-// --checkpoint-dir enables the crash-safe durable driver
-// (online/checkpoint.h): every arrival is WAL-logged before it is
-// checked, checkpoints are cut every --checkpoint-every arrivals, and a
-// killed run resumes verdict-identical with --resume (same --in and
-// options). --memory-ceiling forces checkpoint + GC + list-buffer
-// shedding whenever the checker footprint exceeds the ceiling.
+// Online runs feed the stream through RunMaxRate (online/pipeline.h),
+// or with --checkpoint-dir through the crash-safe DurableRunner
+// (online/checkpoint.h): every arrival is WAL-logged as it is checked,
+// checkpoints are cut every --checkpoint-every arrivals, and a killed
+// run resumes verdict-identical with --resume (same --in and options).
+// --memory-ceiling forces checkpoint + GC + list-buffer shedding
+// whenever the checker footprint exceeds the ceiling. Both drivers
+// collect with GcPolicy::Every(--gc-every, --gc-target).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -90,15 +92,14 @@ void PrintUsage(FILE* out) {
       "                        checker; untagged transactions follow\n"
       "                        --level\n"
       "  --max-report=N        violations to print (default 20)\n"
-      "  --gc-every=N          offline: GC every N txns; online durable:\n"
+      "  --gc-every=N          offline: GC every N txns; online:\n"
       "                        GcToLiveTarget cadence in arrivals (0: off)\n"
+      "  --gc-target=N         online: live-txn target for that GC (default 0)\n"
       "\n"
       "online mode (--online):\n"
       "  --timeout-ms=N        EXT finalization timeout (default 5000)\n"
       "  --spill=DIR           GC spill store directory\n"
       "  --delay-mean=N --delay-stddev=N   collector delay model (ms)\n"
-      "  --threaded            collector thread + batched delivery\n"
-      "  --batch=N             delivery batch size (default 500)\n"
       "  --shards=N            key-partitioned ShardedAion workers\n"
       "  --pre-stage-workers=N classifier threads ahead of the sharded\n"
       "                        coordinator (default 2; verdict-neutral)\n"
@@ -113,7 +114,6 @@ void PrintUsage(FILE* out) {
       "  --memory-ceiling=B    footprint bound in bytes: exceeding it forces\n"
       "                        checkpoint + GC + list-buffer shedding\n"
       "                        (degraded reads counted, never mis-reported)\n"
-      "  --gc-target=N         live-txn target for --gc-every GC (default 0)\n"
       "  (spill defaults to DIR/spill so recovery finds the epoch files)\n");
 }
 
@@ -169,45 +169,57 @@ int main(int argc, char** argv) {
         static_cast<size_t>(U64Flag(argc, argv, "--pre-stage-workers", 2));
     const size_t shards =
         static_cast<size_t>(U64Flag(argc, argv, "--shards", 1));
-    const bool want_stats = HasFlag(argc, argv, "--stats");
-    if (const char* ckpt_dir = FlagValue(argc, argv, "--checkpoint-dir")) {
-      // Durable driver: always the sharded checker (its state export is
-      // the checkpoint format), even for one shard.
-      if (opt.spill_dir.empty()) opt.spill_dir = std::string(ckpt_dir) + "/spill";
-      std::unique_ptr<online::ShardedAion> checker;
-      uint64_t start_seq = 1, start_events = 0, wal_trunc = 0;
-      if (HasFlag(argc, argv, "--resume")) {
-        online::RecoverResult rec = online::Recover(opt, ckpt_dir, &sink, shards);
-        if (!rec.checker) {
-          std::fprintf(stderr, "recovery failed: %s\n", rec.error.c_str());
-          return 1;
-        }
-        std::printf("recovered: ckpt=%llu events=%llu%s%s\n",
-                    static_cast<unsigned long long>(rec.ckpt_seq),
-                    static_cast<unsigned long long>(rec.events),
-                    rec.from_checkpoint ? "" : " (wal-only)",
-                    rec.used_fallback ? " (newest checkpoint corrupt)" : "");
-        checker = std::move(rec.checker);
-        start_seq = rec.next_seq;
-        start_events = rec.events;
-        wal_trunc = rec.wal_truncate_to;
-      } else {
-        checker = std::make_unique<online::ShardedAion>(opt, shards, &sink);
+    const GcPolicy gc = GcPolicy::Every(
+        U64Flag(argc, argv, "--gc-every", 0),
+        static_cast<size_t>(U64Flag(argc, argv, "--gc-target", 0)));
+    const char* ckpt_dir = FlagValue(argc, argv, "--checkpoint-dir");
+    if (ckpt_dir && opt.spill_dir.empty()) {
+      opt.spill_dir = std::string(ckpt_dir) + "/spill";  // where Recover looks
+    }
+
+    // Checker choice: the durable driver always runs the sharded checker
+    // (its state export is the checkpoint format), even for one shard.
+    std::unique_ptr<Aion> mono;
+    std::unique_ptr<online::ShardedAion> shard;
+    uint64_t start_seq = 1, start_events = 0, wal_trunc = 0;
+    if (ckpt_dir && HasFlag(argc, argv, "--resume")) {
+      online::RecoverResult rec = online::Recover(opt, ckpt_dir, &sink, shards);
+      if (!rec.checker) {
+        std::fprintf(stderr, "recovery failed: %s\n", rec.error.c_str());
+        return 1;
       }
+      std::printf("recovered: ckpt=%llu events=%llu%s%s\n",
+                  static_cast<unsigned long long>(rec.ckpt_seq),
+                  static_cast<unsigned long long>(rec.events),
+                  rec.from_checkpoint ? "" : " (wal-only)",
+                  rec.used_fallback ? " (newest checkpoint corrupt)" : "");
+      shard = std::move(rec.checker);
+      start_seq = rec.next_seq;
+      start_events = rec.events;
+      wal_trunc = rec.wal_truncate_to;
+    } else if (ckpt_dir || shards > 1) {
+      shard = std::make_unique<online::ShardedAion>(opt, shards, &sink);
+    } else {
+      mono = std::make_unique<Aion>(opt, &sink);
+    }
+    OnlineChecker* checker = mono.get();
+    if (shard) checker = shard.get();
+
+    std::string driver = ckpt_dir ? "durable" : "max-rate";
+    if (shard) driver += ", " + std::to_string(shard->num_shards()) + " shards";
+    Stopwatch sw;
+    if (ckpt_dir) {
       online::DurableRunner::Options dopts;
       dopts.dir = ckpt_dir;
       dopts.checkpoint_every_events =
           U64Flag(argc, argv, "--checkpoint-every", 5000);
-      dopts.gc_every_events =
-          static_cast<size_t>(U64Flag(argc, argv, "--gc-every", 0));
-      dopts.gc_target = static_cast<size_t>(U64Flag(argc, argv, "--gc-target", 0));
+      dopts.gc = gc;
       dopts.memory_ceiling_bytes =
           static_cast<size_t>(U64Flag(argc, argv, "--memory-ceiling", 0));
-      online::DurableRunner runner(checker.get(), dopts, start_seq,
+      online::DurableRunner runner(shard.get(), dopts, start_seq,
                                    start_events, wal_trunc);
       // Single-threaded driver: main() owns the runner for its lifetime.
-      AssumeRole driver(runner.driver_role);
-      Stopwatch sw;
+      AssumeRole driver_role(runner.driver_role);
       for (size_t i = start_events; i < stream.size(); ++i) {
         if (!runner.Feed(stream[i].txn, stream[i].deliver_at_ms)) {
           std::fprintf(stderr, "durable run failed: WAL/checkpoint write error\n");
@@ -215,51 +227,23 @@ int main(int argc, char** argv) {
         }
       }
       runner.Finish();
-      std::printf("online %s durable check (%zu shards): %.3fs, "
-                  "%llu checkpoints, %llu sheds, %llu flip-flops\n",
-                  level.c_str(), checker->num_shards(), sw.Seconds(),
-                  static_cast<unsigned long long>(runner.checkpoints_written()),
-                  static_cast<unsigned long long>(runner.sheds()),
-                  static_cast<unsigned long long>(
-                      checker->flip_stats().total_flips()));
-      if (want_stats) {
-        PrintCheckerStats(checker->stats());
-        online::PrintPipelineHealth(checker->pipeline_health(), stdout);
-      }
-      PrintReport(sink, max_report);
-      return sink.total() > 0 ? 3 : 0;
-    }
-    std::unique_ptr<Aion> mono;
-    std::unique_ptr<online::ShardedAion> shard;
-    OnlineChecker* checker;
-    if (shards > 1) {
-      shard = std::make_unique<online::ShardedAion>(opt, shards, &sink);
-      checker = shard.get();
+      driver += ", " + std::to_string(runner.checkpoints_written()) +
+                " checkpoints, " + std::to_string(runner.sheds()) + " sheds";
     } else {
-      mono = std::make_unique<Aion>(opt, &sink);
-      checker = mono.get();
+      online::RunMaxRate(checker, stream, gc);
     }
-    Stopwatch sw;
-    const bool threaded = HasFlag(argc, argv, "--threaded");
-    online::RunResult r =
-        threaded ? online::RunThreaded(checker, stream,
-                                       online::GcPolicy::None(),
-                                       /*sample_every=*/10000,
-                                       U64Flag(argc, argv, "--batch", 500))
-                 : online::RunMaxRate(checker, stream,
-                                      online::GcPolicy::None());
-    uint64_t flips = shard ? shard->flip_stats().total_flips()
-                           : mono->flip_stats().total_flips();
-    std::string driver = threaded ? "threaded" : "max-rate";
-    if (shard) driver += ", " + std::to_string(shard->num_shards()) + " shards";
+    const double secs = sw.Seconds();
+    const double fed = static_cast<double>(
+        stream.size() - std::min<size_t>(start_events, stream.size()));
     std::printf("online %s check (%s): %.3fs (%.0f TPS), %llu flip-flops\n",
-                level.c_str(), driver.c_str(), sw.Seconds(), r.AvgTps(),
-                static_cast<unsigned long long>(flips));
-    if (want_stats) {
+                level.c_str(), driver.c_str(), secs,
+                secs > 0 ? fed / secs : 0.0,
+                static_cast<unsigned long long>(
+                    shard ? shard->flip_stats().total_flips()
+                          : mono->flip_stats().total_flips()));
+    if (HasFlag(argc, argv, "--stats")) {
       PrintCheckerStats(shard ? shard->stats() : mono->stats());
-      if (shard) {
-        online::PrintPipelineHealth(shard->pipeline_health(), stdout);
-      }
+      if (shard) online::PrintPipelineHealth(shard->pipeline_health(), stdout);
     }
   } else {
     ChronosOptions opt;

@@ -1,21 +1,24 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus a bench smoke: configure, build everything, run the
-# full ctest suite, then a tiny bench_micro pass so a perf-path compile
-# or runtime regression cannot land silently. Run from the repo root.
+# Tier-1 verify plus bench smokes: configure, build everything, run the
+# full ctest suite, then a tiny bench_micro pass and the e2ebench smoke
+# so a perf-path compile or runtime regression cannot land silently.
+# Run from the repo root.
 #
 # A blocking lint stage (tools/chronos_lint) runs right after the build:
 # banned determinism tokens, ring alignas/ordering contracts, include
 # hygiene. Skip with CHRONOS_CI_LINT=0.
 #
-# A ThreadSanitizer pass then rebuilds the concurrent suites (the batched
-# queue pipeline and the sharded checker) in a separate build dir and
+# A ThreadSanitizer pass then rebuilds the concurrent suites (the SPSC
+# ring pipeline and the sharded checker) in a separate build dir and
 # runs them under TSan, so a data race in the coordinator->shard fan-out
 # cannot land silently either. Skip with CHRONOS_CI_TSAN=0; run only the
 # TSan stage with CHRONOS_CI_TSAN_ONLY=1 (the workflow's dedicated job).
 #
 # AddressSanitizer (+LSan) and UBSan passes rebuild the whole tree in
 # their own build dirs and run the full ctest suite plus a fixed-seed
-# fuzz/explore smoke. Skip with CHRONOS_CI_ASAN=0 / CHRONOS_CI_UBSAN=0;
+# fuzz/explore smoke, with libstdc++ precondition checks
+# (-D_GLIBCXX_ASSERTIONS) on so a broken library contract aborts.
+# Skip with CHRONOS_CI_ASAN=0 / CHRONOS_CI_UBSAN=0;
 # run just one with CHRONOS_CI_ASAN_ONLY=1 / CHRONOS_CI_UBSAN_ONLY=1.
 #
 # Usage: tools/ci.sh [build_dir]
@@ -58,14 +61,17 @@ run_san() {
   "$dir/chronos_explore" --sweep-seeds=5 --out-dir="$dir/explore-out"
 }
 
-run_asan() { run_san asan "-fsanitize=address"; }
-run_ubsan() { run_san ubsan "-fsanitize=undefined -fno-sanitize-recover=undefined"; }
+run_asan() { run_san asan "-fsanitize=address -D_GLIBCXX_ASSERTIONS"; }
+run_ubsan() {
+  run_san ubsan \
+    "-fsanitize=undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+}
 
 # The threaded test binaries TSan covers; extend when adding concurrent
 # suites (this list is the single source for local runs and CI).
-TSAN_TESTS=(spsc_ring_test batch_pipeline_test online_test
-            sharded_aion_test sharded_property_test list_parity_test
-            pipeline_health_test explore_oracle_test)
+TSAN_TESTS=(spsc_ring_test online_test sharded_aion_test
+            sharded_property_test list_parity_test pipeline_health_test
+            explore_oracle_test)
 
 run_tsan() {
   local tsan_dir="${BUILD_DIR}-tsan"
@@ -177,8 +183,9 @@ else
 fi
 
 # Bench smoke: minimal runtime, just proves the binaries execute. The
-# tier-1 build is RelWithDebInfo, so the Release guard is waived — these
-# numbers are never recorded.
+# tier-1 build leaves CMAKE_BUILD_TYPE empty, which CMakeLists.txt builds
+# as Release; the guard is still waived so a build dir configured with
+# another type smokes too — these numbers are never recorded.
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   CHRONOS_BENCH_ALLOW_NONRELEASE=1 \
   BENCH_MIN_TIME=0.01 \
@@ -187,6 +194,14 @@ if [[ -x "$BUILD_DIR/bench_micro" ]]; then
 else
   echo "bench_micro not built (google-benchmark missing); skipping smoke"
 fi
+
+# Benchmark smoke: e2ebench/run.py builds its own tree (.bench_build/)
+# and runs every BENCHMARK.json workload at 2k txns, checking each
+# verdict against its reference. It is the only build of
+# e2ebench/trace_layers.cc, which compiles against the online checker
+# headers, so this stage catches an API change that breaks the benchmark.
+echo "e2ebench: smoke"
+python3 e2ebench/run.py --smoke
 
 if [[ "${CHRONOS_CI_TSAN:-1}" != "0" ]]; then
   run_tsan
