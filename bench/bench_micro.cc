@@ -1,7 +1,7 @@
 // Micro/ablation benchmarks (google-benchmark): per-transaction checker
-// cost and the data-structure choices DESIGN.md calls out — the
-// augmented interval tree vs brute-force overlap scans, per-key version
-// maps vs linear scans, and timeline insertion.
+// cost and the data-structure choices of ROADMAP.md's performance notes —
+// the augmented interval tree vs brute-force overlap scans, per-key
+// version maps vs linear scans, GC passes, and timeline insertion.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -206,6 +206,41 @@ void BM_MapKvGcSparse(benchmark::State& state) {
   StreamingSparseGc(state, &kv);
 }
 BENCHMARK(BM_MapKvGcSparse)->Arg(10000)->Arg(100000);
+
+// Write-interval GC under one hot key (the zipf head of a durable run
+// with frequent GC): the hot key keeps a sliding window of
+// state.range(0) live intervals while 1000 cold keys take one interval
+// per hot one. Each iteration adds a 16-txn burst and runs one GC pass
+// evicting the window's oldest burst, so a pass that walks the hot
+// key's whole tree, or walks it once per evicted interval, shows as a
+// fall with the window size. items/sec == GC passes per second.
+void BM_OngoingIndexGcHotKey(benchmark::State& state) {
+  const auto window = static_cast<Timestamp>(state.range(0));
+  constexpr Key kHot = 0;
+  constexpr uint64_t kColdKeys = 1000;
+  constexpr int kBurst = 16;
+  OngoingIndex idx;
+  std::mt19937_64 rng(1);
+  TxnId tid = 0;
+  Timestamp ts = 8;
+  auto add_burst = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      ++ts;
+      Timestamp start = ts - rng() % 8;
+      idx.Add(kHot, start, ts, ++tid);
+      idx.Add(1 + rng() % kColdKeys, start, ts, ++tid);
+    }
+  };
+  while (ts < window + 8) add_burst();
+  std::vector<std::pair<Key, WriteInterval>> evicted;
+  for (auto _ : state) {
+    add_burst();
+    evicted.clear();
+    benchmark::DoNotOptimize(idx.CollectUpTo(ts - window, &evicted));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OngoingIndexGcHotKey)->Arg(1000)->Arg(10000);
 
 void BM_AionFootprint(benchmark::State& state) {
   History h = MakeHistory(5000);

@@ -9,7 +9,7 @@
 //     cost grows with history length (the declining curves of Fig. 12a);
 //   - checking stops at the first violation (unlike AION, which reports
 //     and continues).
-// GPU acceleration is out of scope (DESIGN.md substitution #4).
+// GPU acceleration is out of scope.
 #ifndef CHRONOS_BASELINES_COBRA_H_
 #define CHRONOS_BASELINES_COBRA_H_
 

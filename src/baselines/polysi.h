@@ -1,8 +1,8 @@
 // PolySI (Huang et al., VLDB'23) and Viper (Zhang et al., EuroSys'23)
 // modeled as polygraph checkers: black-box SI checking with unknown
 // per-key version orders encoded as SAT variables, solved with a CEGAR
-// loop around the in-tree SAT solver (the MonoSAT substitution of
-// DESIGN.md): solve -> build the induced dependency graph -> find a
+// loop around the in-tree SAT solver (standing in for MonoSAT):
+// solve -> build the induced dependency graph -> find a
 // cycle -> add a blocking clause -> repeat. Exponential in the worst
 // case, which is exactly the scaling behaviour Fig. 4 shows.
 //

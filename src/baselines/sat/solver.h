@@ -1,7 +1,7 @@
 // A from-scratch CDCL-lite SAT solver (unit propagation with watched
 // literals, first-UIP-free conflict handling via chronological
 // backtracking, activity-based branching). Stands in for MonoSAT in the
-// PolySI / Viper / Cobra baselines (DESIGN.md substitution #3); the
+// PolySI / Viper / Cobra baselines; the
 // acyclicity theory is handled by a CEGAR loop around this solver.
 #ifndef CHRONOS_BASELINES_SAT_SOLVER_H_
 #define CHRONOS_BASELINES_SAT_SOLVER_H_

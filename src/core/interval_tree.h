@@ -2,9 +2,9 @@
 // `ongoing_ts` structure of Algorithm 3. A transaction T writing key k
 // contributes the interval [T.start_ts, T.commit_ts] to k's tree; the
 // NOCONFLICT axiom fails exactly when two intervals of the same key
-// overlap (DESIGN.md Sec. 1.1). Overlap queries are O(log n + answer)
-// regardless of history pathology, which a plain ordered map of disjoint
-// intervals cannot guarantee.
+// overlap. Overlap queries are O(log n + answer) regardless of history
+// pathology, which a plain ordered map of disjoint intervals cannot
+// guarantee. GC costs: see the performance notes in ROADMAP.md.
 #ifndef CHRONOS_CORE_INTERVAL_TREE_H_
 #define CHRONOS_CORE_INTERVAL_TREE_H_
 
@@ -13,6 +13,7 @@
 #include <memory>
 #include <queue>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -197,6 +198,11 @@ class IntervalTree {
     if (n->iv.start <= hi) QueryNode(n->right.get(), lo, hi, out);
   }
 
+  // Pre-order walk (eviction order, hence spill bytes, depends on it) of
+  // the nodes starting at or below `ts`: the right subtree of a node with
+  // start > ts starts after ts too, and end >= start, so none of it is
+  // collectible. The test is strict: a [ts, ts] interval tying on start
+  // with n sits to its right (larger tid) and must still be reached.
   static void CollectEndingUpTo(const Node* n, Timestamp ts,
                                 std::vector<WriteInterval>* out) {
     if (!n) return;
@@ -206,6 +212,7 @@ class IntervalTree {
     } else {
       CollectEndingUpTo(n->left.get(), ts, out);
     }
+    if (n->iv.start > ts) return;
     if (n->right && n->right->max_end <= ts) {
       CollectAll(n->right.get(), out);
     } else {
@@ -225,10 +232,11 @@ class IntervalTree {
 };
 
 /// Per-key collection of interval trees (the full ongoing_ts structure).
-/// `TotalIntervals()` is an O(1) running counter, and `CollectUpTo` is
-/// O(dirty): a lazy min-heap of (interval end, key) entries — one armed
-/// per insert — means a GC pass visits only keys that actually hold an
-/// interval ending at or below the watermark.
+/// `TotalIntervals()` is an O(1) running counter. `CollectUpTo` walks
+/// each dirty key's tree once per pass: a lazy min-heap of (interval
+/// end, key) entries — one armed per insert — names the keys holding an
+/// interval ending at or below the watermark, and the walk stops at
+/// nodes starting above it.
 class OngoingIndex {
  public:
   /// Registers txn `tid` as holding key `key` over [start, commit].
@@ -247,14 +255,18 @@ class OngoingIndex {
     return out;
   }
 
-  /// GC: drop intervals wholly at or below `ts`. Visits only dirty keys.
+  /// GC: drop intervals wholly at or below `ts`. Visits only dirty keys,
+  /// each once: its first pop evicts everything of the key ending at or
+  /// below `ts`, so the key's later pops in this pass are stale.
   size_t CollectUpTo(Timestamp ts,
                      std::vector<std::pair<Key, WriteInterval>>* evicted) {
     size_t n = 0;
     std::vector<WriteInterval> local;
+    std::unordered_set<Key> visited;
     while (!gc_triggers_.empty() && gc_triggers_.top().first <= ts) {
       Key key = gc_triggers_.top().second;
       gc_triggers_.pop();
+      if (!visited.insert(key).second) continue;  // stale duplicate entry
       auto it = trees_.find(key);
       if (it == trees_.end()) continue;  // stale: key already emptied
       local.clear();
@@ -267,11 +279,6 @@ class OngoingIndex {
       if (it->second.empty()) trees_.erase(it);
     }
     return n;
-  }
-
-  /// Spill-reload path.
-  void Restore(Key key, const WriteInterval& iv) {
-    Add(key, iv.start, iv.end, iv.tid);
   }
 
   /// Live interval count. O(1).

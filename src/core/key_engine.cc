@@ -303,10 +303,10 @@ void KeyEngine::InstallVersionAndRecheck(const TxnCtx& ctx, Key key,
 
   // If an in-memory version at or after cts but at or below the watermark
   // exists, this writer is a straggler shadowed below the watermark: every
-  // affected reader is already finalized, so no re-check is needed
-  // (DESIGN.md Sec. 1.1). Evicted versions are all strictly older than the
-  // retained per-key base, so the in-memory NextVersionAfter bound is
-  // exact in the re-check path below.
+  // affected reader is already finalized, so no re-check is needed.
+  // Evicted versions are all strictly older than the retained per-key
+  // base, so the in-memory NextVersionAfter bound is exact in the
+  // re-check path below.
   VersionedKv::Lookup base = versions_.GetAtOrBefore(key, watermark_);
   bool shadowed_below_watermark =
       watermark_ != kTsMin && cts < watermark_ && base.ts >= cts;

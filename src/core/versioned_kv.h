@@ -3,9 +3,9 @@
 // in near-timestamp order, so the common insert is a push_back; the rare
 // out-of-order writer pays one binary search plus a tail move. Frontier
 // queries (`GetAtOrBefore`/`GetBefore`/`NextVersionAfter`) are binary
-// searches over contiguous memory. See DESIGN.md Sec. 1.1: per-key
-// version storage makes the paper's lines 3:56-57 (propagating a late
-// writer's value into later frontier versions) automatic.
+// searches over contiguous memory. Per-key version storage makes the
+// paper's lines 3:56-57 (propagating a late writer's value into later
+// frontier versions) automatic.
 //
 // Accounting is incremental: `TotalVersions()`/`ApproxBytes()` are O(1)
 // running counters, and `CollectUpTo` is O(dirty): a lazy min-trigger
@@ -158,11 +158,6 @@ class VersionedKv {
       if (chain.size() >= 2) gc_triggers_.push({chain[1].ts, key});
     }
     return n;
-  }
-
-  /// Re-inserts a previously evicted version (spill reload path).
-  void Restore(Key key, Timestamp ts, const VersionEntry& e) {
-    Put(key, ts, e.value, e.tid);
   }
 
   /// Direct access to a key's chain (for tests/inspection).

@@ -5,7 +5,7 @@
 // so committed histories are serializable in commit-timestamp order.
 //
 // This is the substrate substituting for TiDB / YugabyteDB / Dgraph in
-// the paper's evaluation (DESIGN.md substitution #1).
+// the paper's evaluation.
 #ifndef CHRONOS_DB_DATABASE_H_
 #define CHRONOS_DB_DATABASE_H_
 

@@ -1,16 +1,20 @@
 // Incremental-accounting invariants of the flat hot-path structures:
 // VersionedKv's running version/byte counters and trigger-heap GC, and
 // OngoingIndex's running interval counter, must stay exact under every
-// mutation order (in-order puts, out-of-order puts, GC, restore).
+// mutation order (in-order puts, out-of-order puts, GC, re-insert).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/interval_tree.h"
+#include "core/state_io.h"
 #include "core/versioned_kv.h"
 
 namespace chronos {
@@ -28,7 +32,7 @@ TEST(VersionedKvAccountingTest, TotalVersionsTracksPutEvictRestore) {
   EXPECT_EQ(kv.CollectUpTo(25, &evicted), 1u);  // key 1: ts-10 out
   EXPECT_EQ(kv.TotalVersions(), 2u);
 
-  for (const auto& [k, ts, e] : evicted) kv.Restore(k, ts, e);
+  for (const auto& [k, ts, e] : evicted) kv.Put(k, ts, e.value, e.tid);
   EXPECT_EQ(kv.TotalVersions(), 3u);
   EXPECT_EQ(kv.GetAtOrBefore(1, 15).value, 1);
 }
@@ -125,7 +129,8 @@ TEST(OngoingIndexAccountingTest, TotalIntervalsTracksAddEvictRestore) {
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].second.tid, 100u);
 
-  idx.Restore(evicted[0].first, evicted[0].second);
+  const auto& [key, iv] = evicted[0];
+  idx.Add(key, iv.start, iv.end, iv.tid);
   EXPECT_EQ(idx.TotalIntervals(), 3u);
   EXPECT_EQ(idx.Overlapping(1, 12, 18).size(), 1u);
 }
@@ -141,6 +146,141 @@ TEST(OngoingIndexAccountingTest, RepeatedGcOnlyTouchesDirtyKeys) {
   EXPECT_EQ(idx.TotalIntervals(), 100u);
   EXPECT_EQ(idx.CollectUpTo(2100, nullptr), 100u);
   EXPECT_EQ(idx.TotalIntervals(), 0u);
+}
+
+using Evicted = std::vector<std::pair<Key, WriteInterval>>;
+using EvictedRow = std::tuple<Key, Timestamp, Timestamp, TxnId>;
+
+std::vector<EvictedRow> SortedRows(const Evicted& ev) {
+  std::vector<EvictedRow> rows;
+  for (const auto& [k, iv] : ev) rows.emplace_back(k, iv.start, iv.end, iv.tid);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// The keys of `ev` in order of their runs; fails if a key's evictions
+// are split over two runs.
+std::vector<Key> KeyRuns(const Evicted& ev) {
+  std::vector<Key> runs;
+  std::set<Key> seen;
+  for (size_t i = 0; i < ev.size(); ++i) {
+    if (i > 0 && ev[i].first == ev[i - 1].first) continue;
+    EXPECT_TRUE(seen.insert(ev[i].first).second)
+        << "key " << ev[i].first << " evicted in two runs";
+    runs.push_back(ev[i].first);
+  }
+  return runs;
+}
+
+std::vector<TxnId> SortedTids(const std::vector<WriteInterval>& ivs) {
+  std::vector<TxnId> tids;
+  for (const WriteInterval& iv : ivs) tids.push_back(iv.tid);
+  std::sort(tids.begin(), tids.end());
+  return tids;
+}
+
+TEST(OngoingIndexAccountingTest, GcMatchesBruteForceAcrossPasses) {
+  // Hundreds of GC passes against a brute-force per-key vector: one hot
+  // key with a wide live window, many cold keys, long straddlers,
+  // self-stamped [ts, ts] writers (some landing exactly on a watermark),
+  // commits out of order and stragglers below the watermark. Half-way a
+  // Serialize/Deserialize copy forks off; from then on its GC must evict
+  // exactly what the uninterrupted index evicts.
+  constexpr Key kHot = 0;
+  constexpr Key kColdKeys = 200;
+  constexpr int kPasses = 400;
+  std::mt19937_64 rng(13);
+  OngoingIndex idx;
+  std::optional<OngoingIndex> restored;
+  std::map<Key, std::vector<WriteInterval>> ref;
+  Timestamp clock = 5000;
+  Timestamp wm = 0;
+  Timestamp last_point = 0;  // commit ts of the newest [ts, ts] writer
+  TxnId tid = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (int b = 0; b < 24; ++b) {
+      clock += 1 + rng() % 4;
+      Timestamp commit = clock - rng() % 60;
+      if (wm > 2000 && rng() % 20 == 0) commit = wm - rng() % 50;  // straggler
+      Timestamp len = rng() % 40;
+      switch (rng() % 10) {
+        case 0: len = 0; break;                  // self-stamped
+        case 1: len = 200 + rng() % 800; break;  // long straddler
+        default: break;
+      }
+      WriteInterval iv{commit - len, commit, ++tid};
+      if (len == 0) last_point = commit;
+      std::vector<Key> keys = {1 + rng() % kColdKeys};
+      if (rng() % 2 == 0) keys.push_back(kHot);
+      for (Key k : keys) {
+        idx.Add(k, iv.start, iv.end, iv.tid);
+        if (restored) restored->Add(k, iv.start, iv.end, iv.tid);
+        ref[k].push_back(iv);
+      }
+    }
+    // Mostly a lagging, sometimes stalled watermark; every third pass it
+    // lands on the newest self-stamped commit.
+    if (pass % 3 == 0) {
+      wm = std::max(wm, last_point);
+    } else if (rng() % 4 != 0) {
+      wm = std::max(wm, clock - 100 - rng() % 200);
+    }
+
+    Evicted got;
+    size_t n = idx.CollectUpTo(wm, &got);
+    ASSERT_EQ(n, got.size());
+    Evicted want;
+    size_t ref_total = 0;
+    for (auto it = ref.begin(); it != ref.end();) {
+      std::vector<WriteInterval>& ivs = it->second;
+      auto cut = std::partition(
+          ivs.begin(), ivs.end(),
+          [&](const WriteInterval& iv) { return iv.end > wm; });
+      for (auto e = cut; e != ivs.end(); ++e) want.emplace_back(it->first, *e);
+      ivs.erase(cut, ivs.end());
+      ref_total += ivs.size();
+      it = ivs.empty() ? ref.erase(it) : std::next(it);
+    }
+    ASSERT_EQ(SortedRows(got), SortedRows(want)) << "pass " << pass;
+    ASSERT_EQ(idx.TotalIntervals(), ref_total) << "pass " << pass;
+    std::vector<Key> runs = KeyRuns(got);
+
+    if (restored) {
+      Evicted got_restored;
+      restored->CollectUpTo(wm, &got_restored);
+      ASSERT_EQ(SortedRows(got_restored), SortedRows(got)) << "pass " << pass;
+      ASSERT_EQ(KeyRuns(got_restored), runs) << "pass " << pass;
+      ASSERT_EQ(restored->TotalIntervals(), ref_total);
+    } else if (pass == kPasses / 2) {
+      StateWriter w;
+      idx.Serialize(&w);
+      StateReader r(w.data());
+      restored.emplace();
+      ASSERT_TRUE(restored->Deserialize(&r));
+      ASSERT_TRUE(r.AtEnd());
+      ASSERT_EQ(restored->TotalIntervals(), ref_total);
+    }
+
+    for (int q = 0; q < 8; ++q) {
+      Key k = q == 0 ? kHot : rng() % (kColdKeys + 1);
+      Timestamp lo = std::max<Timestamp>(wm, 100) - 100 + rng() % 400;
+      Timestamp hi = lo + rng() % 30;
+      std::vector<WriteInterval> brute;
+      auto it = ref.find(k);
+      if (it != ref.end()) {
+        for (const WriteInterval& iv : it->second) {
+          if (iv.start <= hi && iv.end >= lo) brute.push_back(iv);
+        }
+      }
+      ASSERT_EQ(SortedTids(idx.Overlapping(k, lo, hi)), SortedTids(brute))
+          << "pass " << pass << " key " << k << " [" << lo << "," << hi
+          << "]";
+      if (restored) {
+        ASSERT_EQ(SortedTids(restored->Overlapping(k, lo, hi)),
+                  SortedTids(brute));
+      }
+    }
+  }
 }
 
 }  // namespace

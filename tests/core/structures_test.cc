@@ -67,7 +67,7 @@ TEST(VersionedKvTest, RestoreReloadsEvictedVersion) {
   kv.Put(1, 20, 2, 101);
   std::vector<std::tuple<Key, Timestamp, VersionEntry>> evicted;
   kv.CollectUpTo(25, &evicted);
-  for (const auto& [k, ts, e] : evicted) kv.Restore(k, ts, e);
+  for (const auto& [k, ts, e] : evicted) kv.Put(k, ts, e.value, e.tid);
   EXPECT_EQ(kv.GetAtOrBefore(1, 15).value, 1);
 }
 
@@ -124,6 +124,50 @@ TEST(IntervalTreeTest, EvictEndingUpToRemovesOnlyOldIntervals) {
   tree.QueryStab(25, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tid, 2u);
+}
+
+std::vector<TxnId> SortedTids(const std::vector<WriteInterval>& ivs) {
+  std::vector<TxnId> tids;
+  for (const WriteInterval& iv : ivs) tids.push_back(iv.tid);
+  std::sort(tids.begin(), tids.end());
+  return tids;
+}
+
+TEST(IntervalTreeTest, EvictEndingUpToBoundaryAtWatermark) {
+  // At watermark 10: self-stamped [10, 10] writers tie on start across
+  // tids and must all go, even when a [10, 11] or [10, 25] sibling with
+  // the same start sits above them in the treap. [10, 11], straddlers
+  // (start <= 10 < end) and intervals starting after 10 stay. Treap
+  // priorities differ per insert, so each rep is a different shape.
+  const std::vector<WriteInterval> ivs = {
+      {10, 10, 5}, {10, 10, 1},  {10, 10, 9},  {10, 11, 3},
+      {10, 11, 7}, {4, 10, 2},   {3, 7, 11},   {2, 30, 4},
+      {10, 25, 6}, {11, 11, 8},  {12, 20, 10}, {10, 10, 12}};
+  std::mt19937_64 rng(3);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<WriteInterval> order = ivs;
+    std::shuffle(order.begin(), order.end(), rng);
+    IntervalTree tree;
+    for (const WriteInterval& iv : order) tree.Insert(iv);
+    std::vector<WriteInterval> evicted;
+    ASSERT_EQ(tree.EvictEndingUpTo(10, &evicted), 6u) << "rep " << rep;
+    ASSERT_EQ(SortedTids(evicted), (std::vector<TxnId>{1, 2, 5, 9, 11, 12}))
+        << "rep " << rep;
+    ASSERT_EQ(tree.size(), 6u);
+    std::vector<WriteInterval> out;
+    tree.QueryStab(10, &out);
+    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{3, 4, 6, 7}));
+    out.clear();
+    tree.QueryStab(11, &out);
+    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{3, 4, 6, 7, 8}));
+    out.clear();
+    tree.QueryOverlap(0, 9, &out);
+    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{4}));
+    out.clear();
+    tree.QueryOverlap(12, 40, &out);
+    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{4, 6, 10}));
+    EXPECT_EQ(tree.EvictEndingUpTo(10, nullptr), 0u) << "idempotent";
+  }
 }
 
 TEST(IntervalTreeTest, RandomizedAgainstBruteForce) {
