@@ -1,14 +1,13 @@
 // Micro/ablation benchmarks (google-benchmark): per-transaction checker
 // cost and the data-structure choices of ROADMAP.md's performance notes —
 // the augmented interval tree vs brute-force overlap scans, per-key
-// version maps vs linear scans, GC passes, and timeline insertion.
+// version maps vs linear scans, and GC passes.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "core/aion.h"
 #include "core/chronos.h"
-#include "core/event_timeline.h"
 #include "core/interval_tree.h"
 #include "core/versioned_kv.h"
 #include "online/sharded_aion.h"
@@ -256,20 +255,6 @@ void BM_AionFootprint(benchmark::State& state) {
   aion.Finish();
 }
 BENCHMARK(BM_AionFootprint);
-
-void BM_TimelineInsert(benchmark::State& state) {
-  std::mt19937_64 rng(1);
-  EventTimeline tl;
-  TxnId tid = 0;
-  for (auto _ : state) {
-    Transaction t;
-    t.tid = ++tid;
-    t.start_ts = rng();
-    t.commit_ts = t.start_ts + 1;
-    benchmark::DoNotOptimize(tl.Insert(t));
-  }
-}
-BENCHMARK(BM_TimelineInsert);
 
 }  // namespace
 }  // namespace chronos

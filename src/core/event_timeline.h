@@ -1,12 +1,11 @@
 // The sorted start/commit event sequence that Chronos replays (Algorithm 2
-// line 2) and that Aion maintains incrementally (Sec. III-C4: insertion
-// into an already-sorted structure in logarithmic time).
+// line 2). Aion keeps no timeline: it processes each arrival against
+// per-key timestamp-versioned state (core/key_engine.h).
 #ifndef CHRONOS_CORE_EVENT_TIMELINE_H_
 #define CHRONOS_CORE_EVENT_TIMELINE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/types.h"
@@ -44,64 +43,6 @@ inline std::vector<Event> BuildSortedEvents(const History& h) {
   std::sort(events.begin(), events.end());
   return events;
 }
-
-/// Aion's incrementally maintained, always-sorted event index. Backed by a
-/// balanced BST keyed by (ts, kind); lookups of "events in [a, b]" and
-/// "events after t" are O(log N + answer).
-class EventTimeline {
- public:
-  struct Entry {
-    EventKind kind;
-    TxnId tid;
-  };
-  using Map = std::map<std::pair<Timestamp, uint8_t>, Entry>;
-  using const_iterator = Map::const_iterator;
-
-  /// Inserts both events of a transaction. Returns false (and inserts
-  /// nothing) if either timestamp collides with an existing *distinct*
-  /// transaction's event at the same (ts, kind) slot.
-  bool Insert(const Transaction& t) {
-    auto ks = std::make_pair(t.start_ts, uint8_t(EventKind::kStart));
-    auto kc = std::make_pair(t.commit_ts, uint8_t(EventKind::kCommit));
-    if (map_.count(ks) || map_.count(kc)) return false;
-    map_.emplace(ks, Entry{EventKind::kStart, t.tid});
-    map_.emplace(kc, Entry{EventKind::kCommit, t.tid});
-    return true;
-  }
-
-  /// True if some event of a distinct transaction already uses `ts`.
-  bool HasTimestamp(Timestamp ts) const {
-    auto it = map_.lower_bound({ts, 0});
-    return it != map_.end() && it->first.first == ts;
-  }
-
-  /// First event with timestamp >= ts.
-  const_iterator LowerBound(Timestamp ts) const {
-    return map_.lower_bound({ts, 0});
-  }
-  /// First event with timestamp > ts.
-  const_iterator UpperBound(Timestamp ts) const {
-    return map_.upper_bound({ts, uint8_t(255)});
-  }
-  const_iterator begin() const { return map_.begin(); }
-  const_iterator end() const { return map_.end(); }
-  size_t size() const { return map_.size(); }
-
-  /// Removes all events with timestamp <= ts (garbage collection).
-  /// Returns the number of removed events.
-  size_t EraseUpTo(Timestamp ts) {
-    auto it = map_.upper_bound({ts, uint8_t(255)});
-    size_t n = 0;
-    for (auto i = map_.begin(); i != it;) {
-      i = map_.erase(i);
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  Map map_;
-};
 
 }  // namespace chronos
 

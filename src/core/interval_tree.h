@@ -11,12 +11,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/gc_triggers.h"
 #include "core/state_io.h"
 #include "core/types.h"
 
@@ -233,16 +232,16 @@ class IntervalTree {
 
 /// Per-key collection of interval trees (the full ongoing_ts structure).
 /// `TotalIntervals()` is an O(1) running counter. `CollectUpTo` walks
-/// each dirty key's tree once per pass: a lazy min-heap of (interval
-/// end, key) entries — one armed per insert — names the keys holding an
-/// interval ending at or below the watermark, and the walk stops at
-/// nodes starting above it.
+/// each dirty key's tree once per pass: GcTriggers entries of (interval
+/// end, key) — one armed per insert — name the keys holding an interval
+/// ending at or below the watermark, and the walk stops at nodes
+/// starting above it.
 class OngoingIndex {
  public:
   /// Registers txn `tid` as holding key `key` over [start, commit].
   void Add(Key key, Timestamp start, Timestamp commit, TxnId tid) {
     trees_[key].Insert({start, commit, tid});
-    gc_triggers_.push({commit, key});
+    gc_triggers_.Arm(commit, key);
     ++total_;
   }
 
@@ -256,35 +255,30 @@ class OngoingIndex {
   }
 
   /// GC: drop intervals wholly at or below `ts`. Visits only dirty keys,
-  /// each once: its first pop evicts everything of the key ending at or
-  /// below `ts`, so the key's later pops in this pass are stale.
+  /// each once: one walk evicts everything of the key ending at or below
+  /// `ts`.
   size_t CollectUpTo(Timestamp ts,
                      std::vector<std::pair<Key, WriteInterval>>* evicted) {
     size_t n = 0;
     std::vector<WriteInterval> local;
-    std::unordered_set<Key> visited;
-    while (!gc_triggers_.empty() && gc_triggers_.top().first <= ts) {
-      Key key = gc_triggers_.top().second;
-      gc_triggers_.pop();
-      if (!visited.insert(key).second) continue;  // stale duplicate entry
+    gc_triggers_.PassUpTo(ts, [&](Key key) {
       auto it = trees_.find(key);
-      if (it == trees_.end()) continue;  // stale: key already emptied
+      if (it == trees_.end()) return;  // stale: key already emptied
       local.clear();
-      size_t evicted_here = it->second.EvictEndingUpTo(ts, &local);
-      n += evicted_here;
-      total_ -= evicted_here;
+      n += it->second.EvictEndingUpTo(ts, &local);
       if (evicted) {
         for (const auto& iv : local) evicted->emplace_back(key, iv);
       }
       if (it->second.empty()) trees_.erase(it);
-    }
+    });
+    total_ -= n;
     return n;
   }
 
   /// Live interval count. O(1).
   size_t TotalIntervals() const { return total_; }
 
-  /// Checkpoint hooks. The treap shapes and trigger heap are not
+  /// Checkpoint hooks. The treap shapes and GC triggers are not
   /// serialized: Deserialize re-Adds every interval (rebuilding both),
   /// which preserves query results exactly — overlap answers depend
   /// only on the interval set, not on treap priorities. Keys and
@@ -318,7 +312,7 @@ class OngoingIndex {
   bool Deserialize(StateReader* r) {
     trees_.clear();
     total_ = 0;
-    gc_triggers_ = {};
+    gc_triggers_.Clear();
     uint64_t num_keys = r->U64();
     for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
       Key k = r->U64();
@@ -337,13 +331,9 @@ class OngoingIndex {
  private:
   std::unordered_map<Key, IntervalTree> trees_;
   size_t total_ = 0;
-  // Lazy min-heap: every live interval has one (end, key) entry, so any
-  // interval with end <= ts is reachable by popping triggers <= ts.
-  // Entries outlive their interval (eviction drains whole keys at once);
-  // such stale pops are skipped.
-  std::priority_queue<std::pair<Timestamp, Key>,
-                      std::vector<std::pair<Timestamp, Key>>, std::greater<>>
-      gc_triggers_;
+  // Every live interval has one (end, key) entry; entries outlive their
+  // interval (eviction drains whole keys at once).
+  GcTriggers gc_triggers_;
 };
 
 }  // namespace chronos

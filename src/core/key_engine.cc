@@ -1,7 +1,6 @@
 #include "core/key_engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 
@@ -9,8 +8,6 @@
 
 namespace chronos {
 namespace {
-
-constexpr size_t kEpochCacheCap = 4;
 
 // Flip bookkeeping shared by register and list re-checks (the two
 // tentative-verdict states carry the same satisfied/flips fields).
@@ -222,78 +219,35 @@ bool KeyEngine::EvaluateMembership(Key key, Timestamp view, Value observed) {
     ++stats_->unsafe_below_watermark;
     return false;
   }
-  bool degraded = false;
   bool found = false;
-  for (uint64_t id : spill_epochs_) {
-    SpillPayload scratch;
-    const SpillPayload* payload = LoadEpoch(id, &scratch);
-    if (!payload) {
-      degraded = true;
-      continue;
-    }
-    for (const auto& [k, ts, entry] : payload->versions) {
+  bool complete = spill_.Consult(stats_, [&](const SpillPayload& p) {
+    for (const auto& [k, ts, entry] : p.versions) {
       if (k == key && ts < view && entry.value == observed) {
         found = true;
         break;
       }
     }
-    if (found) break;
-  }
-  if (!found && degraded) ++stats_->unsafe_below_watermark;
+    return !found;
+  });
+  if (!found && !complete) ++stats_->unsafe_below_watermark;
   return found;
-}
-
-const SpillPayload* KeyEngine::LoadEpoch(uint64_t id, SpillPayload* scratch) {
-  for (auto& [cid, cp] : epoch_cache_) {
-    if (cid == id) return &cp;
-  }
-  SpillStore::LoadStatus st = spill_.Load(id, scratch);
-  if (st != SpillStore::LoadStatus::kOk) {
-    // Both outcomes degrade the consulting site to best-effort (the
-    // epoch's records are simply absent, the D7 accounting model), but
-    // a present-yet-unparseable file is an integrity failure: count it
-    // once and say so.
-    if (st == SpillStore::LoadStatus::kCorrupt &&
-        std::find(corrupt_epochs_.begin(), corrupt_epochs_.end(), id) ==
-            corrupt_epochs_.end()) {
-      corrupt_epochs_.push_back(id);
-      ++stats_->corrupt_spill_epochs;
-      std::fprintf(stderr,
-                   "chronos: spill epoch %llu is corrupt; below-watermark "
-                   "checking degrades to best effort\n",
-                   static_cast<unsigned long long>(id));
-    }
-    return nullptr;
-  }
-  ++stats_->spill_reloads;
-  if (epoch_cache_.size() >= kEpochCacheCap) {
-    epoch_cache_.erase(epoch_cache_.begin());
-  }
-  epoch_cache_.emplace_back(id, std::move(*scratch));
-  return &epoch_cache_.back().second;
 }
 
 VersionedKv::Lookup KeyEngine::LookupSpilled(Key key, Timestamp view,
                                              bool inclusive) {
   VersionedKv::Lookup best;
-  bool degraded = false;
-  for (uint64_t id : spill_epochs_) {
-    SpillPayload scratch;
-    const SpillPayload* payload = LoadEpoch(id, &scratch);
-    if (!payload) {
-      degraded = true;
-      continue;
-    }
-    for (const auto& [k, ts, entry] : payload->versions) {
+  bool complete = spill_.Consult(stats_, [&](const SpillPayload& p) {
+    for (const auto& [k, ts, entry] : p.versions) {
       bool qualifies = inclusive ? ts <= view : ts < view;
       if (k == key && qualifies && ts >= best.ts) {
         best = VersionedKv::Lookup{entry.value, entry.tid, ts};
       }
     }
-  }
+    return true;
+  });
   // A missing or corrupt epoch degrades this consult to the same
   // best-effort verdict as spill-less GC (D7): count it the same way.
-  if (degraded) ++stats_->unsafe_below_watermark;
+  if (!complete) ++stats_->unsafe_below_watermark;
   return best;
 }
 
@@ -365,21 +319,15 @@ void KeyEngine::InstallVersionAndRecheck(const TxnCtx& ctx, Key key,
 
 template <typename Fn>
 void KeyEngine::ForEachSpilledListVersion(Key key, Fn&& fn) {
-  bool degraded = false;
-  for (uint64_t id : spill_epochs_) {
-    SpillPayload scratch;
-    const SpillPayload* p = LoadEpoch(id, &scratch);
-    if (!p) {
-      degraded = true;
-      continue;
-    }
-    for (const ListSpillVersion& lv : p->list_versions) {
+  bool complete = spill_.Consult(stats_, [&](const SpillPayload& p) {
+    for (const ListSpillVersion& lv : p.list_versions) {
       if (lv.key == key) fn(lv);
     }
-  }
+    return true;
+  });
   // Unloadable epoch: the reconstruction is incomplete — same D7
   // best-effort accounting as the spill-less paths.
-  if (degraded) ++stats_->unsafe_below_watermark;
+  if (!complete) ++stats_->unsafe_below_watermark;
 }
 
 std::vector<std::pair<Timestamp, std::vector<Value>>>
@@ -565,15 +513,8 @@ void KeyEngine::CheckNoConflictKey(const TxnCtx& ctx, Key key) {
     if (!spill_.persistent()) {
       ++stats_->unsafe_below_watermark;
     } else {
-      bool degraded = false;
-      for (uint64_t id : spill_epochs_) {
-        SpillPayload scratch;
-        const SpillPayload* p = LoadEpoch(id, &scratch);
-        if (!p) {
-          degraded = true;
-          continue;
-        }
-        for (const auto& [k, iv] : p->intervals) {
+      bool complete = spill_.Consult(stats_, [&](const SpillPayload& p) {
+        for (const auto& [k, iv] : p.intervals) {
           if (k != key || iv.tid == ctx.tid) continue;
           if (iv.start <= ctx.commit_ts && iv.end >= ctx.start_ts) {
             TxnId first = iv.end < ctx.commit_ts ? iv.tid : ctx.tid;
@@ -582,10 +523,11 @@ void KeyEngine::CheckNoConflictKey(const TxnCtx& ctx, Key key) {
                     {ViolationType::kNoConflict, first, second, key});
           }
         }
-      }
+        return true;
+      });
       // Epochs that failed to load leave the interval scan incomplete:
       // same best-effort accounting as running without a spill dir.
-      if (degraded) ++stats_->unsafe_below_watermark;
+      if (!complete) ++stats_->unsafe_below_watermark;
     }
   }
 }
@@ -630,8 +572,7 @@ void KeyEngine::CollectUpTo(Timestamp watermark) {
   versions_.CollectUpTo(watermark, &payload.versions);
   ongoing_.CollectUpTo(watermark, &payload.intervals);
   lists_.CollectUpTo(watermark, &payload.list_versions);
-  uint64_t id = spill_.Spill(payload);
-  if (id != 0) spill_epochs_.push_back(id);
+  spill_.Spill(payload);
 
   // Drop finalized transaction records committed at or below the line.
   // Reader refs are batch-compacted per key afterwards: erasing each ref
@@ -693,13 +634,6 @@ void KeyEngine::Serialize(StateWriter* w) const {
   lists_.Serialize(w);
   ongoing_.Serialize(w);
   spill_.SerializeManifest(w);
-  w->U64(spill_epochs_.size());
-  for (uint64_t id : spill_epochs_) w->U64(id);
-  // Cache ids only: the payloads are re-read from the (still on disk)
-  // epoch files on restore, without counting as spill_reloads — so the
-  // reload counter evolves exactly as in an uninterrupted run.
-  w->U64(epoch_cache_.size());
-  for (const auto& [id, payload] : epoch_cache_) w->U64(id);
 
   std::vector<TxnId> tids;
   tids.reserve(local_txns_.size());
@@ -743,18 +677,6 @@ bool KeyEngine::Deserialize(StateReader* r) {
   if (!lists_.Deserialize(r)) return false;
   if (!ongoing_.Deserialize(r)) return false;
   if (!spill_.DeserializeManifest(r)) return false;
-  spill_epochs_.clear();
-  uint64_t ne = r->U64();
-  for (uint64_t i = 0; i < ne && r->ok(); ++i) spill_epochs_.push_back(r->U64());
-  epoch_cache_.clear();
-  uint64_t nc = r->U64();
-  for (uint64_t i = 0; i < nc && r->ok(); ++i) {
-    uint64_t id = r->U64();
-    SpillPayload payload;
-    if (spill_.Load(id, &payload) == SpillStore::LoadStatus::kOk) {
-      epoch_cache_.emplace_back(id, std::move(payload));
-    }
-  }
 
   local_txns_.clear();
   uint64_t nt = r->U64();
@@ -833,7 +755,6 @@ bool KeyEngine::Deserialize(StateReader* r) {
   sort_chains(&reader_index_);
   sort_chains(&membership_reader_index_);
   sort_chains(&list_reader_index_);
-  corrupt_epochs_.clear();
   return r->ok();
 }
 

@@ -141,7 +141,7 @@ class KeyEngine {
   /// Checkpoint hooks: a full dump of this engine's state (byte-
   /// deterministic — hash-map contents are emitted in sorted order) and
   /// its exact inverse. Deserialize rebuilds the derivable structures
-  /// (reader indexes, GC trigger heaps, epoch cache payloads) instead of
+  /// (reader indexes, GC triggers, epoch cache payloads) instead of
   /// reading them, and assumes an engine constructed with the same
   /// Options (in particular the same spill_dir, which must still hold
   /// the manifest's epoch files).
@@ -157,8 +157,6 @@ class KeyEngine {
   size_t ApproxBytes() const {
     return versions_.ApproxBytes() + lists_.ApproxBytes();
   }
-  /// Transactions with external reads resident in this engine.
-  size_t ResidentTxns() const { return local_txns_.size(); }
 
   Timestamp watermark() const { return watermark_; }
 
@@ -210,7 +208,6 @@ class KeyEngine {
   // latest version at or before `view`, SER/RC/RA strictly before.
   VersionedKv::Lookup LookupFrontier(Key key, Timestamp view, bool inclusive);
   VersionedKv::Lookup LookupSpilled(Key key, Timestamp view, bool inclusive);
-  const SpillPayload* LoadEpoch(uint64_t id, SpillPayload* scratch);
 
   /// The RC/RA committed-membership query: was `observed` ever a
   /// committed value of `key` strictly before `view` (the initial value
@@ -269,12 +266,6 @@ class KeyEngine {
   ListKv lists_;
   OngoingIndex ongoing_;
   SpillStore spill_;
-  std::vector<uint64_t> spill_epochs_;  // ids, in spill order
-  // Tiny cache of reloaded epochs (stragglers cluster in time).
-  std::vector<std::pair<uint64_t, SpillPayload>> epoch_cache_;
-  // Epochs already counted in CheckerStats::corrupt_spill_epochs (each
-  // corrupt file is counted and logged once, on first consult).
-  std::vector<uint64_t> corrupt_epochs_;
 
   std::unordered_map<TxnId, LocalTxn> local_txns_;
   // (cts, tid) of resident local txns, sorted by cts (append-mostly).

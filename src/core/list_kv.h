@@ -36,12 +36,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/gc_triggers.h"
 #include "core/state_io.h"
 #include "core/types.h"
 
@@ -92,7 +91,7 @@ class ListKv {
       chain.versions.push_back({ts, tid, static_cast<uint32_t>(delta.size()),
                                 chain.trimmed_len + chain.elems.size()});
     } else {
-      auto it = LowerBound(chain.versions, ts);
+      auto it = TsLowerBound(chain.versions, ts);
       if (it != chain.versions.end() && it->ts == ts) return false;
       size_t offset = it == chain.versions.begin()
                           ? 0
@@ -101,7 +100,7 @@ class ListKv {
     }
     ++total_versions_;
     total_elems_ += delta.size();
-    ArmTrigger(chain, key, ts);
+    gc_triggers_.ArmChainInsert(chain.versions, ts, key);
     return true;
   }
 
@@ -173,8 +172,8 @@ class ListKv {
         return MakePrefix(chain, back);
       }
     }
-    auto vit = inclusive ? UpperBound(chain.versions, view)
-                         : LowerBound(chain.versions, view);
+    auto vit = inclusive ? TsUpperBound(chain.versions, view)
+                         : TsLowerBound(chain.versions, view);
     if (vit == chain.versions.begin()) return Prefix{};
     --vit;
     return MakePrefix(chain, *vit);
@@ -202,50 +201,38 @@ class ListKv {
   /// Collapses version boundaries with ts <= `ts` into the retained base
   /// (the latest qualifying version), appending the evicted boundaries
   /// with their deltas to `evicted`. Elements are never dropped
-  /// (invariant 3). O(dirty) via the same lazy trigger heap as
+  /// (invariant 3). O(dirty) via the same GcTriggers chain rule as
   /// VersionedKv. Returns the number of collapsed boundaries.
   size_t CollectUpTo(Timestamp ts, std::vector<ListSpillVersion>* evicted) {
     size_t n = 0;
-    std::unordered_set<Key> visited;
-    while (!gc_triggers_.empty() && gc_triggers_.top().first <= ts) {
-      Key key = gc_triggers_.top().second;
-      gc_triggers_.pop();
-      if (!visited.insert(key).second) continue;
+    gc_triggers_.PassUpTo(ts, [&](Key key) {
       auto it = chains_.find(key);
-      if (it == chains_.end()) continue;
+      if (it == chains_.end()) return;
       Chain& chain = it->second;
-      auto end = UpperBound(chain.versions, ts);
-      if (end - chain.versions.begin() >= 2) {
-        --end;  // keep the latest version <= ts as the collapsed base
-        size_t removed = static_cast<size_t>(end - chain.versions.begin());
-        if (evicted) {
-          for (auto vit = chain.versions.begin(); vit != end; ++vit) {
-            ListSpillVersion rec;
-            rec.key = key;
-            rec.ts = vit->ts;
-            rec.tid = vit->tid;
-            // Clamp to the materialized range: a boundary whose elements
-            // were hash-trimmed (invariant 5) spills a truncated delta.
-            // Below-base reads on a trimmed chain degrade to
-            // unsafe_below_horizon at the consulting site, so the short
-            // record is never trusted for element-wise verification.
-            size_t lo = std::max(vit->end_off - vit->delta_len,
-                                 chain.trimmed_len);
-            size_t hi = std::max(vit->end_off, chain.trimmed_len);
-            rec.delta.assign(
-                chain.elems.begin() + static_cast<long>(lo - chain.trimmed_len),
-                chain.elems.begin() + static_cast<long>(hi - chain.trimmed_len));
-            evicted->push_back(std::move(rec));
-          }
+      n += CollapseChain(chain.versions, ts, [&](auto first, auto last) {
+        if (!evicted) return;
+        for (; first != last; ++first) {
+          ListSpillVersion rec;
+          rec.key = key;
+          rec.ts = first->ts;
+          rec.tid = first->tid;
+          // Clamp to the materialized range: a boundary whose elements
+          // were hash-trimmed (invariant 5) spills a truncated delta.
+          // Below-base reads on a trimmed chain degrade to
+          // unsafe_below_horizon at the consulting site, so the short
+          // record is never trusted for element-wise verification.
+          size_t lo = std::max(first->end_off - first->delta_len,
+                               chain.trimmed_len);
+          size_t hi = std::max(first->end_off, chain.trimmed_len);
+          rec.delta.assign(
+              chain.elems.begin() + static_cast<long>(lo - chain.trimmed_len),
+              chain.elems.begin() + static_cast<long>(hi - chain.trimmed_len));
+          evicted->push_back(std::move(rec));
         }
-        chain.versions.erase(chain.versions.begin(), end);
-        total_versions_ -= removed;
-        n += removed;
-      }
-      if (chain.versions.size() >= 2) {
-        gc_triggers_.push({chain.versions[1].ts, key});
-      }
-    }
+      });
+      gc_triggers_.ArmChain(chain.versions, key);
+    });
+    total_versions_ -= n;
     return n;
   }
 
@@ -288,7 +275,6 @@ class ListKv {
 
   /// Live version boundaries across all keys. O(1).
   size_t TotalVersions() const { return total_versions_; }
-  size_t NumKeys() const { return chains_.size(); }
 
   /// Checkpoint hooks: full dump including trim state, keys sorted for
   /// byte-determinism; Deserialize re-arms the trigger heap.
@@ -325,7 +311,7 @@ class ListKv {
     chains_.clear();
     total_versions_ = 0;
     total_elems_ = 0;
-    gc_triggers_ = {};
+    gc_triggers_.Clear();
     total_trimmed_ = r->U64();
     uint64_t num_keys = r->U64();
     for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
@@ -355,9 +341,7 @@ class ListKv {
       chain.hash_tainted = r->U8() != 0;
       total_versions_ += chain.versions.size();
       total_elems_ += chain.elems.size();
-      if (chain.versions.size() >= 2) {
-        gc_triggers_.push({chain.versions[1].ts, k});
-      }
+      gc_triggers_.ArmChain(chain.versions, k);
     }
     return r->ok();
   }
@@ -400,23 +384,6 @@ class ListKv {
     return true;
   }
 
-  struct TsOrder {
-    bool operator()(const ListVersion& v, Timestamp t) const {
-      return v.ts < t;
-    }
-    bool operator()(Timestamp t, const ListVersion& v) const {
-      return t < v.ts;
-    }
-  };
-  template <typename Vec>
-  static auto LowerBound(Vec& vec, Timestamp ts) -> decltype(vec.begin()) {
-    return std::lower_bound(vec.begin(), vec.end(), ts, TsOrder{});
-  }
-  template <typename Vec>
-  static auto UpperBound(Vec& vec, Timestamp ts) -> decltype(vec.begin()) {
-    return std::upper_bound(vec.begin(), vec.end(), ts, TsOrder{});
-  }
-
   void InsertAt(Chain* chain, std::ptrdiff_t pos, size_t offset, Timestamp ts,
                 TxnId tid, const std::vector<Value>& delta) {
     // `offset` is a full-sequence coordinate; storage starts at
@@ -436,22 +403,11 @@ class ListKv {
         {ts, tid, static_cast<uint32_t>(delta.size()), offset + delta.size()});
   }
 
-  void ArmTrigger(const Chain& chain, Key key, Timestamp inserted_ts) {
-    if (chain.versions.size() >= 2 &&
-        (chain.versions.size() == 2 || inserted_ts <= chain.versions[1].ts)) {
-      gc_triggers_.push({chain.versions[1].ts, key});
-    }
-  }
-
   std::unordered_map<Key, Chain> chains_;
   size_t total_versions_ = 0;
   size_t total_elems_ = 0;   // materialized only; trimmed elements excluded
   size_t total_trimmed_ = 0; // cumulative elements released by TrimTo
-  // Same lazy-trigger invariant as VersionedKv: every key with >= 2
-  // versions has an entry with trigger <= its current versions[1].ts.
-  std::priority_queue<std::pair<Timestamp, Key>,
-                      std::vector<std::pair<Timestamp, Key>>, std::greater<>>
-      gc_triggers_;
+  GcTriggers gc_triggers_;  // the chain rule, over versions[1].ts
 };
 
 }  // namespace chronos

@@ -1,10 +1,13 @@
 #include "core/spill.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 namespace chronos {
 namespace {
+
+constexpr size_t kEpochCacheCap = 4;
 
 bool WriteU64(FILE* f, uint64_t v) { return fwrite(&v, 8, 1, f) == 1; }
 bool ReadU64(FILE* f, uint64_t* v) { return fread(v, 8, 1, f) == 1; }
@@ -110,6 +113,30 @@ SpillStore::LoadStatus SpillStore::Load(uint64_t epoch_id,
   return ok ? LoadStatus::kOk : LoadStatus::kCorrupt;
 }
 
+const SpillPayload* SpillStore::Cached(uint64_t id, CheckerStats* stats) {
+  for (auto& [cid, cp] : cache_) {
+    if (cid == id) return &cp;
+  }
+  SpillPayload payload;
+  LoadStatus st = Load(id, &payload);
+  if (st != LoadStatus::kOk) {
+    if (st == LoadStatus::kCorrupt &&
+        std::find(corrupt_.begin(), corrupt_.end(), id) == corrupt_.end()) {
+      corrupt_.push_back(id);
+      ++stats->corrupt_spill_epochs;
+      std::fprintf(stderr,
+                   "chronos: spill epoch %llu is corrupt; below-watermark "
+                   "checking degrades to best effort\n",
+                   static_cast<unsigned long long>(id));
+    }
+    return nullptr;
+  }
+  ++stats->spill_reloads;
+  if (cache_.size() >= kEpochCacheCap) cache_.erase(cache_.begin());
+  cache_.emplace_back(id, std::move(payload));
+  return &cache_.back().second;
+}
+
 void SpillStore::SerializeManifest(StateWriter* w) const {
   w->U64(next_id_);
   w->U64(epochs_.size());
@@ -117,6 +144,10 @@ void SpillStore::SerializeManifest(StateWriter* w) const {
     w->U64(id);
     w->U64(max_ts);
   }
+  w->U64(cache_.size());
+  for (const auto& [id, payload] : cache_) w->U64(id);
+  w->U64(corrupt_.size());
+  for (uint64_t id : corrupt_) w->U64(id);
 }
 
 bool SpillStore::DeserializeManifest(StateReader* r) {
@@ -128,20 +159,19 @@ bool SpillStore::DeserializeManifest(StateReader* r) {
     Timestamp max_ts = r->U64();
     epochs_[id] = max_ts;
   }
-  return r->ok();
-}
-
-std::vector<uint64_t> SpillStore::EpochsAtOrBelow(Timestamp ts) const {
-  std::vector<uint64_t> ids;
-  for (const auto& [id, max_ts] : epochs_) {
-    (void)max_ts;
-    // Epoch contents are bounded above by max_ts but unbounded below, so
-    // any epoch may intersect [0, ts]; filter only those entirely above.
-    if (ts == 0) continue;
-    ids.push_back(id);
+  cache_.clear();
+  uint64_t nc = r->U64();
+  for (uint64_t i = 0; i < nc && r->ok(); ++i) {
+    uint64_t id = r->U64();
+    SpillPayload payload;
+    if (Load(id, &payload) == LoadStatus::kOk) {
+      cache_.emplace_back(id, std::move(payload));
+    }
   }
-  (void)ts;
-  return ids;
+  corrupt_.clear();
+  uint64_t nx = r->U64();
+  for (uint64_t i = 0; i < nx && r->ok(); ++i) corrupt_.push_back(r->U64());
+  return r->ok();
 }
 
 }  // namespace chronos

@@ -14,6 +14,7 @@
 
 #include "core/interval_tree.h"
 #include "core/list_kv.h"
+#include "core/online_checker.h"
 #include "core/state_io.h"
 #include "core/types.h"
 #include "core/versioned_kv.h"
@@ -34,8 +35,10 @@ struct SpillPayload {
   }
 };
 
-/// Append-only store of GC epochs, one binary file per epoch. Not
-/// thread-safe; AION serializes access.
+/// Append-only store of GC epochs, one binary file per epoch, and the one
+/// owner of everything about them: the epoch list (the manifest), the
+/// reload cache, and which epochs were found corrupt. Not thread-safe;
+/// AION serializes access.
 class SpillStore {
  public:
   /// `dir` is created if missing. An empty dir disables persistence:
@@ -56,17 +59,40 @@ class SpillStore {
   /// counting (CheckerStats::corrupt_spill_epochs), not a silent miss.
   enum class LoadStatus { kOk, kMissing, kCorrupt };
 
-  /// Loads one epoch.
+  /// Loads one epoch from disk (uncached, uncounted).
   LoadStatus Load(uint64_t epoch_id, SpillPayload* out) const;
 
-  /// Ids of all epochs whose contents may intersect timestamps <= ts.
-  std::vector<uint64_t> EpochsAtOrBelow(Timestamp ts) const;
+  /// One straggler consult: visits every epoch's payload in spill order
+  /// until `visit(payload)` returns false. Payloads come through a small
+  /// FIFO cache (stragglers cluster in time); each load from disk counts
+  /// `stats->spill_reloads`. An epoch that cannot be loaded is skipped —
+  /// a present-yet-unparseable file is an integrity failure, counted in
+  /// `stats->corrupt_spill_epochs` and logged once per epoch, across
+  /// checkpoint/restore too. Returns false when an epoch was skipped:
+  /// the consult is then incomplete (best effort, divergence entry D7).
+  template <typename Fn>
+  bool Consult(CheckerStats* stats, Fn&& visit) {
+    bool complete = true;
+    for (const auto& [id, max_ts] : epochs_) {
+      (void)max_ts;
+      const SpillPayload* payload = Cached(id, stats);
+      if (!payload) {
+        complete = false;
+        continue;
+      }
+      if (!visit(*payload)) break;
+    }
+    return complete;
+  }
 
   size_t NumEpochs() const { return epochs_.size(); }
 
-  /// Checkpoint hooks: the manifest (next id + id->max_ts map) is part
-  /// of the checker state; the epoch files themselves stay on disk and
-  /// are re-opened on demand after a restore.
+  /// Checkpoint hooks: the manifest (next id, id->max_ts map, cached and
+  /// corrupt epoch ids) is part of the checker state; the epoch files
+  /// themselves stay on disk and are re-opened on demand after a
+  /// restore. The cache payloads are re-read on restore without counting
+  /// as spill_reloads, so the counters evolve exactly as in an
+  /// uninterrupted run.
   void SerializeManifest(StateWriter* w) const;
   bool DeserializeManifest(StateReader* r);
 
@@ -75,9 +101,14 @@ class SpillStore {
   std::string PathFor(uint64_t id) const;
 
  private:
+  // The epoch's payload from the cache or disk; nullptr if unloadable.
+  const SpillPayload* Cached(uint64_t id, CheckerStats* stats);
+
   std::string dir_;
   uint64_t next_id_ = 1;
-  std::map<uint64_t, Timestamp> epochs_;  // id -> max_ts
+  std::map<uint64_t, Timestamp> epochs_;  // id -> max_ts, ids in spill order
+  std::vector<std::pair<uint64_t, SpillPayload>> cache_;  // FIFO
+  std::vector<uint64_t> corrupt_;  // already counted and logged
 };
 
 }  // namespace chronos

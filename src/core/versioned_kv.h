@@ -8,22 +8,19 @@
 // frontier versions) automatic.
 //
 // Accounting is incremental: `TotalVersions()`/`ApproxBytes()` are O(1)
-// running counters, and `CollectUpTo` is O(dirty): a lazy min-trigger
-// heap tracks only keys whose chain has >= 2 versions, keyed by the
-// timestamp of the chain's second version — the exact watermark at which
-// the key first yields an eviction.
+// running counters, and `CollectUpTo` is O(dirty) through the shared
+// GcTriggers heap (core/gc_triggers.h), armed by the chain rule.
 #ifndef CHRONOS_CORE_VERSIONED_KV_H_
 #define CHRONOS_CORE_VERSIONED_KV_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "core/gc_triggers.h"
 #include "core/state_io.h"
 #include "core/types.h"
 
@@ -63,18 +60,12 @@ class VersionedKv {
     if (chain.empty() || ts > chain.back().ts) {
       chain.push_back({ts, value, tid});        // common case: in-order
     } else {
-      auto it = LowerBound(chain, ts);
+      auto it = TsLowerBound(chain, ts);
       if (it != chain.end() && it->ts == ts) return false;
       chain.insert(it, {ts, value, tid});
     }
     ++total_versions_;
-    // A chain becomes collectible once >= 2 of its versions sit at or
-    // below a watermark; that first happens at chain[1].ts. Re-arm when
-    // the insert created or lowered that trigger.
-    if (chain.size() >= 2 &&
-        (chain.size() == 2 || ts <= chain[1].ts)) {
-      gc_triggers_.push({chain[1].ts, key});
-    }
+    gc_triggers_.ArmChainInsert(chain, ts, key);
     return true;
   }
 
@@ -96,7 +87,7 @@ class VersionedKv {
     auto it = versions_.find(key);
     if (it == versions_.end()) return std::nullopt;
     const Chain& chain = it->second;
-    auto vit = UpperBound(chain, ts);
+    auto vit = TsUpperBound(chain, ts);
     if (vit == chain.end()) return std::nullopt;
     return vit->ts;
   }
@@ -109,7 +100,7 @@ class VersionedKv {
     auto it = versions_.find(key);
     if (it == versions_.end()) return false;
     const Chain& chain = it->second;
-    auto end = LowerBound(chain, ts);
+    auto end = TsLowerBound(chain, ts);
     for (auto vit = chain.begin(); vit != end; ++vit) {
       if (vit->value == value) return true;
     }
@@ -118,8 +109,6 @@ class VersionedKv {
 
   /// Number of live versions across all keys. O(1).
   size_t TotalVersions() const { return total_versions_; }
-
-  size_t NumKeys() const { return versions_.size(); }
 
   /// Garbage-collects versions with commit ts <= `ts`, keeping per key the
   /// single latest qualifying version as the "base" so that queries at or
@@ -132,31 +121,20 @@ class VersionedKv {
                      std::vector<std::tuple<Key, Timestamp, VersionEntry>>*
                          evicted = nullptr) {
     size_t n = 0;
-    std::unordered_set<Key> visited;
-    while (!gc_triggers_.empty() && gc_triggers_.top().first <= ts) {
-      Key key = gc_triggers_.top().second;
-      gc_triggers_.pop();
-      if (!visited.insert(key).second) continue;  // stale duplicate entry
+    gc_triggers_.PassUpTo(ts, [&](Key key) {
       auto it = versions_.find(key);
-      if (it == versions_.end()) continue;        // stale: key dropped
+      if (it == versions_.end()) return;  // stale: key dropped
       Chain& chain = it->second;
-      auto end = UpperBound(chain, ts);
-      if (end - chain.begin() >= 2) {
-        --end;  // keep the latest version <= ts as the base
-        size_t removed = static_cast<size_t>(end - chain.begin());
-        if (evicted) {
-          for (auto vit = chain.begin(); vit != end; ++vit) {
-            evicted->emplace_back(key, vit->ts,
-                                  VersionEntry{vit->value, vit->tid});
-          }
+      n += CollapseChain(chain, ts, [&](auto first, auto last) {
+        if (!evicted) return;
+        for (; first != last; ++first) {
+          evicted->emplace_back(key, first->ts,
+                                VersionEntry{first->value, first->tid});
         }
-        chain.erase(chain.begin(), end);
-        total_versions_ -= removed;
-        n += removed;
-      }
-      // Re-arm at the key's next trigger point (now above `ts`).
-      if (chain.size() >= 2) gc_triggers_.push({chain[1].ts, key});
-    }
+      });
+      gc_triggers_.ArmChain(chain, key);  // next trigger, now above ts
+    });
+    total_versions_ -= n;
     return n;
   }
 
@@ -187,13 +165,13 @@ class VersionedKv {
   }
 
   /// Restores a serialized image, replacing current contents. The GC
-  /// trigger heap is re-armed from the restored chains rather than
-  /// serialized (the lazy-heap invariant only needs one entry per key
-  /// with >= 2 versions).
+  /// triggers are re-armed from the restored chains rather than
+  /// serialized (the invariant only needs one entry per key with >= 2
+  /// versions).
   bool Deserialize(StateReader* r) {
     versions_.clear();
     total_versions_ = 0;
-    gc_triggers_ = {};
+    gc_triggers_.Clear();
     uint64_t num_keys = r->U64();
     for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
       Key k = r->U64();
@@ -208,7 +186,7 @@ class VersionedKv {
         chain.push_back(v);
       }
       total_versions_ += chain.size();
-      if (chain.size() >= 2) gc_triggers_.push({chain[1].ts, k});
+      gc_triggers_.ArmChain(chain, k);
     }
     return r->ok();
   }
@@ -223,22 +201,6 @@ class VersionedKv {
   }
 
  private:
-  // Heterogeneous ts <-> Version comparator for the sorted chains.
-  struct TsOrder {
-    bool operator()(const Version& v, Timestamp t) const { return v.ts < t; }
-    bool operator()(Timestamp t, const Version& v) const { return t < v.ts; }
-  };
-  template <typename ChainT>
-  static auto LowerBound(ChainT& chain, Timestamp ts)
-      -> decltype(chain.begin()) {
-    return std::lower_bound(chain.begin(), chain.end(), ts, TsOrder{});
-  }
-  template <typename ChainT>
-  static auto UpperBound(ChainT& chain, Timestamp ts)
-      -> decltype(chain.begin()) {
-    return std::upper_bound(chain.begin(), chain.end(), ts, TsOrder{});
-  }
-
   Lookup GetBound(Key key, Timestamp ts, bool inclusive) const {
     auto it = versions_.find(key);
     if (it == versions_.end()) return Lookup{};
@@ -251,7 +213,7 @@ class VersionedKv {
         return Lookup{back.value, back.tid, back.ts};
       }
     }
-    auto vit = inclusive ? UpperBound(chain, ts) : LowerBound(chain, ts);
+    auto vit = inclusive ? TsUpperBound(chain, ts) : TsLowerBound(chain, ts);
     if (vit == chain.begin()) return Lookup{};
     --vit;
     return Lookup{vit->value, vit->tid, vit->ts};
@@ -259,13 +221,7 @@ class VersionedKv {
 
   std::unordered_map<Key, Chain> versions_;
   size_t total_versions_ = 0;
-  // Lazy min-heap of (chain[1].ts at arm time, key). Invariant: every key
-  // with >= 2 versions has an entry whose trigger <= its current
-  // chain[1].ts, so CollectUpTo never misses a collectible key. Entries
-  // may be stale (key re-armed or shrunk); stale pops are skipped.
-  std::priority_queue<std::pair<Timestamp, Key>,
-                      std::vector<std::pair<Timestamp, Key>>, std::greater<>>
-      gc_triggers_;
+  GcTriggers gc_triggers_;  // the chain rule: one entry at chain[1].ts
 };
 
 }  // namespace chronos

@@ -25,7 +25,7 @@ namespace chronos::online {
 namespace {
 
 constexpr char kWalHeader[] = "chronos-wal v1\n";
-constexpr uint64_t kCkptMagic = 0x43484B5054763101ULL;   // "CHKPTv1" + 1
+constexpr uint64_t kCkptMagic = 0x43484B5054763201ULL;   // "CHKPTv2" + 1
 constexpr uint64_t kCkptFooter = 0x454E44434B505401ULL;  // "ENDCKPT" + 1
 
 void AppendF(std::string* out, const char* fmt, ...) {

@@ -1,7 +1,8 @@
 // Incremental-accounting invariants of the flat hot-path structures:
 // VersionedKv's running version/byte counters and trigger-heap GC, and
-// OngoingIndex's running interval counter, must stay exact under every
-// mutation order (in-order puts, out-of-order puts, GC, re-insert).
+// OngoingIndex's and ListKv's GC against brute-force models, must stay
+// exact under every mutation order (in-order puts, out-of-order puts,
+// GC, re-insert, checkpoint restore).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/interval_tree.h"
+#include "core/list_kv.h"
 #include "core/state_io.h"
 #include "core/versioned_kv.h"
 
@@ -278,6 +280,132 @@ TEST(OngoingIndexAccountingTest, GcMatchesBruteForceAcrossPasses) {
       if (restored) {
         ASSERT_EQ(SortedTids(restored->Overlapping(k, lo, hi)),
                   SortedTids(brute));
+      }
+    }
+  }
+}
+
+using ListRow = std::tuple<Key, Timestamp, TxnId, std::vector<Value>>;
+
+std::vector<ListRow> Rows(const std::vector<ListSpillVersion>& ev) {
+  std::vector<ListRow> rows;
+  for (const ListSpillVersion& lv : ev) {
+    rows.emplace_back(lv.key, lv.ts, lv.tid, lv.delta);
+  }
+  return rows;
+}
+
+TEST(ListKvAccountingTest, GcMatchesBruteForceAcrossPasses) {
+  // Hundreds of GC passes against a brute-force per-key model: a hot key,
+  // many cold keys, in-chain commits out of order (some below the
+  // watermark, re-dirtying a collected key through the chain rule) and
+  // stragglers below a collapsed base (merged through PutBelowBase, as
+  // KeyEngine routes them). Half-way a Serialize/Deserialize copy forks
+  // off; from then on its GC must evict exactly what the uninterrupted
+  // structure evicts, in the same order.
+  constexpr Key kHot = 0;
+  constexpr Key kColdKeys = 60;
+  constexpr int kPasses = 300;
+  struct Model {
+    std::map<Timestamp, std::pair<TxnId, std::vector<Value>>> live;
+    std::vector<std::pair<Timestamp, size_t>> spilled_lens;  // ts order
+    std::map<Timestamp, std::vector<Value>> all;  // every delta ever put
+  };
+  std::mt19937_64 rng(17);
+  ListKv kv;
+  std::optional<ListKv> restored;
+  std::map<Key, Model> model;
+  std::set<Timestamp> used;
+  Timestamp clock = 1000;
+  Timestamp wm = 0;
+  TxnId tid = 0;
+  Value next_value = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (int b = 0; b < 16; ++b) {
+      clock += 2 + rng() % 4;
+      Timestamp ts = clock - rng() % 30;
+      if (wm > 200 && rng() % 8 == 0) ts = wm - rng() % 150;  // below wm
+      if (!used.insert(ts).second) continue;
+      Key k = rng() % 2 == 0 ? kHot : 1 + rng() % kColdKeys;
+      std::vector<Value> delta(1 + rng() % 3);
+      for (Value& v : delta) v = ++next_value;
+      ++tid;
+      Model& m = model[k];
+      m.all.emplace(ts, delta);
+      Timestamp base = kv.BaseTs(k);
+      if (base != kTsMin && base <= wm && ts < base) {
+        ASSERT_TRUE(kv.PutBelowBase(k, ts, delta, tid, m.spilled_lens));
+        if (restored) {
+          ASSERT_TRUE(restored->PutBelowBase(k, ts, delta, tid, m.spilled_lens));
+        }
+      } else {
+        ASSERT_TRUE(kv.Put(k, ts, delta, tid));
+        if (restored) {
+          ASSERT_TRUE(restored->Put(k, ts, delta, tid));
+        }
+        m.live.emplace(ts, std::make_pair(tid, delta));
+      }
+    }
+    if (rng() % 4 != 0) wm = std::max(wm, clock - 40 - rng() % 100);
+
+    std::vector<ListSpillVersion> got;
+    size_t n = kv.CollectUpTo(wm, &got);
+    ASSERT_EQ(n, got.size());
+    std::vector<ListRow> want;
+    size_t ref_total = 0;
+    for (auto& [k, m] : model) {
+      auto end = m.live.upper_bound(wm);
+      if (end != m.live.begin()) {
+        --end;  // the retained base
+        for (auto it = m.live.begin(); it != end; ++it) {
+          want.emplace_back(k, it->first, it->second.first, it->second.second);
+          m.spilled_lens.emplace_back(it->first, it->second.second.size());
+        }
+        m.live.erase(m.live.begin(), end);
+        std::sort(m.spilled_lens.begin(), m.spilled_lens.end());
+      }
+      ref_total += m.live.size();
+    }
+    std::vector<ListRow> got_rows = Rows(got);
+    std::vector<ListRow> sorted_got = got_rows;
+    std::sort(sorted_got.begin(), sorted_got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(sorted_got, want) << "pass " << pass;
+    ASSERT_EQ(kv.TotalVersions(), ref_total) << "pass " << pass;
+
+    if (restored) {
+      std::vector<ListSpillVersion> got_restored;
+      restored->CollectUpTo(wm, &got_restored);
+      ASSERT_EQ(Rows(got_restored), got_rows) << "pass " << pass;
+      ASSERT_EQ(restored->TotalVersions(), ref_total);
+    } else if (pass == kPasses / 2) {
+      StateWriter w;
+      kv.Serialize(&w);
+      StateReader r(w.data());
+      restored.emplace();
+      ASSERT_TRUE(restored->Deserialize(&r));
+      ASSERT_TRUE(r.AtEnd());
+      ASSERT_EQ(restored->TotalVersions(), ref_total);
+    }
+
+    // Every view at or above a key's base resolves to the concatenation
+    // of all its deltas up to the view, in ts order: GC collapses
+    // boundaries but never drops elements.
+    for (int q = 0; q < 6; ++q) {
+      Key k = q == 0 ? kHot : 1 + rng() % kColdKeys;
+      auto mit = model.find(k);
+      if (mit == model.end() || mit->second.live.empty()) continue;
+      Timestamp view = mit->second.live.begin()->first + rng() % 200;
+      std::vector<Value> brute;
+      for (const auto& [ts, delta] : mit->second.all) {
+        if (ts <= view) brute.insert(brute.end(), delta.begin(), delta.end());
+      }
+      for (const ListKv* s : {&kv, restored ? &*restored : nullptr}) {
+        if (!s) continue;
+        ListKv::Prefix p = s->PrefixAt(k, view, /*inclusive=*/true);
+        ASSERT_EQ(p.trimmed, 0u);
+        ASSERT_EQ(std::vector<Value>(p.data, p.data + p.len), brute)
+            << "pass " << pass << " key " << k << " view " << view;
       }
     }
   }

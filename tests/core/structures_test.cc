@@ -1,14 +1,17 @@
 // Unit tests for the timestamp-versioned data structures: VersionedKv
-// (frontier_ts), IntervalTree/OngoingIndex (ongoing_ts), EventTimeline,
-// SmallMap, and the spill store.
+// (frontier_ts), IntervalTree/OngoingIndex (ongoing_ts), the shared
+// GcTriggers heap, SmallMap, and the spill store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "../testutil.h"
-#include "core/event_timeline.h"
+#include "core/gc_triggers.h"
 #include "core/interval_tree.h"
 #include "core/list_kv.h"
 #include "core/small_map.h"
@@ -192,32 +195,59 @@ TEST(IntervalTreeTest, RandomizedAgainstBruteForce) {
   }
 }
 
-TEST(EventTimelineTest, InsertRejectsDuplicateTimestamps) {
-  EventTimeline tl;
-  Transaction a;
-  a.tid = 1;
-  a.start_ts = 10;
-  a.commit_ts = 20;
-  EXPECT_TRUE(tl.Insert(a));
-  Transaction b;
-  b.tid = 2;
-  b.start_ts = 20;  // collides with a's commit at the same slot? different
-  b.commit_ts = 30; // kind, but HasTimestamp must still see it
-  EXPECT_TRUE(tl.HasTimestamp(20));
-  EXPECT_EQ(tl.size(), 2u);
+TEST(GcTriggersTest, KeyArmedManyTimesIsVisitedOncePerPass) {
+  GcTriggers triggers;
+  for (Timestamp ts = 1; ts <= 50; ++ts) triggers.Arm(ts, 7);
+  triggers.Arm(3, 8);
+  std::vector<Key> visits;
+  triggers.PassUpTo(40, [&](Key k) { visits.push_back(k); });
+  EXPECT_EQ(visits, (std::vector<Key>{7, 8}));
+  // Key 7's triggers 41..50 survived the pass; they fire once more.
+  visits.clear();
+  triggers.PassUpTo(100, [&](Key k) { visits.push_back(k); });
+  EXPECT_EQ(visits, (std::vector<Key>{7}));
+  visits.clear();
+  triggers.PassUpTo(100, [&](Key k) { visits.push_back(k); });
+  EXPECT_TRUE(visits.empty()) << "a drained heap visits nothing";
 }
 
-TEST(EventTimelineTest, EraseUpToDropsPrefix) {
-  EventTimeline tl;
-  for (TxnId i = 1; i <= 5; ++i) {
-    Transaction t;
-    t.tid = i;
-    t.start_ts = i * 10;
-    t.commit_ts = i * 10 + 5;
-    ASSERT_TRUE(tl.Insert(t));
+TEST(GcTriggersTest, TriggersArmedAboveTsDuringAPassWaitForTheNextPass) {
+  GcTriggers triggers;
+  triggers.Arm(10, 1);
+  triggers.Arm(20, 2);
+  std::vector<Key> visits;
+  triggers.PassUpTo(20, [&](Key k) {
+    visits.push_back(k);
+    triggers.Arm(21, k);   // re-arm above the pass
+    triggers.Arm(30, 3);   // a new key above the pass
+  });
+  EXPECT_EQ(visits, (std::vector<Key>{1, 2}));
+  visits.clear();
+  triggers.PassUpTo(25, [&](Key k) { visits.push_back(k); });
+  EXPECT_EQ(visits, (std::vector<Key>{1, 2}));
+  visits.clear();
+  triggers.PassUpTo(30, [&](Key k) { visits.push_back(k); });
+  EXPECT_EQ(visits, (std::vector<Key>{3}));
+}
+
+TEST(GcTriggersTest, VisitsComeInAscendingTsThenKeyOrder) {
+  // Spill payload order, hence epoch bytes, follows the visit order.
+  std::mt19937_64 rng(5);
+  GcTriggers triggers;
+  std::map<Key, Timestamp> first;  // each key's lowest trigger
+  for (int i = 0; i < 500; ++i) {
+    Key k = rng() % 60;
+    Timestamp ts = 1 + rng() % 40;  // many ties across keys
+    triggers.Arm(ts, k);
+    auto [it, fresh] = first.emplace(k, ts);
+    if (!fresh) it->second = std::min(it->second, ts);
   }
-  EXPECT_EQ(tl.EraseUpTo(25), 4u);  // events at 10, 15, 20, 25
-  EXPECT_EQ(tl.size(), 6u);
+  std::vector<std::pair<Timestamp, Key>> want;
+  for (const auto& [k, ts] : first) want.emplace_back(ts, k);
+  std::sort(want.begin(), want.end());
+  std::vector<std::pair<Timestamp, Key>> got;
+  triggers.PassUpTo(40, [&](Key k) { got.emplace_back(first.at(k), k); });
+  EXPECT_EQ(got, want);
 }
 
 TEST(SmallMapTest, PutFindClear) {

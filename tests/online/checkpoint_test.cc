@@ -445,6 +445,63 @@ TEST(SpillCorruptionTest, CorruptEpochsDegradeDeterministically) {
   EXPECT_EQ(a.watermark, b.watermark);
 }
 
+TEST(SpillCorruptionTest, CorruptEpochIsCountedOnceAcrossRestore) {
+  // The set of epochs already found corrupt is checker state: a restored
+  // checker must not count (and log) a corrupt epoch a second time.
+  History writers = chronos::testing::HistoryBuilder()
+                        .Txn(1, 0, 0, 10, 15).W(7, 1)
+                        .Txn(2, 0, 1, 20, 25).W(7, 2)
+                        .Txn(3, 0, 2, 30, 35).W(7, 3)
+                        .Build();
+  auto straggler = [](TxnId tid, SessionId sid, Timestamp ts) {
+    Transaction t;
+    t.tid = tid;
+    t.sid = sid;
+    t.sno = 0;
+    t.start_ts = ts;
+    t.commit_ts = ts + 1;
+    t.ops.push_back({OpType::kRead, 7, 1, 0});
+    return t;
+  };
+  auto run = [&](const std::string& dir, bool restore) {
+    CheckerOptions opt;
+    opt.ext_timeout_ms = 100;
+    opt.spill_dir = dir;
+    VectorSink sink;
+    auto checker = std::make_unique<ShardedAion>(opt, 1, &sink);
+    uint64_t now = 0;
+    for (const Transaction& t : writers.txns) {
+      checker->OnTransaction(t, now += 10);
+    }
+    checker->AdvanceTime(1000);  // finalize the writers
+    checker->Gc(26);             // collapse + spill the early versions
+    checker->FootprintExact();   // barrier: workers idle, files closed
+    for (const auto& e : fs::recursive_directory_iterator(dir)) {
+      if (!e.is_regular_file()) continue;
+      FILE* f = fopen(e.path().string().c_str(), "wb");
+      fputs("garbage", f);
+      fclose(f);
+    }
+    checker->OnTransaction(straggler(9, 1, 16), 2000);
+    if (restore) {
+      ShardedAion::StateImage img = checker->ExportState();
+      checker = std::make_unique<ShardedAion>(opt, 1, &sink);
+      EXPECT_TRUE(checker->ImportState(img));
+    }
+    checker->OnTransaction(straggler(10, 2, 18), 2010);
+    checker->Finish();
+    Outcome out;
+    out.stats = checker->stats();
+    out.watermark = checker->watermark();
+    return out;
+  };
+  Outcome straight = run(FreshDir("spillcorrupt_once_a"), false);
+  Outcome restored = run(FreshDir("spillcorrupt_once_b"), true);
+  EXPECT_EQ(straight.stats.corrupt_spill_epochs, 1u);
+  EXPECT_EQ(restored.stats, straight.stats);
+  EXPECT_EQ(restored.watermark, straight.watermark);
+}
+
 TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {
   // The two online drivers share one GcPolicy decision: the same stream
   // and policy must collect at the same arrivals, so the checker ends in

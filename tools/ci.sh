@@ -176,6 +176,12 @@ if [[ -x "$BUILD_DIR/chronos_fuzz" ]]; then
   # D8/D9) at similar cost.
   "$BUILD_DIR/chronos_fuzz" --seeds=400 --seed-start=2000 --mix-only \
                             --out-dir="$BUILD_DIR/fuzz-smoke"
+  # Forced checkpoint/restore pass (fixed seed block, deterministic):
+  # every scenario restores a 2-shard checker from a mid-stream state
+  # image (rule ckpt-restore-identity), so a checkpoint layout change
+  # that loses state fails here rather than in the extended fuzz job.
+  "$BUILD_DIR/chronos_fuzz" --seeds=150 --seed-start=3000 --ckpt \
+                            --out-dir="$BUILD_DIR/fuzz-smoke"
   "$BUILD_DIR/chronos_fuzz" --corpus=tests/corpus \
                             --out-dir="$BUILD_DIR/fuzz-smoke"
 else
