@@ -39,8 +39,8 @@ ips = {}
 for b in d.get("benchmarks", []):
     if "items_per_second" not in b:
         continue
-    # Names look like BM_ShardedAionPerTxn/shards:4.
-    shards = int(b["name"].rsplit(":", 1)[1])
+    # Names look like BM_ShardedAionPerTxn/shards:4/real_time.
+    shards = int(b["name"].split("shards:", 1)[1].split("/", 1)[0])
     ips[shards] = b["items_per_second"]
 if 1 not in ips:
     print("error: no 1-shard baseline in the benchmark output", file=sys.stderr)

@@ -56,21 +56,14 @@ inline bool MembershipLevel(IsolationLevel level) {
   return level == IsolationLevel::kRc || level == IsolationLevel::kRa;
 }
 
-/// Pipeline stage at which a stall hook fires (sharded checker only;
-/// the monolith has no pipeline). `stage_index` identifies the
-/// pre-stage worker or shard; the sequencer passes 0.
-enum class StallPoint : uint8_t {
-  kPreStage = 0,     ///< classifier worker, before classifying a batch
-  kSequencer = 1,    ///< sequencer, before processing a header batch
-  kShardWorker = 2,  ///< shard worker, before executing a command chunk
-};
-
 /// Test-only stall injection (explore/oracle.h, adversarial-timing
-/// tests): invoked from the pipeline threads, so it must be thread-safe
+/// tests): invoked from a sharded checker's shard worker, with the shard
+/// index, before it executes a command chunk (the monolith has no
+/// pipeline). It runs on the worker threads, so it must be thread-safe
 /// and must not call back into the checker. Verdicts, stats, and
 /// emission order are independent of anything the hook does — that is
 /// the determinism contract the schedule enumerator certifies.
-using StallHook = std::function<void(StallPoint, size_t stage_index)>;
+using StallHook = std::function<void(size_t shard)>;
 
 /// Configuration shared by the monolithic and sharded checkers.
 struct CheckerOptions {
@@ -86,13 +79,12 @@ struct CheckerOptions {
   /// CheckerStats::unsafe_below_watermark instead of being re-checked).
   /// A sharded checker appends "/shard<i>" per shard.
   std::string spill_dir;
-  /// Pre-stage classifier threads in the sharded checker (clamped to
-  /// [1, 16]; ignored by the monolith). These run the pure per-txn INT
-  /// replay and key->shard partitioning off the coordinator thread;
-  /// verdicts and emission order are independent of this value.
+  /// Inert: no checker reads it. Kept only so existing callers that
+  /// still assign it (e2ebench/trace_layers.cc) compile; the sharded
+  /// checker has no pre-stage classifier pool any more.
   size_t pre_stage_workers = 2;
-  /// Test-only forced-stall injection points in the sharded pipeline
-  /// (empty: never called, zero cost). See StallHook above.
+  /// Test-only forced-stall injection in the sharded checker's shard
+  /// workers (empty: never called, zero cost). See StallHook above.
   StallHook stall_hook;
 };
 

@@ -20,7 +20,7 @@
 //
 //   - chronos::ThreadRole / chronos::AssumeRole: zero-size "role"
 //     capabilities modelling thread ownership where there is no lock by
-//     design (the SPSC ring sides, the sequencer-owned and shard-worker-
+//     design (the SPSC ring sides, the caller-side and shard-worker-
 //     owned state of ShardedAion, the DurableRunner driver thread).
 //     A function REQUIRES the role of the state it touches; a thread's
 //     entry loop (or a caller standing at a quiescent barrier) acquires

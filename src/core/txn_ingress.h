@@ -71,7 +71,7 @@ class TxnIngress {
 
   /// The cross-transaction verdict of admitting one arrival, everything
   /// OnTransaction decides *except* the per-txn INT replay/classification
-  /// (which is pure and may run on another thread, see ClassifyOps):
+  /// (which is pure, see ClassifyOps):
   /// - kDrop: duplicate timestamp — no INT reports, no dispatch.
   /// - kIntOnly: Eq. (1) violation — INT replay still applies, but the
   ///   footprint is not dispatched.
@@ -96,8 +96,9 @@ class TxnIngress {
   /// Eq. (1)/duplicate-timestamp/SESSION checks, registers the record,
   /// and says what to do with the (separately computed) footprint.
   /// `OnTransaction(t, now)` == `AdmitTxn(t, now)` + ClassifyOps +
-  /// DispatchTxn per the returned kind; callers that pre-stage
-  /// classification on worker threads use this entry point directly.
+  /// DispatchTxn per the returned kind. Both checkers call
+  /// OnTransaction; AdmitTxn is public for tests and tracing tools that
+  /// observe or time the admission step on its own.
   Admission AdmitTxn(const Transaction& t, uint64_t now_ms);
   void AdvanceTime(uint64_t now_ms);
   /// Clamps to the safe watermark and dispatches GC; returns the

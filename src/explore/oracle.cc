@@ -133,10 +133,10 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
   base.ext_timeout_ms = cfg.ext_timeout_ms;
   std::atomic<uint32_t> pulse{0};
   if (cfg.adversarial_timing) {
-    // Forced stalls: every 4th hook call (across all stages of all
-    // instances of this run) parks its pipeline thread long enough for
-    // the neighbors to hit the tiny rings' full/empty edges.
-    base.stall_hook = [&pulse](StallPoint, size_t) {
+    // Forced stalls: every 4th hook call (across all shard workers of
+    // all instances of this run) parks its worker long enough for the
+    // caller to hit the tiny rings' full/empty edges.
+    base.stall_hook = [&pulse](size_t) {
       if (pulse.fetch_add(1, std::memory_order_relaxed) % 4 == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
@@ -168,13 +168,11 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
     aion.emissions = sink.TakeAll();
   }
 
-  auto run_sharded = [&](size_t shards, size_t prestage_workers) {
+  auto run_sharded = [&](size_t shards) {
     Run r;
     VectorSink sink;
-    CheckerOptions o = base;
-    o.pre_stage_workers = prestage_workers;
     {
-      online::ShardedAion sh(o, shards, &sink, cmd_batch, queue_capacity);
+      online::ShardedAion sh(base, shards, &sink, cmd_batch, queue_capacity);
       drive(&sh);
       r.stats = sh.stats();
       r.watermark = sh.watermark();
@@ -182,24 +180,21 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
     r.emissions = sink.TakeAll();
     return r;
   };
-  Run sh1 = run_sharded(1, 1);
-  Run sh2 = run_sharded(2, 2);
-  Run sh8 = run_sharded(8, 3);
+  Run sh1 = run_sharded(1);
+  Run sh2 = run_sharded(2);
+  Run sh8 = run_sharded(8);
 
   // Checkpoint/restore at every arrival boundary: a chain of 2-shard
   // instances, each fed exactly one arrival and then exported into a
-  // fresh successor (pre-stage pool size varied along the chain — the
-  // image must restore across topology changes). Every instance's sink
-  // must stay alive until that instance is destroyed; only the final
-  // one is read (the image carries the buffered violations forward).
+  // fresh successor. Every instance's sink must stay alive until that
+  // instance is destroyed; only the final one is read (the image carries
+  // the buffered violations forward).
   Run ckpt;
   {
     std::deque<VectorSink> sinks;
     sinks.emplace_back();
-    CheckerOptions o = base;
-    o.pre_stage_workers = 1;
-    auto cur = std::make_unique<online::ShardedAion>(o, 2, &sinks.back(),
-                                                     cmd_batch, queue_capacity);
+    auto cur = std::make_unique<online::ShardedAion>(
+        base, 2, &sinks.back(), cmd_batch, queue_capacity);
     uint64_t now = 1;
     size_t since_gc = 0;
     size_t step = 0;
@@ -212,10 +207,9 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
       }
       online::ShardedAion::StateImage img = cur->ExportState();
       sinks.emplace_back();
-      CheckerOptions next_opts = base;
-      next_opts.pre_stage_workers = 1 + (++step % 3);
+      ++step;
       auto next = std::make_unique<online::ShardedAion>(
-          next_opts, 2, &sinks.back(), cmd_batch, queue_capacity);
+          base, 2, &sinks.back(), cmd_batch, queue_capacity);
       if (!next->ImportState(img)) {
         ckpt.fail = "ImportState rejected a freshly exported image at arrival " +
                     std::to_string(step);

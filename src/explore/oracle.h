@@ -45,7 +45,7 @@ struct OracleConfig {
   size_t gc_every = 0;
   size_t gc_target = 0;
   /// Adversarial pipeline timing: cmd_batch=1, ring capacity 2, and a
-  /// forced-stall hook pulsing every pipeline stage. Verdicts must not
+  /// forced-stall hook pulsing every shard worker. Verdicts must not
   /// move — that is the point.
   bool adversarial_timing = true;
   /// Test-only planted verdict-order bug: adds a scratch EXT oracle

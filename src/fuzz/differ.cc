@@ -387,10 +387,6 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
       if (!spill_root.empty()) {
         o.spill_dir = spill_root + "/sh" + std::to_string(shards);
       }
-      // Vary the pre-stage pool per seed and per shard count: the
-      // sharded-identity rules below then cross-check emission stability
-      // against the worker count and its thread interleavings for free.
-      o.pre_stage_workers = 1 + (sc.seed + shards) % 3;
       VectorSink vs;
       std::string name = "sharded" + std::to_string(shards);
       auto sharded =
@@ -410,10 +406,6 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     if (sc.ckpt_restore && !budget_spent()) {
       CheckerOptions o = opt;
       if (!spill_root.empty()) o.spill_dir = spill_root + "/sh2ckpt";
-      // Deliberately a different pool size than the sharded2 run it must
-      // match byte-for-byte: restore identity may not depend on the
-      // pre-stage topology on either side of the checkpoint.
-      o.pre_stage_workers = 1 + (sc.seed + 1) % 3;
       const size_t cut = arrivals.size() / 2;
       size_t since_gc = 0;
       online::ShardedAion::StateImage img;

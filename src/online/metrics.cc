@@ -16,33 +16,17 @@ size_t ReadRssBytes() {
   return static_cast<size_t>(resident) * static_cast<size_t>(page);
 }
 
-namespace {
-
-void PrintRing(std::FILE* out, const char* name, size_t index,
-               const RingHealth& r) {
-  std::fprintf(out,
-               "  %s[%zu]: depth_hwm=%llu producer_stalls=%llu "
-               "consumer_stalls=%llu\n",
-               name, index, static_cast<unsigned long long>(r.depth_hwm),
-               static_cast<unsigned long long>(r.producer_stalls),
-               static_cast<unsigned long long>(r.consumer_stalls));
-}
-
-}  // namespace
-
 void PrintPipelineHealth(const PipelineHealth& h, std::FILE* out) {
-  std::fprintf(out, "pipeline: sequencer_msgs=%llu coordinator_idle=%.3f\n",
-               static_cast<unsigned long long>(h.sequencer_msgs),
-               h.CoordinatorIdleRatio());
-  PrintRing(out, "seq_ring", 0, h.seq_ring);
-  for (size_t i = 0; i < h.pre_stage_in.size(); ++i) {
-    PrintRing(out, "pre_stage_in", i, h.pre_stage_in[i]);
-  }
-  for (size_t i = 0; i < h.pre_stage_out.size(); ++i) {
-    PrintRing(out, "pre_stage_out", i, h.pre_stage_out[i]);
-  }
+  std::fprintf(out, "pipeline: shards=%zu\n", h.shard_rings.size());
   for (size_t i = 0; i < h.shard_rings.size(); ++i) {
-    PrintRing(out, "shard_ring", i, h.shard_rings[i]);
+    const RingHealth& r = h.shard_rings[i];
+    std::fprintf(out,
+                 "  shard_ring[%zu]: published=%llu depth_hwm=%llu "
+                 "producer_stalls=%llu consumer_stalls=%llu\n",
+                 i, static_cast<unsigned long long>(r.published),
+                 static_cast<unsigned long long>(r.depth_hwm),
+                 static_cast<unsigned long long>(r.producer_stalls),
+                 static_cast<unsigned long long>(r.consumer_stalls));
   }
 }
 

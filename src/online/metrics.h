@@ -1,7 +1,7 @@
 // Throughput and memory meters for the online experiments (Figs. 12, 15,
 // 16, 23), plus the pipeline-health counters the sharded checker exposes
-// (per-ring depth high-water marks, stall counts, coordinator idle
-// ratio) — printed by `chronos_check --stats`.
+// (per shard ring: traffic, depth high-water mark, stall counts) —
+// printed by `chronos_check --stats`.
 #ifndef CHRONOS_ONLINE_METRICS_H_
 #define CHRONOS_ONLINE_METRICS_H_
 
@@ -46,39 +46,34 @@ class ThroughputMeter {
 /// 0 when unavailable.
 size_t ReadRssBytes();
 
-/// Health counters of one SPSC ring (online/spsc_ring.h): the deepest
-/// occupancy the producer observed at a publication point, and how often
-/// each side fell off the spin fast-path into a parked (mutex/condvar)
-/// wait. Stall counts are park *events*, not parked time: a producer
-/// stall means the downstream stage applied backpressure; a consumer
-/// stall means the stage ran dry and idled.
+/// Health counters of one SPSC ring (online/spsc_ring.h): how many
+/// items the producer has published, the deepest occupancy it observed
+/// at a publication point, and how often each side fell off the spin
+/// fast-path into a parked (mutex/condvar) wait. Stall counts are park
+/// *events*, not parked time: a producer stall means the downstream
+/// stage applied backpressure; a consumer stall means the stage ran dry
+/// and idled.
 struct RingHealth {
+  uint64_t published = 0;
   uint64_t depth_hwm = 0;
   uint64_t producer_stalls = 0;
   uint64_t consumer_stalls = 0;
 };
 
 /// One quiescent snapshot of the sharded pipeline's plumbing
-/// (ShardedAion::pipeline_health): every ring on the
-/// caller -> pre-stage -> sequencer -> shard path.
+/// (ShardedAion::pipeline_health): the caller -> shard ring of every
+/// shard.
 struct PipelineHealth {
-  std::vector<RingHealth> pre_stage_in;   ///< caller -> classifier, per worker
-  std::vector<RingHealth> pre_stage_out;  ///< classifier -> sequencer
-  RingHealth seq_ring;                    ///< caller -> sequencer (headers)
-  std::vector<RingHealth> shard_rings;    ///< sequencer -> shard, per shard
-  uint64_t sequencer_msgs = 0;            ///< headers the sequencer consumed
+  std::vector<RingHealth> shard_rings;  ///< caller -> shard, per shard
 
-  /// Fraction of sequencer messages that required a parked wait (for the
-  /// next header or for a classifier result): how idle the pipeline's
-  /// serial coordinator stage ran. 0 = never starved, ~1 = input-bound.
-  double CoordinatorIdleRatio() const {
-    uint64_t waits = seq_ring.consumer_stalls;
-    for (const RingHealth& r : pre_stage_out) waits += r.consumer_stalls;
-    if (sequencer_msgs == 0) return 0.0;
-    double ratio = static_cast<double>(waits) /
-                   static_cast<double>(sequencer_msgs);
-    return ratio > 1.0 ? 1.0 : ratio;
-  }
+  // Inert: always empty / zero. The sharded checker no longer has a
+  // pre-stage pool or a sequencer; these stay only so existing readers
+  // (e2ebench/trace_layers.cc) compile.
+  std::vector<RingHealth> pre_stage_in;   ///< inert, always empty
+  std::vector<RingHealth> pre_stage_out;  ///< inert, always empty
+  RingHealth seq_ring;                    ///< inert, always zero
+  /// Inert, always 0 (there is no sequencer stage to idle).
+  double CoordinatorIdleRatio() const { return 0.0; }
 };
 
 /// Human-readable dump (one line per ring) for `chronos_check --stats`.

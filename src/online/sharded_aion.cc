@@ -1,7 +1,6 @@
 #include "online/sharded_aion.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <utility>
 
@@ -9,7 +8,6 @@ namespace chronos::online {
 namespace {
 
 constexpr size_t kMaxShards = 64;  // finalize fan-out uses a 64-bit mask
-constexpr size_t kMaxPreStageWorkers = 16;
 
 // splitmix64 finalizer: keys are often small sequential integers, so mix
 // before taking the remainder to spread hot ranges across shards.
@@ -74,21 +72,14 @@ ShardedAion::ShardedAion(const Options& options, size_t num_shards,
     : options_(options),
       sink_(sink),
       cmd_batch_(cmd_batch == 0 ? 1 : cmd_batch),
-      seq_ring_(queue_capacity == 0 ? 2 : queue_capacity),
       ingress_(options, &coord_stats_,
                [this](Timestamp order_ts, const Violation& v) {
                  coord_violations_.push_back({order_ts, v});
                },
                this) {
   const size_t n = std::min(std::max<size_t>(num_shards, 1), kMaxShards);
-  const size_t p = std::min(std::max<size_t>(options.pre_stage_workers, 1),
-                            kMaxPreStageWorkers);
   const size_t ring_cap = queue_capacity == 0 ? 2 : queue_capacity;
-  // Pre-stage rings carry whole transactions / classified footprints,
-  // which are heavier than ShardCmds; cap their slot count so a large
-  // queue_capacity doesn't balloon idle memory.
-  const size_t stage_cap = std::min<size_t>(ring_cap, 1024);
-
+  slot_.assign(n, -1);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>(ring_cap);
@@ -108,42 +99,21 @@ ShardedAion::ShardedAion(const Options& options, size_t num_shards,
         });
     shards_.push_back(std::move(shard));
   }
-  prestages_.reserve(p);
-  for (size_t i = 0; i < p; ++i) {
-    prestages_.push_back(std::make_unique<PreStage>(stage_cap, stage_cap));
-  }
-
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->worker =
         std::thread(&ShardedAion::WorkerLoop, this, shards_[i].get(), i);
   }
-  sequencer_ = std::thread(&ShardedAion::SequencerLoop, this);
-  for (size_t i = 0; i < prestages_.size(); ++i) {
-    prestages_[i]->worker =
-        std::thread(&ShardedAion::ClassifierLoop, this, prestages_[i].get(), i);
-  }
 }
 
 ShardedAion::~ShardedAion() {
-  // Teardown follows the pipeline direction: close the caller-fed rings,
-  // join each stage once its input is exhausted. The sequencer closes
-  // the shard rings after flushing everything staged, so no command —
-  // and no detected violation — is lost for a caller that skipped
-  // Finish().
-  for (auto& ps : prestages_) {
-    // The destructor runs on the coordinator thread, which is the sole
-    // producer of the ingress rings.
-    AssumeRole prod(ps->in.producer_role);
-    ps->in.Close();
+  // Close publishes everything staged before it marks the ring closed,
+  // and each worker drains its ring before exiting, so no command — and
+  // no detected violation — is lost for a caller that skipped Finish().
+  for (auto& shard : shards_) {
+    // The destructor runs on the caller thread, the sole producer.
+    AssumeRole prod(shard->ring.producer_role);
+    shard->ring.Close();
   }
-  {
-    AssumeRole prod(seq_ring_.producer_role);
-    seq_ring_.Close();
-  }
-  for (auto& ps : prestages_) {
-    if (ps->worker.joinable()) ps->worker.join();
-  }
-  if (sequencer_.joinable()) sequencer_.join();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
@@ -152,201 +122,6 @@ ShardedAion::~ShardedAion() {
 
 size_t ShardedAion::ShardOf(Key key) const {
   return static_cast<size_t>(MixKey(key) % shards_.size());
-}
-
-// --- pre-stage workers ------------------------------------------------
-
-ShardedAion::StagedTxn ShardedAion::ClassifyAndPartition(
-    const Transaction& t) const {
-  StagedTxn st;
-  ClassifiedOps ops;
-  ClassifyOps(t,
-              [&st](Timestamp order_ts, const Violation& v) {
-                st.int_reports.push_back({order_ts, v});
-              },
-              &ops);
-  const size_t n = shards_.size();
-  if (n == 1) {
-    // Single shard: no partitioning, and always one slice (the monolith
-    // runs ProcessTxn even for an empty footprint, so 1-shard must too
-    // to stay byte-identical).
-    StagedTxn::Slice sl;
-    sl.shard = 0;
-    sl.ops = std::move(ops);
-    st.slices.push_back(std::move(sl));
-    return st;
-  }
-
-  // Partition the footprint, at most one slice per touched shard, in
-  // first-touch order. `slot` maps shard -> slice index (-1 untouched).
-  std::vector<int32_t> slot(n, -1);
-  auto slice_for = [&](size_t s) -> ClassifiedOps& {
-    if (slot[s] < 0) {
-      slot[s] = static_cast<int32_t>(st.slices.size());
-      st.slices.emplace_back();
-      st.slices.back().shard = static_cast<uint32_t>(s);
-    }
-    return st.slices[slot[s]].ops;
-  };
-  for (const KeyEngine::ExtReadReq& r : ops.ext_reads) {
-    slice_for(ShardOf(r.key)).ext_reads.push_back(r);
-  }
-  for (const KeyEngine::WriteReq& w : ops.writes) {
-    slice_for(ShardOf(w.key)).writes.push_back(w);
-  }
-  for (KeyEngine::ListReadReq& r : ops.list_reads) {
-    slice_for(ShardOf(r.key)).list_reads.push_back(std::move(r));
-  }
-  for (KeyEngine::AppendReq& a : ops.appends) {
-    slice_for(ShardOf(a.key)).appends.push_back(std::move(a));
-  }
-  return st;
-}
-
-void ShardedAion::ClassifierLoop(PreStage* ps, size_t index) {
-  // This thread is the sole consumer of its `in` ring and the sole
-  // producer of its `out` ring for the whole pipeline lifetime.
-  AssumeRole in_cons(ps->in.consumer_role);
-  AssumeRole out_prod(ps->out.producer_role);
-  std::vector<Transaction> batch;
-  while (ps->in.PopBatch(&batch, 64)) {
-    if (options_.stall_hook) {
-      options_.stall_hook(StallPoint::kPreStage, index);
-    }
-    for (Transaction& t : batch) {
-      ps->out.Push(ClassifyAndPartition(t));
-    }
-  }
-  ps->out.Close();
-}
-
-// --- sequencer --------------------------------------------------------
-
-void ShardedAion::StageShard(size_t shard, ShardCmd&& cmd) {
-  Shard& s = *shards_[shard];
-  // REQUIRES(seq_role_) gates the caller, and the seq_role_ holder is
-  // the only thread that touches any shard's sequencer side, so the
-  // per-shard capabilities derive from it.
-  AssumeRole seq_side(s.seq_side);
-  AssumeRole prod(s.ring.producer_role);
-  s.ring.Stage(std::move(cmd));
-  ++s.issued;
-  if (++s.staged >= cmd_batch_) {
-    s.ring.Publish();
-    s.staged = 0;
-  }
-}
-
-void ShardedAion::FlushShards() {
-  for (auto& shard : shards_) {
-    AssumeRole seq_side(shard->seq_side);  // derived from seq_role_
-    AssumeRole prod(shard->ring.producer_role);
-    if (shard->staged != 0) {
-      shard->ring.Publish();
-      shard->staged = 0;
-    }
-  }
-}
-
-void ShardedAion::WaitShardsDone() {
-  for (auto& shard : shards_) {
-    AssumeRole seq_side(shard->seq_side);  // derived from seq_role_
-    MutexLock lock(shard->done_mu);
-    while (shard->done < shard->issued) shard->done_cv.Wait(lock);
-  }
-}
-
-void ShardedAion::SequencerLoop() {
-  // The sequencer thread owns its role, and is the sole consumer of the
-  // header ring, for the whole pipeline lifetime.
-  AssumeRole seq(seq_role_);
-  AssumeRole seq_cons(seq_ring_.consumer_role);
-  using AdmitKind = TxnIngress::Admission::Kind;
-  std::vector<SeqMsg> msgs;
-  uint64_t txn_seq = 0;
-  const size_t num_prestages = prestages_.size();
-  while (seq_ring_.PopBatch(&msgs, 256)) {
-    if (options_.stall_hook) {
-      options_.stall_hook(StallPoint::kSequencer, 0);
-    }
-    for (SeqMsg& m : msgs) {
-      ++seq_msgs_;
-      switch (m.kind) {
-        case SeqMsg::Kind::kTxn: {
-          // One staged footprint per header, from the arrival's worker.
-          PreStage& ps = *prestages_[txn_seq % num_prestages];
-          ++txn_seq;
-          // Sole consumer of every pre-stage `out` ring.
-          AssumeRole cons(ps.out.consumer_role);
-          std::optional<StagedTxn> st = ps.out.Pop();
-          if (!st) break;  // unreachable: the txn precedes its header
-          if (m.admit == AdmitKind::kDrop) break;  // duplicate timestamp
-          for (TaggedViolation& tv : st->int_reports) {
-            seq_violations_.push_back(std::move(tv));
-          }
-          if (m.admit == AdmitKind::kIntOnly) break;  // Eq. (1) violation
-          uint64_t read_mask = 0;
-          for (StagedTxn::Slice& sl : st->slices) {
-            if (m.register_reads && (!sl.ops.ext_reads.empty() ||
-                                     !sl.ops.list_reads.empty())) {
-              read_mask |= 1ull << sl.shard;
-            }
-            ShardCmd cmd;
-            cmd.kind = ShardCmd::Kind::kTxn;
-            cmd.register_reads = m.register_reads;
-            cmd.ctx = m.ctx;
-            cmd.now_ms = m.now_ms;
-            cmd.reads = std::move(sl.ops.ext_reads);
-            cmd.writes = std::move(sl.ops.writes);
-            cmd.list_reads = std::move(sl.ops.list_reads);
-            cmd.appends = std::move(sl.ops.appends);
-            StageShard(sl.shard, std::move(cmd));
-          }
-          if (read_mask != 0) read_shard_mask_[m.ctx.tid] = read_mask;
-          break;
-        }
-        case SeqMsg::Kind::kFinalize: {
-          auto it = read_shard_mask_.find(m.tid);
-          if (it == read_shard_mask_.end()) break;  // no reads anywhere
-          uint64_t mask = it->second;
-          read_shard_mask_.erase(it);
-          for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
-            if (mask & 1) {
-              ShardCmd cmd;
-              cmd.kind = ShardCmd::Kind::kFinalize;
-              cmd.ctx.tid = m.tid;
-              StageShard(s, std::move(cmd));
-            }
-          }
-          break;
-        }
-        case SeqMsg::Kind::kGc: {
-          for (size_t s = 0; s < shards_.size(); ++s) {
-            ShardCmd cmd;
-            cmd.kind = ShardCmd::Kind::kGc;
-            cmd.gc_watermark = m.gc_watermark;
-            StageShard(s, std::move(cmd));
-          }
-          break;
-        }
-        case SeqMsg::Kind::kBarrier: {
-          FlushShards();
-          WaitShardsDone();
-          {
-            MutexLock lock(barrier_mu_);
-            barrier_done_ = m.ticket;
-          }
-          barrier_cv_.NotifyAll();
-          break;
-        }
-      }
-    }
-  }
-  FlushShards();
-  for (auto& shard : shards_) {
-    AssumeRole prod(shard->ring.producer_role);  // derived from seq_role_
-    shard->ring.Close();
-  }
 }
 
 // --- shard workers ----------------------------------------------------
@@ -358,9 +133,7 @@ void ShardedAion::WorkerLoop(Shard* shard, size_t index) {
   AssumeRole cons(shard->ring.consumer_role);
   std::vector<ShardCmd> chunk;
   while (shard->ring.PopBatch(&chunk, cmd_batch_)) {
-    if (options_.stall_hook) {
-      options_.stall_hook(StallPoint::kShardWorker, index);
-    }
+    if (options_.stall_hook) options_.stall_hook(index);
     for (ShardCmd& cmd : chunk) ExecuteCmd(shard, cmd);
     shard->versions.store(shard->engine->TotalVersions(),
                           std::memory_order_relaxed);
@@ -403,66 +176,98 @@ void ShardedAion::ExecuteCmd(Shard* shard, ShardCmd& cmd) {
 
 // --- caller side ------------------------------------------------------
 
+void ShardedAion::StageShard(size_t shard, ShardCmd&& cmd) {
+  Shard& s = *shards_[shard];
+  // Every OnlineChecker call comes from one caller thread, which is the
+  // sole producer of every shard ring and owns its issue bookkeeping.
+  AssumeRole caller(s.caller_side);
+  AssumeRole prod(s.ring.producer_role);
+  s.ring.Stage(std::move(cmd));
+  ++s.issued;
+  if (++s.staged >= cmd_batch_) {
+    s.ring.Publish();
+    s.staged = 0;
+  }
+}
+
 void ShardedAion::DispatchTxn(const KeyEngine::TxnCtx& ctx,
                               ClassifiedOps&& ops, bool register_reads,
                               uint64_t now_ms) {
-  // The caller drives the ingress through AdmitTxn and runs ClassifyOps
-  // on the pre-stage workers, so the ingress never dispatches a
-  // footprint here.
-  (void)ctx;
-  (void)ops;
-  (void)register_reads;
-  (void)now_ms;
-  // chronos-lint: allow(assert-style): unreachable-path guard; CHECK
-  // would pull the logging dependency into the hot translation unit.
-  assert(false && "ShardedAion sequences footprints via AdmitTxn");
+  ShardCmd head;
+  head.kind = ShardCmd::Kind::kTxn;
+  head.register_reads = register_reads;
+  head.ctx = ctx;
+  head.now_ms = now_ms;
+  partition_.clear();
+  if (shards_.size() == 1) {
+    // Always exactly one command, even for an empty footprint: the
+    // monolith runs ProcessTxn for it too, and 1 shard must stay
+    // byte-identical.
+    head.reads = std::move(ops.ext_reads);
+    head.writes = std::move(ops.writes);
+    head.list_reads = std::move(ops.list_reads);
+    head.appends = std::move(ops.appends);
+    partition_.emplace_back(0, std::move(head));
+  } else {
+    // One command per touched shard, in first-touch order.
+    auto cmd_for = [&](Key key) -> ShardCmd& {
+      const size_t s = ShardOf(key);
+      if (slot_[s] < 0) {
+        slot_[s] = static_cast<int32_t>(partition_.size());
+        partition_.emplace_back(s, head);
+      }
+      return partition_[static_cast<size_t>(slot_[s])].second;
+    };
+    for (const KeyEngine::ExtReadReq& r : ops.ext_reads) {
+      cmd_for(r.key).reads.push_back(r);
+    }
+    for (const KeyEngine::WriteReq& w : ops.writes) {
+      cmd_for(w.key).writes.push_back(w);
+    }
+    for (KeyEngine::ListReadReq& r : ops.list_reads) {
+      cmd_for(r.key).list_reads.push_back(std::move(r));
+    }
+    for (KeyEngine::AppendReq& a : ops.appends) {
+      cmd_for(a.key).appends.push_back(std::move(a));
+    }
+  }
+  uint64_t read_mask = 0;
+  for (auto& [s, cmd] : partition_) {
+    slot_[s] = -1;
+    if (register_reads && (!cmd.reads.empty() || !cmd.list_reads.empty())) {
+      read_mask |= 1ull << s;
+    }
+    StageShard(s, std::move(cmd));
+  }
+  if (read_mask != 0) read_shard_mask_[ctx.tid] = read_mask;
 }
 
 void ShardedAion::DispatchFinalize(TxnId tid) {
-  SeqMsg m;
-  m.kind = SeqMsg::Kind::kFinalize;
-  m.tid = tid;
-  // Called from ingress_.AdmitTxn on the coordinator thread: the sole
-  // producer of the header ring.
-  AssumeRole prod(seq_ring_.producer_role);
-  seq_ring_.Push(std::move(m));
+  auto it = read_shard_mask_.find(tid);
+  if (it == read_shard_mask_.end()) return;  // no reads anywhere
+  uint64_t mask = it->second;
+  read_shard_mask_.erase(it);
+  for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
+    if (mask & 1) {
+      ShardCmd cmd;
+      cmd.kind = ShardCmd::Kind::kFinalize;
+      cmd.ctx.tid = tid;
+      StageShard(s, std::move(cmd));
+    }
+  }
 }
 
 void ShardedAion::DispatchGc(Timestamp watermark) {
-  SeqMsg m;
-  m.kind = SeqMsg::Kind::kGc;
-  m.gc_watermark = watermark;
-  AssumeRole prod(seq_ring_.producer_role);  // coordinator thread
-  seq_ring_.Push(std::move(m));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    ShardCmd cmd;
+    cmd.kind = ShardCmd::Kind::kGc;
+    cmd.gc_watermark = watermark;
+    StageShard(s, std::move(cmd));
+  }
 }
 
 void ShardedAion::OnTransaction(const Transaction& t, uint64_t now_ms) {
-  // Raw arrival to its pre-stage worker first (round-robin by arrival
-  // index), so classification overlaps the admission checks below. The
-  // worker assignment depends only on the arrival sequence — never on
-  // timing — and the sequencer re-joins results in arrival order, so
-  // verdicts and emission are independent of the worker count.
-  PreStage& ps = *prestages_[arrival_seq_ % prestages_.size()];
-  ++arrival_seq_;
-  {
-    // Coordinator thread: sole producer of every pre-stage `in` ring.
-    AssumeRole prod(ps.in.producer_role);
-    ps.in.Push(Transaction(t));
-  }
-
-  // Cross-transaction admission on the caller thread: deadlines fired
-  // here sequence their finalize headers (DispatchFinalize) before this
-  // arrival's own header, exactly like the monolith's order.
-  TxnIngress::Admission adm = ingress_.AdmitTxn(t, now_ms);
-
-  SeqMsg m;
-  m.kind = SeqMsg::Kind::kTxn;
-  m.admit = adm.kind;
-  m.register_reads = adm.register_reads;
-  m.ctx = adm.ctx;
-  m.now_ms = adm.now_ms;
-  AssumeRole prod(seq_ring_.producer_role);  // coordinator thread
-  seq_ring_.Push(std::move(m));
+  ingress_.OnTransaction(t, now_ms);
 }
 
 void ShardedAion::AdvanceTime(uint64_t now_ms) {
@@ -476,15 +281,19 @@ void ShardedAion::GcToLiveTarget(size_t target) {
 }
 
 void ShardedAion::WaitAll() {
-  SeqMsg m;
-  m.kind = SeqMsg::Kind::kBarrier;
-  m.ticket = ++barrier_next_;
-  {
-    AssumeRole prod(seq_ring_.producer_role);  // coordinator thread
-    seq_ring_.Push(std::move(m));
+  for (auto& shard : shards_) {
+    AssumeRole caller(shard->caller_side);  // caller thread, as StageShard
+    AssumeRole prod(shard->ring.producer_role);
+    if (shard->staged != 0) {
+      shard->ring.Publish();
+      shard->staged = 0;
+    }
   }
-  MutexLock lock(barrier_mu_);
-  while (barrier_done_ < barrier_next_) barrier_cv_.Wait(lock);
+  for (auto& shard : shards_) {
+    AssumeRole caller(shard->caller_side);
+    MutexLock lock(shard->done_mu);
+    while (shard->done < shard->issued) shard->done_cv.Wait(lock);
+  }
 }
 
 void ShardedAion::Finish() {
@@ -494,15 +303,12 @@ void ShardedAion::Finish() {
 }
 
 void ShardedAion::EmitViolations() {
-  // Caller thread, behind WaitAll (Finish) or after the pipeline threads
-  // joined (destructor): that barrier/join edge hands the sequencer's
-  // and each worker's buffers over race-free, and no new work can arrive
-  // concurrently because all OnlineChecker calls share one coordinator.
-  AssumeRole seq(seq_role_);
+  // Caller thread, behind WaitAll (Finish) or after the workers joined
+  // (destructor): that barrier/join edge hands each worker's buffer over
+  // race-free, and no new work can arrive concurrently because all
+  // OnlineChecker calls share one caller thread.
   std::vector<TaggedViolation> all = std::move(coord_violations_);
   coord_violations_.clear();
-  all.insert(all.end(), seq_violations_.begin(), seq_violations_.end());
-  seq_violations_.clear();
   for (auto& shard : shards_) {
     AssumeRole own(shard->owner);  // same barrier/join edge
     all.insert(all.end(), shard->violations.begin(), shard->violations.end());
@@ -521,10 +327,8 @@ void ShardedAion::EmitViolations() {
 
 ShardedAion::StateImage ShardedAion::ExportState() {
   WaitAll();
-  // Behind the barrier: sequencer drained and shard workers idle, so the
-  // caller may read their state (see EmitViolations for the full
-  // argument).
-  AssumeRole seq(seq_role_);
+  // Behind the barrier the shard workers are idle, so the caller may read
+  // their state (see EmitViolations for the full argument).
   StateImage img;
   {
     StateWriter w;
@@ -535,13 +339,8 @@ ShardedAion::StateImage ShardedAion::ExportState() {
     StateWriter w;
     w.U64(shards_.size());
     WriteStats(&w, coord_stats_);
-    // Admission-side then INT reports: import loads both into the
-    // caller's buffer, so export -> import -> export is byte-stable.
-    w.U64(coord_violations_.size() + seq_violations_.size());
+    w.U64(coord_violations_.size());
     for (const TaggedViolation& tv : coord_violations_) {
-      WriteViolation(&w, tv.order_ts, tv.v);
-    }
-    for (const TaggedViolation& tv : seq_violations_) {
       WriteViolation(&w, tv.order_ts, tv.v);
     }
     std::vector<std::pair<TxnId, uint64_t>> masks(read_shard_mask_.begin(),
@@ -572,9 +371,7 @@ ShardedAion::StateImage ShardedAion::ExportState() {
 
 bool ShardedAion::ImportState(const StateImage& img) {
   if (img.shards.size() != shards_.size()) return false;
-  WaitAll();
-  // Behind the barrier, as in ExportState.
-  AssumeRole seq(seq_role_);
+  WaitAll();  // behind the barrier, as in ExportState
   {
     StateReader r(img.ingress);
     if (!ingress_.Deserialize(&r) || !r.AtEnd()) return false;
@@ -584,7 +381,6 @@ bool ShardedAion::ImportState(const StateImage& img) {
     if (r.U64() != shards_.size()) return false;
     ReadStats(&r, &coord_stats_);
     coord_violations_.clear();
-    seq_violations_.clear();
     uint64_t nv = r.U64();
     for (uint64_t i = 0; i < nv && r.ok(); ++i) {
       Timestamp order_ts;
@@ -656,19 +452,9 @@ FlipFlopStats ShardedAion::flip_stats() {
 
 PipelineHealth ShardedAion::pipeline_health() {
   WaitAll();
-  // Behind the barrier, as in ExportState (seq_msgs_ read below).
-  AssumeRole seq(seq_role_);
   PipelineHealth h;
-  h.pre_stage_in.reserve(prestages_.size());
-  h.pre_stage_out.reserve(prestages_.size());
-  for (auto& ps : prestages_) {
-    h.pre_stage_in.push_back(ps->in.health());
-    h.pre_stage_out.push_back(ps->out.health());
-  }
-  h.seq_ring = seq_ring_.health();
   h.shard_rings.reserve(shards_.size());
   for (auto& shard : shards_) h.shard_rings.push_back(shard->ring.health());
-  h.sequencer_msgs = seq_msgs_;
   return h;
 }
 

@@ -6,48 +6,39 @@
 // the key it operates on (cf. the per-key version-order decomposition of
 // Biswas & Enea).
 //
-// Pipeline topology (every hand-off is an SpscRing, one ring per
-// producer/consumer pair):
+// Pipeline topology: two stages, joined by one SpscRing per shard.
 //
-//   caller ──in[i]──> pre-stage worker i ──out[i]──> sequencer ──> shard j
-//     └──────────────── seq ring (headers) ─────────────┘
+//   caller (TxnIngress + Dispatch) ──ring[j]──> shard worker j
 //
-//   - The calling thread runs only the *cross-transaction* half of the
-//     ingress (TxnIngress::AdmitTxn: SESSION/Eq.(1)/timestamp-uniqueness
-//     checks, EXT timeout clock, GC watermark decisions). Per arrival it
-//     hands the raw transaction to one pre-stage worker (round-robin by
-//     arrival index — a function of the stream, not of timing) and
-//     pushes the admission header into the sequencer ring.
-//   - Pre-stage workers run the pure per-transaction work in parallel:
-//     INT replay/classification (ClassifyOps) and key->shard
-//     partitioning, emitting one StagedTxn per arrival.
-//   - The sequencer thread joins headers with staged footprints in
-//     arrival order, applies the admission verdict (drop / INT-only /
-//     dispatch), owns the finalize fan-out masks, and stages ShardCmds
-//     into the per-shard rings with batched cursor publication (one
-//     release store per cmd_batch commands).
+//   - The calling thread runs the whole TxnIngress, exactly as in the
+//     monolithic `Aion`: admission (SESSION/Eq.(1)/timestamp-uniqueness
+//     checks), INT replay/classification, the EXT timeout clock and GC
+//     watermark decisions. Only its Dispatch differs: instead of calling
+//     one engine inline, it partitions each classified footprint by
+//     key->shard and stages one ShardCmd per touched shard (first-touch
+//     order), publishing each ring's cursor once per cmd_batch commands.
+//     The caller is the sole producer of every shard ring.
 //   - Each shard worker drains its ring in FIFO order. Because the
-//     sequencer issues commands in the caller's total order and engines
-//     never read other shards' keys, per-shard FIFO delivery reproduces
-//     the monolith's verdicts exactly: a 1-shard ShardedAion is verdict-
-//     and violation-identical to `Aion`, for any pre-stage worker count.
+//     caller issues commands in its total order and engines never read
+//     other shards' keys, per-shard FIFO delivery reproduces the
+//     monolith's verdicts exactly: a 1-shard ShardedAion is verdict-
+//     and violation-identical to `Aion`.
 //   - Finalize commands go only to the shards holding the transaction's
 //     external reads; GC commands broadcast the coordinator's effective
 //     watermark to every shard, which collects and spills independently
 //     (spill_dir/shard<i>) but at the same cut.
-//   - Violations are buffered per producer (caller, sequencer, shards)
-//     and emitted to the sink at Finish(), sorted by (commit_ts, txn id,
-//     content) — deterministic regardless of shard count, pre-stage
-//     worker count, or thread timing. Buffering until Finish is
-//     deliberate: stragglers can report NOCONFLICT against spilled
-//     intervals of arbitrarily old transactions, so no mid-stream flush
-//     point preserves global sortedness. The cost is O(#violations)
-//     memory for the run — violations are anomalies, so this stays small
-//     in practice.
+//   - Violations are buffered per producer (caller, shards) and emitted
+//     to the sink at Finish(), sorted by (commit_ts, txn id, content) —
+//     deterministic regardless of shard count or thread timing.
+//     Buffering until Finish is deliberate: stragglers can report
+//     NOCONFLICT against spilled intervals of arbitrarily old
+//     transactions, so no mid-stream flush point preserves global
+//     sortedness. The cost is O(#violations) memory for the run —
+//     violations are anomalies, so this stays small in practice.
 //
 // Determinism contract: every verdict-affecting decision (admission,
 // watermarks, finalize deadlines) is made synchronously on the caller
-// thread; the pipeline threads only execute work whose outcome is a pure
+// thread; the shard workers only execute work whose outcome is a pure
 // function of the commands they receive. GetFootprint().live_txns is
 // exact caller-side state, so GC-policy decisions — and hence WAL-replay
 // recovery — never depend on pipeline timing.
@@ -59,6 +50,7 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flipflop_stats.h"
@@ -77,10 +69,10 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
  public:
   using Options = CheckerOptions;
 
-  /// `num_shards` is clamped to [1, 64]; `options.pre_stage_workers` to
-  /// [1, 16]. `cmd_batch` commands are staged per shard ring before one
-  /// cursor publication; `queue_capacity` bounds each ring
-  /// (backpressure on the upstream stage).
+  /// `num_shards` is clamped to [1, 64]; one worker thread per shard.
+  /// `cmd_batch` commands are staged per shard ring before one cursor
+  /// publication; `queue_capacity` bounds each ring (backpressure on the
+  /// caller).
   ShardedAion(const Options& options, size_t num_shards, ViolationSink* sink,
               size_t cmd_batch = 256, size_t queue_capacity = 8192);
   ~ShardedAion() override;
@@ -88,7 +80,8 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   ShardedAion(const ShardedAion&) = delete;
   ShardedAion& operator=(const ShardedAion&) = delete;
 
-  // OnlineChecker. All calls must come from one coordinator thread.
+  // OnlineChecker. All calls must come from one caller thread, the sole
+  // producer of every shard ring.
   void OnTransaction(const Transaction& t, uint64_t now_ms) override;
   void AdvanceTime(uint64_t now_ms) override;
   Timestamp Gc(Timestamp up_to) override;
@@ -115,22 +108,21 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// until every dispatched command has executed.
   FlipFlopStats flip_stats();
 
-  /// Ring depth high-water marks, stall counts, and the coordinator idle
-  /// ratio (online/metrics.h). Drains the pipeline first so the snapshot
-  /// is quiescent.
+  /// Shard-ring traffic, depth high-water marks and stall counts
+  /// (online/metrics.h). Drains the pipeline first so the snapshot is
+  /// quiescent.
   PipelineHealth pipeline_health();
 
   size_t num_shards() const { return shards_.size(); }
-  size_t pre_stage_worker_count() const { return prestages_.size(); }
   Timestamp watermark() const { return ingress_.watermark(); }
 
   /// Crash-safe checkpoint support (online/checkpoint.h): a full state
   /// image, one byte-deterministic section per component. ExportState
-  /// drains the pipeline first (the barrier handshake makes the
-  /// subsequent coordinator-side reads race-free); ImportState assumes a
-  /// freshly constructed checker with the same options and shard count,
-  /// whose spill directories still hold the epoch files the serialized
-  /// manifests reference. The coordinator section begins with the shard
+  /// drains the pipeline first (WaitAll makes the subsequent reads of
+  /// shard state race-free); ImportState assumes a freshly constructed
+  /// checker with the same options and shard count, whose spill
+  /// directories still hold the epoch files the serialized manifests
+  /// reference. The coordinator section begins with the shard
   /// count so recovery can size the checker before parsing the rest.
   struct StateImage {
     std::string ingress;
@@ -164,53 +156,18 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     Violation v;
   };
 
-  /// One classified arrival, produced by a pre-stage worker: the txn's
-  /// INT reports (kept or discarded by the sequencer per the admission
-  /// verdict) plus its footprint sliced per touched shard.
-  struct StagedTxn {
-    struct Slice {
-      uint32_t shard = 0;
-      ClassifiedOps ops;
-    };
-    std::vector<TaggedViolation> int_reports;
-    std::vector<Slice> slices;
-  };
-
-  /// Admission header the caller sequences per event. A kTxn header
-  /// pairs with exactly one StagedTxn from the arrival's pre-stage
-  /// worker (round-robin by arrival index).
-  struct SeqMsg {
-    enum class Kind : uint8_t { kTxn, kFinalize, kGc, kBarrier };
-    Kind kind = Kind::kTxn;
-    TxnIngress::Admission::Kind admit = TxnIngress::Admission::Kind::kDrop;
-    bool register_reads = false;
-    KeyEngine::TxnCtx ctx{};          // kTxn
-    uint64_t now_ms = 0;              // kTxn
-    Timestamp gc_watermark = kTsMin;  // kGc
-    TxnId tid = 0;                    // kFinalize
-    uint64_t ticket = 0;              // kBarrier
-  };
-
-  struct PreStage {
-    PreStage(size_t in_capacity, size_t out_capacity)
-        : in(in_capacity), out(out_capacity) {}
-    SpscRing<Transaction> in;  // caller -> worker (raw arrivals)
-    SpscRing<StagedTxn> out;   // worker -> sequencer (classified)
-    std::thread worker;
-  };
-
   struct Shard {
     explicit Shard(size_t ring_capacity) : ring(ring_capacity) {}
 
-    SpscRing<ShardCmd> ring;  // sequencer -> worker
+    SpscRing<ShardCmd> ring;  // caller -> worker
 
     /// Capability of the shard's worker thread: guards the engine and
     /// the verdict side-products it writes. The caller may assume it
     /// only behind a quiescent barrier (WaitAll / joined threads).
     ThreadRole owner;
-    /// Capability of the sequencer thread over this shard's issue
-    /// bookkeeping.
-    ThreadRole seq_side;
+    /// Capability of the caller (coordinator) thread over this shard's
+    /// issue bookkeeping.
+    ThreadRole caller_side;
 
     std::unique_ptr<KeyEngine> engine CHRONOS_PT_GUARDED_BY(owner);
     CheckerStats stats CHRONOS_GUARDED_BY(owner);  // read at barrier
@@ -223,11 +180,11 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     std::atomic<size_t> intervals{0};
     std::atomic<size_t> approx_bytes{0};
 
-    // Sequencer-side issue bookkeeping: commands staged into the ring
+    // Caller-side issue bookkeeping: commands staged into the ring
     // (`issued`) and staged-but-unpublished since the last cursor
     // publication (`staged`).
-    uint64_t issued CHRONOS_GUARDED_BY(seq_side) = 0;
-    uint32_t staged CHRONOS_GUARDED_BY(seq_side) = 0;
+    uint64_t issued CHRONOS_GUARDED_BY(caller_side) = 0;
+    uint32_t staged CHRONOS_GUARDED_BY(caller_side) = 0;
 
     // Completion barrier: worker bumps `done` after executing a batch.
     Mutex done_mu;
@@ -237,36 +194,24 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     std::thread worker;
   };
 
-  // TxnIngress::Dispatch. The caller drives the ingress through
-  // AdmitTxn, so DispatchTxn is never reached; finalize/GC decisions are
-  // forwarded to the sequencer as headers.
+  // TxnIngress::Dispatch, called by ingress_ on the caller thread in its
+  // single total order; each stages commands into the shard rings.
   void DispatchTxn(const KeyEngine::TxnCtx& ctx, ClassifiedOps&& ops,
                    bool register_reads, uint64_t now_ms) override;
   void DispatchFinalize(TxnId tid) override;
   void DispatchGc(Timestamp watermark) override;
 
   size_t ShardOf(Key key) const;
+  /// Stages `cmd` into `shard`'s ring, publishing every cmd_batch
+  /// commands. Only the caller thread stages: it is the sole producer of
+  /// every shard ring.
+  void StageShard(size_t shard, ShardCmd&& cmd);
 
-  // Pre-stage worker: pure per-txn classification + partitioning.
-  void ClassifierLoop(PreStage* ps, size_t index);
-  StagedTxn ClassifyAndPartition(const Transaction& t) const;
-
-  // Sequencer: in-order merge of headers and staged footprints; sole
-  // producer of every shard ring; owner of the finalize fan-out masks
-  // and the INT-report buffer. SequencerLoop assumes `seq_role_` (and,
-  // per shard it touches, that shard's `seq_side` + ring producer role);
-  // the helpers REQUIRE it so only the sequencer can stage commands.
-  void SequencerLoop();
-  void StageShard(size_t shard, ShardCmd&& cmd) CHRONOS_REQUIRES(seq_role_);
-  void FlushShards() CHRONOS_REQUIRES(seq_role_);
-  void WaitShardsDone() CHRONOS_REQUIRES(seq_role_);
-
-  /// Caller-side barrier: sequences a ticket and blocks until the
-  /// sequencer has drained every prior header and every shard has
-  /// executed everything issued.
+  /// Caller-side barrier: publishes every staged command, then blocks
+  /// until every shard has executed everything issued.
   void WaitAll();
   /// Merge-sorts all buffered violations into the sink (caller thread,
-  /// after WaitAll or after the pipeline joined).
+  /// after WaitAll or after the workers joined).
   void EmitViolations();
 
   void WorkerLoop(Shard* shard, size_t index);
@@ -279,34 +224,17 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
 
   // --- caller-thread state ---
   CheckerStats coord_stats_;  // txns_processed, gc_passes
-  std::vector<TaggedViolation> coord_violations_;  // admission-side reports
-  uint64_t arrival_seq_ = 0;   // round-robin pre-stage assignment
-  uint64_t barrier_next_ = 0;  // last barrier ticket handed out
-
-  // --- pipeline plumbing ---
-  std::vector<std::unique_ptr<PreStage>> prestages_;
-  SpscRing<SeqMsg> seq_ring_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::thread sequencer_;
-
-  // --- sequencer-thread state (caller may touch only at a barrier) ---
-  /// Capability of the sequencer thread. SequencerLoop assumes it for
-  /// its lifetime; the caller assumes it only behind the barrier
-  /// handshake (WaitAll) or after the sequencer joined — each such site
-  /// carries an AssumeRole naming the happens-before edge.
-  ThreadRole seq_role_;
+  // Admission-side and INT reports, in arrival order.
+  std::vector<TaggedViolation> coord_violations_;
   // Which shards hold a registered transaction's external reads; the
   // finalize fan-out targets exactly these. Erased at finalize.
-  std::unordered_map<TxnId, uint64_t> read_shard_mask_
-      CHRONOS_GUARDED_BY(seq_role_);
-  std::vector<TaggedViolation> seq_violations_  // INT reports, arrival order
-      CHRONOS_GUARDED_BY(seq_role_);
-  uint64_t seq_msgs_ CHRONOS_GUARDED_BY(seq_role_) = 0;
+  std::unordered_map<TxnId, uint64_t> read_shard_mask_;
+  // DispatchTxn scratch: shard -> index into `partition_` (-1 when the
+  // arrival has not touched it), and one command per touched shard.
+  std::vector<int32_t> slot_;
+  std::vector<std::pair<size_t, ShardCmd>> partition_;
 
-  // Barrier handshake (sequencer signals, caller waits).
-  Mutex barrier_mu_;
-  CondVar barrier_cv_;
-  uint64_t barrier_done_ CHRONOS_GUARDED_BY(barrier_mu_) = 0;
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   TxnIngress ingress_;
 };

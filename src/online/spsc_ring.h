@@ -1,7 +1,7 @@
 // Single-producer single-consumer ring buffer: the lock-free hand-off
-// between the stages of the sharded pipeline (caller -> pre-stage
-// classifiers -> sequencer -> shard workers), with no mutex on the
-// per-transaction hot path.
+// from the sharded checker's caller thread to each shard worker
+// (online/sharded_aion.h), with no mutex on the per-transaction hot
+// path.
 //
 // Memory-ordering contract:
 //   - The producer writes a slot, then publishes it with a release store
@@ -177,6 +177,7 @@ class SpscRing {
 
   RingHealth health() const {
     RingHealth r;
+    r.published = tail_.load(std::memory_order_relaxed);
     r.depth_hwm = depth_hwm_.load(std::memory_order_relaxed);
     r.producer_stalls = producer_stalls_.load(std::memory_order_relaxed);
     r.consumer_stalls = consumer_stalls_.load(std::memory_order_relaxed);

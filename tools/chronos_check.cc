@@ -3,7 +3,7 @@
 //   chronos_check --in=h.hist [--level=si|ser|list]
 //                 [--online] [--timeout-ms=5000] [--spill=/tmp/aion]
 //                 [--delay-mean=0 --delay-stddev=0]   (online only)
-//                 [--shards=1] [--pre-stage-workers=2] (online only)
+//                 [--shards=1]                        (online only)
 //                 [--checkpoint-dir=DIR] [--checkpoint-every=5000]
 //                 [--resume] [--memory-ceiling=BYTES] (online only)
 //                 [--gc-every=0] [--gc-target=0]
@@ -100,11 +100,10 @@ void PrintUsage(FILE* out) {
       "  --timeout-ms=N        EXT finalization timeout (default 5000)\n"
       "  --spill=DIR           GC spill store directory\n"
       "  --delay-mean=N --delay-stddev=N   collector delay model (ms)\n"
-      "  --shards=N            key-partitioned ShardedAion workers\n"
-      "  --pre-stage-workers=N classifier threads ahead of the sharded\n"
-      "                        coordinator (default 2; verdict-neutral)\n"
+      "  --shards=N            key-partitioned ShardedAion: N shard\n"
+      "                        worker threads fed by the calling thread\n"
       "  --stats               print processing counters after the check\n"
-      "                        (sharded: plus pipeline ring health)\n"
+      "                        (sharded: plus shard-ring health)\n"
       "\n"
       "crash-safe durable mode (--online, implies ShardedAion):\n"
       "  --checkpoint-dir=DIR  WAL + checkpoints here; enables durability\n"
@@ -165,8 +164,6 @@ int main(int argc, char** argv) {
     if (const char* spill = FlagValue(argc, argv, "--spill")) {
       opt.spill_dir = spill;
     }
-    opt.pre_stage_workers =
-        static_cast<size_t>(U64Flag(argc, argv, "--pre-stage-workers", 2));
     const size_t shards =
         static_cast<size_t>(U64Flag(argc, argv, "--shards", 1));
     const GcPolicy gc = GcPolicy::Every(

@@ -345,33 +345,19 @@ class Linter {
   void CheckRingSingleProducer(const FileCtx& ctx) {
     if (ctx.rel != "src/online/sharded_aion.cc") return;
     static const std::map<std::string, std::set<std::string>> kAllowed = {
-        // Per-shard command rings: sequencer produces, worker consumes.
+        // Per-shard command rings: the caller produces, the worker
+        // consumes.
         {"ring.Stage", {"StageShard"}},
-        {"ring.Publish", {"StageShard", "FlushShards"}},
-        {"ring.Close", {"SequencerLoop"}},
+        {"ring.Publish", {"StageShard", "WaitAll"}},
+        {"ring.Close", {"~ShardedAion"}},
         {"ring.PopBatch", {"WorkerLoop"}},
-        // Header ring: coordinator produces, sequencer consumes.
-        {"seq_ring_.Push",
-         {"OnTransaction", "DispatchFinalize", "DispatchGc", "WaitAll"}},
-        {"seq_ring_.Close", {"~ShardedAion"}},
-        {"seq_ring_.PopBatch", {"SequencerLoop"}},
-        // Pre-stage ingress rings: coordinator produces, classifier
-        // consumes.
-        {"in.Push", {"OnTransaction"}},
-        {"in.Close", {"~ShardedAion"}},
-        {"in.PopBatch", {"ClassifierLoop"}},
-        // Pre-stage egress rings: classifier produces, sequencer
-        // consumes.
-        {"out.Push", {"ClassifierLoop"}},
-        {"out.Close", {"ClassifierLoop"}},
-        {"out.Pop", {"SequencerLoop"}},
     };
     // A definition line is `... ShardedAion::Name(...`; the last match
     // wins (qualified return types also match). Thread-entry bindings
     // like `&ShardedAion::WorkerLoop,` carry no `(` and do not match.
     static const std::regex kDef(R"(ShardedAion::(~?\w+)\s*\()");
     static const std::regex kOp(
-        R"((?:^|[^\w.])((?:\w+(?:\.|->))?(ring|seq_ring_|in|out)\.(Stage|Publish|Push|Pop|PopBatch|Close))\s*\()");
+        R"((?:^|[^\w.])((?:\w+(?:\.|->))?(ring)\.(Stage|Publish|Push|Pop|PopBatch|Close))\s*\()");
     std::string current;
     for (size_t i = 0; i < ctx.code.size(); ++i) {
       const std::string& l = ctx.code[i];
