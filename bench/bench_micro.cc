@@ -1,14 +1,16 @@
 // Micro/ablation benchmarks (google-benchmark): per-transaction checker
 // cost and the data-structure choices of ROADMAP.md's performance notes —
-// the augmented interval tree vs brute-force overlap scans, per-key
+// the flat write-interval chains vs brute-force overlap scans, per-key
 // version maps vs linear scans, and GC passes.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <ctime>
 #include <random>
 
 #include "core/aion.h"
 #include "core/chronos.h"
-#include "core/interval_tree.h"
+#include "core/ongoing_index.h"
 #include "core/versioned_kv.h"
 #include "online/sharded_aion.h"
 #include "ref_map_kv.h"
@@ -55,26 +57,57 @@ void BM_AionPerTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_AionPerTxn)->Arg(2000)->Arg(10000);
 
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+// User + system CPU of the whole process, exited threads included.
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
 // The key-partitioned checker at the 10k-txn size of BM_AionPerTxn.
 // items/s vs BM_AionPerTxn/10000 is the sharding speedup (needs >= the
 // shard count in cores to show; on a 1-core runner the series measures
 // coordination overhead instead). Timed on the wall clock: the shard
 // workers do most of the work, and the default CPU time would count
-// only the calling thread.
+// only the calling thread. The counters split the CPU per txn between
+// the calling thread (ingress, classification, ring staging) and the
+// shard workers (the rest of the process).
 void BM_ShardedAionPerTxn(benchmark::State& state) {
   History h = MakeHistory(10000);
   const size_t shards = static_cast<size_t>(state.range(0));
+  double caller_cpu = 0;
+  double process_cpu = 0;
   for (auto _ : state) {
-    CountingSink sink;
-    Aion::Options opt;
-    opt.ext_timeout_ms = 50;
-    online::ShardedAion aion(opt, shards, &sink);
-    uint64_t now = 0;
-    for (const Transaction& t : h.txns) aion.OnTransaction(t, ++now);
-    aion.Finish();
+    const double caller0 = ThreadCpuSeconds();
+    const double process0 = ProcessCpuSeconds();
+    {
+      CountingSink sink;
+      Aion::Options opt;
+      opt.ext_timeout_ms = 50;
+      online::ShardedAion aion(opt, shards, &sink);
+      uint64_t now = 0;
+      for (const Transaction& t : h.txns) aion.OnTransaction(t, ++now);
+      aion.Finish();
+    }  // joins the shard workers, so their CPU is counted
+    caller_cpu += ThreadCpuSeconds() - caller0;
+    process_cpu += ProcessCpuSeconds() - process0;
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(h.txns.size()));
+  const int64_t txns =
+      state.iterations() * static_cast<int64_t>(h.txns.size());
+  state.SetItemsProcessed(txns);
+  state.counters["caller_cpu_us_per_txn"] =
+      caller_cpu * 1e6 / static_cast<double>(txns);
+  state.counters["worker_cpu_us_per_txn"] =
+      (process_cpu - caller_cpu) * 1e6 / static_cast<double>(txns);
 }
 BENCHMARK(BM_ShardedAionPerTxn)
     ->ArgName("shards")
@@ -84,22 +117,23 @@ BENCHMARK(BM_ShardedAionPerTxn)
     ->Arg(8)
     ->UseRealTime();
 
-void BM_IntervalTreeOverlap(benchmark::State& state) {
-  IntervalTree tree;
+// One key's overlap query over uniformly random intervals, inserted in
+// random order: each insert pays a tail move, so the untimed set-up is
+// quadratic (seconds at 100k); only the queries are timed.
+void BM_OngoingIndexOverlap(benchmark::State& state) {
+  constexpr Key kKey = 0;
+  OngoingIndex idx;
   std::mt19937_64 rng(1);
   for (int i = 0; i < state.range(0); ++i) {
     Timestamp s = rng() % 100000;
-    tree.Insert({s, s + rng() % 100, static_cast<TxnId>(i)});
+    idx.Add(kKey, s, s + rng() % 100, static_cast<TxnId>(i));
   }
-  std::vector<WriteInterval> out;
   for (auto _ : state) {
-    out.clear();
     Timestamp lo = rng() % 100000;
-    tree.QueryOverlap(lo, lo + 50, &out);
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(idx.Overlapping(kKey, lo, lo + 50));
   }
 }
-BENCHMARK(BM_IntervalTreeOverlap)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_OngoingIndexOverlap)->Arg(1000)->Arg(100000);
 
 void BM_BruteForceOverlap(benchmark::State& state) {
   std::mt19937_64 rng(1);

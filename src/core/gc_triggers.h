@@ -1,6 +1,8 @@
 // The lazy GC trigger heap shared by the three key-scoped structures that
 // AION collects below a watermark (VersionedKv, ListKv, OngoingIndex),
 // plus the ts-sorted chain helpers VersionedKv and ListKv have in common.
+// VersionedKv and ListKv arm by the chain rule below; OngoingIndex arms
+// at its end-sorted chains' front (core/ongoing_index.h).
 //
 // Trigger invariant: every key that holds collectible state at some
 // watermark w has an armed trigger <= w. A pass at `ts` then visits only

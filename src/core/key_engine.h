@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "core/flipflop_stats.h"
-#include "core/interval_tree.h"
 #include "core/list_kv.h"
+#include "core/ongoing_index.h"
 #include "core/online_checker.h"
 #include "core/spill.h"
 #include "core/types.h"

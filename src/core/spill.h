@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/interval_tree.h"
 #include "core/list_kv.h"
+#include "core/ongoing_index.h"
 #include "core/online_checker.h"
 #include "core/state_io.h"
 #include "core/types.h"
@@ -25,6 +25,9 @@ namespace chronos {
 struct SpillPayload {
   Timestamp max_ts = kTsMin;  ///< all records have timestamps <= max_ts
   std::vector<std::tuple<Key, Timestamp, VersionEntry>> versions;
+  /// Key by key in GcTriggers order, each key's in (end, tid) order: a
+  /// pure function of the evicted set, so a resumed run rewrites an
+  /// epoch byte for byte.
   std::vector<std::pair<Key, WriteInterval>> intervals;
   /// Collapsed list version boundaries (ts, tid, delta) — what a
   /// below-watermark straggler needs to place or resolve a list prefix.

@@ -1,5 +1,5 @@
 // Unit tests for the timestamp-versioned data structures: VersionedKv
-// (frontier_ts), IntervalTree/OngoingIndex (ongoing_ts), the shared
+// (frontier_ts), OngoingIndex (ongoing_ts), the shared
 // GcTriggers heap, SmallMap, and the spill store.
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 
 #include "../testutil.h"
 #include "core/gc_triggers.h"
-#include "core/interval_tree.h"
 #include "core/list_kv.h"
+#include "core/ongoing_index.h"
 #include "core/small_map.h"
 #include "core/spill.h"
 #include "core/state_io.h"
@@ -74,74 +74,63 @@ TEST(VersionedKvTest, RestoreReloadsEvictedVersion) {
   EXPECT_EQ(kv.GetAtOrBefore(1, 15).value, 1);
 }
 
-TEST(IntervalTreeTest, OverlapQueryFindsContainedAndSpanning) {
-  IntervalTree tree;
-  tree.Insert({10, 20, 1});
-  tree.Insert({15, 25, 2});
-  tree.Insert({30, 40, 3});
-  std::vector<WriteInterval> out;
-  tree.QueryOverlap(18, 22, &out);
-  ASSERT_EQ(out.size(), 2u);
-  out.clear();
-  tree.QueryOverlap(26, 29, &out);
-  EXPECT_TRUE(out.empty());
-  out.clear();
-  tree.QueryStab(35, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tid, 3u);
-}
+// OngoingIndex on one key: overlap answers come in (start, tid) order,
+// evictions in (end, tid) order.
+constexpr Key kIvKey = 1;
+using Evicted = std::vector<std::pair<Key, WriteInterval>>;
 
-TEST(IntervalTreeTest, LongSpanningIntervalIsNotMissed) {
-  // The pathological case a sorted-disjoint map would miss: an old
-  // interval spanning far beyond its successors.
-  IntervalTree tree;
-  tree.Insert({0, 100, 1});
-  tree.Insert({50, 60, 2});
-  tree.Insert({55, 58, 3});
-  std::vector<WriteInterval> out;
-  tree.QueryOverlap(55, 58, &out);
-  EXPECT_EQ(out.size(), 3u);
-}
-
-TEST(IntervalTreeTest, EraseRemovesExactInterval) {
-  IntervalTree tree;
-  tree.Insert({10, 20, 1});
-  tree.Insert({10, 30, 2});
-  EXPECT_TRUE(tree.Erase(10, 1));
-  EXPECT_FALSE(tree.Erase(10, 1));
-  std::vector<WriteInterval> out;
-  tree.QueryStab(15, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tid, 2u);
-}
-
-TEST(IntervalTreeTest, EvictEndingUpToRemovesOnlyOldIntervals) {
-  IntervalTree tree;
-  tree.Insert({1, 5, 1});
-  tree.Insert({2, 50, 2});
-  tree.Insert({6, 9, 3});
-  std::vector<WriteInterval> evicted;
-  EXPECT_EQ(tree.EvictEndingUpTo(10, &evicted), 2u);
-  EXPECT_EQ(tree.size(), 1u);
-  std::vector<WriteInterval> out;
-  tree.QueryStab(25, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tid, 2u);
-}
-
-std::vector<TxnId> SortedTids(const std::vector<WriteInterval>& ivs) {
+std::vector<TxnId> Tids(const std::vector<WriteInterval>& ivs) {
   std::vector<TxnId> tids;
   for (const WriteInterval& iv : ivs) tids.push_back(iv.tid);
-  std::sort(tids.begin(), tids.end());
   return tids;
 }
 
-TEST(IntervalTreeTest, EvictEndingUpToBoundaryAtWatermark) {
+std::vector<TxnId> Tids(const Evicted& ev) {
+  std::vector<TxnId> tids;
+  for (const auto& [k, iv] : ev) tids.push_back(iv.tid);
+  return tids;
+}
+
+TEST(OngoingIndexTest, OverlapQueryFindsContainedAndSpanning) {
+  OngoingIndex idx;
+  idx.Add(kIvKey, 10, 20, 1);
+  idx.Add(kIvKey, 15, 25, 2);
+  idx.Add(kIvKey, 30, 40, 3);
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 18, 22)), (std::vector<TxnId>{1, 2}));
+  EXPECT_TRUE(idx.Overlapping(kIvKey, 26, 29).empty());
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 35, 35)), (std::vector<TxnId>{3}));
+  EXPECT_TRUE(idx.Overlapping(kIvKey + 1, 0, 100).empty()) << "other key";
+}
+
+TEST(OngoingIndexTest, LongSpanningIntervalIsNotMissed) {
+  // The pathological case a sorted-disjoint map would miss: an old
+  // interval spanning far beyond its successors.
+  OngoingIndex idx;
+  idx.Add(kIvKey, 0, 100, 1);
+  idx.Add(kIvKey, 50, 60, 2);
+  idx.Add(kIvKey, 55, 58, 3);
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 55, 58)),
+            (std::vector<TxnId>{1, 2, 3}));
+}
+
+TEST(OngoingIndexTest, EvictEndingUpToRemovesOnlyOldIntervals) {
+  OngoingIndex idx;
+  idx.Add(kIvKey, 1, 5, 1);
+  idx.Add(kIvKey, 2, 50, 2);
+  idx.Add(kIvKey, 6, 9, 3);
+  Evicted evicted;
+  EXPECT_EQ(idx.CollectUpTo(10, &evicted), 2u);
+  EXPECT_EQ(Tids(evicted), (std::vector<TxnId>{1, 3}));
+  EXPECT_EQ(idx.TotalIntervals(), 1u);
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 25, 25)), (std::vector<TxnId>{2}));
+}
+
+TEST(OngoingIndexTest, EvictEndingUpToBoundaryAtWatermark) {
   // At watermark 10: self-stamped [10, 10] writers tie on start across
-  // tids and must all go, even when a [10, 11] or [10, 25] sibling with
-  // the same start sits above them in the treap. [10, 11], straddlers
-  // (start <= 10 < end) and intervals starting after 10 stay. Treap
-  // priorities differ per insert, so each rep is a different shape.
+  // tids and must all go, while their [10, 11] and [10, 25] siblings
+  // with the same start stay, as do straddlers (start <= 10 < end) and
+  // intervals starting after 10. Every insertion order evicts the same
+  // sequence and answers the same queries.
   const std::vector<WriteInterval> ivs = {
       {10, 10, 5}, {10, 10, 1},  {10, 10, 9},  {10, 11, 3},
       {10, 11, 7}, {4, 10, 2},   {3, 7, 11},   {2, 30, 4},
@@ -150,48 +139,73 @@ TEST(IntervalTreeTest, EvictEndingUpToBoundaryAtWatermark) {
   for (int rep = 0; rep < 200; ++rep) {
     std::vector<WriteInterval> order = ivs;
     std::shuffle(order.begin(), order.end(), rng);
-    IntervalTree tree;
-    for (const WriteInterval& iv : order) tree.Insert(iv);
-    std::vector<WriteInterval> evicted;
-    ASSERT_EQ(tree.EvictEndingUpTo(10, &evicted), 6u) << "rep " << rep;
-    ASSERT_EQ(SortedTids(evicted), (std::vector<TxnId>{1, 2, 5, 9, 11, 12}))
+    OngoingIndex idx;
+    for (const WriteInterval& iv : order) {
+      idx.Add(kIvKey, iv.start, iv.end, iv.tid);
+    }
+    Evicted evicted;
+    ASSERT_EQ(idx.CollectUpTo(10, &evicted), 6u) << "rep " << rep;
+    ASSERT_EQ(Tids(evicted), (std::vector<TxnId>{11, 1, 2, 5, 9, 12}))
         << "rep " << rep;
-    ASSERT_EQ(tree.size(), 6u);
-    std::vector<WriteInterval> out;
-    tree.QueryStab(10, &out);
-    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{3, 4, 6, 7}));
-    out.clear();
-    tree.QueryStab(11, &out);
-    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{3, 4, 6, 7, 8}));
-    out.clear();
-    tree.QueryOverlap(0, 9, &out);
-    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{4}));
-    out.clear();
-    tree.QueryOverlap(12, 40, &out);
-    ASSERT_EQ(SortedTids(out), (std::vector<TxnId>{4, 6, 10}));
-    EXPECT_EQ(tree.EvictEndingUpTo(10, nullptr), 0u) << "idempotent";
+    ASSERT_EQ(idx.TotalIntervals(), 6u);
+    ASSERT_EQ(Tids(idx.Overlapping(kIvKey, 10, 10)),
+              (std::vector<TxnId>{4, 3, 6, 7}));
+    ASSERT_EQ(Tids(idx.Overlapping(kIvKey, 11, 11)),
+              (std::vector<TxnId>{4, 3, 6, 7, 8}));
+    ASSERT_EQ(Tids(idx.Overlapping(kIvKey, 0, 9)), (std::vector<TxnId>{4}));
+    ASSERT_EQ(Tids(idx.Overlapping(kIvKey, 12, 40)),
+              (std::vector<TxnId>{4, 6, 10}));
+    EXPECT_EQ(idx.CollectUpTo(10, nullptr), 0u) << "idempotent";
   }
 }
 
-TEST(IntervalTreeTest, RandomizedAgainstBruteForce) {
+TEST(OngoingIndexTest, ReorderedArrivalBelowExistingIntervals) {
+  // Writers that commit before intervals already inserted: one lands
+  // mid-chain and must lower the earlier entries' min_start, one lands
+  // at the front and must lower the key's GC trigger.
+  OngoingIndex idx;
+  idx.Add(kIvKey, 10, 20, 1);
+  idx.Add(kIvKey, 30, 40, 2);
+  idx.Add(kIvKey, 35, 50, 3);
+  idx.Add(kIvKey, 5, 25, 4);
+  idx.Add(kIvKey, 2, 8, 5);
+  // [10, 20] ends first but starts after 7; the scan must pass it to
+  // reach [5, 25].
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 6, 7)), (std::vector<TxnId>{5, 4}));
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 3, 3)), (std::vector<TxnId>{5}));
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 12, 14)), (std::vector<TxnId>{4, 1}));
+  EXPECT_EQ(Tids(idx.Overlapping(kIvKey, 22, 32)), (std::vector<TxnId>{4, 2}));
+  Evicted evicted;
+  EXPECT_EQ(idx.CollectUpTo(9, &evicted), 1u) << "trigger lowered to 8";
+  EXPECT_EQ(Tids(evicted), (std::vector<TxnId>{5}));
+  evicted.clear();
+  EXPECT_EQ(idx.CollectUpTo(30, &evicted), 2u);
+  EXPECT_EQ(Tids(evicted), (std::vector<TxnId>{1, 4}));
+  EXPECT_EQ(idx.TotalIntervals(), 2u);
+}
+
+TEST(OngoingIndexTest, RandomizedAgainstBruteForce) {
   std::mt19937_64 rng(7);
-  IntervalTree tree;
+  OngoingIndex idx;
   std::vector<WriteInterval> reference;
   for (int i = 0; i < 500; ++i) {
     Timestamp s = rng() % 1000;
     WriteInterval iv{s, s + rng() % 50, static_cast<TxnId>(i)};
-    tree.Insert(iv);
+    idx.Add(kIvKey, iv.start, iv.end, iv.tid);
     reference.push_back(iv);
   }
+  std::sort(reference.begin(), reference.end(),
+            [](const WriteInterval& a, const WriteInterval& b) {
+              return a.start != b.start ? a.start < b.start : a.tid < b.tid;
+            });
   for (int q = 0; q < 200; ++q) {
     Timestamp lo = rng() % 1000, hi = lo + rng() % 100;
-    std::vector<WriteInterval> got;
-    tree.QueryOverlap(lo, hi, &got);
-    size_t expected = 0;
+    std::vector<WriteInterval> expected;
     for (const auto& iv : reference) {
-      if (iv.start <= hi && iv.end >= lo) ++expected;
+      if (iv.start <= hi && iv.end >= lo) expected.push_back(iv);
     }
-    ASSERT_EQ(got.size(), expected) << "query [" << lo << "," << hi << "]";
+    ASSERT_EQ(Tids(idx.Overlapping(kIvKey, lo, hi)), Tids(expected))
+        << "query [" << lo << "," << hi << "]";
   }
 }
 

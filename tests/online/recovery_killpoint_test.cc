@@ -17,7 +17,9 @@
 //     coverage (harmless: replay skips seq <= the checkpoint's cut).
 //
 // Plus the fallback paths: corrupt newest checkpoint -> predecessor,
-// all checkpoints gone -> pure WAL replay.
+// all checkpoints gone -> pure WAL replay; and spill identity: resuming
+// from any retained checkpoint rewrites the later spill epochs byte for
+// byte as the uninterrupted run wrote them.
 //
 // The tier-1 run sweeps a bounded set of kill points per scenario; set
 // CHRONOS_KILLPOINT_EXHAUSTIVE=1 to sweep every event boundary and a
@@ -28,6 +30,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -409,6 +414,69 @@ TEST(RecoveryFallback, AllCheckpointsGoneFallsBackToWalReplay) {
   res.checker.reset();
   got.emissions = sink.TakeAll();
   ExpectIdentical(got, ref, "wal-only");
+}
+
+// Every file under `dir`/spill: path relative to `dir` -> contents.
+std::map<std::string, std::string> SpillFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir + "/spill")) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    files[fs::relative(e.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST(RecoveryResume, SpillEpochsIdenticalFromEveryCheckpoint) {
+  // Stragglers and a GC cadence put several intervals of a key into one
+  // epoch, so the within-epoch record order is exercised, not just the
+  // epoch contents.
+  Scenario sc;
+  sc.name = "spillid";
+  History h = MakeWorkload(400, 701, /*list_mode=*/false, 40);
+  sc.arrivals = SessionPreservingShuffle(h, 11);
+  sc.ext_timeout_ms = 40;
+  sc.checkpoint_every = 70;
+  sc.gc_every = 32;
+  sc.gc_target = 16;
+
+  const std::string ref_dir = FreshDir("spillid_ref");
+  const Outcome ref = RunUninterrupted(sc, ref_dir);
+  const auto ref_spill = SpillFiles(ref_dir);
+  const auto ckpts = CheckpointManager::List(ref_dir);
+  ASSERT_GE(ckpts.size(), 2u);
+  for (const auto& [seq, path] : ckpts) {
+    const std::string what = "resume@ckpt-" + std::to_string(seq);
+    CheckpointManager::Loaded loaded;
+    ASSERT_TRUE(CheckpointManager::Load(path, &loaded)) << what;
+    ASSERT_LT(loaded.events, sc.arrivals.size()) << what;
+    // The epochs on disk when this checkpoint was cut; the resumed run
+    // must write every later one itself.
+    const std::string probe = FreshDir("spillid_probe" + std::to_string(seq));
+    RunAndCrash(sc, probe, loaded.events);
+    const auto at_ckpt = SpillFiles(probe);
+    ASSERT_LT(at_ckpt.size(), ref_spill.size()) << what;
+
+    const std::string dir = FreshDir("spillid_run" + std::to_string(seq));
+    fs::copy(ref_dir, dir, fs::copy_options::recursive |
+                               fs::copy_options::overwrite_existing);
+    for (const auto& [s, p] : CheckpointManager::List(dir)) {
+      if (s > seq) fs::remove(p);
+    }
+    for (const auto& [rel, bytes] : ref_spill) {
+      if (at_ckpt.count(rel) == 0) fs::remove(dir + "/" + rel);
+    }
+    ExpectIdentical(RecoverAndFinish(sc, dir, what), ref, what);
+
+    const auto got = SpillFiles(dir);
+    ASSERT_EQ(got.size(), ref_spill.size()) << what;
+    for (const auto& [rel, bytes] : ref_spill) {
+      auto it = got.find(rel);
+      ASSERT_NE(it, got.end()) << what << ": " << rel << " missing";
+      EXPECT_TRUE(it->second == bytes) << what << ": " << rel << " differs";
+    }
+  }
 }
 
 }  // namespace
