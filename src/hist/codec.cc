@@ -1,8 +1,10 @@
 #include "hist/codec.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <memory>
+#include <vector>
 
 #ifdef _WIN32
 #include <io.h>
@@ -16,6 +18,144 @@
 
 namespace chronos::hist {
 
+namespace {
+
+// The shortest op line ("R 1 2\n") and transaction block ("T 1 0 0 1 2
+// 0\n"): a count read from the input reserves no more entries than the
+// bytes after it could hold.
+constexpr uint64_t kMinOpLineBytes = 6;
+constexpr uint64_t kMinTxnBlockBytes = 14;
+
+constexpr std::string_view kOpTags = "RWAL";  // indexed by OpType
+
+template <typename Int>
+void AppendField(std::string* out, Int v) {
+  char buf[24];
+  out->push_back(' ');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+// Consumes `prefix` and the decimal integer right after it from `*s`.
+template <typename Int>
+bool TakeField(std::string_view* s, std::string_view prefix, Int* v) {
+  if (s->substr(0, prefix.size()) != prefix) return false;
+  auto [p, ec] =
+      std::from_chars(s->data() + prefix.size(), s->data() + s->size(), *v);
+  if (ec != std::errc()) return false;
+  s->remove_prefix(static_cast<size_t>(p - s->data()));
+  return true;
+}
+
+// Reads '\n'-terminated lines through one reused buffer, so a load holds
+// one block of the file (or one longer line), never the whole file.
+struct LineReader {
+  explicit LineReader(FILE* file) : f(file) {}
+
+  // The next line without its '\n', valid until the next call. False at
+  // the end of the input, also after a last line with no '\n' (a torn
+  // file).
+  bool Next(std::string_view* line) {
+    size_t nl;
+    while ((nl = buf.find('\n', pos)) == std::string::npos) {
+      buf.erase(0, pos);
+      pos = 0;
+      const size_t have = buf.size();
+      buf.resize(have + (1 << 16));
+      buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
+      if (buf.size() == have) return false;
+    }
+    *line = std::string_view(buf).substr(pos, nl - pos);
+    consumed += nl + 1 - pos;
+    pos = nl + 1;
+    ++lines;
+    return true;
+  }
+
+  FILE* f;
+  std::string buf;
+  size_t pos = 0;         // start of the next line in buf
+  uint64_t consumed = 0;  // file bytes returned as lines
+  uint64_t lines = 0;
+};
+
+}  // namespace
+
+void AppendTxnBlock(const Transaction& t, std::string* out) {
+  out->push_back('T');
+  for (uint64_t v : {t.tid, uint64_t{t.sid}, t.sno, t.start_ts, t.commit_ts,
+                     uint64_t{t.ops.size()}}) {
+    AppendField(out, v);
+  }
+  if (t.iso != IsolationLevel::kUnspecified) {
+    out->append(" iso=").append(IsolationLevelName(t.iso));
+  }
+  out->push_back('\n');
+  for (const Op& op : t.ops) {
+    out->push_back(kOpTags[static_cast<size_t>(op.type)]);
+    AppendField(out, op.key);
+    if (op.type == OpType::kReadList) {
+      const std::vector<Value>& elems = t.list_args[op.list_index];
+      AppendField(out, elems.size());
+      for (Value e : elems) AppendField(out, e);
+    } else {
+      AppendField(out, op.value);
+    }
+    out->push_back('\n');
+  }
+}
+
+CodecStatus ParseTxnLine(std::string_view line, uint64_t bytes_left,
+                         Transaction* t, size_t* nops) {
+  if (!TakeField(&line, "T ", &t->tid) || !TakeField(&line, " ", &t->sid) ||
+      !TakeField(&line, " ", &t->sno) ||
+      !TakeField(&line, " ", &t->start_ts) ||
+      !TakeField(&line, " ", &t->commit_ts) ||
+      !TakeField(&line, " ", nops)) {
+    return CodecStatus::Error("malformed transaction header");
+  }
+  // Optional ` iso=<level>`; absent means run-level default
+  // (Transaction::iso stays kUnspecified).
+  if (!line.empty() &&
+      (line.substr(0, 5) != " iso=" ||
+       !IsolationLevelFromName(std::string(line.substr(5)), &t->iso))) {
+    return CodecStatus::Error("bad transaction header suffix: " +
+                              std::string(line));
+  }
+  t->ops.reserve(std::min<uint64_t>(*nops, bytes_left / kMinOpLineBytes));
+  return CodecStatus::Ok();
+}
+
+CodecStatus ParseOpLine(std::string_view line, Transaction* t) {
+  const size_t type = line.empty() ? kOpTags.npos : kOpTags.find(line[0]);
+  if (type == kOpTags.npos) {
+    return CodecStatus::Error("unknown op tag: " +
+                              std::string(line.substr(0, 3)));
+  }
+  Op op;
+  op.type = static_cast<OpType>(type);
+  line.remove_prefix(1);
+  uint64_t n = 0;
+  if (!TakeField(&line, " ", &op.key) ||
+      !(op.type == OpType::kReadList ? TakeField(&line, " ", &n)
+                                     : TakeField(&line, " ", &op.value))) {
+    return CodecStatus::Error("malformed op line");
+  }
+  if (op.type == OpType::kReadList) {
+    // Every element takes at least two bytes (" e"), so a length the
+    // line cannot hold is rejected before anything is allocated for it.
+    if (n > line.size() / 2) return CodecStatus::Error("truncated list read");
+    std::vector<Value> elems(n);
+    size_t got = 0;
+    while (got < n && TakeField(&line, " ", &elems[got])) ++got;
+    if (got < n) return CodecStatus::Error("truncated list read");
+    op.list_index = static_cast<uint32_t>(t->list_args.size());
+    t->list_args.push_back(std::move(elems));
+  }
+  if (!line.empty()) return CodecStatus::Error("trailing bytes on op line");
+  t->ops.push_back(op);
+  return CodecStatus::Ok();
+}
+
 CodecStatus SaveHistory(const History& history, const std::string& path) {
   // Written tmp + fsync + rename so a crash mid-save leaves either the
   // previous file or the complete new one, never a torn prefix; the
@@ -24,42 +164,26 @@ CodecStatus SaveHistory(const History& history, const std::string& path) {
   const std::string tmp = path + ".tmp";
   FILE* f = fopen(tmp.c_str(), "w");
   if (!f) return CodecStatus::Error("cannot open for write: " + tmp);
-  fprintf(f, "chronos-history v1 sessions=%u txns=%zu\n", history.num_sessions,
-          history.txns.size());
+  const std::string count = std::to_string(history.txns.size());
+  std::string buf = "chronos-history v1 sessions=" +
+                    std::to_string(history.num_sessions) + " txns=" + count +
+                    "\n";
+  bool ok = true;
+  auto write_buf = [&] {
+    ok = fwrite(buf.data(), 1, buf.size(), f) == buf.size() && ok;
+    buf.clear();
+  };
   for (const Transaction& t : history.txns) {
-    fprintf(f, "T %" PRIu64 " %u %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu",
-            t.tid, t.sid, t.sno, t.start_ts, t.commit_ts, t.ops.size());
-    if (t.iso != IsolationLevel::kUnspecified) {
-      fprintf(f, " iso=%s", IsolationLevelName(t.iso));
-    }
-    fprintf(f, "\n");
-    for (const Op& op : t.ops) {
-      switch (op.type) {
-        case OpType::kRead:
-          fprintf(f, "R %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-          break;
-        case OpType::kWrite:
-          fprintf(f, "W %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-          break;
-        case OpType::kAppend:
-          fprintf(f, "A %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-          break;
-        case OpType::kReadList: {
-          const auto& elems = t.list_args[op.list_index];
-          fprintf(f, "L %" PRIu64 " %zu", op.key, elems.size());
-          for (Value e : elems) fprintf(f, " %" PRId64, e);
-          fprintf(f, "\n");
-          break;
-        }
-      }
-    }
+    AppendTxnBlock(t, &buf);
+    if (buf.size() >= (1 << 16)) write_buf();
   }
-  fprintf(f, "# end txns=%zu\n", history.txns.size());
-  bool ok = fflush(f) == 0 && chronos_fsync(chronos_fileno(f)) == 0;
+  buf += "# end txns=" + count + "\n";
+  write_buf();
+  ok = ok && fflush(f) == 0 && chronos_fsync(chronos_fileno(f)) == 0;
   ok = (fclose(f) == 0) && ok;
   if (!ok) {
     remove(tmp.c_str());
-    return CodecStatus::Error("flush failed: " + tmp);
+    return CodecStatus::Error("write failed: " + tmp);
   }
   if (rename(tmp.c_str(), path.c_str()) != 0) {
     remove(tmp.c_str());
@@ -69,119 +193,61 @@ CodecStatus SaveHistory(const History& history, const std::string& path) {
 }
 
 CodecStatus LoadHistory(const std::string& path, History* out) {
-  FILE* f = fopen(path.c_str(), "r");
-  if (!f) return CodecStatus::Error("cannot open for read: " + path);
   out->txns.clear();
   out->num_sessions = 0;
-
+  std::unique_ptr<FILE, int (*)(FILE*)> f(fopen(path.c_str(), "r"), fclose);
+  if (!f) return CodecStatus::Error("cannot open for read: " + path);
+  // Bounds every reserve taken from a count in the file. An input that
+  // cannot seek (a pipe) reserves nothing and grows as records arrive.
+  uint64_t size = 0;
+  if (fseek(f.get(), 0, SEEK_END) == 0) {
+    size = static_cast<uint64_t>(std::max(ftell(f.get()), 0L));
+    rewind(f.get());
+  }
+  LineReader in(f.get());
+  std::string_view line;
+  auto at_line = [&in](const std::string& what) {
+    return CodecStatus::Error("line " + std::to_string(in.lines) + ": " +
+                              what);
+  };
   size_t declared_txns = 0;
-  if (fscanf(f, "chronos-history v1 sessions=%u txns=%zu\n",
-             &out->num_sessions, &declared_txns) != 2) {
-    fclose(f);
+  if (!in.Next(&line) ||
+      !TakeField(&line, "chronos-history v1 sessions=", &out->num_sessions) ||
+      !TakeField(&line, " txns=", &declared_txns) || !line.empty()) {
     return CodecStatus::Error("bad header in " + path);
   }
-  out->txns.reserve(declared_txns);
+  out->txns.reserve(std::min<uint64_t>(declared_txns,
+                                        size / kMinTxnBlockBytes));
 
-  char tag[4];
-  bool footer_seen = false;
-  size_t footer_txns = 0;
-  while (fscanf(f, "%3s", tag) == 1) {
-    if (strcmp(tag, "#") == 0) {
-      if (fscanf(f, " end txns=%zu", &footer_txns) != 1) {
-        fclose(f);
-        return CodecStatus::Error("malformed footer in " + path);
+  // The footer is mandatory: without it, a file truncated exactly at a
+  // record boundary is indistinguishable from a complete one.
+  while (in.Next(&line)) {
+    if (!line.empty() && line[0] == '#') {
+      size_t footer_txns = 0;
+      if (!TakeField(&line, "# end txns=", &footer_txns) || !line.empty()) {
+        return at_line("malformed footer");
       }
-      footer_seen = true;
-      break;
-    }
-    if (strcmp(tag, "T") != 0) {
-      fclose(f);
-      return CodecStatus::Error("expected transaction record, got tag: " +
-                                std::string(tag));
+      if (declared_txns != out->txns.size() ||
+          footer_txns != out->txns.size()) {
+        return CodecStatus::Error(
+            "header declared " + std::to_string(declared_txns) +
+            " txns, footer " + std::to_string(footer_txns) + ", found " +
+            std::to_string(out->txns.size()));
+      }
+      return CodecStatus::Ok();
     }
     Transaction t;
     size_t nops = 0;
-    if (fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu",
-               &t.tid, &t.sid, &t.sno, &t.start_ts, &t.commit_ts,
-               &nops) != 6) {
-      fclose(f);
-      return CodecStatus::Error("malformed transaction header");
+    CodecStatus st =
+        ParseTxnLine(line, size - std::min(size, in.consumed), &t, &nops);
+    for (size_t i = 0; st.ok && i < nops; ++i) {
+      st = in.Next(&line) ? ParseOpLine(line, &t)
+                          : CodecStatus::Error("truncated operation list");
     }
-    // Optional trailing `iso=<level>` on the same line; absent means
-    // run-level default (Transaction::iso stays kUnspecified).
-    char rest[64];
-    if (!fgets(rest, sizeof(rest), f)) {
-      fclose(f);
-      return CodecStatus::Error("truncated transaction header");
-    }
-    char* p = rest;
-    while (*p == ' ') ++p;
-    p[strcspn(p, "\r\n")] = '\0';
-    if (*p != '\0') {
-      if (strncmp(p, "iso=", 4) != 0 ||
-          !IsolationLevelFromName(p + 4, &t.iso)) {
-        fclose(f);
-        return CodecStatus::Error("bad transaction header suffix: " +
-                                  std::string(p));
-      }
-    }
-    t.ops.reserve(nops);
-    for (size_t i = 0; i < nops; ++i) {
-      if (fscanf(f, "%3s", tag) != 1) {
-        fclose(f);
-        return CodecStatus::Error("truncated operation list");
-      }
-      Op op;
-      if (strcmp(tag, "R") == 0 || strcmp(tag, "W") == 0 ||
-          strcmp(tag, "A") == 0) {
-        op.type = tag[0] == 'R'   ? OpType::kRead
-                  : tag[0] == 'W' ? OpType::kWrite
-                                  : OpType::kAppend;
-        if (fscanf(f, "%" SCNu64 " %" SCNd64, &op.key, &op.value) != 2) {
-          fclose(f);
-          return CodecStatus::Error("malformed register op");
-        }
-      } else if (strcmp(tag, "L") == 0) {
-        op.type = OpType::kReadList;
-        size_t n = 0;
-        if (fscanf(f, "%" SCNu64 " %zu", &op.key, &n) != 2) {
-          fclose(f);
-          return CodecStatus::Error("malformed list read header");
-        }
-        std::vector<Value> elems(n);
-        for (size_t j = 0; j < n; ++j) {
-          if (fscanf(f, "%" SCNd64, &elems[j]) != 1) {
-            fclose(f);
-            return CodecStatus::Error("truncated list read");
-          }
-        }
-        op.list_index = static_cast<uint32_t>(t.list_args.size());
-        t.list_args.push_back(std::move(elems));
-      } else {
-        fclose(f);
-        return CodecStatus::Error("unknown op tag: " + std::string(tag));
-      }
-      t.ops.push_back(op);
-    }
+    if (!st.ok) return at_line(st.message);
     out->txns.push_back(std::move(t));
   }
-  fclose(f);
-  if (out->txns.size() != declared_txns) {
-    return CodecStatus::Error("header declared " +
-                              std::to_string(declared_txns) + " txns, found " +
-                              std::to_string(out->txns.size()));
-  }
-  // The footer is mandatory: without it, a file truncated exactly at a
-  // record boundary is indistinguishable from a complete one.
-  if (!footer_seen) {
-    return CodecStatus::Error("missing end footer (truncated file?): " + path);
-  }
-  if (footer_txns != out->txns.size()) {
-    return CodecStatus::Error("footer declared " +
-                              std::to_string(footer_txns) + " txns, found " +
-                              std::to_string(out->txns.size()));
-  }
-  return CodecStatus::Ok();
+  return CodecStatus::Error("missing end footer (truncated file?): " + path);
 }
 
 }  // namespace chronos::hist

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 
 #include "core/state_io.h"
+#include "hist/codec.h"
 
 #ifdef _WIN32
 #include <io.h>
@@ -28,42 +26,6 @@ constexpr char kWalHeader[] = "chronos-wal v1\n";
 constexpr uint64_t kCkptMagic = 0x43484B5054763201ULL;   // "CHKPTv2" + 1
 constexpr uint64_t kCkptFooter = 0x454E44434B505401ULL;  // "ENDCKPT" + 1
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n));
-}
-
-// Serializes one transaction in the hist/codec.h line shapes, so WAL
-// records are inspectable with the same eyes as .hist files.
-void AppendTxnLines(std::string* out, const Transaction& t) {
-  AppendF(out, "T %" PRIu64 " %u %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu\n",
-          t.tid, t.sid, t.sno, t.start_ts, t.commit_ts, t.ops.size());
-  for (const Op& op : t.ops) {
-    switch (op.type) {
-      case OpType::kRead:
-        AppendF(out, "R %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-        break;
-      case OpType::kWrite:
-        AppendF(out, "W %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-        break;
-      case OpType::kAppend:
-        AppendF(out, "A %" PRIu64 " %" PRId64 "\n", op.key, op.value);
-        break;
-      case OpType::kReadList: {
-        const std::vector<Value>& elems = t.list_args[op.list_index];
-        AppendF(out, "L %" PRIu64 " %zu", op.key, elems.size());
-        for (Value e : elems) AppendF(out, " %" PRId64, e);
-        out->push_back('\n');
-        break;
-      }
-    }
-  }
-}
-
 // Pulls the next newline-terminated line out of `s` starting at *pos.
 // Returns false (leaving *pos alone) when no complete line remains —
 // a torn tail.
@@ -73,50 +35,6 @@ bool NextLine(const std::string& s, size_t* pos, std::string* line) {
   line->assign(s, *pos, nl - *pos);
   *pos = nl + 1;
   return true;
-}
-
-// Parses one codec-shaped op line into `t`. Returns false on any
-// malformed field.
-bool ParseOpLine(const std::string& line, Transaction* t) {
-  if (line.empty()) return false;
-  char tag = line[0];
-  const char* p = line.c_str() + 1;
-  char* end = nullptr;
-  if (tag == 'R' || tag == 'W' || tag == 'A') {
-    Op op;
-    op.type = tag == 'R' ? OpType::kRead
-                         : tag == 'W' ? OpType::kWrite : OpType::kAppend;
-    op.key = strtoull(p, &end, 10);
-    if (end == p) return false;
-    p = end;
-    op.value = strtoll(p, &end, 10);
-    if (end == p) return false;
-    t->ops.push_back(op);
-    return true;
-  }
-  if (tag == 'L') {
-    Op op;
-    op.type = OpType::kReadList;
-    op.key = strtoull(p, &end, 10);
-    if (end == p) return false;
-    p = end;
-    unsigned long long n = strtoull(p, &end, 10);
-    if (end == p) return false;
-    p = end;
-    std::vector<Value> elems;
-    elems.reserve(n);
-    for (unsigned long long i = 0; i < n; ++i) {
-      Value v = strtoll(p, &end, 10);
-      if (end == p) return false;
-      p = end;
-      elems.push_back(v);
-    }
-    op.list_index = static_cast<uint32_t>(t->list_args.size());
-    t->list_args.push_back(std::move(elems));
-    t->ops.push_back(op);
-    return true;
-  }
-  return false;
 }
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
@@ -181,21 +99,19 @@ WalWriter::~WalWriter() {
   if (f_) fclose(f_);
 }
 
-bool WalWriter::Append(const std::string& body) {
-  if (!f_) return false;
-  uint64_t sum = Fnv1a(body.data(), body.size());
-  std::string rec = body;
-  AppendF(&rec, "E %016" PRIx64 "\n", sum);
-  return fwrite(rec.data(), 1, rec.size(), f_) == rec.size() &&
-         fflush(f_) == 0;
-}
-
 bool WalWriter::LogStep(const WalRecord& rec) {
-  std::string body;
-  AppendF(&body, "B %" PRIu64 " T %" PRIu64 " %d %" PRIu64 " %d\n", rec.seq,
-          rec.now_ms, rec.gc ? 1 : 0, rec.gc_target, rec.shed ? 1 : 0);
-  AppendTxnLines(&body, rec.txn);
-  return Append(body);
+  if (!f_) return false;
+  char line[128];
+  int n = snprintf(line, sizeof(line),
+                   "B %" PRIu64 " T %" PRIu64 " %d %" PRIu64 " %d\n", rec.seq,
+                   rec.now_ms, rec.gc ? 1 : 0, rec.gc_target, rec.shed ? 1 : 0);
+  std::string body(line, static_cast<size_t>(n));
+  hist::AppendTxnBlock(rec.txn, &body);
+  n = snprintf(line, sizeof(line), "E %016" PRIx64 "\n",
+               Fnv1a(body.data(), body.size()));
+  body.append(line, static_cast<size_t>(n));
+  return fwrite(body.data(), 1, body.size(), f_) == body.size() &&
+         fflush(f_) == 0;
 }
 
 bool WalWriter::Sync() {
@@ -218,40 +134,33 @@ bool ReadWal(const std::string& path, std::vector<WalRecord>* records,
   }
   size_t pos = header_len;
   *valid_bytes = pos;
+  std::string line;
   for (;;) {
     size_t rec_start = pos;
-    std::string line;
     if (!NextLine(data, &pos, &line)) break;  // torn or end of file
     WalRecord rec;
     int gc = 0, shed = 0;
+    size_t nops = 0;
     if (sscanf(line.c_str(), "B %" SCNu64 " T %" SCNu64 " %d %" SCNu64 " %d",
-               &rec.seq, &rec.now_ms, &gc, &rec.gc_target, &shed) != 5) {
+               &rec.seq, &rec.now_ms, &gc, &rec.gc_target, &shed) != 5 ||
+        !NextLine(data, &pos, &line) ||
+        !hist::ParseTxnLine(line, data.size() - pos, &rec.txn, &nops).ok) {
       break;
     }
     rec.gc = gc != 0;
     rec.shed = shed != 0;
-    std::string tline;
-    size_t nops = 0;
-    if (!NextLine(data, &pos, &tline) ||
-        sscanf(tline.c_str(), "T %" SCNu64 " %u %" SCNu64 " %" SCNu64
-                              " %" SCNu64 " %zu",
-               &rec.txn.tid, &rec.txn.sid, &rec.txn.sno, &rec.txn.start_ts,
-               &rec.txn.commit_ts, &nops) != 6) {
-      break;
-    }
     bool body_ok = true;
     for (size_t i = 0; i < nops && body_ok; ++i) {
-      std::string opline;
-      body_ok = NextLine(data, &pos, &opline) && ParseOpLine(opline, &rec.txn);
+      body_ok = NextLine(data, &pos, &line) &&
+                hist::ParseOpLine(line, &rec.txn).ok;
     }
     if (!body_ok) break;
     // Checksum line covers everything from the 'B' line through the last
     // body line, newline included.
     size_t body_end = pos;
-    std::string eline;
     uint64_t want = 0;
-    if (!NextLine(data, &pos, &eline) ||
-        sscanf(eline.c_str(), "E %" SCNx64, &want) != 1 ||
+    if (!NextLine(data, &pos, &line) ||
+        sscanf(line.c_str(), "E %" SCNx64, &want) != 1 ||
         Fnv1a(data.data() + rec_start, body_end - rec_start) != want) {
       break;
     }

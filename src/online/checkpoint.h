@@ -21,12 +21,14 @@
 // checkpoints are retained: a torn or corrupt newest file falls back to
 // its predecessor (plus a longer WAL replay).
 //
-// WAL (wal.log, text, one record per Feed step, codec line discipline):
+// WAL (wal.log, text, one record per Feed step):
 //   chronos-wal v1
 //   B <seq> T <now_ms> <gc> <gc_target> <shed>
-//   T <tid> <sid> <sno> ...     codec transaction block (hist/codec.h)
-//   R|W|A|L ...
+//   T <tid> <sid> <sno> ...     transaction block, written and parsed by
+//   R|W|A|L ...                 hist/codec.h (iso= tag included)
 //   E <fnv1a-hex>               checksum of the record body ('B'..'\n')
+// Older WALs lack `iso=` and replay untagged; untagged records are
+// unchanged, so the header stays `chronos-wal v1`.
 // One record describes EVERYTHING the runner did for one arrival: feed
 // the transaction, then (gc=1) GcToLiveTarget(gc_target), then (shed=1)
 // the ceiling shed (max GC + list-buffer trim). The record is written
@@ -78,8 +80,6 @@ class WalWriter {
   bool Sync();
 
  private:
-  bool Append(const std::string& body);
-
   FILE* f_ = nullptr;
 };
 

@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_map>
 
 #include "../testutil.h"
@@ -139,6 +142,131 @@ TEST(CodecTest, SaveIsAtomicAndFooterTerminated) {
   History loaded;
   EXPECT_TRUE(LoadHistory(path, &loaded).ok);
   std::filesystem::remove(path);
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// The codec's text for every transaction of `h`: compares every field,
+// list arguments and levels included.
+std::string Blocks(const History& h) {
+  std::string out;
+  for (const Transaction& t : h.txns) AppendTxnBlock(t, &out);
+  return out;
+}
+
+// One transaction of every shape the grammar has: R/W/A/L ops, negative
+// values, an empty list read, no ops at all, and every iso= tag.
+History AllShapes() {
+  return chronos::testing::HistoryBuilder()
+      .Txn(1, 0, 0, 1, 2).W(1, -7).R(2, 0)
+      .Txn(2, 1, 0, 3, 5).Iso(IsolationLevel::kRc).A(3, -1).L(3, {})
+      .L(3, {-1, 4})
+      .Txn(3, 1, 1, 6, 7).Iso(IsolationLevel::kSer)
+      .Txn(4, 0, 1, 8, 9).Iso(IsolationLevel::kSi).R(1, -7)
+      .Txn(5, 0, 2, 10, 11).Iso(IsolationLevel::kRa).W(2, 9)
+      .Build();
+}
+
+constexpr char kAllShapesText[] =
+    "chronos-history v1 sessions=2 txns=5\n"
+    "T 1 0 0 1 2 2\n"
+    "W 1 -7\n"
+    "R 2 0\n"
+    "T 2 1 0 3 5 3 iso=rc\n"
+    "A 3 -1\n"
+    "L 3 0\n"
+    "L 3 2 -1 4\n"
+    "T 3 1 1 6 7 0 iso=ser\n"
+    "T 4 0 1 8 9 1 iso=si\n"
+    "R 1 -7\n"
+    "T 5 0 2 10 11 1 iso=ra\n"
+    "W 2 9\n"
+    "# end txns=5\n";
+
+TEST(CodecTest, SaveWritesPinnedBytes) {
+  // History files and WAL records share this writer: its bytes are what
+  // corpus files, e2ebench pins and durable directories depend on.
+  const std::string path = TempPath("golden.hist");
+  ASSERT_TRUE(SaveHistory(AllShapes(), path).ok);
+  EXPECT_EQ(Slurp(path), kAllShapesText);
+  History loaded;
+  CodecStatus st = LoadHistory(path, &loaded);
+  ASSERT_TRUE(st.ok) << st.message;
+  EXPECT_EQ(loaded.num_sessions, 2u);
+  EXPECT_EQ(Blocks(loaded), Blocks(AllShapes()));
+}
+
+TEST(CodecTest, CorpusFilesResaveByteIdentically) {
+  const std::string path = TempPath("resave.hist");
+  size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(
+           CHRONOS_TEST_SRCDIR "/tests/corpus")) {
+    if (e.path().extension() != ".repro") continue;
+    ++files;
+    History h;
+    CodecStatus st = LoadHistory(e.path().string(), &h);
+    ASSERT_TRUE(st.ok) << e.path() << ": " << st.message;
+    ASSERT_TRUE(SaveHistory(h, path).ok);
+    EXPECT_EQ(Slurp(path), Slurp(e.path().string())) << e.path();
+  }
+  EXPECT_GT(files, 0u);
+}
+
+TEST(CodecTest, HugeCountsAreErrorsNotAllocations) {
+  // Each count is far beyond what the file holds (the last two beyond
+  // any vector's max_size): the load must fail cleanly, allocating
+  // only what the file's bytes justify.
+  const char* files[] = {
+      "chronos-history v1 sessions=1 txns=99999999999999999\n"
+      "T 1 0 0 1 2 1\nW 1 1\n# end txns=1\n",
+      "chronos-history v1 sessions=1 txns=1\n"
+      "T 1 0 0 1 2 4611686018427387904\nW 1 1\n# end txns=1\n",
+      "chronos-history v1 sessions=1 txns=1\n"
+      "T 1 0 0 1 2 1\nL 1 4611686018427387904 5\n# end txns=1\n",
+      "chronos-history v1 sessions=1 txns=1\n"
+      "T 1 0 0 1 2 1\nL 1 3 5\n# end txns=1\n",
+  };
+  const std::string path = TempPath("huge.hist");
+  for (const char* bytes : files) {
+    WriteBytes(path, bytes);
+    History h;
+    EXPECT_FALSE(LoadHistory(path, &h).ok) << bytes;
+  }
+}
+
+TEST(CodecTest, CorruptionAtEveryByteIsSafe) {
+  // No checksum guards a history file, so a replaced byte may still
+  // parse; whatever loads must be a history the codec can write back.
+  // Every truncation fails: each line must end in '\n' and the footer
+  // is mandatory.
+  const std::string good = kAllShapesText;
+  const std::string path = TempPath("sweep.hist");
+  const std::string resaved = TempPath("sweep_resave.hist");
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (char c : {'9', ' ', '\n', static_cast<char>(good[i] ^ 0x40)}) {
+      std::string bad = good;
+      bad[i] = c;
+      WriteBytes(path, bad);
+      History h;
+      if (!LoadHistory(path, &h).ok) continue;
+      ASSERT_TRUE(SaveHistory(h, resaved).ok);
+      History again;
+      ASSERT_TRUE(LoadHistory(resaved, &again).ok) << "byte " << i;
+      EXPECT_EQ(Blocks(again), Blocks(h)) << "byte " << i;
+    }
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    WriteBytes(path, good.substr(0, len));
+    History h;
+    EXPECT_FALSE(LoadHistory(path, &h).ok) << "len " << len;
+  }
 }
 
 TEST(CollectorTest, PreservesSessionOrder) {

@@ -7,14 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
 #include "core/state_io.h"
+#include "hist/codec.h"
 #include "online/checkpoint.h"
 #include "online/pipeline.h"
 #include "online/recovery.h"
@@ -67,6 +71,26 @@ Transaction OneTxn() {
   return t;
 }
 
+constexpr IsolationLevel kLevels[] = {IsolationLevel::kSer,
+                                      IsolationLevel::kSi, IsolationLevel::kRc,
+                                      IsolationLevel::kRa};
+
+// The codec text of `t`: equal texts mean equal transactions.
+std::string Block(const Transaction& t) {
+  std::string out;
+  hist::AppendTxnBlock(t, &out);
+  return out;
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(WalTest, RoundTripAllRecordShapes) {
   std::string dir = FreshDir("wal_roundtrip");
   std::string path = dir + "/wal.log";
@@ -89,12 +113,20 @@ TEST(WalTest, RoundTripAllRecordShapes) {
     r2.gc_target = 32;
     r2.shed = true;
     ASSERT_TRUE(w.LogStep(r2));
+    uint64_t seq = 3;
+    for (IsolationLevel level : kLevels) {
+      WalRecord r;
+      r.seq = seq++;
+      r.txn = OneTxn();
+      r.txn.iso = level;
+      ASSERT_TRUE(w.LogStep(r));
+    }
     ASSERT_TRUE(w.Sync());
   }
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
   ASSERT_TRUE(ReadWal(path, &recs, &valid));
-  ASSERT_EQ(recs.size(), 2u);
+  ASSERT_EQ(recs.size(), 2u + std::size(kLevels));
   EXPECT_EQ(valid, fs::file_size(path));
   EXPECT_EQ(recs[0].seq, 1u);
   EXPECT_EQ(recs[0].now_ms, 17u);
@@ -113,6 +145,39 @@ TEST(WalTest, RoundTripAllRecordShapes) {
   EXPECT_EQ(recs[1].gc_target, 32u);
   EXPECT_TRUE(recs[1].shed);
   EXPECT_EQ(recs[1].txn.ops.size(), 0u);
+  EXPECT_EQ(recs[0].txn.iso, IsolationLevel::kUnspecified);
+  for (size_t i = 0; i < std::size(kLevels); ++i) {
+    Transaction want = OneTxn();
+    want.iso = kLevels[i];
+    EXPECT_EQ(recs[2 + i].txn.iso, kLevels[i]);
+    EXPECT_EQ(Block(recs[2 + i].txn), Block(want));
+  }
+}
+
+TEST(WalTest, UntaggedRecordKeepsItsLayout) {
+  // The transaction block comes from hist/codec; an untagged one must
+  // stay byte-identical to what older WALs hold.
+  const std::string path = FreshDir("wal_layout") + "/wal.log";
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path));
+    WalRecord r;
+    r.seq = 1;
+    r.now_ms = 17;
+    r.txn = OneTxn();
+    ASSERT_TRUE(w.LogStep(r));
+  }
+  const std::string body =
+      "B 1 T 17 0 0 0\n"
+      "T 7 2 3 100 120 4\n"
+      "R 1 11\n"
+      "W 2 -5\n"
+      "A 3 42\n"
+      "L 3 3 1 -2 3\n";
+  char sum[32];
+  snprintf(sum, sizeof(sum), "E %016" PRIx64 "\n",
+           Fnv1a(body.data(), body.size()));
+  EXPECT_EQ(Slurp(path), "chronos-wal v1\n" + body + sum);
 }
 
 TEST(WalTest, TornTailStopsAtLastValidRecordAndResumes) {
@@ -192,6 +257,107 @@ TEST(WalTest, CorruptChecksumEndsReplayBeforeTheRecord) {
   ASSERT_TRUE(ReadWal(path, &recs, &valid));
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(valid, size_after_first);
+}
+
+TEST(WalTest, HugeListCountInLastRecordEndsReplayBeforeIt) {
+  // A checksum only proves the bytes are the ones written; a record whose
+  // L count its line cannot hold must still end replay, not allocate.
+  const std::string path = FreshDir("wal_huge") + "/wal.log";
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path));
+    WalRecord r;
+    r.seq = 1;
+    r.txn = OneTxn();
+    ASSERT_TRUE(w.LogStep(r));
+  }
+  const uint64_t size_after_first = fs::file_size(path);
+  const std::string body =
+      "B 2 T 0 0 0 0\nT 9 0 0 1 2 1\nL 1 4611686018427387904 5\n";
+  char sum[32];
+  snprintf(sum, sizeof(sum), "E %016" PRIx64 "\n",
+           Fnv1a(body.data(), body.size()));
+  WriteBytes(path, Slurp(path) + body + sum);
+  std::vector<WalRecord> recs;
+  uint64_t valid = 0;
+  ASSERT_TRUE(ReadWal(path, &recs, &valid));
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(valid, size_after_first);
+}
+
+TEST(WalTest, CorruptionAtEveryByteIsSafe) {
+  // Records of every shape, tagged and untagged. A replaced byte ends
+  // replay at (or, inside a checksum line's framing, just after) its
+  // record, and every record replayed is one that was written; a cut
+  // keeps exactly the records that end before it.
+  const std::string path = FreshDir("wal_sweep") + "/wal.log";
+  std::vector<WalRecord> written;
+  std::vector<uint64_t> ends;
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path));
+    for (IsolationLevel level :
+         {IsolationLevel::kUnspecified, IsolationLevel::kRc}) {
+      WalRecord r;
+      r.seq = written.size() + 1;
+      r.now_ms = 5;
+      r.gc = level == IsolationLevel::kRc;
+      r.gc_target = 8;
+      r.txn = OneTxn();
+      r.txn.iso = level;
+      ASSERT_TRUE(w.LogStep(r));
+      written.push_back(r);
+      ends.push_back(fs::file_size(path));
+    }
+  }
+  const std::string good = Slurp(path);
+  const size_t header = 15;  // strlen("chronos-wal v1\n")
+  auto expect_written_prefix = [&](const std::vector<WalRecord>& recs,
+                                   const std::string& what) {
+    ASSERT_LE(recs.size(), written.size()) << what;
+    for (size_t k = 0; k < recs.size(); ++k) {
+      EXPECT_EQ(recs[k].seq, written[k].seq) << what;
+      EXPECT_EQ(recs[k].now_ms, written[k].now_ms) << what;
+      EXPECT_EQ(recs[k].gc, written[k].gc) << what;
+      EXPECT_EQ(recs[k].gc_target, written[k].gc_target) << what;
+      EXPECT_EQ(recs[k].shed, written[k].shed) << what;
+      EXPECT_EQ(Block(recs[k].txn), Block(written[k].txn)) << what;
+    }
+  };
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (char c : {'9', ' ', '\n', static_cast<char>(good[i] ^ 0x40)}) {
+      if (c == good[i]) continue;
+      std::string bad = good;
+      bad[i] = c;
+      WriteBytes(path, bad);
+      std::vector<WalRecord> recs;
+      uint64_t valid = 0;
+      const std::string what = "byte " + std::to_string(i);
+      if (!ReadWal(path, &recs, &valid)) {
+        EXPECT_LT(i, header) << what;
+        continue;
+      }
+      ASSERT_GE(i, header) << what;
+      const size_t hit = static_cast<size_t>(
+          std::upper_bound(ends.begin(), ends.end(), i) - ends.begin());
+      EXPECT_GE(recs.size(), hit) << what;
+      EXPECT_LE(recs.size(), hit + 1) << what;
+      EXPECT_LE(valid, good.size()) << what;
+      expect_written_prefix(recs, what);
+    }
+  }
+  for (size_t len = header; len < good.size(); ++len) {
+    WriteBytes(path, good.substr(0, len));
+    std::vector<WalRecord> recs;
+    uint64_t valid = 0;
+    const std::string what = "len " + std::to_string(len);
+    ASSERT_TRUE(ReadWal(path, &recs, &valid)) << what;
+    const size_t kept = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), len) - ends.begin());
+    EXPECT_EQ(recs.size(), kept) << what;
+    EXPECT_EQ(valid, kept == 0 ? header : ends[kept - 1]) << what;
+    expect_written_prefix(recs, what);
+  }
 }
 
 TEST(CheckpointManagerTest, WriteLoadRoundTripAndRetention) {

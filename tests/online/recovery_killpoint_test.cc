@@ -285,6 +285,31 @@ TEST(KillPointSweep, WalOnlyNoCheckpoints) {
   SweepScenario(sc);
 }
 
+TEST(KillPointSweep, MixedLevels) {
+  // Per-transaction iso= tags ride in every WAL record: a replay that
+  // dropped them would check the RC/RA/SER arrivals as SI and fork the
+  // recovered verdict from the uninterrupted one.
+  History h = MakeWorkload(300, 809, /*list_mode=*/false, 30);
+  workload::LevelMix mix;
+  mix.si = 40;
+  mix.ser = 20;
+  mix.rc = 20;
+  mix.ra = 20;
+  workload::AssignLevels(&h, mix, 809);
+  Scenario sc;
+  sc.name = "mixed";
+  sc.arrivals = SessionPreservingShuffle(h, 23);
+  sc.ext_timeout_ms = 40;
+  sc.checkpoint_every = 60;
+  sc.gc_every = 32;
+  sc.gc_target = 16;
+  SweepScenario(sc);
+
+  sc.name = "mixed_walonly";
+  sc.checkpoint_every = 0;
+  SweepScenario(sc);
+}
+
 TEST(KillPointSweep, MemoryCeiling) {
   // Append-heavy list workload under a ceiling sized to force sheds:
   // shed decisions are WAL-logged (and re-derived identically for the

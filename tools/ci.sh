@@ -157,6 +157,32 @@ if [[ "${CHRONOS_CI_KILLPOINT:-1}" != "0" ]]; then
   echo "crash-recovery: exhaustive kill-point sweep"
   CHRONOS_KILLPOINT_EXHAUSTIVE=1 "$BUILD_DIR/recovery_killpoint_test"
   "$BUILD_DIR/checkpoint_test"
+  # The same contract at the CLI on a mixed-level history: a WAL-only
+  # --resume of a durable run replays every arrival with its iso= tag,
+  # so it must print the uninterrupted run's verdict, stats and
+  # flip-flop count.
+  echo "crash-recovery: mixed-level durable --resume"
+  mix_dir="$BUILD_DIR/mixed-resume"
+  rm -rf "$mix_dir"
+  mkdir -p "$mix_dir"
+  "$BUILD_DIR/chronos_gen" --out="$mix_dir/mix.hist" --txns=3000 \
+                           --mix=si:40,ser:20,rc:20,ra:20 --seed=7 >/dev/null
+  mix_run() {
+    local rc=0
+    "$BUILD_DIR/chronos_check" --in="$mix_dir/mix.hist" --online \
+        --delay-mean=20 --delay-stddev=10 --timeout-ms=50 --stats \
+        --checkpoint-dir="$mix_dir/ckpt" --checkpoint-every=0 "$@" \
+        >"$mix_dir/out.txt" || rc=$?
+    if [[ $rc != 0 && $rc != 3 ]]; then
+      echo "chronos_check $* exited $rc" >&2
+      return 1
+    fi
+    grep -E '^(violations|stats):' "$mix_dir/out.txt"
+    grep -oE '[0-9]+ flip-flops' "$mix_dir/out.txt"
+  }
+  mix_run >"$mix_dir/uninterrupted.txt"
+  mix_run --resume >"$mix_dir/resumed.txt"
+  diff "$mix_dir/uninterrupted.txt" "$mix_dir/resumed.txt"
 fi
 
 # Differential-fuzz smoke (fixed seed blocks, deterministic): 200 seeded
