@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -550,6 +551,148 @@ TEST(StateImageTest, ImportRejectsShardCountMismatch) {
   ShardedAion::StateImage img = two.ExportState();
   ShardedAion three(opt, 3, &s2);
   EXPECT_FALSE(three.ImportState(img));
+}
+
+// A fixed, generator-free arrival stream that fills every section of
+// the image on 2 shards: register and list keys, stale register and list
+// reads (EXT), an INT violation (held by the coordinator), overlapping
+// writers (NOCONFLICT), swapped neighbours whose reads flip, and two
+// transactions held back until GC has passed them (below-watermark
+// stragglers: spill reloads, spilled intervals, a list delta merged
+// below a collapsed, hash-trimmed base).
+std::vector<Transaction> PinnedArrivals() {
+  std::vector<Transaction> txns;
+  std::map<Key, Value> reg;
+  std::map<Key, std::vector<Value>> lists;
+  for (uint64_t i = 0; i < 60; ++i) {
+    Transaction t;
+    t.tid = i + 1;
+    t.sid = i % 4;
+    t.sno = i / 4;
+    t.start_ts = 10 * i + 2;
+    t.commit_ts = 10 * i + 6;
+    Key wk = (i * 3 + 1) % 5;
+    if (i % 11 == 5) {
+      t.start_ts = 10 * i - 13;  // spans the previous writer of the key
+      wk = ((i - 1) * 3 + 1) % 5;
+    } else {
+      const Key rk = i % 5;
+      const Value seen = reg.count(rk) ? reg[rk] : kValueInit;
+      t.ops.push_back({OpType::kRead, rk, i % 7 == 3 ? seen + 1000 : seen, 0});
+    }
+    t.ops.push_back({OpType::kWrite, wk, static_cast<Value>(i + 1), 0});
+    if (i == 20) t.ops.push_back({OpType::kRead, wk, 999, 0});
+    const Key rlk = 100 + (i + 2) % 3;  // the predecessor's append key
+    std::vector<Value> observed = lists[rlk];
+    if (i % 9 == 4 && !observed.empty()) observed.back() += 1;
+    Op l;
+    l.type = OpType::kReadList;
+    l.key = rlk;
+    t.ops.push_back(l);
+    t.list_args.push_back(std::move(observed));
+    const Key lk = 100 + i % 3;
+    t.ops.push_back({OpType::kAppend, lk, static_cast<Value>(10 * i), 0});
+    reg[wk] = static_cast<Value>(i + 1);
+    lists[lk].push_back(static_cast<Value>(10 * i));
+    txns.push_back(std::move(t));
+  }
+  std::vector<Transaction> arrivals;
+  for (uint64_t i = 0; i < txns.size(); ++i) {
+    if (i == 13 || i == 14) continue;
+    if (i % 15 == 10) std::swap(txns[i], txns[i + 1]);
+    arrivals.push_back(txns[i]);
+  }
+  arrivals.push_back(txns[13]);
+  arrivals.push_back(txns[14]);
+  return arrivals;
+}
+
+CheckerOptions PinnedOptions(const std::string& spill_dir) {
+  CheckerOptions opt;
+  opt.ext_timeout_ms = 4;
+  opt.spill_dir = spill_dir;
+  return opt;
+}
+
+// Runs PinnedArrivals()[0, cut) on 2 shards: 1 ms per arrival, GC every
+// 8 arrivals and one memory shed, then exports.
+ShardedAion::StateImage RunPinned(const std::string& spill_dir, size_t cut,
+                                  Outcome* seen = nullptr) {
+  const std::vector<Transaction> arrivals = PinnedArrivals();
+  VectorSink discard;
+  ShardedAion checker(PinnedOptions(spill_dir), 2, &discard);
+  for (size_t i = 0; i < cut; ++i) {
+    checker.OnTransaction(arrivals[i], i);
+    if ((i + 1) % 8 == 0) checker.GcToLiveTarget(3);
+    if (i + 1 == 40) checker.ShedMemory();
+  }
+  ShardedAion::StateImage img = checker.ExportState();
+  if (seen) {
+    seen->stats = checker.stats();
+    seen->watermark = checker.watermark();
+    seen->flips = checker.flip_stats().total_flips();
+  }
+  return img;
+}
+
+uint64_t Fnv(const std::string& s) { return Fnv1a(s.data(), s.size()); }
+
+TEST(StateImageTest, SectionBytesPinned) {
+  // The checkpoint sections and spill epochs are an on-disk format: a
+  // change to any byte of them is a format change, not a refactor.
+  const std::string dir = FreshDir("img_pinned");
+  Outcome seen;
+  const ShardedAion::StateImage img =
+      RunPinned(dir + "/spill", PinnedArrivals().size(), &seen);
+  // The stream reaches what it is meant to cover.
+  EXPECT_GT(seen.stats.gc_passes, 0u);
+  EXPECT_GT(seen.stats.spill_reloads, 0u);
+  EXPECT_GT(seen.stats.unsafe_below_horizon, 0u);
+  EXPECT_GT(seen.flips, 0u);
+  ASSERT_EQ(img.shards.size(), 2u);
+  EXPECT_EQ(Fnv(img.ingress), 0xffee6153a131653bULL);
+  EXPECT_EQ(Fnv(img.coordinator), 0xdf760dafbac4b25fULL);
+  EXPECT_EQ(Fnv(img.shards[0]), 0x7b7dab50665d6703ULL);
+  EXPECT_EQ(Fnv(img.shards[1]), 0x7c6261f3938ddc11ULL);
+  std::map<std::string, uint64_t> epochs;
+  for (const auto& e : fs::recursive_directory_iterator(dir + "/spill")) {
+    if (e.is_regular_file()) {
+      epochs[fs::relative(e.path(), dir).string()] = Fnv(Slurp(e.path()));
+    }
+  }
+  const std::map<std::string, uint64_t> want = {
+      {"spill/shard0/spill-1.bin", 0x44194a809b6dccdcULL},
+      {"spill/shard0/spill-2.bin", 0x903732e9f881a1deULL},
+      {"spill/shard0/spill-3.bin", 0x72c8a5e93a6b596aULL},
+      {"spill/shard0/spill-4.bin", 0x713810d95f4aa146ULL},
+      {"spill/shard0/spill-5.bin", 0xdd7e370d6b9ab1f8ULL},
+      {"spill/shard0/spill-6.bin", 0x3c606e2ab036c2a9ULL},
+      {"spill/shard0/spill-7.bin", 0x8fa0f0a0ad5b4072ULL},
+      {"spill/shard1/spill-1.bin", 0x5a8d12735868c8fdULL},
+      {"spill/shard1/spill-2.bin", 0x614b4804e0d7e6d0ULL},
+      {"spill/shard1/spill-3.bin", 0xec6cfc69054e7136ULL},
+      {"spill/shard1/spill-4.bin", 0xc47ff4747da0c03eULL},
+      {"spill/shard1/spill-5.bin", 0x397ab164116c0770ULL},
+      {"spill/shard1/spill-6.bin", 0x74747f181815405eULL},
+      {"spill/shard1/spill-7.bin", 0x788828732f9b9a94ULL},
+  };
+  EXPECT_EQ(epochs, want);
+}
+
+TEST(StateImageTest, ImportThenExportIsByteIdentical) {
+  const std::string dir = FreshDir("img_reexport");
+  const size_t n = PinnedArrivals().size();
+  for (size_t cut : {size_t{9}, size_t{25}, size_t{41}, n - 1, n}) {
+    const std::string spill = dir + "/spill" + std::to_string(cut);
+    const ShardedAion::StateImage img = RunPinned(spill, cut);
+    VectorSink discard;
+    ShardedAion restored(PinnedOptions(spill), 2, &discard);
+    ASSERT_TRUE(restored.ImportState(img)) << "cut=" << cut;
+    const ShardedAion::StateImage again = restored.ExportState();
+    EXPECT_TRUE(again.ingress == img.ingress) << "cut=" << cut;
+    EXPECT_TRUE(again.coordinator == img.coordinator) << "cut=" << cut;
+    EXPECT_TRUE(again.shards == img.shards) << "cut=" << cut;
+  }
 }
 
 TEST(SpillCorruptionTest, CorruptEpochsDegradeDeterministically) {
