@@ -5,12 +5,9 @@
 #ifndef CHRONOS_CORE_FLIPFLOP_STATS_H_
 #define CHRONOS_CORE_FLIPFLOP_STATS_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/state_io.h"
 
@@ -82,33 +79,13 @@ class FlipFlopStats {
     }
   }
 
-  /// Checkpoint hooks; per-txn counts emitted sorted by tid for
-  /// byte-determinism.
-  void Serialize(StateWriter* w) const {
-    w->U64(flips_per_txnkey_total_);
-    std::vector<std::pair<uint64_t, uint32_t>> per_txn(flips_per_txn_.begin(),
-                                                       flips_per_txn_.end());
-    std::sort(per_txn.begin(), per_txn.end());
-    w->U64(per_txn.size());
-    for (const auto& [tid, flips] : per_txn) {
-      w->U64(tid);
-      w->U64(flips);
-    }
-    for (uint64_t v : pair_flip_hist_) w->U64(v);
-    for (uint64_t v : latency_hist_) w->U64(v);
-  }
-
-  bool Deserialize(StateReader* r) {
-    flips_per_txn_.clear();
-    flips_per_txnkey_total_ = r->U64();
-    uint64_t n = r->U64();
-    for (uint64_t i = 0; i < n && r->ok(); ++i) {
-      uint64_t tid = r->U64();
-      flips_per_txn_[tid] = static_cast<uint32_t>(r->U64());
-    }
-    for (uint64_t& v : pair_flip_hist_) v = r->U64();
-    for (uint64_t& v : latency_hist_) v = r->U64();
-    return r->ok();
+  /// The checkpoint layout; per-txn counts in tid order.
+  template <typename IO>
+  void Transfer(IO& io) {
+    io.U64(flips_per_txnkey_total_);
+    io.Map(flips_per_txn_, /*tid, flips*/ 16, [&](auto& f) { io.U64(f); });
+    for (auto& v : pair_flip_hist_) io.U64(v);
+    for (auto& v : latency_hist_) io.U64(v);
   }
 
   static const char* LatencyBucketName(size_t i) {

@@ -1,7 +1,6 @@
 #include "core/key_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 
 #include "core/list_replay.h"
@@ -628,107 +627,47 @@ size_t KeyEngine::TrimListsBelowHorizon() {
   return lists_.TrimTo(watermark_);
 }
 
-void KeyEngine::Serialize(StateWriter* w) const {
-  w->U64(watermark_);
-  versions_.Serialize(w);
-  lists_.Serialize(w);
-  ongoing_.Serialize(w);
-  spill_.SerializeManifest(w);
-
-  std::vector<TxnId> tids;
-  tids.reserve(local_txns_.size());
-  for (const auto& [tid, rec] : local_txns_) tids.push_back(tid);
-  std::sort(tids.begin(), tids.end());
-  w->U64(tids.size());
-  for (TxnId tid : tids) {
-    const LocalTxn& rec = local_txns_.at(tid);
-    w->U64(tid);
-    w->U64(rec.view_ts);
-    w->U64(rec.commit_ts);
-    w->U8(rec.finalized ? 1 : 0);
-    w->U8(static_cast<uint8_t>(rec.level));
-    w->U64(rec.ext_reads.size());
-    for (const ExtReadState& er : rec.ext_reads) {
-      w->U64(er.key);
-      w->I64(er.observed);
-      w->U8(er.satisfied ? 1 : 0);
-      w->U64(er.flips);
-      w->U64(er.last_change_ms);
-    }
-    w->U64(rec.list_reads.size());
-    for (const ListReadState& lr : rec.list_reads) {
-      w->U64(lr.key);
-      w->Bytes(lr.observed.data(), lr.observed.size() * sizeof(Value));
-      w->U8(lr.satisfied ? 1 : 0);
-      w->U64(lr.flips);
-      w->U64(lr.last_change_ms);
-    }
-  }
-  w->U64(commit_index_.size());
-  for (const auto& [cts, tid] : commit_index_) {
-    w->U64(cts);
-    w->U64(tid);
-  }
+template <typename IO>
+void KeyEngine::Transfer(IO& io) {
+  io.U64(watermark_);
+  versions_.Transfer(io);
+  lists_.Transfer(io);
+  ongoing_.Transfer(io);
+  spill_.TransferManifest(io);
+  io.Map(local_txns_, /*tid .. list read count*/ 56, [&](auto& rec) {
+    io.U64(rec.view_ts);
+    io.U64(rec.commit_ts);
+    io.U8(rec.finalized);
+    io.U8(rec.level, IsolationLevel::kSer, IsolationLevel::kRa);
+    io.Seq(rec.ext_reads, /*key .. last_change_ms*/ 40, [&](auto& er) {
+      io.U64(er.key);
+      io.I64(er.observed);
+      io.U8(er.satisfied);
+      io.U64(er.flips);
+      io.U64(er.last_change_ms);
+    });
+    io.Seq(rec.list_reads, /*key .. last_change_ms*/ 40, [&](auto& lr) {
+      io.U64(lr.key);
+      io.Values(lr.observed);
+      io.U8(lr.satisfied);
+      io.U64(lr.flips);
+      io.U64(lr.last_change_ms);
+    });
+  });
+  io.Seq(commit_index_, /*cts, tid*/ 16, [&](auto& e) {
+    io.U64(e.first);
+    io.U64(e.second);
+  });
+  if constexpr (IO::kReading) RebuildReaderIndexes();
 }
 
-bool KeyEngine::Deserialize(StateReader* r) {
-  watermark_ = r->U64();
-  if (!versions_.Deserialize(r)) return false;
-  if (!lists_.Deserialize(r)) return false;
-  if (!ongoing_.Deserialize(r)) return false;
-  if (!spill_.DeserializeManifest(r)) return false;
+template void KeyEngine::Transfer(StateWriter&);
+template void KeyEngine::Transfer(StateReader&);
 
-  local_txns_.clear();
-  uint64_t nt = r->U64();
-  for (uint64_t i = 0; i < nt && r->ok(); ++i) {
-    TxnId tid = r->U64();
-    LocalTxn& rec = local_txns_[tid];
-    rec.view_ts = r->U64();
-    rec.commit_ts = r->U64();
-    rec.finalized = r->U8() != 0;
-    rec.level = static_cast<IsolationLevel>(r->U8());
-    uint64_t nr = r->U64();
-    rec.ext_reads.reserve(nr);
-    for (uint64_t j = 0; j < nr && r->ok(); ++j) {
-      ExtReadState er;
-      er.key = r->U64();
-      er.observed = r->I64();
-      er.satisfied = r->U8() != 0;
-      er.flips = static_cast<uint32_t>(r->U64());
-      er.last_change_ms = r->U64();
-      rec.ext_reads.push_back(er);
-    }
-    uint64_t nl = r->U64();
-    rec.list_reads.reserve(nl);
-    for (uint64_t j = 0; j < nl && r->ok(); ++j) {
-      ListReadState lr;
-      lr.key = r->U64();
-      std::string raw = r->Bytes();
-      if (!r->ok() || raw.size() % sizeof(Value) != 0) return false;
-      lr.observed.resize(raw.size() / sizeof(Value));
-      // Empty reads leave data() null; memcpy's args are declared nonnull.
-      if (!raw.empty()) {
-        std::memcpy(lr.observed.data(), raw.data(), raw.size());
-      }
-      lr.satisfied = r->U8() != 0;
-      lr.flips = static_cast<uint32_t>(r->U64());
-      lr.last_change_ms = r->U64();
-      rec.list_reads.push_back(std::move(lr));
-    }
-  }
-  commit_index_.clear();
-  uint64_t nci = r->U64();
-  commit_index_.reserve(nci);
-  for (uint64_t i = 0; i < nci && r->ok(); ++i) {
-    Timestamp cts = r->U64();
-    TxnId tid = r->U64();
-    commit_index_.emplace_back(cts, tid);
-  }
-
-  // The reader indexes are derivable: every resident transaction's reads
-  // are registered (refs persist until the record itself is dropped), so
-  // rebuilding from local_txns_ and sorting by the unique view timestamps
-  // reproduces the chains exactly.
+void KeyEngine::RebuildReaderIndexes() {
+  // Every resident transaction's reads are registered (refs persist
+  // until the record itself is dropped), so rebuilding from local_txns_
+  // and sorting by the unique view timestamps reproduces the chains.
   reader_index_.clear();
   membership_reader_index_.clear();
   list_reader_index_.clear();
@@ -744,18 +683,15 @@ bool KeyEngine::Deserialize(StateReader* r) {
           ReaderRef{rec.view_ts, tid, i});
     }
   }
-  auto sort_chains = [](std::unordered_map<Key, ReaderChain>* index) {
+  for (auto* index :
+       {&reader_index_, &membership_reader_index_, &list_reader_index_}) {
     for (auto& [key, chain] : *index) {
       std::sort(chain.begin(), chain.end(),
                 [](const ReaderRef& a, const ReaderRef& b) {
                   return a.view_ts < b.view_ts;
                 });
     }
-  };
-  sort_chains(&reader_index_);
-  sort_chains(&membership_reader_index_);
-  sort_chains(&list_reader_index_);
-  return r->ok();
+  }
 }
 
 }  // namespace chronos

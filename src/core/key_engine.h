@@ -138,15 +138,15 @@ class KeyEngine {
   /// the number of elements released.
   size_t TrimListsBelowHorizon();
 
-  /// Checkpoint hooks: a full dump of this engine's state (byte-
-  /// deterministic — hash-map contents are emitted in sorted order) and
-  /// its exact inverse. Deserialize rebuilds the derivable structures
-  /// (reader indexes, GC triggers, epoch cache payloads) instead of
-  /// reading them, and assumes an engine constructed with the same
-  /// Options (in particular the same spill_dir, which must still hold
-  /// the manifest's epoch files).
-  void Serialize(StateWriter* w) const;
-  bool Deserialize(StateReader* r);
+  /// The checkpoint layout of this engine's state (hash maps in sorted
+  /// key order), instantiated for StateWriter and StateReader. A read
+  /// rebuilds the derivable structures (reader indexes, GC triggers,
+  /// epoch cache payloads) instead of transferring them, rejects a
+  /// reader level outside IsolationLevel, and assumes an engine
+  /// constructed with the same Options (in particular the same
+  /// spill_dir, which must still hold the manifest's epoch files).
+  template <typename IO>
+  void Transfer(IO& io);
 
   /// Accounting (O(1), backed by running counters). Versions count both
   /// register versions and list version boundaries.
@@ -256,6 +256,8 @@ class KeyEngine {
       Key key);
   /// Lengths-only variant for below-base placement offsets.
   std::vector<std::pair<Timestamp, size_t>> SpilledListLens(Key key);
+  /// Rebuilds the three reader indexes from local_txns_ after a read.
+  void RebuildReaderIndexes();
 
   Options options_;
   CheckerStats* stats_;

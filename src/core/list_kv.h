@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -134,6 +133,9 @@ class ListKv {
       if (mts == ts) return false;
       if (mts < ts) offset += mdelta.size();
     }
+    // The lengths come from spill epochs and checkpoints on disk: never
+    // place the delta past the sequence (a no-op for consistent state).
+    offset = std::min(offset, chain.trimmed_len + chain.elems.size());
     // Shift every version boundary (all of them sit at or above the
     // base, whose region absorbs the delta).
     for (ListVersion& v : chain.versions) v.end_off += delta.size();
@@ -276,74 +278,41 @@ class ListKv {
   /// Live version boundaries across all keys. O(1).
   size_t TotalVersions() const { return total_versions_; }
 
-  /// Checkpoint hooks: full dump including trim state, keys sorted for
-  /// byte-determinism; Deserialize re-arms the trigger heap.
-  void Serialize(StateWriter* w) const {
-    std::vector<Key> keys;
-    keys.reserve(chains_.size());
-    for (const auto& [k, chain] : chains_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w->U64(total_trimmed_);
-    w->U64(keys.size());
-    for (Key k : keys) {
-      const Chain& chain = chains_.at(k);
-      w->U64(k);
-      w->U64(chain.versions.size());
-      for (const ListVersion& v : chain.versions) {
-        w->U64(v.ts);
-        w->U64(v.tid);
-        w->U64(v.delta_len);
-        w->U64(v.end_off);
+  /// The checkpoint layout: every chain with its trim state, keys
+  /// ascending. A read recounts the totals and re-arms the trigger heap,
+  /// and rejects boundaries that do not fit their buffer (see
+  /// BoundariesFit): MakePrefix and CollectUpTo index elems by them.
+  template <typename IO>
+  void Transfer(IO& io) {
+    io.U64(total_trimmed_);
+    io.Map(chains_, /*key .. tainted*/ 56, [&](auto& chain) {
+      io.Seq(chain.versions, /*ts, tid, delta_len, end_off*/ 32,
+             [&](auto& v) {
+               io.U64(v.ts);
+               io.U64(v.tid);
+               io.U64(v.delta_len);
+               io.U64(v.end_off);
+             });
+      io.Values(chain.elems);
+      io.Seq(chain.merged_below, /*ts, delta*/ 16, [&](auto& m) {
+        io.U64(m.first);
+        io.Values(m.second);
+      });
+      io.U64(chain.trimmed_len);
+      io.U64(chain.trimmed_hash);
+      io.U8(chain.hash_tainted);
+    });
+    if constexpr (IO::kReading) {
+      total_versions_ = 0;
+      total_elems_ = 0;
+      gc_triggers_.Clear();
+      for (const auto& [k, chain] : chains_) {
+        io.Require(BoundariesFit(chain));
+        total_versions_ += chain.versions.size();
+        total_elems_ += chain.elems.size();
+        gc_triggers_.ArmChain(chain.versions, k);
       }
-      w->Bytes(chain.elems.data(), chain.elems.size() * sizeof(Value));
-      w->U64(chain.merged_below.size());
-      for (const auto& [mts, mdelta] : chain.merged_below) {
-        w->U64(mts);
-        w->Bytes(mdelta.data(), mdelta.size() * sizeof(Value));
-      }
-      w->U64(chain.trimmed_len);
-      w->U64(chain.trimmed_hash);
-      w->U8(chain.hash_tainted ? 1 : 0);
     }
-  }
-
-  bool Deserialize(StateReader* r) {
-    chains_.clear();
-    total_versions_ = 0;
-    total_elems_ = 0;
-    gc_triggers_.Clear();
-    total_trimmed_ = r->U64();
-    uint64_t num_keys = r->U64();
-    for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
-      Key k = r->U64();
-      Chain& chain = chains_[k];
-      uint64_t nv = r->U64();
-      chain.versions.reserve(nv);
-      for (uint64_t j = 0; j < nv && r->ok(); ++j) {
-        ListVersion v;
-        v.ts = r->U64();
-        v.tid = r->U64();
-        v.delta_len = static_cast<uint32_t>(r->U64());
-        v.end_off = r->U64();
-        chain.versions.push_back(v);
-      }
-      if (!ReadValueVec(r, &chain.elems)) break;
-      uint64_t nm = r->U64();
-      chain.merged_below.reserve(nm);
-      for (uint64_t j = 0; j < nm && r->ok(); ++j) {
-        Timestamp mts = r->U64();
-        std::vector<Value> mdelta;
-        if (!ReadValueVec(r, &mdelta)) break;
-        chain.merged_below.emplace_back(mts, std::move(mdelta));
-      }
-      chain.trimmed_len = r->U64();
-      chain.trimmed_hash = r->U64();
-      chain.hash_tainted = r->U8() != 0;
-      total_versions_ += chain.versions.size();
-      total_elems_ += chain.elems.size();
-      gc_triggers_.ArmChain(chain.versions, k);
-    }
-    return r->ok();
   }
 
   /// Approximate heap footprint (materialized prefixes dominate). O(1).
@@ -375,13 +344,21 @@ class ListKv {
     return p;
   }
 
-  static bool ReadValueVec(StateReader* r, std::vector<Value>* out) {
-    std::string raw = r->Bytes();
-    if (!r->ok() || raw.size() % sizeof(Value) != 0) return false;
-    out->resize(raw.size() / sizeof(Value));
-    // Empty vectors leave data() null; memcpy's args are declared nonnull.
-    if (!raw.empty()) std::memcpy(out->data(), raw.data(), raw.size());
-    return true;
+  // Every boundary ends at or above the trim cut and no later than the
+  // trimmed prefix plus the buffer, and its delta starts no earlier than
+  // the previous boundary ends (readers index elems by these offsets).
+  static bool BoundariesFit(const Chain& chain) {
+    if (chain.trimmed_len > SIZE_MAX - chain.elems.size()) return false;
+    size_t prev_end = 0;
+    for (const ListVersion& v : chain.versions) {
+      if (v.end_off < prev_end || v.end_off - prev_end < v.delta_len) {
+        return false;
+      }
+      prev_end = v.end_off;
+    }
+    return (chain.versions.empty() ||
+            chain.versions.front().end_off >= chain.trimmed_len) &&
+           prev_end <= chain.trimmed_len + chain.elems.size();
   }
 
   void InsertAt(Chain* chain, std::ptrdiff_t pos, size_t offset, Timestamp ts,

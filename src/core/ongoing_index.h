@@ -117,45 +117,38 @@ class OngoingIndex {
   /// Live interval count. O(1).
   size_t TotalIntervals() const { return total_; }
 
-  /// Checkpoint hooks: keys sorted, each chain in its (end, tid) order,
-  /// so the image is byte-deterministic. Deserialize re-Adds every
-  /// interval, rebuilding `min_start` and the GC triggers, and accepts
-  /// any order within a key.
-  void Serialize(StateWriter* w) const {
-    std::vector<Key> keys;
-    keys.reserve(chains_.size());
-    for (const auto& [k, chain] : chains_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w->U64(keys.size());
-    for (Key k : keys) {
-      const Chain& chain = chains_.at(k);
-      w->U64(k);
-      w->U64(chain.size());
-      for (const Entry& e : chain) {
-        w->U64(e.iv.start);
-        w->U64(e.iv.end);
-        w->U64(e.iv.tid);
+  /// The checkpoint layout: keys ascending, each chain in its (end, tid)
+  /// order. A read accepts any order within a key: it re-sorts each
+  /// chain and rebuilds `min_start`, the total and the GC triggers.
+  template <typename IO>
+  void Transfer(IO& io) {
+    io.Map(chains_, /*key, size*/ 16, [&](auto& chain) {
+      io.Seq(chain, /*start, end, tid*/ 24, [&](auto& e) {
+        io.U64(e.iv.start);
+        io.U64(e.iv.end);
+        io.U64(e.iv.tid);
+      });
+    });
+    if constexpr (IO::kReading) {
+      total_ = 0;
+      gc_triggers_.Clear();
+      for (auto it = chains_.begin(); it != chains_.end();) {
+        Chain& chain = it->second;
+        if (chain.empty()) {
+          it = chains_.erase(it);
+          continue;
+        }
+        std::stable_sort(chain.begin(), chain.end(), EndTidLess);
+        Timestamp min_start = chain.back().iv.start;
+        for (auto e = chain.rbegin(); e != chain.rend(); ++e) {
+          min_start = std::min(min_start, e->iv.start);
+          e->min_start = min_start;
+        }
+        total_ += chain.size();
+        gc_triggers_.Arm(chain.front().iv.end, it->first);
+        ++it;
       }
     }
-  }
-
-  bool Deserialize(StateReader* r) {
-    chains_.clear();
-    total_ = 0;
-    gc_triggers_.Clear();
-    uint64_t num_keys = r->U64();
-    for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
-      Key k = r->U64();
-      uint64_t n = r->U64();
-      for (uint64_t j = 0; j < n && r->ok(); ++j) {
-        WriteInterval iv;
-        iv.start = r->U64();
-        iv.end = r->U64();
-        iv.tid = r->U64();
-        Add(k, iv.start, iv.end, iv.tid);
-      }
-    }
-    return r->ok();
   }
 
  private:

@@ -90,14 +90,31 @@ class SpillStore {
 
   size_t NumEpochs() const { return epochs_.size(); }
 
-  /// Checkpoint hooks: the manifest (next id, id->max_ts map, cached and
-  /// corrupt epoch ids) is part of the checker state; the epoch files
-  /// themselves stay on disk and are re-opened on demand after a
-  /// restore. The cache payloads are re-read on restore without counting
-  /// as spill_reloads, so the counters evolve exactly as in an
-  /// uninterrupted run.
-  void SerializeManifest(StateWriter* w) const;
-  bool DeserializeManifest(StateReader* r);
+  /// The checkpoint layout of the manifest: next id, id -> max_ts map,
+  /// cached and corrupt epoch ids. The epoch files themselves stay on
+  /// disk and are re-opened on demand after a restore; a read re-loads
+  /// the cache payloads without counting spill_reloads, so the counters
+  /// evolve exactly as in an uninterrupted run.
+  template <typename IO>
+  void TransferManifest(IO& io) {
+    io.U64(next_id_);
+    io.Map(epochs_, /*id, max_ts*/ 16, [&](auto& max_ts) { io.U64(max_ts); });
+    std::vector<uint64_t> cached;
+    if constexpr (!IO::kReading) {
+      for (const auto& [id, payload] : cache_) cached.push_back(id);
+    }
+    io.Seq(cached, 8, [&](auto& id) { io.U64(id); });
+    io.Seq(corrupt_, 8, [&](auto& id) { io.U64(id); });
+    if constexpr (IO::kReading) {
+      cache_.clear();
+      for (uint64_t id : cached) {
+        SpillPayload payload;
+        if (Load(id, &payload) == LoadStatus::kOk) {
+          cache_.emplace_back(id, std::move(payload));
+        }
+      }
+    }
+  }
 
   /// On-disk path of an epoch's file (exposed for integrity tooling and
   /// the crash-recovery corruption fixtures).

@@ -271,139 +271,74 @@ Timestamp TxnIngress::Gc(Timestamp up_to) {
   return watermark_;
 }
 
-void TxnIngress::Serialize(StateWriter* w) const {
-  w->U64(watermark_);
-  w->U64(last_now_ms_);
+namespace {
 
-  std::vector<TxnId> tids;
-  tids.reserve(txns_.size());
-  for (const auto& [tid, rec] : txns_) tids.push_back(tid);
-  std::sort(tids.begin(), tids.end());
-  w->U64(tids.size());
-  for (TxnId tid : tids) {
-    const TxnRec& rec = txns_.at(tid);
-    w->U64(tid);
-    w->U64(rec.view_ts);
-    w->U64(rec.commit_ts);
-    w->U8(rec.finalized ? 1 : 0);
-  }
+using MinHeap =
+    std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>;
 
-  w->U64(commit_index_.size());
-  for (const auto& [cts, tid] : commit_index_) {
-    w->U64(cts);
-    w->U64(tid);
-  }
-
-  // Heaps are drained from a copy (ascending order — deterministic);
-  // behavior depends only on the multiset, so re-pushing restores the
-  // exact pop sequence.
-  auto dump_heap = [&](const std::priority_queue<Timestamp,
-                                                 std::vector<Timestamp>,
-                                                 std::greater<>>& heap) {
-    auto copy = heap;
-    w->U64(copy.size());
-    while (!copy.empty()) {
-      w->U64(copy.top());
-      copy.pop();
-    }
-  };
-  auto dump_set = [&](const std::unordered_set<Timestamp>& set) {
-    std::vector<Timestamp> v(set.begin(), set.end());
-    std::sort(v.begin(), v.end());
-    w->U64(v.size());
-    for (Timestamp ts : v) w->U64(ts);
-  };
-  dump_heap(view_heap_);
-  dump_set(finalized_views_);
-  dump_set(used_ts_);
-  dump_heap(used_ts_min_);
-
-  std::vector<SessionId> sids;
-  sids.reserve(sessions_.size());
-  for (const auto& [sid, ss] : sessions_) sids.push_back(sid);
-  std::sort(sids.begin(), sids.end());
-  w->U64(sids.size());
-  for (SessionId sid : sids) {
-    const SessionState& ss = sessions_.at(sid);
-    w->U64(sid);
-    w->I64(ss.last_sno);
-    w->U64(ss.last_cts);
-    std::vector<uint64_t> skipped(ss.skipped_snos.begin(),
-                                  ss.skipped_snos.end());
-    std::sort(skipped.begin(), skipped.end());
-    w->U64(skipped.size());
-    for (uint64_t sno : skipped) w->U64(sno);
-  }
-
-  w->U64(deadlines_.size());
-  for (const auto& [deadline, tid] : deadlines_) {
-    w->U64(deadline);
-    w->U64(tid);
-  }
+// A min-heap or hash set of u64s travels as its values in ascending
+// order: both behave as pure functions of the multiset, so re-inserting
+// the values restores them.
+std::vector<uint64_t> Ascending(MinHeap heap) {
+  std::vector<uint64_t> v;
+  v.reserve(heap.size());
+  for (; !heap.empty(); heap.pop()) v.push_back(heap.top());
+  return v;
+}
+std::vector<uint64_t> Ascending(const std::unordered_set<uint64_t>& set) {
+  std::vector<uint64_t> v(set.begin(), set.end());
+  std::sort(v.begin(), v.end());
+  return v;
+}
+void Refill(MinHeap* heap, const std::vector<uint64_t>& v) {
+  *heap = {};
+  for (uint64_t x : v) heap->push(x);
+}
+void Refill(std::unordered_set<uint64_t>* set, const std::vector<uint64_t>& v) {
+  set->clear();
+  set->insert(v.begin(), v.end());
 }
 
-bool TxnIngress::Deserialize(StateReader* r) {
-  watermark_ = r->U64();
-  last_now_ms_ = r->U64();
-
-  txns_.clear();
-  uint64_t nt = r->U64();
-  for (uint64_t i = 0; i < nt && r->ok(); ++i) {
-    TxnId tid = r->U64();
-    TxnRec rec;
-    rec.view_ts = r->U64();
-    rec.commit_ts = r->U64();
-    rec.finalized = r->U8() != 0;
-    txns_.emplace(tid, rec);
-  }
-
-  commit_index_.clear();
-  uint64_t nci = r->U64();
-  commit_index_.reserve(nci);
-  for (uint64_t i = 0; i < nci && r->ok(); ++i) {
-    Timestamp cts = r->U64();
-    TxnId tid = r->U64();
-    commit_index_.emplace_back(cts, tid);
-  }
-
-  auto read_heap = [&](std::priority_queue<Timestamp, std::vector<Timestamp>,
-                                           std::greater<>>* heap) {
-    *heap = {};
-    uint64_t n = r->U64();
-    for (uint64_t i = 0; i < n && r->ok(); ++i) heap->push(r->U64());
-  };
-  auto read_set = [&](std::unordered_set<Timestamp>* set) {
-    set->clear();
-    uint64_t n = r->U64();
-    for (uint64_t i = 0; i < n && r->ok(); ++i) set->insert(r->U64());
-  };
-  read_heap(&view_heap_);
-  read_set(&finalized_views_);
-  read_set(&used_ts_);
-  read_heap(&used_ts_min_);
-
-  sessions_.clear();
-  uint64_t ns = r->U64();
-  for (uint64_t i = 0; i < ns && r->ok(); ++i) {
-    SessionId sid = static_cast<SessionId>(r->U64());
-    SessionState& ss = sessions_[sid];
-    ss.last_sno = r->I64();
-    ss.last_cts = r->U64();
-    uint64_t nk = r->U64();
-    for (uint64_t j = 0; j < nk && r->ok(); ++j) {
-      ss.skipped_snos.insert(r->U64());
-    }
-  }
-
-  deadlines_.clear();
-  uint64_t nd = r->U64();
-  for (uint64_t i = 0; i < nd && r->ok(); ++i) {
-    uint64_t deadline = r->U64();
-    TxnId tid = r->U64();
-    deadlines_.emplace_back(deadline, tid);
-  }
-  return r->ok();
+template <typename IO, typename C>
+void TransferAscending(IO& io, C& c) {
+  std::vector<uint64_t> v;
+  if constexpr (!IO::kReading) v = Ascending(c);
+  io.Seq(v, 8, [&](auto& x) { io.U64(x); });
+  if constexpr (IO::kReading) Refill(&c, v);
 }
+
+}  // namespace
+
+template <typename IO>
+void TxnIngress::Transfer(IO& io) {
+  io.U64(watermark_);
+  io.U64(last_now_ms_);
+  io.Map(txns_, /*tid, view, commit, finalized*/ 32, [&](auto& rec) {
+    io.U64(rec.view_ts);
+    io.U64(rec.commit_ts);
+    io.U8(rec.finalized);
+  });
+  io.Seq(commit_index_, /*cts, tid*/ 16, [&](auto& e) {
+    io.U64(e.first);
+    io.U64(e.second);
+  });
+  TransferAscending(io, view_heap_);
+  TransferAscending(io, finalized_views_);
+  TransferAscending(io, used_ts_);
+  TransferAscending(io, used_ts_min_);
+  io.Map(sessions_, /*sid, sno, cts, skipped*/ 32, [&](auto& ss) {
+    io.I64(ss.last_sno);
+    io.U64(ss.last_cts);
+    TransferAscending(io, ss.skipped_snos);
+  });
+  io.Seq(deadlines_, /*deadline, tid*/ 16, [&](auto& d) {
+    io.U64(d.first);
+    io.U64(d.second);
+  });
+}
+
+template void TxnIngress::Transfer(StateWriter&);
+template void TxnIngress::Transfer(StateReader&);
 
 void TxnIngress::GcToLiveTarget(size_t target) {
   if (txns_.size() <= target) return;

@@ -112,12 +112,12 @@ class TxnIngress {
   size_t live_txns() const { return txns_.size(); }
   size_t used_ts_count() const { return used_ts_.size(); }
 
-  /// Checkpoint hooks: byte-deterministic dump of the transaction-scoped
-  /// state (hash containers sorted, heaps drained in order) and its
-  /// inverse. The options/report/dispatch wiring is reconstructed by the
-  /// caller, not serialized.
-  void Serialize(StateWriter* w) const;
-  bool Deserialize(StateReader* r);
+  /// The checkpoint layout of the transaction-scoped state (hash
+  /// containers sorted, heaps drained in order), instantiated for
+  /// StateWriter and StateReader. The options/report/dispatch wiring is
+  /// reconstructed by the caller, not transferred.
+  template <typename IO>
+  void Transfer(IO& io);
 
  private:
   /// Global (cross-key) record of a live transaction; the ext-read

@@ -144,51 +144,27 @@ class VersionedKv {
     return it == versions_.end() ? nullptr : &it->second;
   }
 
-  /// Checkpoint hook: dumps every chain, keys in sorted order so the
-  /// image is byte-deterministic regardless of hash-map iteration order.
-  void Serialize(StateWriter* w) const {
-    std::vector<Key> keys;
-    keys.reserve(versions_.size());
-    for (const auto& [k, chain] : versions_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w->U64(keys.size());
-    for (Key k : keys) {
-      const Chain& chain = versions_.at(k);
-      w->U64(k);
-      w->U64(chain.size());
-      for (const Version& v : chain) {
-        w->U64(v.ts);
-        w->I64(v.value);
-        w->U64(v.tid);
-      }
-    }
-  }
-
-  /// Restores a serialized image, replacing current contents. The GC
-  /// triggers are re-armed from the restored chains rather than
-  /// serialized (the invariant only needs one entry per key with >= 2
+  /// The checkpoint layout: every chain, keys ascending. A read re-arms
+  /// the GC triggers and recounts the total instead of transferring
+  /// them (the trigger invariant only needs one entry per key with >= 2
   /// versions).
-  bool Deserialize(StateReader* r) {
-    versions_.clear();
-    total_versions_ = 0;
-    gc_triggers_.Clear();
-    uint64_t num_keys = r->U64();
-    for (uint64_t i = 0; i < num_keys && r->ok(); ++i) {
-      Key k = r->U64();
-      uint64_t n = r->U64();
-      Chain& chain = versions_[k];
-      chain.reserve(n);
-      for (uint64_t j = 0; j < n && r->ok(); ++j) {
-        Version v;
-        v.ts = r->U64();
-        v.value = r->I64();
-        v.tid = r->U64();
-        chain.push_back(v);
+  template <typename IO>
+  void Transfer(IO& io) {
+    io.Map(versions_, /*key, size*/ 16, [&](auto& chain) {
+      io.Seq(chain, /*ts, value, tid*/ 24, [&](auto& v) {
+        io.U64(v.ts);
+        io.I64(v.value);
+        io.U64(v.tid);
+      });
+    });
+    if constexpr (IO::kReading) {
+      total_versions_ = 0;
+      gc_triggers_.Clear();
+      for (const auto& [k, chain] : versions_) {
+        total_versions_ += chain.size();
+        gc_triggers_.ArmChain(chain, k);
       }
-      total_versions_ += chain.size();
-      gc_triggers_.ArmChain(chain, k);
     }
-    return r->ok();
   }
 
   /// Approximate heap footprint in bytes. O(1): derived from the running

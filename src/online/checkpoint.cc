@@ -215,7 +215,7 @@ bool CheckpointManager::Write(const ShardedAion::StateImage& img,
   // just as loudly as a corrupt section.
   w.U64(Fnv1a(w.data().data(), w.data().size()));
   auto section = [&w](const std::string& s) {
-    w.Bytes(s.data(), s.size());
+    w.Bytes(s);
     w.U64(Fnv1a(s.data(), s.size()));
   };
   section(img.ingress);
@@ -242,18 +242,22 @@ bool CheckpointManager::Load(const std::string& path, Loaded* out) {
   std::string data;
   if (!ReadWholeFile(path, &data)) return false;
   StateReader r(data);
-  if (r.U64() != kCkptMagic) return false;
-  out->ckpt_seq = r.U64();
-  out->wal_seq = r.U64();
-  out->events = r.U64();
-  uint64_t nsections = r.U64();
-  if (!r.ok() || nsections < 2 || nsections > 2 + 64) return false;
-  if (data.size() < 40 || r.U64() != Fnv1a(data.data(), 40) || !r.ok()) {
+  uint64_t magic = 0, nsections = 0, header_sum = 0;
+  r.U64(magic);
+  r.U64(out->ckpt_seq);
+  r.U64(out->wal_seq);
+  r.U64(out->events);
+  r.U64(nsections);
+  if (!r.ok() || magic != kCkptMagic || nsections < 2 || nsections > 2 + 64) {
     return false;
   }
+  r.U64(header_sum);
+  if (!r.ok() || header_sum != Fnv1a(data.data(), 40)) return false;
   auto section = [&r](std::string* s) {
-    *s = r.Bytes();
-    return r.ok() && Fnv1a(s->data(), s->size()) == r.U64() && r.ok();
+    uint64_t sum = 0;
+    r.Bytes(*s);
+    r.U64(sum);
+    return r.ok() && Fnv1a(s->data(), s->size()) == sum;
   };
   if (!section(&out->img.ingress) || !section(&out->img.coordinator)) {
     return false;
@@ -262,12 +266,14 @@ bool CheckpointManager::Load(const std::string& path, Loaded* out) {
   for (std::string& s : out->img.shards) {
     if (!section(&s)) return false;
   }
-  if (r.U64() != kCkptFooter || !r.ok() || !r.AtEnd()) return false;
+  uint64_t footer = 0;
+  r.U64(footer);
+  if (footer != kCkptFooter || !r.ok() || !r.AtEnd()) return false;
   // The coordinator section leads with the shard count; cross-check it
   // against the section count so a truncated-and-repadded file can't
   // smuggle a mismatched geometry past the checksums.
   StateReader peek(out->img.coordinator);
-  out->num_shards = peek.U64();
+  peek.U64(out->num_shards);
   return peek.ok() && out->num_shards == nsections - 2;
 }
 

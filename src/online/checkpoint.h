@@ -17,9 +17,14 @@
 //   u64 footer magic
 // Sections are [ingress, coordinator, shard 0..N-1] in StateImage order;
 // the coordinator section begins with the shard count, so recovery can
-// size the checker without being told --shards. The two newest
-// checkpoints are retained: a torn or corrupt newest file falls back to
-// its predecessor (plus a longer WAL replay).
+// size the checker without being told --shards. Each section's layout is
+// stated once, by the components' Transfer functions (core/state_io.h);
+// the format is still v2 ("CHKPTv2"). A checksum proves only that the
+// bytes are the ones written, so the import bounds every count by the
+// bytes left and checks offsets and enum fields: a checksum-valid but
+// malformed section fails the import like a corrupt one. The two newest
+// checkpoints are retained: a torn, corrupt or unimportable newest file
+// falls back to its predecessor (plus a longer WAL replay).
 //
 // WAL (wal.log, text, one record per Feed step):
 //   chronos-wal v1

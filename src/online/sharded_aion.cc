@@ -18,50 +18,30 @@ uint64_t MixKey(Key key) {
   return x ^ (x >> 31);
 }
 
-void WriteStats(StateWriter* w, const CheckerStats& s) {
-  w->U64(s.txns_processed);
-  w->U64(s.ext_rechecks);
-  w->U64(s.noconflict_checks);
-  w->U64(s.spill_reloads);
-  w->U64(s.unsafe_below_watermark);
-  w->U64(s.unsafe_below_horizon);
-  w->U64(s.corrupt_spill_epochs);
-  w->U64(s.gc_passes);
+template <typename IO>
+void TransferStats(IO& io, CheckerStats& s) {
+  io.U64(s.txns_processed);
+  io.U64(s.ext_rechecks);
+  io.U64(s.noconflict_checks);
+  io.U64(s.spill_reloads);
+  io.U64(s.unsafe_below_watermark);
+  io.U64(s.unsafe_below_horizon);
+  io.U64(s.corrupt_spill_epochs);
+  io.U64(s.gc_passes);
 }
 
-void ReadStats(StateReader* r, CheckerStats* s) {
-  s->txns_processed = r->U64();
-  s->ext_rechecks = r->U64();
-  s->noconflict_checks = r->U64();
-  s->spill_reloads = r->U64();
-  s->unsafe_below_watermark = r->U64();
-  s->unsafe_below_horizon = r->U64();
-  s->corrupt_spill_epochs = r->U64();
-  s->gc_passes = r->U64();
-}
-
-void WriteViolation(StateWriter* w, Timestamp order_ts, const Violation& v) {
-  w->U64(order_ts);
-  w->U8(static_cast<uint8_t>(v.type));
-  w->U64(v.tid);
-  w->U64(v.other_tid);
-  w->U64(v.key);
-  w->I64(v.expected);
-  w->I64(v.got);
-  w->I64(v.divergence);
-}
-
-Violation ReadViolation(StateReader* r, Timestamp* order_ts) {
-  *order_ts = r->U64();
-  Violation v;
-  v.type = static_cast<ViolationType>(r->U8());
-  v.tid = r->U64();
-  v.other_tid = r->U64();
-  v.key = r->U64();
-  v.expected = r->I64();
-  v.got = r->I64();
-  v.divergence = r->I64();
-  return v;
+template <typename IO, typename Tagged>
+void TransferViolations(IO& io, std::vector<Tagged>& violations) {
+  io.Seq(violations, /*order_ts .. divergence*/ 64, [&](auto& tv) {
+    io.U64(tv.order_ts);
+    io.U8(tv.v.type, ViolationType::kSession, ViolationType::kTsDuplicate);
+    io.U64(tv.v.tid);
+    io.U64(tv.v.other_tid);
+    io.U64(tv.v.key);
+    io.I64(tv.v.expected);
+    io.I64(tv.v.got);
+    io.I64(tv.v.divergence);
+  });
 }
 
 }  // namespace
@@ -325,99 +305,63 @@ void ShardedAion::EmitViolations() {
   for (const TaggedViolation& tv : all) sink_->Report(tv.v);
 }
 
+template <typename IO>
+void ShardedAion::TransferImage(IO& ingress, IO& coordinator,
+                                std::vector<IO>& shards) {
+  ingress_.Transfer(ingress);
+  uint64_t num_shards = shards_.size();
+  coordinator.U64(num_shards);
+  if constexpr (IO::kReading) coordinator.Require(num_shards == shards_.size());
+  TransferStats(coordinator, coord_stats_);
+  TransferViolations(coordinator, coord_violations_);
+  coordinator.Map(read_shard_mask_, /*tid, mask*/ 16, [&](auto& mask) {
+    coordinator.U64(mask);
+    // DispatchFinalize indexes shards_ by the mask's bits.
+    if constexpr (IO::kReading) {
+      coordinator.Require(shards_.size() >= 64 || (mask >> shards_.size()) == 0);
+    }
+  });
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    // Callers hold the WaitAll barrier: the shard workers are idle, so
+    // the caller may touch their state (see EmitViolations).
+    AssumeRole own(shard.owner);
+    TransferStats(shards[s], shard.stats);
+    shard.flips.Transfer(shards[s]);
+    TransferViolations(shards[s], shard.violations);
+    shard.engine->Transfer(shards[s]);
+  }
+}
+
 ShardedAion::StateImage ShardedAion::ExportState() {
   WaitAll();
-  // Behind the barrier the shard workers are idle, so the caller may read
-  // their state (see EmitViolations for the full argument).
-  StateImage img;
-  {
-    StateWriter w;
-    ingress_.Serialize(&w);
-    img.ingress = w.Take();
-  }
-  {
-    StateWriter w;
-    w.U64(shards_.size());
-    WriteStats(&w, coord_stats_);
-    w.U64(coord_violations_.size());
-    for (const TaggedViolation& tv : coord_violations_) {
-      WriteViolation(&w, tv.order_ts, tv.v);
-    }
-    std::vector<std::pair<TxnId, uint64_t>> masks(read_shard_mask_.begin(),
-                                                  read_shard_mask_.end());
-    std::sort(masks.begin(), masks.end());
-    w.U64(masks.size());
-    for (const auto& [tid, mask] : masks) {
-      w.U64(tid);
-      w.U64(mask);
-    }
-    img.coordinator = w.Take();
-  }
-  img.shards.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    AssumeRole own(shard->owner);  // barrier edge, as above
-    StateWriter w;
-    WriteStats(&w, shard->stats);
-    shard->flips.Serialize(&w);
-    w.U64(shard->violations.size());
-    for (const TaggedViolation& tv : shard->violations) {
-      WriteViolation(&w, tv.order_ts, tv.v);
-    }
-    shard->engine->Serialize(&w);
-    img.shards.push_back(w.Take());
-  }
+  StateWriter ingress, coordinator;
+  std::vector<StateWriter> shards(shards_.size());
+  TransferImage(ingress, coordinator, shards);
+  StateImage img{ingress.Take(), coordinator.Take(), {}};
+  for (StateWriter& w : shards) img.shards.push_back(w.Take());
   return img;
 }
 
 bool ShardedAion::ImportState(const StateImage& img) {
   if (img.shards.size() != shards_.size()) return false;
-  WaitAll();  // behind the barrier, as in ExportState
-  {
-    StateReader r(img.ingress);
-    if (!ingress_.Deserialize(&r) || !r.AtEnd()) return false;
-  }
-  {
-    StateReader r(img.coordinator);
-    if (r.U64() != shards_.size()) return false;
-    ReadStats(&r, &coord_stats_);
-    coord_violations_.clear();
-    uint64_t nv = r.U64();
-    for (uint64_t i = 0; i < nv && r.ok(); ++i) {
-      Timestamp order_ts;
-      Violation v = ReadViolation(&r, &order_ts);
-      coord_violations_.push_back({order_ts, v});
-    }
-    read_shard_mask_.clear();
-    uint64_t nm = r.U64();
-    for (uint64_t i = 0; i < nm && r.ok(); ++i) {
-      TxnId tid = r.U64();
-      uint64_t mask = r.U64();
-      read_shard_mask_[tid] = mask;
-    }
-    if (!r.ok() || !r.AtEnd()) return false;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    AssumeRole own(shard.owner);  // barrier edge, as above
-    StateReader r(img.shards[s]);
-    ReadStats(&r, &shard.stats);
-    if (!shard.flips.Deserialize(&r)) return false;
-    shard.violations.clear();
-    uint64_t nv = r.U64();
-    for (uint64_t i = 0; i < nv && r.ok(); ++i) {
-      Timestamp order_ts;
-      Violation v = ReadViolation(&r, &order_ts);
-      shard.violations.push_back({order_ts, v});
-    }
-    if (!shard.engine->Deserialize(&r) || !r.AtEnd()) return false;
-    shard.versions.store(shard.engine->TotalVersions(),
-                         std::memory_order_relaxed);
-    shard.intervals.store(shard.engine->TotalIntervals(),
+  WaitAll();
+  StateReader ingress(img.ingress), coordinator(img.coordinator);
+  std::vector<StateReader> shards(img.shards.begin(), img.shards.end());
+  TransferImage(ingress, coordinator, shards);
+  bool ok = ingress.ok() && ingress.AtEnd() && coordinator.ok() &&
+            coordinator.AtEnd();
+  for (const StateReader& r : shards) ok = ok && r.ok() && r.AtEnd();
+  for (auto& shard : shards_) {
+    AssumeRole own(shard->owner);  // barrier edge, as in TransferImage
+    shard->versions.store(shard->engine->TotalVersions(),
                           std::memory_order_relaxed);
-    shard.approx_bytes.store(shard.engine->ApproxBytes(),
-                             std::memory_order_relaxed);
+    shard->intervals.store(shard->engine->TotalIntervals(),
+                           std::memory_order_relaxed);
+    shard->approx_bytes.store(shard->engine->ApproxBytes(),
+                              std::memory_order_relaxed);
   }
-  return true;
+  return ok;
 }
 
 void ShardedAion::ShedMemory() {

@@ -214,6 +214,14 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// after WaitAll or after the workers joined).
   void EmitViolations();
 
+  /// The whole state image, one IO per section: the ingress, the
+  /// coordinator (shard count, stats, buffered violations, read masks),
+  /// then per shard its stats, flip-flop stats, buffered violations and
+  /// engine. Instantiated for StateWriter and StateReader behind
+  /// WaitAll.
+  template <typename IO>
+  void TransferImage(IO& ingress, IO& coordinator, std::vector<IO>& shards);
+
   void WorkerLoop(Shard* shard, size_t index);
   void ExecuteCmd(Shard* shard, ShardCmd& cmd)
       CHRONOS_REQUIRES(shard->owner);

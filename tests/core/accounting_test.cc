@@ -187,7 +187,7 @@ TEST(OngoingIndexAccountingTest, GcMatchesBruteForceAcrossPasses) {
   // key with a wide live window, many cold keys, long straddlers,
   // self-stamped [ts, ts] writers (some landing exactly on a watermark),
   // commits out of order and stragglers below the watermark. Half-way a
-  // Serialize/Deserialize copy forks off; from then on its GC must evict
+  // copy restored through Transfer forks off; from then on its GC must evict
   // exactly what the uninterrupted index evicts, in the same order.
   constexpr Key kHot = 0;
   constexpr Key kColdKeys = 200;
@@ -255,10 +255,11 @@ TEST(OngoingIndexAccountingTest, GcMatchesBruteForceAcrossPasses) {
       ASSERT_EQ(restored->TotalIntervals(), ref_total);
     } else if (pass == kPasses / 2) {
       StateWriter w;
-      idx.Serialize(&w);
+      idx.Transfer(w);
       StateReader r(w.data());
       restored.emplace();
-      ASSERT_TRUE(restored->Deserialize(&r));
+      restored->Transfer(r);
+      ASSERT_TRUE(r.ok());
       ASSERT_TRUE(r.AtEnd());
       ASSERT_EQ(restored->TotalIntervals(), ref_total);
     }
@@ -300,8 +301,8 @@ TEST(ListKvAccountingTest, GcMatchesBruteForceAcrossPasses) {
   // many cold keys, in-chain commits out of order (some below the
   // watermark, re-dirtying a collected key through the chain rule) and
   // stragglers below a collapsed base (merged through PutBelowBase, as
-  // KeyEngine routes them). Half-way a Serialize/Deserialize copy forks
-  // off; from then on its GC must evict exactly what the uninterrupted
+  // KeyEngine routes them). Half-way a copy restored through Transfer
+  // forks off; from then on its GC must evict exactly what the uninterrupted
   // structure evicts, in the same order.
   constexpr Key kHot = 0;
   constexpr Key kColdKeys = 60;
@@ -380,10 +381,11 @@ TEST(ListKvAccountingTest, GcMatchesBruteForceAcrossPasses) {
       ASSERT_EQ(restored->TotalVersions(), ref_total);
     } else if (pass == kPasses / 2) {
       StateWriter w;
-      kv.Serialize(&w);
+      kv.Transfer(w);
       StateReader r(w.data());
       restored.emplace();
-      ASSERT_TRUE(restored->Deserialize(&r));
+      restored->Transfer(r);
+      ASSERT_TRUE(r.ok());
       ASSERT_TRUE(r.AtEnd());
       ASSERT_EQ(restored->TotalVersions(), ref_total);
     }

@@ -184,6 +184,41 @@ TEST(OngoingIndexTest, ReorderedArrivalBelowExistingIntervals) {
   EXPECT_EQ(idx.TotalIntervals(), 2u);
 }
 
+TEST(OngoingIndexTest, TransferReadAcceptsAnyOrderWithinAKey) {
+  // Checkpoints written before chains were end-sorted list a key's
+  // intervals in another order; a read must rebuild the same index.
+  const std::vector<WriteInterval> arrival = {
+      {10, 20, 1}, {30, 40, 2}, {35, 50, 3}, {5, 25, 4}, {2, 8, 5}};
+  StateWriter w;
+  w.U64(2);  // keys
+  w.U64(kIvKey);
+  w.U64(arrival.size());
+  for (const WriteInterval& iv : arrival) {
+    w.U64(iv.start);
+    w.U64(iv.end);
+    w.U64(iv.tid);
+  }
+  w.U64(kIvKey + 1);
+  w.U64(0);  // an empty chain is dropped
+  OngoingIndex read;
+  StateReader r(w.data());
+  read.Transfer(r);
+  ASSERT_TRUE(r.ok() && r.AtEnd());
+  OngoingIndex added;
+  for (const WriteInterval& iv : arrival) {
+    added.Add(kIvKey, iv.start, iv.end, iv.tid);
+  }
+  StateWriter from_read, from_added;
+  read.Transfer(from_read);
+  added.Transfer(from_added);
+  EXPECT_EQ(from_read.data(), from_added.data());
+  EXPECT_EQ(read.TotalIntervals(), 5u);
+  EXPECT_EQ(Tids(read.Overlapping(kIvKey, 6, 7)), (std::vector<TxnId>{5, 4}));
+  Evicted evicted;
+  EXPECT_EQ(read.CollectUpTo(9, &evicted), 1u) << "trigger at the front";
+  EXPECT_EQ(Tids(evicted), (std::vector<TxnId>{5}));
+}
+
 TEST(OngoingIndexTest, RandomizedAgainstBruteForce) {
   std::mt19937_64 rng(7);
   OngoingIndex idx;

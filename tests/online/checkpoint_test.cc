@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "core/spill.h"
 #include "core/state_io.h"
 #include "hist/codec.h"
 #include "online/checkpoint.h"
@@ -370,7 +372,7 @@ TEST(CheckpointManagerTest, WriteLoadRoundTripAndRetention) {
   // cross-checks it against the section count.
   StateWriter coord;
   coord.U64(2);
-  coord.Bytes("rest", 4);
+  coord.Bytes("rest");
   img.coordinator = coord.data();
   img.shards = {"shard-zero", "shard-one"};
 
@@ -809,6 +811,272 @@ TEST(SpillCorruptionTest, CorruptEpochIsCountedOnceAcrossRestore) {
   EXPECT_EQ(straight.stats.corrupt_spill_epochs, 1u);
   EXPECT_EQ(restored.stats, straight.stats);
   EXPECT_EQ(restored.watermark, straight.watermark);
+}
+
+// A real epoch holding versions, intervals and list versions.
+SpillPayload MixedPayload() {
+  SpillPayload p;
+  p.max_ts = 90;
+  p.versions.emplace_back(1, 10, VersionEntry{7, 42});
+  p.versions.emplace_back(2, 20, VersionEntry{-3, 43});
+  p.intervals.emplace_back(1, WriteInterval{5, 10, 42});
+  p.intervals.emplace_back(3, WriteInterval{15, 30, 44});
+  p.list_versions.push_back({4, 12, 45, {1, -2, 3}});
+  p.list_versions.push_back({4, 25, 46, {}});
+  return p;
+}
+
+TEST(SpillCorruptionTest, OversizedCountLoadsAsCorrupt) {
+  const std::string dir = FreshDir("spill_huge");
+  SpillStore store(dir);
+  const uint64_t id = store.Spill(MixedPayload());
+  ASSERT_NE(id, 0u);
+  for (int field = 0; field < 3; ++field) {
+    // max_ts, then the three counts in turn; the oversized one leads a
+    // section that cannot hold it.
+    StateWriter w;
+    w.U64(90);
+    for (int f = 0; f < field; ++f) w.U64(0);
+    w.U64(uint64_t{1} << 61);
+    w.U64(0);
+    WriteBytes(store.PathFor(id), w.data());
+    SpillPayload loaded;
+    EXPECT_EQ(store.Load(id, &loaded), SpillStore::LoadStatus::kCorrupt)
+        << "count " << field;
+  }
+}
+
+TEST(SpillCorruptionTest, EpochCorruptionAtEveryByteIsSafe) {
+  // Every byte replaced in turn loads as kOk or kCorrupt, never crashes
+  // or allocates beyond the file's size; every truncation is kCorrupt.
+  const std::string dir = FreshDir("spill_sweep");
+  SpillStore store(dir);
+  const uint64_t id = store.Spill(MixedPayload());
+  ASSERT_NE(id, 0u);
+  const std::string good = Slurp(store.PathFor(id));
+  SpillPayload loaded;
+  ASSERT_EQ(store.Load(id, &loaded), SpillStore::LoadStatus::kOk);
+  for (size_t i = 0; i < good.size(); ++i) {
+    const unsigned char x = static_cast<unsigned char>(good[i]);
+    for (unsigned char c : {static_cast<unsigned char>(x ^ 0x01),
+                            static_cast<unsigned char>(x ^ 0x80),
+                            static_cast<unsigned char>(0x00),
+                            static_cast<unsigned char>(0xFF)}) {
+      if (c == x) continue;
+      std::string bad = good;
+      bad[i] = static_cast<char>(c);
+      WriteBytes(store.PathFor(id), bad);
+      SpillPayload got;
+      const SpillStore::LoadStatus st = store.Load(id, &got);
+      ASSERT_NE(st, SpillStore::LoadStatus::kMissing) << "byte " << i;
+      if (st != SpillStore::LoadStatus::kOk) continue;
+      size_t elems = 0;
+      for (const ListSpillVersion& lv : got.list_versions) {
+        elems += lv.delta.size();
+      }
+      EXPECT_LE(got.versions.size() + got.intervals.size() +
+                    got.list_versions.size() + elems,
+                bad.size() / 8)
+          << "byte " << i;
+    }
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    WriteBytes(store.PathFor(id), good.substr(0, len));
+    SpillPayload got;
+    EXPECT_EQ(store.Load(id, &got), SpillStore::LoadStatus::kCorrupt)
+        << "len " << len;
+  }
+}
+
+// Hand-written checkpoint sections: a checksum only proves the bytes are
+// the ones written, so each of these is a valid checkpoint file whose
+// state must still be refused at import.
+constexpr uint64_t kHuge = uint64_t{1} << 61;
+
+// A shard section in the checkpoint layout: zero stats, no flips, no
+// violations, then `engine`.
+std::string ShardSection(const std::function<void(StateWriter&)>& engine) {
+  StateWriter w;
+  for (int i = 0; i < 8; ++i) w.U64(0);   // stats
+  w.U64(0);                               // flips total
+  w.U64(0);                               // per-txn flips
+  for (int i = 0; i < 10; ++i) w.U64(0);  // flip histograms
+  w.U64(0);                               // violations
+  engine(w);
+  return w.Take();
+}
+
+// The engine layout with every part empty except those `fill` writes
+// itself: part 0 watermark, 1 versions, 2 lists, 3 intervals, 4 spill
+// manifest, 5 local transactions, 6 commit index.
+std::function<void(StateWriter&)> Engine(
+    int part, std::function<void(StateWriter&)> fill = nullptr) {
+  return [part, fill](StateWriter& w) {
+    const std::vector<std::vector<uint64_t>> empty = {
+        {0}, {0}, {0, 0}, {0}, {1, 0, 0, 0}, {0}, {0}};
+    for (int p = 0; p < static_cast<int>(empty.size()); ++p) {
+      if (p == part && fill) {
+        fill(w);
+      } else {
+        for (uint64_t v : empty[p]) w.U64(v);
+      }
+    }
+  };
+}
+
+// Writes a valid checkpoint of a fresh 1-shard checker, then `img` as
+// the newer one, and recovers: recovery must refuse `img` and resume
+// from its predecessor.
+void ExpectRecoveryFallsBack(const std::string& name,
+                             const ShardedAion::StateImage& img) {
+  const std::string dir = FreshDir("crafted_" + name);
+  CheckerOptions opt;
+  opt.spill_dir = dir + "/spill";
+  CheckpointManager mgr(dir);
+  {
+    VectorSink sink;
+    ShardedAion fresh(opt, 1, &sink);
+    ASSERT_TRUE(mgr.Write(fresh.ExportState(), 0, 0));
+  }
+  ASSERT_TRUE(mgr.Write(img, 0, 0));
+  VectorSink sink;
+  RecoverResult res = Recover(opt, dir, &sink, 1);
+  ASSERT_NE(res.checker, nullptr) << name << ": " << res.error;
+  EXPECT_TRUE(res.used_fallback) << name;
+  EXPECT_TRUE(res.from_checkpoint) << name;
+  EXPECT_EQ(res.ckpt_seq, 1u) << name;
+}
+
+ShardedAion::StateImage FreshImage() {
+  CheckerOptions opt;
+  VectorSink sink;
+  ShardedAion fresh(opt, 1, &sink);
+  return fresh.ExportState();
+}
+
+TEST(CraftedCheckpointTest, HandWrittenEmptyShardMatchesExport) {
+  // Keeps the crafted sections below honest about the layout.
+  EXPECT_TRUE(ShardSection(Engine(-1)) == FreshImage().shards[0]);
+}
+
+TEST(CraftedCheckpointTest, OversizedCountsFallBack) {
+  // Each count leads a section that cannot hold it.
+  const std::vector<std::pair<std::string, std::string>> shards = {
+      {"version_chain", ShardSection(Engine(1, [](StateWriter& w) {
+         w.U64(1);  // keys
+         w.U64(5);
+         w.U64(kHuge);
+       }))},
+      {"list_versions", ShardSection(Engine(2, [](StateWriter& w) {
+         w.U64(0);  // total_trimmed
+         w.U64(1);  // keys
+         w.U64(7);
+         w.U64(kHuge);
+       }))},
+      {"list_merged_below", ShardSection(Engine(2, [](StateWriter& w) {
+         w.U64(0);
+         w.U64(1);
+         w.U64(7);
+         w.U64(0);  // versions
+         w.Values({});
+         w.U64(kHuge);
+       }))},
+      {"intervals", ShardSection(Engine(3, [](StateWriter& w) {
+         w.U64(1);
+         w.U64(5);
+         w.U64(kHuge);
+       }))},
+      {"ext_reads", ShardSection(Engine(5, [](StateWriter& w) {
+         w.U64(1);  // transactions
+         for (uint64_t v : {1, 1, 2, 0, 2}) w.U64(v);  // tid .. level
+         w.U64(kHuge);
+       }))},
+      {"engine_commit_index", ShardSection(Engine(6, [](StateWriter& w) {
+         w.U64(kHuge);
+       }))},
+  };
+  for (const auto& [name, shard] : shards) {
+    ShardedAion::StateImage img = FreshImage();
+    img.shards[0] = shard;
+    ExpectRecoveryFallsBack(name, img);
+  }
+  StateWriter ingress;
+  for (uint64_t v : {0, 0, 0}) ingress.U64(v);  // watermark, now, txns
+  ingress.U64(kHuge);                            // commit index
+  ShardedAion::StateImage img = FreshImage();
+  img.ingress = ingress.Take();
+  ExpectRecoveryFallsBack("ingress_commit_index", img);
+}
+
+TEST(CraftedCheckpointTest, ListBoundaryOutsideItsBufferFallsBack) {
+  // MakePrefix reads end_off elements from the key's buffer.
+  auto list = [](std::vector<uint64_t> end_offs, uint64_t trimmed) {
+    return ShardSection(Engine(2, [=](StateWriter& w) {
+      w.U64(0);
+      w.U64(1);
+      w.U64(7);
+      w.U64(end_offs.size());
+      uint64_t ts = 10;
+      for (uint64_t end : end_offs) {
+        for (uint64_t v : {ts++, uint64_t{1}, uint64_t{1}, end}) w.U64(v);
+      }
+      w.Values({5, 6});
+      w.U64(0);  // merged below
+      w.U64(trimmed);
+      w.U64(kFnvOffset);
+      w.U8(false);
+    }));
+  };
+  ShardedAion::StateImage img = FreshImage();
+  img.shards[0] = list({1, 2}, 0);
+  VectorSink sink;
+  ShardedAion ok(CheckerOptions{}, 1, &sink);
+  ASSERT_TRUE(ok.ImportState(img));  // the well-formed control
+  for (const auto& [name, shard] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"past_buffer", list({1, 1000}, 0)},
+           {"past_trimmed_buffer", list({3, 5}, 2)},
+           {"decreasing", list({2, 1}, 0)},
+           {"delta_before_previous_end", list({1, 1}, 0)},
+           {"below_trim_cut", list({1, 2}, 2)}}) {
+    img.shards[0] = shard;
+    ExpectRecoveryFallsBack(name, img);
+  }
+}
+
+TEST(CraftedCheckpointTest, ReadMaskPastShardCountFallsBack) {
+  // DispatchFinalize sends a finalize to every shard the mask names.
+  auto coordinator = [](uint64_t mask) {
+    StateWriter w;
+    w.U64(1);                              // shards
+    for (int i = 0; i < 8; ++i) w.U64(0);  // stats
+    w.U64(0);                              // violations
+    w.U64(1);                              // masks
+    w.U64(9);                              // tid
+    w.U64(mask);
+    return w.Take();
+  };
+  ShardedAion::StateImage img = FreshImage();
+  img.coordinator = coordinator(0x1);
+  VectorSink sink;
+  ShardedAion ok(CheckerOptions{}, 1, &sink);
+  ASSERT_TRUE(ok.ImportState(img));  // the well-formed control
+  img.coordinator = coordinator(0x80);
+  ExpectRecoveryFallsBack("mask", img);
+}
+
+TEST(CraftedCheckpointTest, ReaderLevelOutOfRangeFallsBack) {
+  for (uint64_t level : {uint64_t{0}, uint64_t{5}, uint64_t{255}}) {
+    ShardedAion::StateImage img = FreshImage();
+    img.shards[0] = ShardSection(Engine(5, [level](StateWriter& w) {
+      w.U64(1);
+      for (uint64_t v : {uint64_t{1}, uint64_t{1}, uint64_t{2}, uint64_t{0},
+                         level, uint64_t{0}, uint64_t{0}}) {
+        w.U64(v);  // tid, view, commit, finalized, level, no reads
+      }
+    }));
+    ExpectRecoveryFallsBack("level" + std::to_string(level), img);
+  }
 }
 
 TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {

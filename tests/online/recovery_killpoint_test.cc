@@ -142,6 +142,8 @@ Outcome RecoverAndFinish(const Scenario& sc, const std::string& dir,
   RecoverResult res = Recover(Opt(sc, dir), dir, &sink, sc.shards);
   EXPECT_NE(res.checker, nullptr) << what << ": " << res.error;
   if (!res.checker) return out;
+  // No checkpoint here is damaged: each must import, none fall back.
+  EXPECT_FALSE(res.used_fallback) << what;
   EXPECT_LE(res.events, sc.arrivals.size()) << what;
   DurableRunner cont(res.checker.get(), Dopts(sc, dir), res.next_seq,
                      res.events, res.wal_truncate_to);

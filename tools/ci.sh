@@ -161,28 +161,50 @@ if [[ "${CHRONOS_CI_KILLPOINT:-1}" != "0" ]]; then
   # --resume of a durable run replays every arrival with its iso= tag,
   # so it must print the uninterrupted run's verdict, stats and
   # flip-flop count.
+  # Prints the verdict, stats and flip-flop lines of one delayed durable
+  # run of history $1 with checkpoint dir $2 (further flags after them).
+  durable_run() {
+    local hist="$1" dir="$2" rc=0
+    shift 2
+    "$BUILD_DIR/chronos_check" --in="$hist" --online \
+        --delay-mean=20 --delay-stddev=10 --timeout-ms=50 --stats \
+        --checkpoint-dir="$dir" "$@" >"$dir.out" || rc=$?
+    if [[ $rc != 0 && $rc != 3 ]]; then
+      echo "chronos_check $* exited $rc" >&2
+      return 1
+    fi
+    grep -E '^(violations|stats):' "$dir.out"
+    grep -oE '[0-9]+ flip-flops' "$dir.out"
+  }
   echo "crash-recovery: mixed-level durable --resume"
   mix_dir="$BUILD_DIR/mixed-resume"
   rm -rf "$mix_dir"
   mkdir -p "$mix_dir"
   "$BUILD_DIR/chronos_gen" --out="$mix_dir/mix.hist" --txns=3000 \
                            --mix=si:40,ser:20,rc:20,ra:20 --seed=7 >/dev/null
-  mix_run() {
-    local rc=0
-    "$BUILD_DIR/chronos_check" --in="$mix_dir/mix.hist" --online \
-        --delay-mean=20 --delay-stddev=10 --timeout-ms=50 --stats \
-        --checkpoint-dir="$mix_dir/ckpt" --checkpoint-every=0 "$@" \
-        >"$mix_dir/out.txt" || rc=$?
-    if [[ $rc != 0 && $rc != 3 ]]; then
-      echo "chronos_check $* exited $rc" >&2
-      return 1
-    fi
-    grep -E '^(violations|stats):' "$mix_dir/out.txt"
-    grep -oE '[0-9]+ flip-flops' "$mix_dir/out.txt"
-  }
-  mix_run >"$mix_dir/uninterrupted.txt"
-  mix_run --resume >"$mix_dir/resumed.txt"
+  durable_run "$mix_dir/mix.hist" "$mix_dir/ckpt" --checkpoint-every=0 \
+      >"$mix_dir/uninterrupted.txt"
+  durable_run "$mix_dir/mix.hist" "$mix_dir/ckpt" --checkpoint-every=0 \
+      --resume >"$mix_dir/resumed.txt"
   diff "$mix_dir/uninterrupted.txt" "$mix_dir/resumed.txt"
+  # The checkpointed path at the CLI: a copy of a finished run's dir
+  # resumes from its newest checkpoint, replays the WAL past it (GC
+  # passes included), and must print the same verdict, stats and
+  # flip-flop count and leave the same spill epochs, byte for byte.
+  echo "crash-recovery: checkpointed durable --resume"
+  ck_dir="$BUILD_DIR/ckpt-resume"
+  rm -rf "$ck_dir"
+  mkdir -p "$ck_dir"
+  "$BUILD_DIR/chronos_gen" --out="$ck_dir/reg.hist" --txns=3000 \
+                           --seed=11 >/dev/null
+  ck_flags=(--gc-every=200 --gc-target=500 --checkpoint-every=700)
+  durable_run "$ck_dir/reg.hist" "$ck_dir/ckpt" "${ck_flags[@]}" \
+      >"$ck_dir/uninterrupted.txt"
+  cp -r "$ck_dir/ckpt" "$ck_dir/copy"
+  durable_run "$ck_dir/reg.hist" "$ck_dir/copy" "${ck_flags[@]}" --resume \
+      >"$ck_dir/resumed.txt"
+  diff "$ck_dir/uninterrupted.txt" "$ck_dir/resumed.txt"
+  diff -r "$ck_dir/ckpt/spill" "$ck_dir/copy/spill"
 fi
 
 # Differential-fuzz smoke (fixed seed blocks, deterministic): 200 seeded
