@@ -924,6 +924,13 @@ std::function<void(StateWriter&)> Engine(
   };
 }
 
+ShardedAion::StateImage FreshImage() {
+  CheckerOptions opt;
+  VectorSink sink;
+  ShardedAion fresh(opt, 1, &sink);
+  return fresh.ExportState();
+}
+
 // Writes a valid checkpoint of a fresh 1-shard checker, then `img` as
 // the newer one, and recovers: recovery must refuse `img` and resume
 // from its predecessor.
@@ -933,11 +940,7 @@ void ExpectRecoveryFallsBack(const std::string& name,
   CheckerOptions opt;
   opt.spill_dir = dir + "/spill";
   CheckpointManager mgr(dir);
-  {
-    VectorSink sink;
-    ShardedAion fresh(opt, 1, &sink);
-    ASSERT_TRUE(mgr.Write(fresh.ExportState(), 0, 0));
-  }
+  ASSERT_TRUE(mgr.Write(FreshImage(), 0, 0));
   ASSERT_TRUE(mgr.Write(img, 0, 0));
   VectorSink sink;
   RecoverResult res = Recover(opt, dir, &sink, 1);
@@ -945,13 +948,6 @@ void ExpectRecoveryFallsBack(const std::string& name,
   EXPECT_TRUE(res.used_fallback) << name;
   EXPECT_TRUE(res.from_checkpoint) << name;
   EXPECT_EQ(res.ckpt_seq, 1u) << name;
-}
-
-ShardedAion::StateImage FreshImage() {
-  CheckerOptions opt;
-  VectorSink sink;
-  ShardedAion fresh(opt, 1, &sink);
-  return fresh.ExportState();
 }
 
 TEST(CraftedCheckpointTest, HandWrittenEmptyShardMatchesExport) {
