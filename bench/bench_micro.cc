@@ -7,11 +7,13 @@
 
 #include <ctime>
 #include <random>
+#include <vector>
 
 #include "core/aion.h"
 #include "core/chronos.h"
 #include "core/ongoing_index.h"
 #include "core/versioned_kv.h"
+#include "hist/collector.h"
 #include "online/sharded_aion.h"
 #include "ref_map_kv.h"
 #include "workload/generator.h"
@@ -56,6 +58,30 @@ void BM_AionPerTxn(benchmark::State& state) {
                           static_cast<int64_t>(h.txns.size()));
 }
 BENCHMARK(BM_AionPerTxn)->Arg(2000)->Arg(10000);
+
+// BM_AionPerTxn's history delivered as e2ebench's `online` workload
+// delivers it: through the collector with 20 +- 10 ms delays, so
+// arrivals leave commit order and EXT re-checks and flip-flops occur.
+void BM_AionPerTxnDelayed(benchmark::State& state) {
+  hist::CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  const std::vector<hist::CollectedTxn> stream = hist::ScheduleDelivery(
+      MakeHistory(static_cast<uint64_t>(state.range(0))), cp);
+  for (auto _ : state) {
+    CountingSink sink;
+    Aion::Options opt;
+    opt.ext_timeout_ms = 50;
+    Aion aion(opt, &sink);
+    for (const hist::CollectedTxn& ct : stream) {
+      aion.OnTransaction(ct.txn, ct.deliver_at_ms);
+    }
+    aion.Finish();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_AionPerTxnDelayed)->Arg(2000)->Arg(10000);
 
 double ThreadCpuSeconds() {
   timespec ts{};
@@ -166,6 +192,23 @@ void BM_VersionedKvLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VersionedKvLookup)->Arg(10000)->Arg(1000000);
+
+// The online access pattern: queries within each key's newest 64
+// versions, where near-in-order traffic lands and the tail-anchored
+// search pays O(log 64) whatever the chain length.
+void BM_VersionedKvLookupRecent(benchmark::State& state) {
+  VersionedKv kv;
+  std::mt19937_64 rng(1);
+  const int64_t n = state.range(0);
+  for (int i = 0; i < n; ++i) {
+    kv.Put(i % 100, static_cast<Timestamp>(i + 1), i, i);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kv.GetAtOrBefore(
+        rng() % 100, static_cast<Timestamp>(n) - rng() % (64 * 100)));
+  }
+}
+BENCHMARK(BM_VersionedKvLookupRecent)->Arg(10000)->Arg(1000000);
 
 // Old-vs-new: the seed's per-key std::map frontier (ref_map_kv.h) against
 // the flat chains on the same access pattern.

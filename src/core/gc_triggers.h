@@ -1,6 +1,7 @@
 // The lazy GC trigger heap shared by the three key-scoped structures that
 // AION collects below a watermark (VersionedKv, ListKv, OngoingIndex),
-// plus the ts-sorted chain helpers VersionedKv and ListKv have in common.
+// plus the tail-anchored searches every append-mostly chain uses and the
+// ts-sorted chain helpers VersionedKv and ListKv have in common.
 // VersionedKv and ListKv arm by the chain rule below; OngoingIndex arms
 // at its end-sorted chains' front (core/ongoing_index.h).
 //
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -77,24 +79,62 @@ struct TsOrder {
   bool operator()(Timestamp t, const V& v) const { return t < v.ts; }
 };
 
-/// First element with ts >= `ts`.
-template <typename Vec>
-auto TsLowerBound(Vec& chain, Timestamp ts) -> decltype(chain.begin()) {
-  return std::lower_bound(chain.begin(), chain.end(), ts, TsOrder{});
+/// std::lower_bound for queries that land near the back of [first,
+/// last): an exponential search from the back (probes at 1, 3, 7, ...
+/// elements from the end) brackets the answer, then a bisection inside
+/// the bracket finds it. Same result and comparator contract as
+/// std::lower_bound; an answer d elements from the end costs
+/// O(log d) comparisons, one from the front up to about 2 log n.
+/// Chains here are append-mostly and queried near their newest entries,
+/// so every tail-biased query uses this; front cuts (GC) bisect plainly.
+template <typename It, typename T, typename Comp>
+It TailLowerBound(It first, It last, const T& value, Comp comp) {
+  It hi = last;  // every element in [hi, last) is not less than `value`
+  for (typename std::iterator_traits<It>::difference_type step = 1;
+       hi - first > step; step *= 2) {
+    It probe = hi - step;
+    if (comp(*probe, value)) {
+      return std::lower_bound(probe + 1, hi, value, comp);
+    }
+    hi = probe;
+  }
+  return std::lower_bound(first, hi, value, comp);
 }
 
-/// First element with ts > `ts`.
+/// std::upper_bound with TailLowerBound's tail-anchored search.
+template <typename It, typename T, typename Comp>
+It TailUpperBound(It first, It last, const T& value, Comp comp) {
+  It hi = last;  // every element in [hi, last) is greater than `value`
+  for (typename std::iterator_traits<It>::difference_type step = 1;
+       hi - first > step; step *= 2) {
+    It probe = hi - step;
+    if (!comp(value, *probe)) {
+      return std::upper_bound(probe + 1, hi, value, comp);
+    }
+    hi = probe;
+  }
+  return std::upper_bound(first, hi, value, comp);
+}
+
+/// First element with ts >= `ts`, searched from the chain's tail.
+template <typename Vec>
+auto TsLowerBound(Vec& chain, Timestamp ts) -> decltype(chain.begin()) {
+  return TailLowerBound(chain.begin(), chain.end(), ts, TsOrder{});
+}
+
+/// First element with ts > `ts`, searched from the chain's tail.
 template <typename Vec>
 auto TsUpperBound(Vec& chain, Timestamp ts) -> decltype(chain.begin()) {
-  return std::upper_bound(chain.begin(), chain.end(), ts, TsOrder{});
+  return TailUpperBound(chain.begin(), chain.end(), ts, TsOrder{});
 }
 
 /// Collapses a ts-sorted chain at `ts`: keeps the latest element with
 /// ts <= `ts` as the base and erases everything older, handing the erased
-/// range to `spill(first, last)` first. Returns the number erased.
+/// range to `spill(first, last)` first. Returns the number erased. A GC
+/// watermark cuts near the front, so this bisects the whole chain.
 template <typename Vec, typename Spill>
 size_t CollapseChain(Vec& chain, Timestamp ts, Spill&& spill) {
-  auto end = TsUpperBound(chain, ts);
+  auto end = std::upper_bound(chain.begin(), chain.end(), ts, TsOrder{});
   if (end - chain.begin() < 2) return 0;
   --end;
   spill(chain.begin(), end);

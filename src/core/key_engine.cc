@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/gc_triggers.h"
 #include "core/list_replay.h"
 
 namespace chronos {
@@ -32,8 +33,7 @@ void KeyEngine::WalkAffectedReaders(const ReaderChain& readers, Timestamp cts,
   auto view_lt = [](const ReaderRef& r, Timestamp ts) {
     return r.view_ts < ts;
   };
-  auto begin =
-      std::lower_bound(readers.begin(), readers.end(), cts, view_lt);
+  auto begin = TailLowerBound(readers.begin(), readers.end(), cts, view_lt);
   for (auto it = begin; it != readers.end(); ++it) {
     if (upper && it->view_ts > *upper) break;
     auto tit = local_txns_.find(it->tid);
@@ -112,26 +112,21 @@ void KeyEngine::ProcessTxn(const TxnCtx& ctx, const OpsView& ops,
   // readers see strictly earlier versions only; the re-check loops skip
   // the writer's own tid).
   if (rec) {
-    if (commit_index_.empty() || ctx.commit_ts > commit_index_.back().first) {
-      commit_index_.emplace_back(ctx.commit_ts, ctx.tid);
-    } else {
-      auto pos = std::lower_bound(
-          commit_index_.begin(), commit_index_.end(), ctx.commit_ts,
-          [](const auto& p, Timestamp ts) { return p.first < ts; });
-      commit_index_.insert(pos, {ctx.commit_ts, ctx.tid});
-    }
+    // Commits and views arrive in near-ts order: both inserts land at or
+    // near the tail.
+    commit_index_.insert(
+        TailLowerBound(commit_index_.begin(), commit_index_.end(),
+                       ctx.commit_ts,
+                       [](const auto& p, Timestamp ts) { return p.first < ts; }),
+        {ctx.commit_ts, ctx.tid});
     auto register_ref = [&](std::unordered_map<Key, ReaderChain>* index,
                             Key key, uint32_t i) {
       ReaderChain& chain = (*index)[key];
-      ReaderRef ref{ctx.view_ts, ctx.tid, i};
-      if (chain.empty() || ctx.view_ts > chain.back().view_ts) {
-        chain.push_back(ref);  // common: views arrive in near-ts order
-      } else {
-        auto pos = std::lower_bound(
-            chain.begin(), chain.end(), ctx.view_ts,
-            [](const ReaderRef& r, Timestamp ts) { return r.view_ts < ts; });
-        chain.insert(pos, ref);
-      }
+      chain.insert(
+          TailLowerBound(
+              chain.begin(), chain.end(), ctx.view_ts,
+              [](const ReaderRef& r, Timestamp ts) { return r.view_ts < ts; }),
+          ReaderRef{ctx.view_ts, ctx.tid, i});
     };
     auto* register_index =
         membership ? &membership_reader_index_ : &reader_index_;
@@ -259,10 +254,11 @@ void KeyEngine::InstallVersionAndRecheck(const TxnCtx& ctx, Key key,
   // affected reader is already finalized, so no re-check is needed.
   // Evicted versions are all strictly older than the retained per-key
   // base, so the in-memory NextVersionAfter bound is exact in the
-  // re-check path below.
-  VersionedKv::Lookup base = versions_.GetAtOrBefore(key, watermark_);
+  // re-check path below. Only a writer below the watermark can be
+  // shadowed, so only it pays the lookup (which lands near the front).
   bool shadowed_below_watermark =
-      watermark_ != kTsMin && cts < watermark_ && base.ts >= cts;
+      watermark_ != kTsMin && cts < watermark_ &&
+      versions_.GetAtOrBefore(key, watermark_).ts >= cts;
 
   std::optional<Timestamp> next = versions_.NextVersionAfter(key, cts);
   if (!versions_.Put(key, cts, value, ctx.tid)) {

@@ -3,8 +3,8 @@
 // shared materialized element buffer. The cumulative append sequence at a
 // read view is the buffer prefix ending at the latest version at or
 // before the view, so a whole-list read resolves to a (length, pointer)
-// pair in one binary search — the list analogue of the register
-// frontier_ts query.
+// pair in one tail-anchored search (TsUpperBound, core/gc_triggers.h) —
+// the list analogue of the register frontier_ts query.
 //
 // Frontier-resolution invariants (see ROADMAP "Online list checking"):
 //   1. elems[0 .. versions[i].end_off) is exactly the concatenation of
@@ -168,12 +168,6 @@ class ListKv {
     auto it = chains_.find(key);
     if (it == chains_.end()) return Prefix{};
     const Chain& chain = it->second;
-    if (!chain.versions.empty()) {
-      const ListVersion& back = chain.versions.back();
-      if (inclusive ? back.ts <= view : back.ts < view) {
-        return MakePrefix(chain, back);
-      }
-    }
     auto vit = inclusive ? TsUpperBound(chain.versions, view)
                          : TsLowerBound(chain.versions, view);
     if (vit == chain.versions.begin()) return Prefix{};

@@ -7,13 +7,16 @@
 // layout VersionedKv gives its versions. Commits arrive in near-timestamp
 // order, so the common insert is a push_back. Every entry also carries
 // `min_start`, the smallest start over it and every later entry, so:
-//   - an overlap query [lo, hi] binary-searches the first end >= lo and
-//     scans while min_start <= hi. It costs O(log n + answer + r): r
+//   - an overlap query [lo, hi] finds the first end >= lo by a search
+//     from the chain's back (TailLowerBound, core/gc_triggers.h; a
+//     writer's own interval ends near the newest ones) and scans while
+//     min_start <= hi. It costs O(log n + answer + r): r
 //     counts the non-answers the scan passes, intervals ending after `hi`
 //     that sort before some answer. For a writer checking its own
 //     interval, those commit after it yet arrived before it: 0 under
 //     in-order delivery, the same out-of-order cost as VersionedKv's;
-//   - GC cuts the prefix with end <= watermark. Eviction order is
+//   - GC cuts the prefix with end <= watermark, found by plain
+//     bisection (the cut lies near the front). Eviction order is
 //     (end, tid), a pure function of the interval set, so spill epochs
 //     are byte-identical however the chain was built (checkpoint
 //     restores included).
@@ -49,11 +52,8 @@ class OngoingIndex {
   void Add(Key key, Timestamp start, Timestamp commit, TxnId tid) {
     Chain& chain = chains_[key];
     Entry fresh{{start, commit, tid}, start};
-    auto pos = chain.end();
-    if (!chain.empty() && EndTidLess(fresh, chain.back())) {
-      pos = std::upper_bound(chain.begin(), chain.end(), fresh, EndTidLess);
-      fresh.min_start = std::min(start, pos->min_start);
-    }
+    auto pos = TailUpperBound(chain.begin(), chain.end(), fresh, EndTidLess);
+    if (pos != chain.end()) fresh.min_start = std::min(start, pos->min_start);
     pos = chain.insert(pos, fresh);
     if (pos == chain.begin()) gc_triggers_.Arm(commit, key);
     // The entries this lowers end no later and start later: each lies
@@ -72,7 +72,7 @@ class OngoingIndex {
     auto it = chains_.find(key);
     if (it == chains_.end()) return out;
     const Chain& chain = it->second;
-    auto e = std::lower_bound(
+    auto e = TailLowerBound(
         chain.begin(), chain.end(), lo,
         [](const Entry& x, Timestamp t) { return x.iv.end < t; });
     for (; e != chain.end() && e->min_start <= hi; ++e) {
@@ -151,17 +151,20 @@ class OngoingIndex {
     }
   }
 
- private:
+  /// One chain element.
   struct Entry {
     WriteInterval iv;
     Timestamp min_start;  ///< min start over this entry and all later ones
   };
-  /// A key's intervals, sorted ascending by (end, tid).
-  using Chain = std::vector<Entry>;
 
+  /// The chain order: ascending (end, tid).
   static bool EndTidLess(const Entry& a, const Entry& b) {
     return a.iv.end != b.iv.end ? a.iv.end < b.iv.end : a.iv.tid < b.iv.tid;
   }
+
+ private:
+  /// A key's intervals, sorted ascending by (end, tid).
+  using Chain = std::vector<Entry>;
 
   std::unordered_map<Key, Chain> chains_;
   size_t total_ = 0;

@@ -1,8 +1,10 @@
 #include "core/txn_ingress.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
+#include "core/gc_triggers.h"
 #include "core/list_replay.h"
 #include "core/small_map.h"
 
@@ -16,6 +18,10 @@ void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
   // key used both ways keeps two states; generated workloads never mix).
   SmallMap<Key, ListAccess> list_state;
   SmallMap<Key, std::vector<Value>> all_appends;  // full delta per key
+  if (out) {
+    out->ext_reads.reserve(t.ops.size());
+    out->writes.reserve(t.ops.size());
+  }
   for (const Op& op : t.ops) {
     if (op.type == OpType::kRead) {
       if (Value* iv = int_val.Find(op.key)) {
@@ -103,13 +109,12 @@ TxnIngress::Admission TxnIngress::AdmitTxn(const Transaction& t,
   // version install as TS-DUP instead).
   bool dup = false;
   if (lv == IsolationLevel::kSer) {
-    dup = !used_ts_.insert(t.commit_ts).second;
-    if (!dup) used_ts_min_.push(t.commit_ts);
+    dup = !ClaimTs(t.commit_ts);
   } else if (lv == IsolationLevel::kSi) {
-    dup = used_ts_.count(t.start_ts) || used_ts_.count(t.commit_ts);
+    dup = TsUsed(t.start_ts) || TsUsed(t.commit_ts);
     if (!dup) {
-      if (used_ts_.insert(t.start_ts).second) used_ts_min_.push(t.start_ts);
-      if (used_ts_.insert(t.commit_ts).second) used_ts_min_.push(t.commit_ts);
+      ClaimTs(t.start_ts);
+      ClaimTs(t.commit_ts);  // false when start == commit: one claim
     }
   }
   if (dup) {
@@ -132,14 +137,11 @@ TxnIngress::Admission TxnIngress::AdmitTxn(const Transaction& t,
                                                     false});
   (void)it;
   if (inserted) {
-    if (commit_index_.empty() || t.commit_ts > commit_index_.back().first) {
-      commit_index_.emplace_back(t.commit_ts, t.tid);  // common: in order
-    } else {
-      auto pos = std::lower_bound(
-          commit_index_.begin(), commit_index_.end(), t.commit_ts,
-          [](const auto& p, Timestamp ts) { return p.first < ts; });
-      commit_index_.insert(pos, {t.commit_ts, t.tid});
-    }
+    commit_index_.insert(  // commits arrive in near-ts order: the tail
+        TailLowerBound(commit_index_.begin(), commit_index_.end(),
+                       t.commit_ts,
+                       [](const auto& p, Timestamp ts) { return p.first < ts; }),
+        {t.commit_ts, t.tid});
     view_heap_.push(view_ts);
     deadlines_.emplace_back(last_now_ms_ + options_.ext_timeout_ms, t.tid);
   }
@@ -169,6 +171,18 @@ void TxnIngress::OnTransaction(const Transaction& t, uint64_t now_ms) {
       return;
     }
   }
+}
+
+bool TxnIngress::TsUsed(Timestamp ts) const {
+  auto it = TailLowerBound(used_ts_.begin(), used_ts_.end(), ts, std::less<>());
+  return it != used_ts_.end() && *it == ts;
+}
+
+bool TxnIngress::ClaimTs(Timestamp ts) {
+  auto it = TailLowerBound(used_ts_.begin(), used_ts_.end(), ts, std::less<>());
+  if (it != used_ts_.end() && *it == ts) return false;
+  used_ts_.insert(it, ts);
+  return true;
 }
 
 void TxnIngress::CheckSession(const Transaction& t, IsolationLevel lv) {
@@ -261,10 +275,8 @@ Timestamp TxnIngress::Gc(Timestamp up_to) {
 
   // Timestamp-uniqueness bookkeeping below the line is no longer needed;
   // duplicates of recycled timestamps would be stragglers anyway.
-  while (!used_ts_min_.empty() && used_ts_min_.top() <= effective) {
-    used_ts_.erase(used_ts_min_.top());
-    used_ts_min_.pop();
-  }
+  used_ts_.erase(used_ts_.begin(), std::upper_bound(used_ts_.begin(),
+                                                    used_ts_.end(), effective));
 
   watermark_ = effective;
   dispatch_->DispatchGc(effective);
@@ -276,16 +288,17 @@ namespace {
 using MinHeap =
     std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>;
 
-// A min-heap or hash set of u64s travels as its values in ascending
-// order: both behave as pure functions of the multiset, so re-inserting
-// the values restores them.
+// A min-heap, hash set or hash multiset of u64s travels as its values
+// in ascending order: each behaves as a pure function of its multiset,
+// so re-inserting the values restores it.
 std::vector<uint64_t> Ascending(MinHeap heap) {
   std::vector<uint64_t> v;
   v.reserve(heap.size());
   for (; !heap.empty(); heap.pop()) v.push_back(heap.top());
   return v;
 }
-std::vector<uint64_t> Ascending(const std::unordered_set<uint64_t>& set) {
+template <typename Set>
+std::vector<uint64_t> Ascending(const Set& set) {
   std::vector<uint64_t> v(set.begin(), set.end());
   std::sort(v.begin(), v.end());
   return v;
@@ -294,7 +307,8 @@ void Refill(MinHeap* heap, const std::vector<uint64_t>& v) {
   *heap = {};
   for (uint64_t x : v) heap->push(x);
 }
-void Refill(std::unordered_set<uint64_t>* set, const std::vector<uint64_t>& v) {
+template <typename Set>
+void Refill(Set* set, const std::vector<uint64_t>& v) {
   set->clear();
   set->insert(v.begin(), v.end());
 }
@@ -324,8 +338,19 @@ void TxnIngress::Transfer(IO& io) {
   });
   TransferAscending(io, view_heap_);
   TransferAscending(io, finalized_views_);
-  TransferAscending(io, used_ts_);
-  TransferAscending(io, used_ts_min_);
+  // The registry is written twice: the checkpoint format (CHKPTv2) has
+  // two ascending u64 sequences in this slot. A read requires two equal,
+  // strictly ascending copies, which TsUsed's search relies on.
+  std::vector<Timestamp> copy;
+  if constexpr (!IO::kReading) copy = used_ts_;
+  for (auto* v : {&used_ts_, &copy}) {
+    io.Seq(*v, 8, [&](auto& x) { io.U64(x); });
+  }
+  if constexpr (IO::kReading) {
+    io.Require(copy == used_ts_ &&
+               std::adjacent_find(used_ts_.begin(), used_ts_.end(),
+                                  std::greater_equal<>()) == used_ts_.end());
+  }
   io.Map(sessions_, /*sid, sno, cts, skipped*/ 32, [&](auto& ss) {
     io.I64(ss.last_sno);
     io.U64(ss.last_cts);

@@ -113,9 +113,10 @@ class TxnIngress {
   size_t used_ts_count() const { return used_ts_.size(); }
 
   /// The checkpoint layout of the transaction-scoped state (hash
-  /// containers sorted, heaps drained in order), instantiated for
-  /// StateWriter and StateReader. The options/report/dispatch wiring is
-  /// reconstructed by the caller, not transferred.
+  /// containers sorted, heaps drained in order, the timestamp registry
+  /// written twice), instantiated for StateWriter and StateReader. The
+  /// options/report/dispatch wiring is reconstructed by the caller, not
+  /// transferred.
   template <typename IO>
   void Transfer(IO& io);
 
@@ -129,6 +130,10 @@ class TxnIngress {
   };
 
   void CheckSession(const Transaction& t, IsolationLevel lv);
+  /// True when `ts` is in the timestamp registry.
+  bool TsUsed(Timestamp ts) const;
+  /// Adds `ts` to the registry; false when it was already there.
+  bool ClaimTs(Timestamp ts);
   void FireDeadlines(uint64_t now_ms);
   void FinalizeRec(TxnId tid);
   // Oldest view among unfinalized transactions (lazily drops finalized
@@ -143,15 +148,17 @@ class TxnIngress {
   std::unordered_map<TxnId, TxnRec> txns_;
   // (cts, tid) of live txns, sorted by cts (append-mostly flat map).
   std::vector<std::pair<Timestamp, TxnId>> commit_index_;
-  // Unfinalized read views: min-heap plus a lazy tombstone set.
+  // Unfinalized read views: min-heap plus lazy tombstones, counted:
+  // transactions of the commit-view levels may share a view (RC/RA claim
+  // no timestamps), and each finalize cancels one heap entry.
   std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>
       view_heap_;
-  std::unordered_set<Timestamp> finalized_views_;
-  // Timestamp-uniqueness tracking: O(1) membership plus a min-heap so GC
-  // can drop everything below the watermark in O(dropped log n).
-  std::unordered_set<Timestamp> used_ts_;
-  std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>
-      used_ts_min_;
+  std::unordered_multiset<Timestamp> finalized_views_;
+  // Timestamp-uniqueness registry: every used timestamp above the GC
+  // line, ascending. Arrivals come in near-ts order, so membership and
+  // inserts search from the back (TailLowerBound); GC erases the prefix
+  // at or below the watermark.
+  std::vector<Timestamp> used_ts_;
   std::unordered_map<SessionId, SessionState> sessions_;
   // (deadline, tid) FIFO for EXT timeouts: arrival time is non-decreasing
   // and the timeout is constant, so deadlines are already sorted.

@@ -1,11 +1,13 @@
 // The timestamp-versioned frontier (`frontier_ts` of Algorithm 3), stored
 // per key as a flat, sorted, append-mostly version chain. Commits arrive
 // in near-timestamp order, so the common insert is a push_back; the rare
-// out-of-order writer pays one binary search plus a tail move. Frontier
-// queries (`GetAtOrBefore`/`GetBefore`/`NextVersionAfter`) are binary
-// searches over contiguous memory. Per-key version storage makes the
-// paper's lines 3:56-57 (propagating a late writer's value into later
-// frontier versions) automatic.
+// out-of-order writer pays one search plus a tail move. Inserts and
+// frontier queries (`GetAtOrBefore`/`GetBefore`/`NextVersionAfter`)
+// search from the chain's newest version (TsLowerBound/TsUpperBound,
+// core/gc_triggers.h), where near-in-order traffic lands, so their cost
+// grows with the distance from the tail, not with the chain's length.
+// Per-key version storage makes the paper's lines 3:56-57 (propagating a
+// late writer's value into later frontier versions) automatic.
 //
 // Accounting is incremental: `TotalVersions()`/`ApproxBytes()` are O(1)
 // running counters, and `CollectUpTo` is O(dirty) through the shared
@@ -33,8 +35,8 @@ struct VersionEntry {
 };
 
 /// A multi-version register map with "latest version at or before ts"
-/// queries. Inserts are amortized O(1) for in-order commits; queries are
-/// O(log V) binary searches in the queried key's contiguous chain.
+/// queries. Inserts are amortized O(1) for in-order commits; a query
+/// answered d versions from the newest costs O(log d) comparisons.
 class VersionedKv {
  public:
   /// One element of a key's flat chain.
@@ -57,13 +59,9 @@ class VersionedKv {
   /// version with the same timestamp already exists (duplicate commit ts).
   bool Put(Key key, Timestamp ts, Value value, TxnId tid) {
     Chain& chain = versions_[key];
-    if (chain.empty() || ts > chain.back().ts) {
-      chain.push_back({ts, value, tid});        // common case: in-order
-    } else {
-      auto it = TsLowerBound(chain, ts);
-      if (it != chain.end() && it->ts == ts) return false;
-      chain.insert(it, {ts, value, tid});
-    }
+    auto it = TsLowerBound(chain, ts);  // the end for an in-order commit
+    if (it != chain.end() && it->ts == ts) return false;
+    chain.insert(it, {ts, value, tid});
     ++total_versions_;
     gc_triggers_.ArmChainInsert(chain, ts, key);
     return true;
@@ -181,14 +179,8 @@ class VersionedKv {
     auto it = versions_.find(key);
     if (it == versions_.end()) return Lookup{};
     const Chain& chain = it->second;
-    // Fast path: the chain's newest version qualifies (frontier reads at
-    // the current edge dominate in-order streams).
-    if (!chain.empty()) {
-      const Version& back = chain.back();
-      if (inclusive ? back.ts <= ts : back.ts < ts) {
-        return Lookup{back.value, back.tid, back.ts};
-      }
-    }
+    // Frontier reads at the current edge dominate in-order streams: the
+    // tail search answers them with its first probe.
     auto vit = inclusive ? TsUpperBound(chain, ts) : TsLowerBound(chain, ts);
     if (vit == chain.begin()) return Lookup{};
     --vit;

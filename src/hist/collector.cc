@@ -4,10 +4,11 @@
 #include <optional>
 #include <random>
 #include <unordered_map>
+#include <utility>
 
 namespace chronos::hist {
 
-std::vector<CollectedTxn> ScheduleDelivery(const History& history,
+std::vector<CollectedTxn> ScheduleDelivery(History history,
                                            const CollectorParams& params) {
   // CDC emission order: commit timestamp order.
   std::vector<uint32_t> order(history.txns.size());
@@ -29,7 +30,7 @@ std::vector<CollectedTxn> ScheduleDelivery(const History& history,
   std::unordered_map<SessionId, uint64_t> session_floor;
 
   for (size_t i = 0; i < order.size(); ++i) {
-    const Transaction& t = history.txns[order[i]];
+    Transaction& t = history.txns[order[i]];
     uint64_t batch_time =
         (i / params.batch_size) * params.batch_interval_ms;
     double d = std::max(0.0, delay ? (*delay)(rng) : params.delay_mean_ms);
@@ -39,7 +40,7 @@ std::vector<CollectedTxn> ScheduleDelivery(const History& history,
     uint64_t& floor = session_floor[t.sid];
     at = std::max(at, floor);
     floor = at;
-    out.push_back({t, at});
+    out.push_back({std::move(t), at});
   }
 
   std::stable_sort(out.begin(), out.end(),

@@ -33,8 +33,10 @@ struct CollectedTxn {
 /// dispatched at k * batch_interval_ms and each transaction adds its own
 /// normal delay. Delivery times are clamped so that each session's
 /// transactions arrive in session order; the result is sorted by delivery
-/// time (stable for ties).
-std::vector<CollectedTxn> ScheduleDelivery(const History& history,
+/// time (stable for ties). Each transaction is moved into the stream:
+/// pass `std::move(h)` when `h` is not needed afterwards, an lvalue to
+/// keep it (its transactions are then copied).
+std::vector<CollectedTxn> ScheduleDelivery(History history,
                                            const CollectorParams& params);
 
 }  // namespace chronos::hist

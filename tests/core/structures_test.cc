@@ -1,6 +1,7 @@
 // Unit tests for the timestamp-versioned data structures: VersionedKv
 // (frontier_ts), OngoingIndex (ongoing_ts), the shared
-// GcTriggers heap, SmallMap, and the spill store.
+// GcTriggers heap and tail-anchored chain searches, SmallMap, and the
+// spill store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,6 +298,88 @@ TEST(GcTriggersTest, VisitsComeInAscendingTsThenKeyOrder) {
   std::vector<std::pair<Timestamp, Key>> got;
   triggers.PassUpTo(40, [&](Key k) { got.emplace_back(first.at(k), k); });
   EXPECT_EQ(got, want);
+}
+
+// TailLowerBound/TailUpperBound must return exactly what
+// std::lower_bound/std::upper_bound return, for every target and both
+// comparator shapes the chains use: TsOrder (element <-> Timestamp) and
+// OngoingIndex::EndTidLess (element <-> element).
+struct TsElem {
+  Timestamp ts = 0;
+};
+
+void ExpectTailBoundsMatchStd(const std::vector<TsElem>& v, Timestamp t) {
+  EXPECT_EQ(TailLowerBound(v.begin(), v.end(), t, TsOrder{}),
+            std::lower_bound(v.begin(), v.end(), t, TsOrder{}))
+      << "n=" << v.size() << " t=" << t;
+  EXPECT_EQ(TailUpperBound(v.begin(), v.end(), t, TsOrder{}),
+            std::upper_bound(v.begin(), v.end(), t, TsOrder{}))
+      << "n=" << v.size() << " t=" << t;
+}
+
+TEST(TailSearchTest, EmptyAndSingleElementRanges) {
+  std::vector<TsElem> v;
+  for (Timestamp t : {Timestamp{0}, Timestamp{5}}) {
+    ExpectTailBoundsMatchStd(v, t);
+    EXPECT_EQ(TsLowerBound(v, t), v.end());
+    EXPECT_EQ(TsUpperBound(v, t), v.end());
+  }
+  v.push_back({5});
+  for (Timestamp t : {Timestamp{4}, Timestamp{5}, Timestamp{6}}) {
+    ExpectTailBoundsMatchStd(v, t);
+  }
+  EXPECT_EQ(TsLowerBound(v, 5), v.begin());
+  EXPECT_EQ(TsUpperBound(v, 5), v.end());
+}
+
+TEST(TailSearchTest, RandomizedTsOrderMatchesStd) {
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 300; ++round) {
+    const size_t n = rng() % 200;
+    std::vector<TsElem> v(n);
+    // Small ranges give long runs of duplicates.
+    const Timestamp range = 1 + rng() % (round % 2 ? 8 : 1000);
+    for (TsElem& e : v) e.ts = 10 + rng() % range;
+    std::sort(v.begin(), v.end(),
+              [](const TsElem& a, const TsElem& b) { return a.ts < b.ts; });
+    // Before the front, past the back, every present value and its
+    // neighbours.
+    ExpectTailBoundsMatchStd(v, 0);
+    ExpectTailBoundsMatchStd(v, 10 + range + 5);
+    for (const TsElem& e : v) {
+      ExpectTailBoundsMatchStd(v, e.ts - 1);
+      ExpectTailBoundsMatchStd(v, e.ts);
+      ExpectTailBoundsMatchStd(v, e.ts + 1);
+    }
+  }
+}
+
+TEST(TailSearchTest, RandomizedEndTidLessMatchesStd) {
+  using Entry = OngoingIndex::Entry;
+  const auto less = OngoingIndex::EndTidLess;
+  std::mt19937_64 rng(12);
+  for (int round = 0; round < 300; ++round) {
+    const size_t n = rng() % 150;
+    std::vector<Entry> v(n);
+    for (Entry& e : v) {
+      e.iv.end = rng() % 20;  // many equal ends, ordered by tid
+      e.iv.tid = rng() % 6;
+      e.iv.start = 0;
+      e.min_start = 0;
+    }
+    std::sort(v.begin(), v.end(), less);
+    for (Timestamp end = 0; end <= 21; ++end) {
+      for (TxnId tid = 0; tid <= 6; ++tid) {
+        Entry probe{{0, end, tid}, 0};
+        EXPECT_EQ(TailLowerBound(v.begin(), v.end(), probe, less),
+                  std::lower_bound(v.begin(), v.end(), probe, less))
+            << "n=" << n << " end=" << end << " tid=" << tid;
+        EXPECT_EQ(TailUpperBound(v.begin(), v.end(), probe, less),
+                  std::upper_bound(v.begin(), v.end(), probe, less))
+            << "n=" << n << " end=" << end << " tid=" << tid;
+      }
+    }
+  }
 }
 
 TEST(SmallMapTest, PutFindClear) {

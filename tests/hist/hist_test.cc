@@ -8,6 +8,7 @@
 #include <iterator>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "../testutil.h"
 #include "hist/codec.h"
@@ -330,6 +331,41 @@ TEST(CollectorTest, ZeroDelayKeepsCommitOrder) {
   for (size_t i = 1; i < stream.size(); ++i) {
     EXPECT_LE(stream[i - 1].txn.commit_ts, stream[i].txn.commit_ts);
   }
+}
+
+TEST(CollectorTest, MovedHistoryGivesTheSameStreamAsACopiedOne) {
+  // A list history, so list_args travel too; delays reorder arrivals.
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 400;
+  p.ops_per_txn = 6;
+  p.list_mode = true;
+  History h = workload::GenerateDefaultHistory(p);
+  CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  const auto copied = ScheduleDelivery(h, cp);
+  const size_t n = h.txns.size();
+  const auto moved = ScheduleDelivery(std::move(h), cp);
+  ASSERT_EQ(moved.size(), n);
+  ASSERT_EQ(copied.size(), n);
+  size_t list_reads = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Transaction& a = copied[i].txn;
+    const Transaction& b = moved[i].txn;
+    EXPECT_EQ(a.tid, b.tid) << "at " << i;
+    EXPECT_EQ(copied[i].deliver_at_ms, moved[i].deliver_at_ms) << "at " << i;
+    ASSERT_EQ(a.ops.size(), b.ops.size()) << "at " << i;
+    for (size_t j = 0; j < a.ops.size(); ++j) {
+      EXPECT_EQ(a.ops[j].type, b.ops[j].type);
+      EXPECT_EQ(a.ops[j].key, b.ops[j].key);
+      EXPECT_EQ(a.ops[j].value, b.ops[j].value);
+      EXPECT_EQ(a.ops[j].list_index, b.ops[j].list_index);
+    }
+    EXPECT_EQ(a.list_args, b.list_args) << "at " << i;
+    list_reads += a.list_args.size();
+  }
+  EXPECT_GT(list_reads, 0u) << "the stream must carry list reads";
 }
 
 }  // namespace

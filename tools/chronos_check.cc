@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
         U64Flag(argc, argv, "--delay-mean", 0));
     cp.delay_stddev_ms = static_cast<double>(
         U64Flag(argc, argv, "--delay-stddev", 0));
-    auto stream = hist::ScheduleDelivery(h, cp);
+    auto stream = hist::ScheduleDelivery(std::move(h), cp);
     Aion::Options opt;
     opt.mode = mode;  // list=si; iso= tags override per transaction
     opt.ext_timeout_ms = U64Flag(argc, argv, "--timeout-ms", 5000);

@@ -243,7 +243,7 @@ fi
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   CHRONOS_BENCH_ALLOW_NONRELEASE=1 \
   BENCH_MIN_TIME=0.01 \
-  BENCH_FILTER='BM_AionPerTxn/2000|BM_ShardedAionPerTxn/shards:2|BM_VersionedKvLookup/10000|BM_OngoingIndexGcHotKey/1000|BM_OngoingIndexOverlap/1000' \
+  BENCH_FILTER='BM_AionPerTxn/2000|BM_AionPerTxnDelayed/2000|BM_ShardedAionPerTxn/shards:2|BM_VersionedKvLookup/10000|BM_VersionedKvLookupRecent/10000|BM_OngoingIndexGcHotKey/1000|BM_OngoingIndexOverlap/1000' \
     bench/run_micro.sh "$BUILD_DIR" "$BUILD_DIR/BENCH_micro_smoke.json"
 else
   echo "bench_micro not built (google-benchmark missing); skipping smoke"
