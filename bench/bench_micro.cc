@@ -4,9 +4,13 @@
 // version maps vs linear scans, and GC passes.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <ctime>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/aion.h"
@@ -14,6 +18,7 @@
 #include "core/ongoing_index.h"
 #include "core/versioned_kv.h"
 #include "hist/collector.h"
+#include "online/checkpoint.h"
 #include "online/sharded_aion.h"
 #include "ref_map_kv.h"
 #include "workload/generator.h"
@@ -142,6 +147,54 @@ BENCHMARK(BM_ShardedAionPerTxn)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
+
+// BM_AionPerTxn's history through the crash-safe DurableRunner on one
+// shard, with e2ebench durable-gc's cadence (GC every 500 arrivals down
+// to 2000 live, a checkpoint every 12000, of 30k txns) scaled to the
+// history size. items/s vs BM_ShardedAionPerTxn/shards:1 at 10000 is
+// the cost of the durable path: WAL append, the fsync and state export
+// at each cut, and the checkpoint write. Timed on the wall clock: the
+// shard worker and the checkpoint writer run off the calling thread.
+void BM_DurableRunnerPerTxn(benchmark::State& state) {
+  History h = MakeHistory(static_cast<uint64_t>(state.range(0)));
+  const uint64_t n = h.txns.size();
+  auto scaled = [n](uint64_t v) {
+    return std::max<uint64_t>(1, (v * n + 15000) / 30000);
+  };
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("chronos_bm_durable_" + std::to_string(getpid())))
+          .string();
+  online::DurableRunner::Options dopts;
+  dopts.dir = dir;
+  dopts.checkpoint_every_events = scaled(12000);
+  dopts.gc = GcPolicy::Every(scaled(500), scaled(2000));
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+    bool ok = true;
+    {
+      CountingSink sink;
+      Aion::Options opt;
+      opt.ext_timeout_ms = 50;
+      opt.spill_dir = dir + "/spill";
+      online::ShardedAion checker(opt, 1, &sink);
+      online::DurableRunner runner(&checker, dopts);
+      AssumeRole driver(runner.driver_role);  // single-threaded driver
+      uint64_t now = 0;
+      for (const Transaction& t : h.txns) ok = ok && runner.Feed(t, ++now);
+      ok = runner.Finish() && ok;
+    }  // joins the shard worker
+    if (!ok) {
+      state.SkipWithError("WAL/checkpoint write failed");
+      break;
+    }
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_DurableRunnerPerTxn)->Arg(2000)->Arg(10000)->UseRealTime();
 
 // One key's overlap query over uniformly random intervals, inserted in
 // random order: each insert pays a tail move, so the untimed set-up is

@@ -602,13 +602,19 @@ void KeyEngine::CollectUpTo(Timestamp watermark) {
       auto rit = index->find(key);
       if (rit == index->end()) continue;
       std::sort(views.begin(), views.end());
+      // The chain is sorted by view and no dropped ref lies past the
+      // largest dropped view: only the front up to it is scanned (a
+      // front cut, so a plain bisection finds its end).
       ReaderChain& chain = rit->second;
-      chain.erase(std::remove_if(chain.begin(), chain.end(),
+      auto cut = std::upper_bound(
+          chain.begin(), chain.end(), views.back(),
+          [](Timestamp ts, const ReaderRef& r) { return ts < r.view_ts; });
+      chain.erase(std::remove_if(chain.begin(), cut,
                                  [&](const ReaderRef& r) {
                                    return std::binary_search(
                                        views.begin(), views.end(), r.view_ts);
                                  }),
-                  chain.end());
+                  cut);
       if (chain.empty()) index->erase(rit);
     }
   };

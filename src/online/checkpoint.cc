@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <exception>
 #include <filesystem>
 #include <limits>
 
@@ -49,13 +50,19 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   return ok;
 }
 
+bool Put(FILE* f, const std::string& bytes) {
+  return fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+}
+
 // tmp + fsync + rename: the destination either keeps its old content or
-// holds the complete new content, never a torn prefix.
-bool WriteFileAtomic(const std::string& path, const char* data, size_t len) {
+// holds the complete new content, never a torn prefix. `write` fills the
+// tmp file.
+template <typename Fn>
+bool WriteFileAtomic(const std::string& path, Fn&& write) {
   std::string tmp = path + ".tmp";
   FILE* f = fopen(tmp.c_str(), "wb");
   if (!f) return false;
-  bool ok = fwrite(data, 1, len, f) == len && fflush(f) == 0 &&
+  bool ok = write(f) && fflush(f) == 0 &&
             chronos_fsync(chronos_fileno(f)) == 0;
   ok = (fclose(f) == 0) && ok;
   if (!ok) {
@@ -99,19 +106,19 @@ WalWriter::~WalWriter() {
   if (f_) fclose(f_);
 }
 
-bool WalWriter::LogStep(const WalRecord& rec) {
+bool WalWriter::LogStep(uint64_t seq, uint64_t now_ms, bool gc,
+                        uint64_t gc_target, bool shed, const Transaction& txn) {
   if (!f_) return false;
   char line[128];
   int n = snprintf(line, sizeof(line),
-                   "B %" PRIu64 " T %" PRIu64 " %d %" PRIu64 " %d\n", rec.seq,
-                   rec.now_ms, rec.gc ? 1 : 0, rec.gc_target, rec.shed ? 1 : 0);
-  std::string body(line, static_cast<size_t>(n));
-  hist::AppendTxnBlock(rec.txn, &body);
+                   "B %" PRIu64 " T %" PRIu64 " %d %" PRIu64 " %d\n", seq,
+                   now_ms, gc ? 1 : 0, gc_target, shed ? 1 : 0);
+  record_.assign(line, static_cast<size_t>(n));
+  hist::AppendTxnBlock(txn, &record_);
   n = snprintf(line, sizeof(line), "E %016" PRIx64 "\n",
-               Fnv1a(body.data(), body.size()));
-  body.append(line, static_cast<size_t>(n));
-  return fwrite(body.data(), 1, body.size(), f_) == body.size() &&
-         fflush(f_) == 0;
+               Fnv1a(record_.data(), record_.size()));
+  record_.append(line, static_cast<size_t>(n));
+  return Put(f_, record_) && fflush(f_) == 0;
 }
 
 bool WalWriter::Sync() {
@@ -203,31 +210,36 @@ bool CheckpointManager::Write(const ShardedAion::StateImage& img,
                               uint64_t wal_seq, uint64_t events, size_t keep) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  StateWriter w;
-  w.U64(kCkptMagic);
-  w.U64(next_seq_);
-  w.U64(wal_seq);
-  w.U64(events);
-  w.U64(2 + img.shards.size());
-  // Header checksum: the five leading u64s carry the replay metadata
-  // (which WAL records the image covers) — a flipped bit there would
-  // silently skip or double-replay records, so it must fail the load
-  // just as loudly as a corrupt section.
-  w.U64(Fnv1a(w.data().data(), w.data().size()));
-  auto section = [&w](const std::string& s) {
-    w.Bytes(s);
-    w.U64(Fnv1a(s.data(), s.size()));
-  };
-  section(img.ingress);
-  section(img.coordinator);
-  for (const std::string& s : img.shards) section(s);
-  w.U64(kCkptFooter);
-
   char name[64];
   snprintf(name, sizeof(name), "/ckpt-%" PRIu64 ".ckpt", next_seq_);
-  if (!WriteFileAtomic(dir_ + name, w.data().data(), w.data().size())) {
-    return false;
-  }
+  // Streamed piece by piece: the framing goes through `w`, which is
+  // emptied into the file before each section, and every section is
+  // written from the image itself rather than copied next to the rest.
+  auto write = [&](FILE* f) {
+    StateWriter w;
+    w.U64(kCkptMagic);
+    w.U64(next_seq_);
+    w.U64(wal_seq);
+    w.U64(events);
+    w.U64(2 + img.shards.size());
+    // Header checksum: the five leading u64s carry the replay metadata
+    // (which WAL records the image covers) — a flipped bit there would
+    // silently skip or double-replay records, so it must fail the load
+    // just as loudly as a corrupt section.
+    w.U64(Fnv1a(w.data().data(), w.data().size()));
+    bool ok = true;
+    auto section = [&](const std::string& s) {
+      w.U64(s.size());
+      ok = ok && Put(f, w.Take()) && Put(f, s);
+      w.U64(Fnv1a(s.data(), s.size()));
+    };
+    section(img.ingress);
+    section(img.coordinator);
+    for (const std::string& s : img.shards) section(s);
+    w.U64(kCkptFooter);
+    return ok && Put(f, w.data());
+  };
+  if (!WriteFileAtomic(dir_ + name, write)) return false;
   ++next_seq_;
 
   auto all = List(dir_);
@@ -293,21 +305,50 @@ DurableRunner::DurableRunner(ShardedAion* checker, const Options& opts,
   ok_ = wal_.Open(opts_.dir + "/wal.log", wal_truncate_to);
 }
 
+DurableRunner::~DurableRunner() { AwaitWrite(); }
+
+bool DurableRunner::AwaitWrite() {
+  if (!write_.valid()) return ok_;
+  bool written = false;
+  try {
+    written = write_.get();
+  } catch (const std::exception&) {
+    // The write threw (allocation, directory listing): it failed like
+    // any other, and the destructor must not rethrow it.
+  }
+  if (written) {
+    ++checkpoints_;
+  } else {
+    ok_ = false;
+  }
+  return ok_;
+}
+
 bool DurableRunner::Checkpoint() {
-  if (!ok_) return false;
+  // At most one write in flight, so at most one image alive.
+  if (!AwaitWrite()) return false;
   // The WAL must be durable up to the cut the image covers: otherwise a
   // crash could leave a checkpoint that references records the log lost.
   if (!wal_.Sync()) {
     ok_ = false;
     return false;
   }
-  ShardedAion::StateImage img = checker_->ExportState();
-  if (!ckpts_.Write(img, next_seq_ - 1, events_, opts_.keep_checkpoints)) {
-    ok_ = false;
-    return false;
-  }
-  ++checkpoints_;
+  // The image is taken here, at the quiescent cut; checksums, the file
+  // write, fsync, rename and retention run on the writer task, which
+  // also frees the image.
+  write_ = std::async(
+      std::launch::async,
+      [this, img = checker_->ExportState(), wal_seq = next_seq_ - 1,
+       events = events_]() mutable {
+        const ShardedAion::StateImage owned = std::move(img);
+        return ckpts_.Write(owned, wal_seq, events, opts_.keep_checkpoints);
+      });
   return true;
+}
+
+bool DurableRunner::Finish() {
+  checker_->Finish();
+  return AwaitWrite();
 }
 
 bool DurableRunner::Feed(const Transaction& t, uint64_t now_ms) {
@@ -315,22 +356,18 @@ bool DurableRunner::Feed(const Transaction& t, uint64_t now_ms) {
   checker_->OnTransaction(t, now_ms);
   ++events_;
 
-  WalRecord rec;
-  rec.seq = next_seq_;
-  rec.now_ms = now_ms;
-  rec.txn = t;
-  rec.gc_target = opts_.gc.target_live;
-  rec.gc = opts_.gc.Due(events_, *checker_);
-  if (rec.gc) checker_->GcToLiveTarget(opts_.gc.target_live);
+  const bool gc = opts_.gc.Due(events_, *checker_);
+  if (gc) checker_->GcToLiveTarget(opts_.gc.target_live);
 
   // Bounded-memory degradation, on a fixed cadence with the barrier-
   // exact footprint so the decision is a pure function of the event
   // prefix: GC as far as the safe watermark allows, then trim list
   // buffers below it.
+  bool shed = false;
   if (opts_.memory_ceiling_bytes > 0 && opts_.ceiling_check_every > 0 &&
       events_ % opts_.ceiling_check_every == 0 &&
       checker_->FootprintExact().approx_bytes > opts_.memory_ceiling_bytes) {
-    rec.shed = true;
+    shed = true;
     checker_->Gc(std::numeric_limits<Timestamp>::max());
     checker_->ShedMemory();
     ++sheds_;
@@ -339,13 +376,13 @@ bool DurableRunner::Feed(const Transaction& t, uint64_t now_ms) {
   // The whole step lands as one atomic record: a crash can lose the
   // step entirely (the caller refeeds it and the decisions above are
   // re-derived identically) but never split it.
-  if (!wal_.LogStep(rec)) {
+  if (!wal_.LogStep(next_seq_, now_ms, gc, opts_.gc.target_live, shed, t)) {
     ok_ = false;
     return false;
   }
   ++next_seq_;
 
-  if (rec.shed) {
+  if (shed) {
     if (!Checkpoint()) return false;  // persist the shrunken state
   } else if (opts_.checkpoint_every_events > 0 &&
              events_ % opts_.checkpoint_every_events == 0) {

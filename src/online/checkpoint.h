@@ -10,7 +10,8 @@
 // the shard pipeline), and recovery = newest valid checkpoint + WAL
 // replay of the records past its cut.
 //
-// Checkpoint file (ckpt-<seq>.ckpt, binary, written tmp+fsync+rename):
+// Checkpoint file (ckpt-<seq>.ckpt, binary, written tmp+fsync+rename
+// piece by piece, straight from the image's sections):
 //   u64 magic | u64 ckpt_seq | u64 wal_seq | u64 events | u64 nsections
 //   u64 fnv1a(previous 40 bytes)      header checksum (replay metadata)
 //   per section: u64 len | bytes | u64 fnv1a(bytes)
@@ -50,6 +51,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,12 +82,19 @@ class WalWriter {
   bool Open(const std::string& path, uint64_t truncate_to = 0);
   ~WalWriter();
 
-  bool LogStep(const WalRecord& rec);
+  /// Appends one step's record and flushes it to the OS.
+  bool LogStep(uint64_t seq, uint64_t now_ms, bool gc, uint64_t gc_target,
+               bool shed, const Transaction& txn);
+  bool LogStep(const WalRecord& rec) {
+    return LogStep(rec.seq, rec.now_ms, rec.gc, rec.gc_target, rec.shed,
+                   rec.txn);
+  }
   /// Flushes user-space buffers and fsyncs (checkpoint boundaries).
   bool Sync();
 
  private:
   FILE* f_ = nullptr;
+  std::string record_;  ///< the record being formatted, reused per step
 };
 
 /// Parses a WAL file. `records` receives every valid record in order;
@@ -137,6 +146,14 @@ class CheckpointManager {
 /// (the bounded-memory degradation path), and checkpoints the shrunken
 /// state. A kill at any byte of this sequence recovers
 /// verdict-identical via Recover() (online/recovery.h).
+///
+/// A checkpoint is cut on the driver thread (WAL fsync + ExportState at
+/// the quiescent point) and written to disk by a background task, at
+/// most one at a time: the next cut, Finish and the destructor wait for
+/// the write in flight. A crash before its rename leaves the previous
+/// checkpoint newest, which only lengthens the WAL replay. A failed
+/// write makes ok() false; the step that cuts the next checkpoint, or
+/// Finish, reports it.
 class DurableRunner {
  public:
   struct Options {
@@ -163,6 +180,10 @@ class DurableRunner {
   DurableRunner(ShardedAion* checker, const Options& opts,
                 uint64_t start_seq = 1, uint64_t start_events = 0,
                 uint64_t wal_truncate_to = 0);
+  /// Waits for the checkpoint write in flight, if any.
+  ~DurableRunner();
+  DurableRunner(const DurableRunner&) = delete;  // the writer holds `this`
+  DurableRunner& operator=(const DurableRunner&) = delete;
 
   /// Capability of the single driver thread. The runner is not
   /// thread-safe by design (the WAL sequence numbers and the checker's
@@ -176,11 +197,14 @@ class DurableRunner {
   bool Feed(const Transaction& t, uint64_t now_ms)
       CHRONOS_REQUIRES(driver_role);
 
-  /// Cuts a checkpoint now (also used by tests to force boundaries).
+  /// Cuts a checkpoint now and hands it to the background writer (also
+  /// used by tests to force boundaries). Returns false when the cut, or
+  /// the previous checkpoint's write, failed.
   bool Checkpoint() CHRONOS_REQUIRES(driver_role);
 
-  /// Finalizes the checker (end of stream; not WAL-logged).
-  void Finish() CHRONOS_REQUIRES(driver_role) { checker_->Finish(); }
+  /// Finalizes the checker (end of stream; not WAL-logged) and waits for
+  /// the last checkpoint write. Returns false if any write failed.
+  bool Finish() CHRONOS_REQUIRES(driver_role);
 
   bool ok() const { return ok_; }
   uint64_t events() const CHRONOS_REQUIRES_SHARED(driver_role) {
@@ -189,12 +213,20 @@ class DurableRunner {
   uint64_t next_seq() const CHRONOS_REQUIRES_SHARED(driver_role) {
     return next_seq_;
   }
+  /// Checkpoints known to have landed (a write in flight counts once
+  /// the next Checkpoint or Finish has waited for it).
   uint64_t checkpoints_written() const { return checkpoints_; }
   uint64_t sheds() const { return sheds_; }
 
  private:
+  /// Waits for the write in flight, if any, and folds its outcome into
+  /// ok_ and checkpoints_. Returns ok_.
+  bool AwaitWrite();
+
   ShardedAion* checker_;
   Options opts_;
+  /// Used only by the write in flight while there is one; the driver
+  /// touches it again only after AwaitWrite.
   CheckpointManager ckpts_;
   WalWriter wal_;
   uint64_t next_seq_ CHRONOS_GUARDED_BY(driver_role) = 1;
@@ -202,6 +234,7 @@ class DurableRunner {
   uint64_t checkpoints_ = 0;
   uint64_t sheds_ = 0;
   bool ok_ = true;
+  std::future<bool> write_;  ///< the checkpoint write in flight, if valid
 };
 
 }  // namespace chronos::online

@@ -681,6 +681,133 @@ TEST(StateImageTest, SectionBytesPinned) {
   EXPECT_EQ(epochs, want);
 }
 
+// FNV-1a of every file directly under `dir` whose name starts with
+// `prefix`, keyed by file name.
+std::map<std::string, uint64_t> FileSums(const std::string& dir,
+                                         const std::string& prefix) {
+  std::map<std::string, uint64_t> sums;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (e.is_regular_file() && name.rfind(prefix, 0) == 0) {
+      sums[name] = Fnv(Slurp(e.path().string()));
+    }
+  }
+  return sums;
+}
+
+TEST(StateImageTest, CheckpointFileBytesPinned) {
+  // SectionBytesPinned fixes the sections; this fixes the framing that
+  // CheckpointManager::Write puts around them (header, header checksum,
+  // per-section length and checksum, footer).
+  const std::string dir = FreshDir("ckpt_file_pinned");
+  const ShardedAion::StateImage img =
+      RunPinned(dir + "/spill", PinnedArrivals().size());
+  CheckpointManager mgr(dir + "/ckpt");
+  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/60, /*events=*/60));
+  const std::map<std::string, uint64_t> want = {
+      {"ckpt-1.ckpt", 0x00059047003aaa31ULL}};
+  EXPECT_EQ(FileSums(dir + "/ckpt", "ckpt-"), want);
+}
+
+TEST(WalTest, ThreeRecordFileBytesPinned) {
+  // One plain step, one with GC and shed decisions, one tagged
+  // transaction with no operations.
+  const std::string path = FreshDir("wal_pinned") + "/wal.log";
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path));
+    WalRecord r;
+    r.seq = 1;
+    r.now_ms = 17;
+    r.txn = OneTxn();
+    ASSERT_TRUE(w.LogStep(r));
+    r.seq = 2;
+    r.now_ms = 18;
+    r.gc = true;
+    r.gc_target = 32;
+    r.shed = true;
+    r.txn.iso = IsolationLevel::kRc;
+    ASSERT_TRUE(w.LogStep(r));
+    r.seq = 3;
+    r.now_ms = 1u << 20;
+    r.gc = r.shed = false;
+    r.txn.ops.clear();
+    r.txn.list_args.clear();
+    r.txn.iso = IsolationLevel::kSer;
+    ASSERT_TRUE(w.LogStep(r));
+  }
+  EXPECT_EQ(Fnv(Slurp(path)), 0xb97b66294568112eULL);
+}
+
+TEST(DurableRunnerTest, DirectoryBytesPinned) {
+  // The durable driver end to end over the pinned stream: the WAL it
+  // logs through Feed and the checkpoints it cuts on its cadence,
+  // retention included.
+  const std::string dir = FreshDir("durable_pinned");
+  const std::vector<Transaction> arrivals = PinnedArrivals();
+  VectorSink discard;
+  auto checker = std::make_unique<ShardedAion>(PinnedOptions(dir + "/spill"),
+                                               2, &discard);
+  DurableRunner::Options dopts;
+  dopts.dir = dir;
+  dopts.checkpoint_every_events = 16;
+  dopts.gc = GcPolicy::Every(8, 3);
+  {
+    DurableRunner runner(checker.get(), dopts);
+    AssumeRole driver(runner.driver_role);  // single-threaded test driver
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      ASSERT_TRUE(runner.Feed(arrivals[i], i));
+    }
+    ASSERT_TRUE(runner.Finish());
+    EXPECT_EQ(runner.checkpoints_written(), 3u);
+  }
+  const std::map<std::string, uint64_t> want_ckpts = {
+      {"ckpt-2.ckpt", 0x9dd15c698893fa82ULL},
+      {"ckpt-3.ckpt", 0xe786557ff11047eeULL}};
+  EXPECT_EQ(FileSums(dir, "ckpt-"), want_ckpts);
+  const std::map<std::string, uint64_t> want_wal = {
+      {"wal.log", 0x1f215985ed16edd8ULL}};
+  EXPECT_EQ(FileSums(dir, "wal.log"), want_wal);
+}
+
+TEST(DurableRunnerTest, FailedCheckpointWriteFailsTheRun) {
+  // A directory where the first checkpoint's tmp file belongs makes its
+  // fopen fail on the writer task. The failure must stop the run at the
+  // step that cuts the next checkpoint at the latest, or at Finish when
+  // the stream ends first, and the checkpoint must never land.
+  const std::vector<Transaction> arrivals = PinnedArrivals();
+  for (const bool stop_before_next : {false, true}) {
+    const std::string dir =
+        FreshDir(stop_before_next ? "failed_finish" : "failed_feed");
+    fs::create_directories(dir + "/ckpt-1.ckpt.tmp");
+    VectorSink discard;
+    auto checker = std::make_unique<ShardedAion>(
+        PinnedOptions(dir + "/spill"), 2, &discard);
+    DurableRunner::Options dopts;
+    dopts.dir = dir;
+    dopts.checkpoint_every_events = 20;
+    DurableRunner runner(checker.get(), dopts);
+    AssumeRole driver(runner.driver_role);  // single-threaded test driver
+    const size_t fed = stop_before_next ? 30 : arrivals.size();
+    size_t failed_at = 0;
+    for (size_t i = 0; i < fed && failed_at == 0; ++i) {
+      if (!runner.Feed(arrivals[i], i)) failed_at = i + 1;
+    }
+    if (stop_before_next) {
+      EXPECT_FALSE(runner.Finish());
+    } else {
+      ASSERT_GE(failed_at, 20u);
+      ASSERT_LE(failed_at, 40u);
+      EXPECT_FALSE(runner.Feed(arrivals[failed_at], failed_at));
+      EXPECT_FALSE(runner.Finish());
+    }
+    EXPECT_FALSE(runner.ok());
+    EXPECT_EQ(runner.checkpoints_written(), 0u);
+    EXPECT_FALSE(fs::exists(dir + "/ckpt-1.ckpt"));
+    EXPECT_TRUE(CheckpointManager::List(dir).empty());
+  }
+}
+
 TEST(StateImageTest, ImportThenExportIsByteIdentical) {
   const std::string dir = FreshDir("img_reexport");
   const size_t n = PinnedArrivals().size();
@@ -1117,7 +1244,7 @@ TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {
       ASSERT_TRUE(runner.Feed(stream[i].txn, stream[i].deliver_at_ms));
       due += gc.Due(i + 1, *checker) ? 1 : 0;
     }
-    runner.Finish();
+    ASSERT_TRUE(runner.Finish());
   }
   EXPECT_GT(max_rate.stats.gc_passes, 0u);
   EXPECT_EQ(checker->stats(), max_rate.stats);
@@ -1178,7 +1305,7 @@ TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
         peak = std::max(peak, checker->FootprintExact().approx_bytes);
       }
     }
-    runner.Finish();
+    ASSERT_TRUE(runner.Finish());
     ref.stats = checker->stats();
     checker.reset();
     ref.emissions = sink.TakeAll();
@@ -1207,7 +1334,7 @@ TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
           << "event " << i;
     }
   }
-  runner.Finish();
+  ASSERT_TRUE(runner.Finish());
   EXPECT_GT(runner.sheds(), 0u);
   // Degradation is accounted, never silent — and the verdict stream is
   // byte-identical to the ceilingless run.

@@ -10,14 +10,17 @@
 // Two kill models:
 //   - event-boundary kills: feed k steps through a DurableRunner, then
 //     destroy runner + checker without Finish. Records are flushed
-//     per-step, so the on-disk state is exactly the crash state.
+//     per-step, so the on-disk state is exactly the crash state (the
+//     runner's destructor lets a checkpoint write in flight land; a
+//     crash before it lands is the torn-tmp fallback case below).
 //   - byte-truncation kills: run the whole stream (again without
 //     Finish), then truncate wal.log at an arbitrary offset — torn
 //     tails, mid-record cuts, even cuts below the newest checkpoint's
 //     coverage (harmless: replay skips seq <= the checkpoint's cut).
 //
 // Plus the fallback paths: corrupt newest checkpoint -> predecessor,
-// all checkpoints gone -> pure WAL replay; and spill identity: resuming
+// all checkpoints gone -> pure WAL replay, a torn tmp of a checkpoint
+// that never landed -> ignored; and spill identity: resuming
 // from any retained checkpoint rewrites the later spill epochs byte for
 // byte as the uninterrupted run wrote them.
 //
@@ -106,7 +109,7 @@ Outcome RunUninterrupted(const Scenario& sc, const std::string& dir) {
   for (size_t i = 0; i < sc.arrivals.size(); ++i) {
     EXPECT_TRUE(runner.Feed(sc.arrivals[i], i));
   }
-  runner.Finish();
+  EXPECT_TRUE(runner.Finish());
   out.stats = checker->stats();
   out.watermark = checker->watermark();
   out.flips = checker->flip_stats().total_flips();
@@ -151,7 +154,7 @@ Outcome RecoverAndFinish(const Scenario& sc, const std::string& dir,
   for (size_t i = res.events; i < sc.arrivals.size(); ++i) {
     EXPECT_TRUE(cont.Feed(sc.arrivals[i], i)) << what;
   }
-  cont.Finish();
+  EXPECT_TRUE(cont.Finish()) << what;
   out.stats = res.checker->stats();
   out.watermark = res.checker->watermark();
   out.flips = res.checker->flip_stats().total_flips();
@@ -398,7 +401,7 @@ TEST(RecoveryFallback, CorruptNewestCheckpointUsesPredecessor) {
   for (size_t i = res.events; i < sc.arrivals.size(); ++i) {
     ASSERT_TRUE(cont.Feed(sc.arrivals[i], i));
   }
-  cont.Finish();
+  ASSERT_TRUE(cont.Finish());
   Outcome got;
   got.stats = res.checker->stats();
   got.watermark = res.checker->watermark();
@@ -441,6 +444,71 @@ TEST(RecoveryFallback, AllCheckpointsGoneFallsBackToWalReplay) {
   res.checker.reset();
   got.emissions = sink.TakeAll();
   ExpectIdentical(got, ref, "wal-only");
+}
+
+TEST(RecoveryFallback, TornTmpFromPendingWriteIsIgnored) {
+  // A crash while the writer task was still filling the newest
+  // checkpoint's tmp file: the checkpoint never landed, its predecessor
+  // is the newest complete one, and half its bytes sit in the tmp.
+  Scenario sc;
+  sc.name = "torn_tmp";
+  History h = MakeWorkload(300, 509, /*list_mode=*/false, 40);
+  sc.arrivals = SessionPreservingShuffle(h, 31);
+  sc.ext_timeout_ms = 40;
+  sc.checkpoint_every = 50;
+  sc.gc_every = 32;
+  sc.gc_target = 16;
+
+  const Outcome ref = RunUninterrupted(sc, FreshDir("torn_tmp_ref"));
+
+  const std::string dir = FreshDir("torn_tmp_run");
+  RunAndCrash(sc, dir, 2 * sc.checkpoint_every);
+  auto ckpts = CheckpointManager::List(dir);
+  ASSERT_EQ(ckpts.size(), 2u);
+  const auto [pending_seq, pending_path] = ckpts.back();
+  const std::string tmp = pending_path + ".tmp";
+  {
+    std::ifstream in(pending_path, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    std::ofstream(tmp, std::ios::binary) << bytes.substr(0, bytes.size() / 2);
+  }
+  fs::remove(pending_path);
+  ckpts.pop_back();
+  EXPECT_EQ(CheckpointManager::List(dir), ckpts);
+
+  VectorSink sink;
+  RecoverResult res = Recover(Opt(sc, dir), dir, &sink, sc.shards);
+  ASSERT_NE(res.checker, nullptr) << res.error;
+  EXPECT_FALSE(res.used_fallback);
+  EXPECT_TRUE(res.from_checkpoint);
+  EXPECT_EQ(res.ckpt_seq, ckpts.back().first);
+  EXPECT_EQ(res.events, 2 * sc.checkpoint_every);  // longer WAL replay
+
+  {
+    DurableRunner cont(res.checker.get(), Dopts(sc, dir), res.next_seq,
+                       res.events, res.wal_truncate_to);
+    AssumeRole driver(cont.driver_role);  // single-threaded test driver
+    for (size_t i = res.events; i < sc.arrivals.size(); ++i) {
+      ASSERT_TRUE(cont.Feed(sc.arrivals[i], i));
+      if (i + 1 == 3 * sc.checkpoint_every) {
+        // The resumed run's first checkpoint reuses the lost one's
+        // sequence number, so its write replaces the stale tmp.
+        ASSERT_TRUE(cont.Checkpoint());  // waits for that write
+        EXPECT_FALSE(fs::exists(tmp));
+        CheckpointManager::Loaded loaded;
+        ASSERT_TRUE(CheckpointManager::Load(pending_path, &loaded));
+        EXPECT_EQ(loaded.ckpt_seq, pending_seq);
+      }
+    }
+    ASSERT_TRUE(cont.Finish());
+  }
+  Outcome got;
+  got.stats = res.checker->stats();
+  got.watermark = res.checker->watermark();
+  got.flips = res.checker->flip_stats().total_flips();
+  res.checker.reset();
+  got.emissions = sink.TakeAll();
+  ExpectIdentical(got, ref, "torn tmp");
 }
 
 // Every file under `dir`/spill: path relative to `dir` -> contents.

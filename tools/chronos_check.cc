@@ -217,13 +217,15 @@ int main(int argc, char** argv) {
                                    start_events, wal_trunc);
       // Single-threaded driver: main() owns the runner for its lifetime.
       AssumeRole driver_role(runner.driver_role);
-      for (size_t i = start_events; i < stream.size(); ++i) {
-        if (!runner.Feed(stream[i].txn, stream[i].deliver_at_ms)) {
-          std::fprintf(stderr, "durable run failed: WAL/checkpoint write error\n");
-          return 1;
-        }
+      bool durable_ok = true;
+      for (size_t i = start_events; i < stream.size() && durable_ok; ++i) {
+        durable_ok = runner.Feed(stream[i].txn, stream[i].deliver_at_ms);
       }
-      runner.Finish();
+      // Finish also collects the last checkpoint's write status.
+      if (!durable_ok || !runner.Finish()) {
+        std::fprintf(stderr, "durable run failed: WAL/checkpoint write error\n");
+        return 1;
+      }
       driver += ", " + std::to_string(runner.checkpoints_written()) +
                 " checkpoints, " + std::to_string(runner.sheds()) + " sheds";
     } else {

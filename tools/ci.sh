@@ -68,10 +68,11 @@ run_ubsan() {
 }
 
 # The threaded test binaries TSan covers; extend when adding concurrent
-# suites (this list is the single source for local runs and CI).
+# suites (this list is the single source for local runs and CI). The
+# checkpoint suites run DurableRunner's background checkpoint writer.
 TSAN_TESTS=(spsc_ring_test online_test sharded_aion_test
             sharded_property_test list_parity_test pipeline_health_test
-            explore_oracle_test)
+            explore_oracle_test checkpoint_test recovery_killpoint_test)
 
 run_tsan() {
   local tsan_dir="${BUILD_DIR}-tsan"
@@ -243,7 +244,7 @@ fi
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   CHRONOS_BENCH_ALLOW_NONRELEASE=1 \
   BENCH_MIN_TIME=0.01 \
-  BENCH_FILTER='BM_AionPerTxn/2000|BM_AionPerTxnDelayed/2000|BM_ShardedAionPerTxn/shards:2|BM_VersionedKvLookup/10000|BM_VersionedKvLookupRecent/10000|BM_OngoingIndexGcHotKey/1000|BM_OngoingIndexOverlap/1000' \
+  BENCH_FILTER='BM_AionPerTxn/2000|BM_AionPerTxnDelayed/2000|BM_ShardedAionPerTxn/shards:2|BM_DurableRunnerPerTxn/2000|BM_VersionedKvLookup/10000|BM_VersionedKvLookupRecent/10000|BM_OngoingIndexGcHotKey/1000|BM_OngoingIndexOverlap/1000' \
     bench/run_micro.sh "$BUILD_DIR" "$BUILD_DIR/BENCH_micro_smoke.json"
 else
   echo "bench_micro not built (google-benchmark missing); skipping smoke"
