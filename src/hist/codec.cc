@@ -192,62 +192,122 @@ CodecStatus SaveHistory(const History& history, const std::string& path) {
   return CodecStatus::Ok();
 }
 
-CodecStatus LoadHistory(const std::string& path, History* out) {
-  out->txns.clear();
-  out->num_sessions = 0;
-  std::unique_ptr<FILE, int (*)(FILE*)> f(fopen(path.c_str(), "r"), fclose);
-  if (!f) return CodecStatus::Error("cannot open for read: " + path);
-  // Bounds every reserve taken from a count in the file. An input that
-  // cannot seek (a pipe) reserves nothing and grows as records arrive.
-  uint64_t size = 0;
-  if (fseek(f.get(), 0, SEEK_END) == 0) {
-    size = static_cast<uint64_t>(std::max(ftell(f.get()), 0L));
-    rewind(f.get());
+struct HistoryReader::Input {
+  explicit Input(FILE* f) : file(f, fclose), lines(f) {}
+  std::unique_ptr<FILE, int (*)(FILE*)> file;
+  LineReader lines;
+};
+
+HistoryReader::HistoryReader() = default;
+HistoryReader::~HistoryReader() = default;
+
+bool HistoryReader::End(CodecStatus st) {
+  status_ = std::move(st);
+  done_ = true;
+  in_.reset();
+  return false;
+}
+
+CodecStatus HistoryReader::Open(const std::string& path) {
+  path_ = path;
+  done_ = false;
+  FILE* f = fopen(path.c_str(), "r");
+  if (!f) {
+    End(CodecStatus::Error("cannot open for read: " + path));
+    return status_;
   }
-  LineReader in(f.get());
+  in_ = std::make_unique<Input>(f);
+  // An input that cannot seek (a pipe) reserves nothing and grows as
+  // records arrive.
+  if (fseek(f, 0, SEEK_END) == 0) {
+    seekable_ = true;
+    size_ = static_cast<uint64_t>(std::max(ftell(f), 0L));
+    rewind(f);
+  }
   std::string_view line;
+  if (!in_->lines.Next(&line) ||
+      !TakeField(&line, "chronos-history v1 sessions=", &num_sessions_) ||
+      !TakeField(&line, " txns=", &declared_txns_) || !line.empty()) {
+    End(CodecStatus::Error("bad header in " + path));
+  }
+  return status_;
+}
+
+bool HistoryReader::Next(Transaction* t) {
+  if (done_) return false;
+  LineReader& in = in_->lines;
   auto at_line = [&in](const std::string& what) {
     return CodecStatus::Error("line " + std::to_string(in.lines) + ": " +
                               what);
   };
-  size_t declared_txns = 0;
-  if (!in.Next(&line) ||
-      !TakeField(&line, "chronos-history v1 sessions=", &out->num_sessions) ||
-      !TakeField(&line, " txns=", &declared_txns) || !line.empty()) {
-    return CodecStatus::Error("bad header in " + path);
-  }
-  out->txns.reserve(std::min<uint64_t>(declared_txns,
-                                        size / kMinTxnBlockBytes));
-
+  std::string_view line;
   // The footer is mandatory: without it, a file truncated exactly at a
   // record boundary is indistinguishable from a complete one.
-  while (in.Next(&line)) {
-    if (!line.empty() && line[0] == '#') {
-      size_t footer_txns = 0;
-      if (!TakeField(&line, "# end txns=", &footer_txns) || !line.empty()) {
-        return at_line("malformed footer");
-      }
-      if (declared_txns != out->txns.size() ||
-          footer_txns != out->txns.size()) {
-        return CodecStatus::Error(
-            "header declared " + std::to_string(declared_txns) +
-            " txns, footer " + std::to_string(footer_txns) + ", found " +
-            std::to_string(out->txns.size()));
-      }
-      return CodecStatus::Ok();
-    }
-    Transaction t;
-    size_t nops = 0;
-    CodecStatus st =
-        ParseTxnLine(line, size - std::min(size, in.consumed), &t, &nops);
-    for (size_t i = 0; st.ok && i < nops; ++i) {
-      st = in.Next(&line) ? ParseOpLine(line, &t)
-                          : CodecStatus::Error("truncated operation list");
-    }
-    if (!st.ok) return at_line(st.message);
-    out->txns.push_back(std::move(t));
+  if (!in.Next(&line)) {
+    return End(CodecStatus::Error(
+        "missing end footer (truncated file?): " + path_));
   }
-  return CodecStatus::Error("missing end footer (truncated file?): " + path);
+  if (!line.empty() && line[0] == '#') {
+    uint64_t footer_txns = 0;
+    if (!TakeField(&line, "# end txns=", &footer_txns) || !line.empty()) {
+      return End(at_line("malformed footer"));
+    }
+    if (declared_txns_ != read_ || footer_txns != read_) {
+      return End(CodecStatus::Error(
+          "header declared " + std::to_string(declared_txns_) +
+          " txns, footer " + std::to_string(footer_txns) + ", found " +
+          std::to_string(read_)));
+    }
+    return End(CodecStatus::Ok());
+  }
+  *t = Transaction{};
+  size_t nops = 0;
+  CodecStatus st =
+      ParseTxnLine(line, size_ - std::min(size_, in.consumed), t, &nops);
+  for (size_t i = 0; st.ok && i < nops; ++i) {
+    st = in.Next(&line) ? ParseOpLine(line, t)
+                        : CodecStatus::Error("truncated operation list");
+  }
+  if (!st.ok) return End(at_line(st.message));
+  ++read_;
+  return true;
+}
+
+CodecStatus LoadHistory(const std::string& path, History* out) {
+  out->txns.clear();
+  out->num_sessions = 0;
+  HistoryReader reader;
+  if (!reader.Open(path).ok) return reader.status();
+  out->num_sessions = reader.num_sessions();
+  out->txns.reserve(std::min<uint64_t>(reader.declared_txns(),
+                                        reader.size() / kMinTxnBlockBytes));
+  Transaction t;
+  while (reader.Next(&t)) out->txns.push_back(std::move(t));
+  return reader.status();
+}
+
+bool HistoryReader::ScanCommitTimestamps(
+    const std::function<void(Timestamp)>& visit) {
+  if (!in_ || !seekable_) return false;
+  FILE* f = in_->file.get();
+  // Next's LineReader holds what it has read past; only the file
+  // position has to come back.
+  const long resume_at = ftell(f);
+  if (resume_at < 0 || fseek(f, 0, SEEK_SET) != 0) return false;
+  LineReader in(f);
+  std::string_view line;
+  Transaction t;  // reused: ParseTxnLine reserves no ops with 0 bytes left
+  size_t nops = 0;
+  while (in.Next(&line) && (line.empty() || line[0] != '#')) {
+    if (!line.empty() && line[0] == 'T' &&
+        ParseTxnLine(line, 0, &t, &nops).ok) {
+      visit(t.commit_ts);
+    }
+  }
+  if (fseek(f, resume_at, SEEK_SET) != 0) {
+    End(CodecStatus::Error("cannot seek back in " + path_));
+  }
+  return true;
 }
 
 }  // namespace chronos::hist

@@ -18,10 +18,18 @@
 // This module owns the grammar of a transaction block (the T line and its
 // op lines). WAL records (online/checkpoint.h) embed the same blocks in
 // their own framing, through AppendTxnBlock, ParseTxnLine and ParseOpLine.
+//
+// Files are read by one parser, HistoryReader: it pulls one validated
+// block at a time through a single line buffer, so a reader holds one
+// block of the file (or one longer line), never the whole file.
+// LoadHistory is a loop over it; the online collector
+// (hist/collector.h) streams from it without ever holding the history.
 #ifndef CHRONOS_HIST_CODEC_H_
 #define CHRONOS_HIST_CODEC_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -54,8 +62,56 @@ CodecStatus ParseOpLine(std::string_view line, Transaction* t);
 /// Writes `history` to `path`, overwriting.
 CodecStatus SaveHistory(const History& history, const std::string& path);
 
-/// Reads a history written by SaveHistory, one line at a time. Validates
-/// structure (counts, op tags) and reports the first malformed line.
+/// Pull reader over a file written by SaveHistory. Open validates the
+/// header; each Next yields one validated transaction block; the mandatory
+/// `# end txns=<m>` footer must match the header's count and the blocks
+/// read. Errors name the first malformed line.
+class HistoryReader {
+ public:
+  HistoryReader();
+  ~HistoryReader();
+  HistoryReader(const HistoryReader&) = delete;
+  HistoryReader& operator=(const HistoryReader&) = delete;
+
+  /// Opens `path` and reads its header line.
+  CodecStatus Open(const std::string& path);
+
+  /// Overwrites `*t` with the next transaction. False at the footer once
+  /// its counts check out, and at the first error: status() tells which.
+  bool Next(Transaction* t);
+
+  /// A light pre-pass over the open file: calls `visit` with the
+  /// commit_ts of each T line that parses, in file order, up to the first
+  /// '#' line (where Next stops), then restores the read position. It
+  /// reads the same open file as Next, so it sees the same bytes. It
+  /// validates nothing else; a malformed file is Next's error. False,
+  /// without a call, when the input cannot seek.
+  bool ScanCommitTimestamps(const std::function<void(Timestamp)>& visit);
+
+  const CodecStatus& status() const { return status_; }
+  uint32_t num_sessions() const { return num_sessions_; }
+  uint64_t declared_txns() const { return declared_txns_; }
+  /// The file's size in bytes, 0 for an input that cannot seek (a
+  /// pipe); bounds every reserve taken from a count in the file.
+  uint64_t size() const { return size_; }
+
+ private:
+  /// Stops the reader with `st` as its final status; returns false.
+  bool End(CodecStatus st);
+
+  struct Input;  // the open file and its line buffer
+  std::unique_ptr<Input> in_;
+  std::string path_;
+  CodecStatus status_;
+  uint32_t num_sessions_ = 0;
+  uint64_t declared_txns_ = 0;
+  uint64_t read_ = 0;  // blocks returned so far
+  bool seekable_ = false;  // a pipe can be read only once
+  uint64_t size_ = 0;
+  bool done_ = true;
+};
+
+/// Reads a history written by SaveHistory: a HistoryReader loop.
 CodecStatus LoadHistory(const std::string& path, History* out);
 
 }  // namespace chronos::hist

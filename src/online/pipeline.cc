@@ -7,8 +7,7 @@
 
 namespace chronos::online {
 
-RunResult RunMaxRate(OnlineChecker* checker,
-                     const std::vector<hist::CollectedTxn>& stream,
+RunResult RunMaxRate(OnlineChecker* checker, const ArrivalSource& next,
                      const GcPolicy& gc, uint64_t sample_every) {
   RunResult result;
   ThroughputMeter meter(1000);
@@ -21,12 +20,12 @@ RunResult RunMaxRate(OnlineChecker* checker,
   };
 
   uint64_t done = 0;
-  for (const hist::CollectedTxn& ct : stream) {
-    checker->OnTransaction(ct.txn, ct.deliver_at_ms);
+  while (const hist::CollectedTxn* ct = next()) {
+    checker->OnTransaction(ct->txn, ct->deliver_at_ms);
     ++done;
     meter.Record(wall_ms());
     if (gc.Due(done, *checker)) checker->GcToLiveTarget(gc.target_live);
-    if (done % sample_every == 0) {
+    if (sample_every != 0 && done % sample_every == 0) {
       result.samples.push_back({static_cast<double>(wall_ms()) / 1000.0,
                                 done, ReadRssBytes(),
                                 checker->GetFootprint().live_txns});
@@ -40,6 +39,18 @@ RunResult RunMaxRate(OnlineChecker* checker,
     result.tps_per_window.push_back(meter.Tps(i));
   }
   return result;
+}
+
+RunResult RunMaxRate(OnlineChecker* checker,
+                     const std::vector<hist::CollectedTxn>& stream,
+                     const GcPolicy& gc, uint64_t sample_every) {
+  size_t i = 0;
+  return RunMaxRate(
+      checker,
+      [&stream, &i]() -> const hist::CollectedTxn* {
+        return i < stream.size() ? &stream[i++] : nullptr;
+      },
+      gc, sample_every);
 }
 
 std::unique_ptr<OnlineChecker> MakeChecker(const CheckerOptions& options,

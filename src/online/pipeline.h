@@ -7,6 +7,7 @@
 #define CHRONOS_ONLINE_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,7 +38,11 @@ struct RunResult {
   }
 };
 
-/// Feeds the stream into `checker` as fast as it will go (the paper's
+/// A pull source of arrivals: each call returns the next one, valid until
+/// the following call, or nullptr once the stream is exhausted.
+using ArrivalSource = std::function<const hist::CollectedTxn*()>;
+
+/// Feeds the arrivals into `checker` as fast as it will go (the paper's
 /// throughput-limit methodology: pre-collected logs arriving faster than
 /// the checker can process), then finishes it. Virtual delivery
 /// timestamps drive the EXT timeout clock, so the checker sees exactly
@@ -45,7 +50,12 @@ struct RunResult {
 /// Figs. 13/14); wall time only drives the TPS series. The checker is
 /// either the monolithic `Aion` or a `ShardedAion` (the shards knob: see
 /// MakeChecker below), whose SPSC ingress rings make the collector ->
-/// coordinator -> shards pipeline of Fig. 3 real.
+/// coordinator -> shards pipeline of Fig. 3 real. A sample is taken
+/// every `sample_every` arrivals (0: never).
+RunResult RunMaxRate(OnlineChecker* checker, const ArrivalSource& next,
+                     const GcPolicy& gc, uint64_t sample_every = 10000);
+
+/// The same loop over a collected stream held in memory.
 RunResult RunMaxRate(OnlineChecker* checker,
                      const std::vector<hist::CollectedTxn>& stream,
                      const GcPolicy& gc, uint64_t sample_every = 10000);

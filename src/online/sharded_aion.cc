@@ -7,8 +7,6 @@
 namespace chronos::online {
 namespace {
 
-constexpr size_t kMaxShards = 64;  // finalize fan-out uses a 64-bit mask
-
 // splitmix64 finalizer: keys are often small sequential integers, so mix
 // before taking the remainder to spread hot ranges across shards.
 uint64_t MixKey(Key key) {

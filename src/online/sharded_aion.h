@@ -69,7 +69,11 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
  public:
   using Options = CheckerOptions;
 
-  /// `num_shards` is clamped to [1, 64]; one worker thread per shard.
+  /// The finalize fan-out uses a 64-bit shard mask.
+  static constexpr size_t kMaxShards = 64;
+
+  /// `num_shards` is clamped to [1, kMaxShards]; one worker thread per
+  /// shard.
   /// `cmd_batch` commands are staged per shard ring before one cursor
   /// publication; `queue_capacity` bounds each ring (backpressure on the
   /// caller).

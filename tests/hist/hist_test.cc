@@ -1,14 +1,22 @@
 // History codec round-trips and failure handling; collector delivery
-// schedules (batching, delays, session-order preservation).
+// schedules (batching, delays, session-order preservation); the pull
+// reader and the streamed schedule against the in-memory ones; and
+// chronos_check's handling of input errors met mid-stream.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "../testutil.h"
 #include "hist/codec.h"
@@ -145,6 +153,91 @@ TEST(CodecTest, SaveIsAtomicAndFooterTerminated) {
   std::filesystem::remove(path);
 }
 
+// LoadHistory's loop, written out over the reader.
+CodecStatus ReadAll(const std::string& path, History* out) {
+  HistoryReader reader;
+  out->txns.clear();
+  if (!reader.Open(path).ok) return reader.status();
+  out->num_sessions = reader.num_sessions();
+  Transaction t;
+  while (reader.Next(&t)) out->txns.push_back(std::move(t));
+  return reader.status();
+}
+
+// Each arrival as text: its delivery time, then its codec block, which
+// carries tid, ops, list arguments and the iso= tag.
+std::vector<std::string> AsText(const std::vector<CollectedTxn>& arrivals) {
+  std::vector<std::string> out;
+  for (const CollectedTxn& ct : arrivals) {
+    std::string line = std::to_string(ct.deliver_at_ms) + " ";
+    AppendTxnBlock(ct.txn, &line);
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+std::vector<CollectedTxn> Drain(DeliveryStream* stream) {
+  std::vector<CollectedTxn> out;
+  CollectedTxn ct;
+  while (stream->Next(&ct)) out.push_back(std::move(ct));
+  return out;
+}
+
+// The schedule as two stable sorts over the whole history, which is how
+// ScheduleDelivery computed it before it drained a DeliveryStream: the
+// reference the stream's release rules must reproduce.
+std::vector<CollectedTxn> ReferenceSchedule(const History& history,
+                                            const CollectorParams& params) {
+  std::vector<size_t> order(history.txns.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return history.txns[a].commit_ts < history.txns[b].commit_ts;
+  });
+  std::mt19937_64 rng(params.seed);
+  std::normal_distribution<double> delay(
+      params.delay_mean_ms,
+      params.delay_stddev_ms > 0 ? params.delay_stddev_ms : 1);
+  const uint64_t batch = std::max<uint32_t>(params.batch_size, 1);
+  std::unordered_map<SessionId, uint64_t> session_floor;
+  std::vector<CollectedTxn> out;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Transaction& t = history.txns[order[i]];
+    const double d = std::max(
+        0.0, params.delay_stddev_ms > 0 ? delay(rng) : params.delay_mean_ms);
+    uint64_t at = i / batch * params.batch_interval_ms +
+                  static_cast<uint64_t>(d);
+    uint64_t& floor = session_floor[t.sid];
+    at = std::max(at, floor);
+    floor = at;
+    out.push_back({t, at});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const CollectedTxn& a, const CollectedTxn& b) {
+                     return a.deliver_at_ms < b.deliver_at_ms;
+                   });
+  return out;
+}
+
+// A file's history as streamed, next to the schedule of the history
+// LoadHistory gives: the statuses must match and, when the file loads,
+// so must the arrivals, and both must equal the reference schedule.
+void ExpectStreamMatchesLoad(const std::string& path,
+                             const CollectorParams& cp,
+                             const std::string& what) {
+  History loaded;
+  const CodecStatus load = LoadHistory(path, &loaded);
+  DeliveryStream stream(path, cp);
+  const std::vector<CollectedTxn> streamed = Drain(&stream);
+  ASSERT_EQ(stream.status().ok, load.ok) << what << ": " << load.message;
+  EXPECT_EQ(stream.status().message, load.message) << what;
+  if (!load.ok) return;
+  const std::vector<std::string> reference =
+      AsText(ReferenceSchedule(loaded, cp));
+  EXPECT_EQ(AsText(streamed), reference) << what;
+  EXPECT_EQ(AsText(ScheduleDelivery(std::move(loaded), cp)), reference)
+      << what;
+}
+
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
@@ -238,7 +331,12 @@ TEST(CodecTest, HugeCountsAreErrorsNotAllocations) {
   for (const char* bytes : files) {
     WriteBytes(path, bytes);
     History h;
-    EXPECT_FALSE(LoadHistory(path, &h).ok) << bytes;
+    const CodecStatus load = LoadHistory(path, &h);
+    EXPECT_FALSE(load.ok) << bytes;
+    const CodecStatus read = ReadAll(path, &h);
+    EXPECT_FALSE(read.ok) << bytes;
+    EXPECT_EQ(read.message, load.message) << bytes;
+    ExpectStreamMatchesLoad(path, CollectorParams{}, bytes);
   }
 }
 
@@ -256,7 +354,15 @@ TEST(CodecTest, CorruptionAtEveryByteIsSafe) {
       bad[i] = c;
       WriteBytes(path, bad);
       History h;
-      if (!LoadHistory(path, &h).ok) continue;
+      const CodecStatus load = LoadHistory(path, &h);
+      History read;
+      const CodecStatus read_st = ReadAll(path, &read);
+      ASSERT_EQ(read_st.ok, load.ok) << "byte " << i;
+      EXPECT_EQ(read_st.message, load.message) << "byte " << i;
+      ExpectStreamMatchesLoad(path, CollectorParams{},
+                              "byte " + std::to_string(i));
+      if (!load.ok) continue;
+      EXPECT_EQ(Blocks(read), Blocks(h)) << "byte " << i;
       ASSERT_TRUE(SaveHistory(h, resaved).ok);
       History again;
       ASSERT_TRUE(LoadHistory(resaved, &again).ok) << "byte " << i;
@@ -267,7 +373,87 @@ TEST(CodecTest, CorruptionAtEveryByteIsSafe) {
     WriteBytes(path, good.substr(0, len));
     History h;
     EXPECT_FALSE(LoadHistory(path, &h).ok) << "len " << len;
+    EXPECT_FALSE(ReadAll(path, &h).ok) << "len " << len;
+    ExpectStreamMatchesLoad(path, CollectorParams{},
+                            "len " + std::to_string(len));
   }
+}
+
+// Inputs LoadHistory rejected before it became a loop over
+// HistoryReader, with the message it gave then; {path} stands for the
+// file's path.
+struct Rejected {
+  const char* bytes;
+  const char* message;
+};
+
+constexpr char kHeader1[] = "chronos-history v1 sessions=1 txns=1\n";
+
+const Rejected kRejected[] = {
+    {"", "bad header in {path}"},
+    {"not-a-history\n", "bad header in {path}"},
+    {"chronos-history v1 sessions=1 txns=1", "bad header in {path}"},
+    {"chronos-history v1 sessions=1 txns=1 \n", "bad header in {path}"},
+    {"chronos-history v1 sessions=99999999999 txns=1\nT 1 0 0 1 2 0\n"
+     "# end txns=1\n",
+     "bad header in {path}"},
+    {"T 1 0 0 1 2 1\nX 1 0\n# end txns=1\n", "line 3: unknown op tag: X 1"},
+    {"T 1 0 0 1 2\n# end txns=1\n", "line 2: malformed transaction header"},
+    {"T 1 0 0 1 2 0 iso=xx\n# end txns=1\n",
+     "line 2: bad transaction header suffix:  iso=xx"},
+    {"T 1 0 0 1 2 2\nR 1 0\n# end txns=1\n", "line 4: unknown op tag: # e"},
+    {"T 1 0 0 1 2 2\nR 1 0\n", "line 3: truncated operation list"},
+    {"T 1 0 0 1 2 1\nR 1 0 5\n# end txns=1\n",
+     "line 3: trailing bytes on op line"},
+    {"T 1 0 0 1 2 1\nL 1 3 5\n# end txns=1\n", "line 3: truncated list read"},
+    {"T 1 0 0 1 2 1\nW 1 1\n# end txns=x\n", "line 4: malformed footer"},
+    {"T 1 0 0 1 2 1\nW 1 1\n# end txns=2\n",
+     "header declared 1 txns, footer 2, found 1"},
+    {"T 1 0 0 1 2 1\nW 1 1\n",
+     "missing end footer (truncated file?): {path}"},
+    {"R 1 0\n# end txns=1\n", "line 2: malformed transaction header"},
+    {"T 1 0 0 1 2 1\nW 1\n# end txns=1\n", "line 3: malformed op line"},
+    {"T 1 0 0 1 2 1\nW 1 1\n# end txns=1",
+     "missing end footer (truncated file?): {path}"},
+    {"T 1 0 0 1 2 1\nW 1 1\n\n# end txns=1\n",
+     "line 4: malformed transaction header"},
+    {"T 1 0 0 1 2 1\nW 1 1\n#end txns=1\n", "line 4: malformed footer"},
+    {"T 1 0 0 1 2 1\nW  1 1\n# end txns=1\n", "line 3: malformed op line"},
+};
+
+TEST(HistoryReaderTest, RejectsWhatLoadHistoryRejectedAtTheSameLine) {
+  const std::string path = TempPath("rejected.hist");
+  const auto expected = [&path](const char* message) {
+    std::string m = message;
+    const size_t at = m.find("{path}");
+    return at == std::string::npos ? m : m.replace(at, 6, path);
+  };
+  for (const Rejected& r : kRejected) {
+    // Cases without a header of their own get the one-txn header.
+    const std::string bytes =
+        std::string(r.bytes).rfind("chronos-history", 0) == 0 ||
+                std::string(r.bytes).rfind("not-", 0) == 0 || !*r.bytes
+            ? std::string(r.bytes)
+            : kHeader1 + std::string(r.bytes);
+    WriteBytes(path, bytes);
+    History h;
+    EXPECT_EQ(LoadHistory(path, &h).message, expected(r.message)) << bytes;
+    EXPECT_EQ(ReadAll(path, &h).message, expected(r.message)) << bytes;
+    DeliveryStream stream(path, CollectorParams{});
+    Drain(&stream);
+    EXPECT_FALSE(stream.status().ok) << bytes;
+    EXPECT_EQ(stream.status().message, expected(r.message)) << bytes;
+  }
+  // The same line numbers deep in a file: a bad op in the third block.
+  WriteBytes(path,
+             "chronos-history v1 sessions=2 txns=3\nT 1 0 0 1 2 1\nW 1 1\n"
+             "T 2 1 0 3 4 2\nR 1 1\nW 2 5\nT 3 0 1 5 6 2\nR 2 5\nW 3 x\n"
+             "# end txns=3\n");
+  History h;
+  EXPECT_EQ(LoadHistory(path, &h).message, "line 9: malformed op line");
+  DeliveryStream stream(path, CollectorParams{});
+  Drain(&stream);
+  EXPECT_EQ(stream.status().message, "line 9: malformed op line");
 }
 
 TEST(CollectorTest, PreservesSessionOrder) {
@@ -366,6 +552,272 @@ TEST(CollectorTest, MovedHistoryGivesTheSameStreamAsACopiedOne) {
     list_reads += a.list_args.size();
   }
   EXPECT_GT(list_reads, 0u) << "the stream must carry list reads";
+}
+
+TEST(CollectorTest, ZeroBatchSizeActsAsOne) {
+  workload::WorkloadParams p;
+  p.sessions = 4;
+  p.txns = 300;
+  History h = workload::GenerateDefaultHistory(p);
+  CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  cp.batch_size = 1;
+  const auto one = ScheduleDelivery(h, cp);
+  cp.batch_size = 0;
+  const auto zero = ScheduleDelivery(h, cp);
+  EXPECT_EQ(AsText(zero), AsText(one));
+  const std::string path = TempPath("zero_batch.hist");
+  ASSERT_TRUE(SaveHistory(h, path).ok);
+  ExpectStreamMatchesLoad(path, cp, "batch_size 0");
+}
+
+// Moves transactions inside consecutive windows of `window` into a
+// seeded random order: commit-order inversions at most a window deep.
+History ShuffleInsideWindows(History h, size_t window, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (size_t i = 0; i < h.txns.size(); i += window) {
+    const auto first = h.txns.begin() + static_cast<std::ptrdiff_t>(i);
+    std::shuffle(first, first + static_cast<std::ptrdiff_t>(std::min(
+                                    window, h.txns.size() - i)),
+                 rng);
+  }
+  return h;
+}
+
+// Many commit_ts ties (three transactions per timestamp), so the
+// stream's tie-breaks by file and commit index are exercised.
+History TiedTimestamps(size_t txns, uint32_t sessions) {
+  History h;
+  h.num_sessions = sessions;
+  std::vector<uint64_t> sno(sessions, 0);
+  for (size_t i = 0; i < txns; ++i) {
+    Transaction t;
+    t.tid = i + 1;
+    t.sid = static_cast<SessionId>(i * 7 % sessions);
+    t.sno = sno[t.sid]++;
+    t.commit_ts = 10 + i / 3;
+    t.start_ts = t.commit_ts - 1;
+    t.ops.push_back({OpType::kWrite, i % 17, static_cast<Value>(i)});
+    h.txns.push_back(std::move(t));
+  }
+  return h;
+}
+
+std::vector<CollectorParams> StreamParams() {
+  std::vector<CollectorParams> out;
+  for (auto [mean, stddev] : {std::pair{0.0, 0.0}, std::pair{20.0, 10.0},
+                              std::pair{100.0, 40.0}}) {
+    for (uint32_t batch : {1u, 7u, 500u}) {
+      CollectorParams cp;
+      cp.delay_mean_ms = mean;
+      cp.delay_stddev_ms = stddev;
+      cp.batch_size = batch;
+      out.push_back(cp);
+    }
+  }
+  return out;
+}
+
+std::string Describe(const CollectorParams& cp) {
+  return "delay " + std::to_string(cp.delay_mean_ms) + "+-" +
+         std::to_string(cp.delay_stddev_ms) + " batch " +
+         std::to_string(cp.batch_size);
+}
+
+TEST(DeliveryStreamTest, FileStreamEqualsTheInMemorySchedule) {
+  workload::WorkloadParams reg;
+  reg.sessions = 8;
+  reg.txns = 1500;
+  reg.ops_per_txn = 6;
+  workload::WorkloadParams list = reg;
+  list.txns = 300;
+  list.list_mode = true;
+  workload::WorkloadParams mixed = reg;
+  mixed.mix = {40, 20, 20, 20};
+  const std::pair<const char*, History> histories[] = {
+      {"register", workload::GenerateDefaultHistory(reg)},
+      {"list", workload::GenerateDefaultHistory(list)},
+      {"mixed", workload::GenerateDefaultHistory(mixed)},
+  };
+  const std::string path = TempPath("stream.hist");
+  for (const auto& [name, h] : histories) {
+    ASSERT_TRUE(SaveHistory(h, path).ok);
+    for (const CollectorParams& cp : StreamParams()) {
+      ExpectStreamMatchesLoad(path, cp, name + (" " + Describe(cp)));
+    }
+  }
+}
+
+TEST(DeliveryStreamTest, CommitOrderInversionsKeepTheSchedule) {
+  workload::WorkloadParams reg;
+  reg.sessions = 8;
+  reg.txns = 1500;
+  reg.ops_per_txn = 4;
+  workload::WorkloadParams list = reg;
+  list.txns = 300;
+  list.list_mode = true;
+  const std::pair<const char*, History> histories[] = {
+      {"register", workload::GenerateDefaultHistory(reg)},
+      {"list", workload::GenerateDefaultHistory(list)},
+      {"tied", TiedTimestamps(900, 5)},
+  };
+  const std::string path = TempPath("inverted.hist");
+  for (const auto& [name, h] : histories) {
+    for (size_t window : {2, 9, 64}) {
+      ASSERT_TRUE(SaveHistory(ShuffleInsideWindows(h, window, window), path)
+                      .ok);
+      DeliveryStream probe(path, CollectorParams{});
+      EXPECT_GT(probe.commit_lag(), 0u) << name << " window " << window;
+      for (const CollectorParams& cp : StreamParams()) {
+        ExpectStreamMatchesLoad(path, cp,
+                                name + (" window " + std::to_string(window) +
+                                        " " + Describe(cp)));
+      }
+    }
+  }
+}
+
+TEST(DeliveryStreamTest, BuffersHoldTheWindowNotTheFile) {
+  workload::WorkloadParams p;
+  p.sessions = 16;
+  p.txns = 20000;
+  p.ops_per_txn = 2;
+  const std::string path = TempPath("bounded.hist");
+  ASSERT_TRUE(SaveHistory(workload::GenerateDefaultHistory(p), path).ok);
+  CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  DeliveryStream stream(path, cp);
+  ASSERT_TRUE(stream.status().ok);
+  ASSERT_NE(stream.commit_lag(), DeliveryStream::kUnboundedLag);
+  size_t most = 0, arrivals = 0;
+  CollectedTxn ct;
+  while (stream.Next(&ct)) {
+    most = std::max(most, stream.buffered());
+    ++arrivals;
+  }
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+  EXPECT_EQ(arrivals, p.txns);
+  // A 20+-10 ms delay spans about two 40 ms batches of 500.
+  EXPECT_LT(most, 3 * cp.batch_size) << "of " << p.txns;
+}
+
+TEST(DeliveryStreamTest, PipeInputIsBufferedWholeAndGivesTheSameStream) {
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 800;
+  p.list_mode = true;
+  const History h = ShuffleInsideWindows(workload::GenerateDefaultHistory(p),
+                                         9, 3);
+  const std::string path = TempPath("piped.hist");
+  ASSERT_TRUE(SaveHistory(h, path).ok);
+  const std::string bytes = Slurp(path);
+  const std::string fifo = TempPath("pipe");
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  CollectorParams cp;
+  cp.delay_mean_ms = 20;
+  cp.delay_stddev_ms = 10;
+  cp.batch_size = 7;
+  // The writer blocks in open until the stream opens the read side.
+  std::thread writer([&fifo, &bytes] {
+    std::ofstream(fifo, std::ios::binary) << bytes;
+  });
+  DeliveryStream stream(fifo, cp);
+  const std::vector<CollectedTxn> streamed = Drain(&stream);
+  writer.join();
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+  EXPECT_EQ(stream.commit_lag(), DeliveryStream::kUnboundedLag);
+  EXPECT_EQ(AsText(streamed), AsText(ReferenceSchedule(h, cp)));
+}
+
+// chronos_check, run as a subprocess: its exit status and its output.
+struct CheckRun {
+  int exit_code = -1;
+  std::string output;
+};
+
+CheckRun RunCheck(const std::string& args) {
+  CheckRun run;
+  const std::string cmd =
+      std::string(CHRONOS_BUILD_DIR) + "/chronos_check " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buf[4096];
+  while (fgets(buf, sizeof(buf), pipe) != nullptr) run.output += buf;
+  const int status = pclose(pipe);
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
+}
+
+bool HaveChronosCheck() {
+  return std::filesystem::exists(std::string(CHRONOS_BUILD_DIR) +
+                                 "/chronos_check");
+}
+
+History CliHistory(uint64_t txns) {
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = txns;
+  p.ops_per_txn = 4;
+  return workload::GenerateDefaultHistory(p);
+}
+
+TEST(CheckCliTest, MalformedOpLineMidRunExitsOneWithoutAVerdict) {
+  if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
+  const std::string dir = chronos::testing::UniqueTempDir("cli");
+  const std::string path = dir + "/bad.hist";
+  ASSERT_TRUE(SaveHistory(CliHistory(3000), path).ok);
+  // Break the first op line of the 2000th block: 1999 arrivals are
+  // streamed in before the reader meets it.
+  std::string bytes = Slurp(path);
+  size_t at = 0;
+  for (int blocks = 0; blocks < 2000; ++blocks) at = bytes.find("\nT ", at + 1);
+  const size_t op = bytes.find('\n', at + 1) + 1;
+  const auto lines_before = std::count(
+      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(op), '\n');
+  const size_t line = static_cast<size_t>(lines_before) + 1;
+  bytes.replace(op, bytes.find('\n', op) - op, "W 1 x");
+  WriteBytes(path, bytes);
+  const std::string message =
+      "load failed: line " + std::to_string(line) + ": malformed op line";
+  const std::string common = "--in=" + path + " --online --delay-mean=20 "
+                             "--delay-stddev=10 --timeout-ms=50";
+  for (const std::string& extra :
+       {std::string(), std::string(" --shards=2"),
+        " --checkpoint-dir=" + dir + "/ckpt --checkpoint-every=500"}) {
+    const CheckRun run = RunCheck(common + extra);
+    EXPECT_EQ(run.exit_code, 1) << extra << "\n" << run.output;
+    EXPECT_NE(run.output.find(message), std::string::npos)
+        << extra << "\n" << run.output;
+    EXPECT_EQ(run.output.find("violations:"), std::string::npos)
+        << extra << "\n" << run.output;
+  }
+  // The durable run logged the arrivals it checked before the bad line.
+  EXPECT_GT(std::filesystem::file_size(dir + "/ckpt/wal.log"), 0u);
+}
+
+TEST(CheckCliTest, ResumeWithAShorterInputFails) {
+  if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
+  const std::string dir = chronos::testing::UniqueTempDir("cli");
+  ASSERT_TRUE(SaveHistory(CliHistory(3000), dir + "/full.hist").ok);
+  ASSERT_TRUE(SaveHistory(CliHistory(1000), dir + "/short.hist").ok);
+  const std::string flags = " --online --checkpoint-dir=" + dir +
+                            "/ckpt --checkpoint-every=700";
+  const CheckRun full = RunCheck("--in=" + dir + "/full.hist" + flags);
+  ASSERT_TRUE(full.exit_code == 0 || full.exit_code == 3) << full.output;
+  const CheckRun again =
+      RunCheck("--in=" + dir + "/full.hist" + flags + " --resume");
+  EXPECT_TRUE(again.exit_code == 0 || again.exit_code == 3) << again.output;
+  const CheckRun short_run =
+      RunCheck("--in=" + dir + "/short.hist" + flags + " --resume");
+  EXPECT_EQ(short_run.exit_code, 1) << short_run.output;
+  EXPECT_NE(short_run.output.find("ends after 1000 arrivals, but the "
+                                  "recovered run had fed 3000"),
+            std::string::npos)
+      << short_run.output;
+  EXPECT_EQ(short_run.output.find("violations:"), std::string::npos)
+      << short_run.output;
 }
 
 }  // namespace

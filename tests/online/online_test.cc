@@ -2,8 +2,13 @@
 // GC policy decision, and the max-rate driver under the GC policies.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "../testutil.h"
 #include "core/aion.h"
 #include "core/chronos.h"
+#include "hist/codec.h"
 #include "hist/collector.h"
 #include "online/metrics.h"
 #include "online/pipeline.h"
@@ -151,6 +156,60 @@ TEST_F(PipelineTest, FlipFlopsAppearUnderDelays) {
   RunMaxRate(&checker, stream, GcPolicy::None());
   EXPECT_GT(checker.flip_stats().total_flips(), 0u)
       << "out-of-order arrivals should cause transient EXT flips";
+}
+
+TEST_F(PipelineTest, SampleEveryZeroNeverSamples) {
+  auto stream = MakeStream(3000);
+  CountingSink sink;
+  Aion checker(Aion::Options{}, &sink);
+  RunResult r = RunMaxRate(&checker, stream, GcPolicy::None(), 0);
+  EXPECT_EQ(r.txns, 3000u);
+  EXPECT_TRUE(r.samples.empty());
+}
+
+TEST_F(PipelineTest, StreamedFileRunsLikeTheCollectedStream) {
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 4000;
+  p.ops_per_txn = 6;
+  p.keys = 100;
+  const std::string path =
+      chronos::testing::UniqueTempDir("pipeline") + "/h.hist";
+  ASSERT_TRUE(hist::SaveHistory(workload::GenerateDefaultHistory(p), path).ok);
+  History h;
+  ASSERT_TRUE(hist::LoadHistory(path, &h).ok);
+  hist::CollectorParams cp;
+  cp.delay_mean_ms = 50;
+  cp.delay_stddev_ms = 30;
+  Aion::Options opt;
+  opt.ext_timeout_ms = 40;
+  const GcPolicy gc = GcPolicy::Every(300, 200);
+
+  CountingSink held_sink;
+  Aion held(opt, &held_sink);
+  const RunResult a =
+      RunMaxRate(&held, hist::ScheduleDelivery(std::move(h), cp), gc, 1000);
+
+  CountingSink streamed_sink;
+  Aion streamed(opt, &streamed_sink);
+  hist::DeliveryStream stream(path, cp);
+  hist::CollectedTxn ct;
+  const RunResult b = RunMaxRate(
+      &streamed,
+      [&stream, &ct]() -> const hist::CollectedTxn* {
+        return stream.Next(&ct) ? &ct : nullptr;
+      },
+      gc, 1000);
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+
+  EXPECT_EQ(b.txns, a.txns);
+  EXPECT_EQ(b.samples.size(), a.samples.size());
+  EXPECT_EQ(streamed_sink.total(), held_sink.total());
+  EXPECT_EQ(streamed.flip_stats().total_flips(),
+            held.flip_stats().total_flips());
+  EXPECT_EQ(streamed.stats().gc_passes, held.stats().gc_passes);
+  EXPECT_EQ(streamed.stats().ext_rechecks, held.stats().ext_rechecks);
+  EXPECT_GT(held.stats().gc_passes, 0u);
 }
 
 }  // namespace

@@ -9,28 +9,36 @@
 //                 [--gc-every=0] [--gc-target=0]
 //                 [--stats] [--max-report=20] [--help]
 //
-// Offline mode runs CHRONOS (--level=list: ChronosList); --online
-// replays the history through AION via the collector (delays model
-// asynchrony). AION understands list histories natively, so --online
-// works for every level (--level=list selects the SI read-view rule,
-// matching the list workloads). --shards=N checks with the
-// key-partitioned ShardedAion (N worker threads); violations are then
-// reported in deterministic (commit_ts, txn id) order.
+// Offline mode loads the history and runs CHRONOS (--level=list:
+// ChronosList); --online streams it through AION via the collector
+// (hist::DeliveryStream; delays model asynchrony), so the run holds the
+// collector's reorder buffers and the checker's live state, not the
+// file. AION understands list histories natively, so --online works for
+// every level (--level=list selects the SI read-view rule, matching the
+// list workloads). --shards=N checks with the key-partitioned
+// ShardedAion (N worker threads); violations are then reported in
+// deterministic (commit_ts, txn id) order.
 //
 // Online runs feed the stream through RunMaxRate (online/pipeline.h),
 // or with --checkpoint-dir through the crash-safe DurableRunner
 // (online/checkpoint.h): every arrival is WAL-logged as it is checked,
 // checkpoints are cut every --checkpoint-every arrivals, and a killed
-// run resumes verdict-identical with --resume (same --in and options).
+// run resumes verdict-identical with --resume (same --in and options),
+// which skips the first recovered-events arrivals of the stream by count.
 // --memory-ceiling forces checkpoint + GC + list-buffer shedding
 // whenever the checker footprint exceeds the ceiling. Both drivers
 // collect with GcPolicy::Every(--gc-every, --gc-target).
-#include <algorithm>
+//
+// Every flag is parsed before the input is opened (tools/check_args.h):
+// a numeric value that is not a whole unsigned decimal, or --shards
+// above 64, exits 2. Exit codes: 0 clean, 1 load/recovery/WAL error
+// (a malformed line met mid-stream included: no verdict is printed),
+// 2 usage, 3 violations.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "check_args.h"
 #include "flags.h"
 
 #include "core/aion.h"
@@ -84,7 +92,9 @@ void PrintUsage(FILE* out) {
   std::fprintf(out,
       "usage: chronos_check --in=FILE [options]\n"
       "\n"
-      "  --in=FILE             history file (hist/codec.h text format)\n"
+      "  --in=FILE             history file (hist/codec.h text format);\n"
+      "                        --online streams it; an input that cannot\n"
+      "                        seek (a pipe) is buffered whole\n"
       "  --level=si|ser|list   run-level default isolation (default si);\n"
       "                        rc/ra are per-transaction only (iso= tags\n"
       "                        in the history). A history with iso= tags\n"
@@ -100,16 +110,18 @@ void PrintUsage(FILE* out) {
       "  --timeout-ms=N        EXT finalization timeout (default 5000)\n"
       "  --spill=DIR           GC spill store directory\n"
       "  --delay-mean=N --delay-stddev=N   collector delay model (ms)\n"
-      "  --shards=N            key-partitioned ShardedAion: N shard\n"
-      "                        worker threads fed by the calling thread\n"
+      "  --shards=N            key-partitioned ShardedAion: N (at most 64)\n"
+      "                        shard worker threads fed by the calling\n"
+      "                        thread\n"
       "  --stats               print processing counters after the check\n"
       "                        (sharded: plus shard-ring health)\n"
       "\n"
       "crash-safe durable mode (--online, implies ShardedAion):\n"
       "  --checkpoint-dir=DIR  WAL + checkpoints here; enables durability\n"
       "  --checkpoint-every=N  checkpoint cadence in arrivals (default 5000)\n"
-      "  --resume              recover from DIR, skip replayed arrivals,\n"
-      "                        continue with the rest of --in\n"
+      "  --resume              recover from DIR, skip as many arrivals of\n"
+      "                        --in as the run had fed (by count; exit 1\n"
+      "                        if --in is shorter), check the rest\n"
       "  --memory-ceiling=B    footprint bound in bytes: exceeding it forces\n"
       "                        checkpoint + GC + list-buffer shedding\n"
       "                        (degraded reads counted, never mis-reported)\n"
@@ -123,55 +135,44 @@ int main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
-  const char* in = FlagValue(argc, argv, "--in");
-  if (!in) {
-    PrintUsage(stderr);
+  CheckArgs args;
+  std::string err;
+  if (!ParseCheckArgs(argc, argv, &args, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    if (!FlagValue(argc, argv, "--in")) PrintUsage(stderr);
     return 2;
   }
-  std::string level =
-      FlagValue(argc, argv, "--level") ? FlagValue(argc, argv, "--level") : "si";
-  CheckMode mode = CheckMode::kSi;
-  if (level != "list") {
-    std::string err;
-    if (!ParseRunLevel(level.c_str(), &mode, &err)) {
-      std::fprintf(stderr, "--level=%s: %s\n", level.c_str(), err.c_str());
-      return 2;
-    }
-  }
-  size_t max_report = U64Flag(argc, argv, "--max-report", 20);
+  std::string level = args.level;  // offline mixed runs relabel it
 
-  Stopwatch load_sw;
-  History h;
-  hist::CodecStatus st = hist::LoadHistory(in, &h);
-  if (!st.ok) {
-    std::fprintf(stderr, "load failed: %s\n", st.message.c_str());
-    return 1;
-  }
-  std::printf("loaded %zu txns (%zu ops) in %.3fs\n", h.txns.size(),
-              h.NumOps(), load_sw.Seconds());
-
-  CountingSink sink(max_report);
-  if (HasFlag(argc, argv, "--online")) {
+  CountingSink sink(args.max_report);
+  if (args.online) {
     hist::CollectorParams cp;
-    cp.delay_mean_ms = static_cast<double>(
-        U64Flag(argc, argv, "--delay-mean", 0));
-    cp.delay_stddev_ms = static_cast<double>(
-        U64Flag(argc, argv, "--delay-stddev", 0));
-    auto stream = hist::ScheduleDelivery(std::move(h), cp);
-    Aion::Options opt;
-    opt.mode = mode;  // list=si; iso= tags override per transaction
-    opt.ext_timeout_ms = U64Flag(argc, argv, "--timeout-ms", 5000);
-    if (const char* spill = FlagValue(argc, argv, "--spill")) {
-      opt.spill_dir = spill;
+    cp.delay_mean_ms = static_cast<double>(args.delay_mean_ms);
+    cp.delay_stddev_ms = static_cast<double>(args.delay_stddev_ms);
+    hist::DeliveryStream stream(args.in, cp);
+    if (!stream.status().ok) {
+      std::fprintf(stderr, "load failed: %s\n",
+                   stream.status().message.c_str());
+      return 1;
     }
-    const size_t shards =
-        static_cast<size_t>(U64Flag(argc, argv, "--shards", 1));
+    if (stream.commit_lag() == hist::DeliveryStream::kUnboundedLag) {
+      std::printf("streaming %s (not seekable: buffered whole)\n",
+                  args.in.c_str());
+    } else {
+      std::printf("streaming %s (commit-order window %llu ts)\n",
+                  args.in.c_str(),
+                  static_cast<unsigned long long>(stream.commit_lag()));
+    }
+    Aion::Options opt;
+    opt.mode = args.mode;  // list=si; iso= tags override per transaction
+    opt.ext_timeout_ms = args.timeout_ms;
+    opt.spill_dir = args.spill_dir;
+    const size_t shards = static_cast<size_t>(args.shards);
     const GcPolicy gc = GcPolicy::Every(
-        U64Flag(argc, argv, "--gc-every", 0),
-        static_cast<size_t>(U64Flag(argc, argv, "--gc-target", 0)));
-    const char* ckpt_dir = FlagValue(argc, argv, "--checkpoint-dir");
-    if (ckpt_dir && opt.spill_dir.empty()) {
-      opt.spill_dir = std::string(ckpt_dir) + "/spill";  // where Recover looks
+        args.gc_every, static_cast<size_t>(args.gc_target));
+    const bool durable = !args.checkpoint_dir.empty();
+    if (durable && opt.spill_dir.empty()) {
+      opt.spill_dir = args.checkpoint_dir + "/spill";  // where Recover looks
     }
 
     // Checker choice: the durable driver always runs the sharded checker
@@ -179,8 +180,9 @@ int main(int argc, char** argv) {
     std::unique_ptr<Aion> mono;
     std::unique_ptr<online::ShardedAion> shard;
     uint64_t start_seq = 1, start_events = 0, wal_trunc = 0;
-    if (ckpt_dir && HasFlag(argc, argv, "--resume")) {
-      online::RecoverResult rec = online::Recover(opt, ckpt_dir, &sink, shards);
+    if (durable && args.resume) {
+      online::RecoverResult rec =
+          online::Recover(opt, args.checkpoint_dir, &sink, shards);
       if (!rec.checker) {
         std::fprintf(stderr, "recovery failed: %s\n", rec.error.c_str());
         return 1;
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
       start_seq = rec.next_seq;
       start_events = rec.events;
       wal_trunc = rec.wal_truncate_to;
-    } else if (ckpt_dir || shards > 1) {
+    } else if (durable || shards > 1) {
       shard = std::make_unique<online::ShardedAion>(opt, shards, &sink);
     } else {
       mono = std::make_unique<Aion>(opt, &sink);
@@ -202,25 +204,47 @@ int main(int argc, char** argv) {
     OnlineChecker* checker = mono.get();
     if (shard) checker = shard.get();
 
-    std::string driver = ckpt_dir ? "durable" : "max-rate";
+    // Each arrival is dropped when the next one is pulled: the run holds
+    // the stream's reorder buffers and the checker's live state.
+    hist::CollectedTxn ct;
+    auto stream_failed = [&stream] {
+      if (stream.status().ok) return false;
+      std::fprintf(stderr, "load failed: %s\n",
+                   stream.status().message.c_str());
+      return true;
+    };
+    // A resumed run skips, by count, the arrivals the WAL already holds.
+    for (uint64_t skipped = 0; skipped < start_events; ++skipped) {
+      if (stream.Next(&ct)) continue;
+      if (stream_failed()) return 1;
+      std::fprintf(stderr,
+                   "resume failed: %s ends after %llu arrivals, but the "
+                   "recovered run had fed %llu\n",
+                   args.in.c_str(), static_cast<unsigned long long>(skipped),
+                   static_cast<unsigned long long>(start_events));
+      return 1;
+    }
+
+    std::string driver = durable ? "durable" : "max-rate";
     if (shard) driver += ", " + std::to_string(shard->num_shards()) + " shards";
     Stopwatch sw;
-    if (ckpt_dir) {
+    uint64_t fed = 0;
+    if (durable) {
       online::DurableRunner::Options dopts;
-      dopts.dir = ckpt_dir;
-      dopts.checkpoint_every_events =
-          U64Flag(argc, argv, "--checkpoint-every", 5000);
+      dopts.dir = args.checkpoint_dir;
+      dopts.checkpoint_every_events = args.checkpoint_every;
       dopts.gc = gc;
-      dopts.memory_ceiling_bytes =
-          static_cast<size_t>(U64Flag(argc, argv, "--memory-ceiling", 0));
+      dopts.memory_ceiling_bytes = static_cast<size_t>(args.memory_ceiling);
       online::DurableRunner runner(shard.get(), dopts, start_seq,
                                    start_events, wal_trunc);
       // Single-threaded driver: main() owns the runner for its lifetime.
       AssumeRole driver_role(runner.driver_role);
       bool durable_ok = true;
-      for (size_t i = start_events; i < stream.size() && durable_ok; ++i) {
-        durable_ok = runner.Feed(stream[i].txn, stream[i].deliver_at_ms);
+      while (durable_ok && stream.Next(&ct)) {
+        durable_ok = runner.Feed(ct.txn, ct.deliver_at_ms);
+        ++fed;
       }
+      if (stream_failed()) return 1;
       // Finish also collects the last checkpoint's write status.
       if (!durable_ok || !runner.Finish()) {
         std::fprintf(stderr, "durable run failed: WAL/checkpoint write error\n");
@@ -229,31 +253,45 @@ int main(int argc, char** argv) {
       driver += ", " + std::to_string(runner.checkpoints_written()) +
                 " checkpoints, " + std::to_string(runner.sheds()) + " sheds";
     } else {
-      online::RunMaxRate(checker, stream, gc);
+      fed = online::RunMaxRate(
+                checker,
+                [&stream, &ct]() -> const hist::CollectedTxn* {
+                  return stream.Next(&ct) ? &ct : nullptr;
+                },
+                gc)
+                .txns;
+      if (stream_failed()) return 1;
     }
     const double secs = sw.Seconds();
-    const double fed = static_cast<double>(
-        stream.size() - std::min<size_t>(start_events, stream.size()));
     std::printf("online %s check (%s): %.3fs (%.0f TPS), %llu flip-flops\n",
                 level.c_str(), driver.c_str(), secs,
-                secs > 0 ? fed / secs : 0.0,
+                secs > 0 ? static_cast<double>(fed) / secs : 0.0,
                 static_cast<unsigned long long>(
                     shard ? shard->flip_stats().total_flips()
                           : mono->flip_stats().total_flips()));
-    if (HasFlag(argc, argv, "--stats")) {
+    if (args.stats) {
       PrintCheckerStats(shard ? shard->stats() : mono->stats());
       if (shard) online::PrintPipelineHealth(shard->pipeline_health(), stdout);
     }
   } else {
+    Stopwatch load_sw;
+    History h;
+    hist::CodecStatus st = hist::LoadHistory(args.in, &h);
+    if (!st.ok) {
+      std::fprintf(stderr, "load failed: %s\n", st.message.c_str());
+      return 1;
+    }
+    std::printf("loaded %zu txns (%zu ops) in %.3fs\n", h.txns.size(),
+                h.NumOps(), load_sw.Seconds());
     ChronosOptions opt;
-    opt.gc_every_n_txns = U64Flag(argc, argv, "--gc-every", 0);
+    opt.gc_every_n_txns = args.gc_every;
     Stopwatch sw;
     CheckStats stats;
     if (level != "list" && HistoryHasLevelTags(h)) {
       // Per-transaction iso= tags: the single-level replayers would
       // misjudge the weaker-level transactions, so route to the mixed
       // checker with --level as the default for untagged ones.
-      ChronosMixed checker(mode, &sink);
+      ChronosMixed checker(args.mode, &sink);
       stats = checker.Check(std::move(h));
       level = "mixed(default=" + level + ")";
     } else if (level == "ser") {
@@ -270,6 +308,6 @@ int main(int argc, char** argv) {
                 level.c_str(), stats.sort_seconds, stats.check_seconds,
                 stats.gc_seconds);
   }
-  PrintReport(sink, max_report);
+  PrintReport(sink, static_cast<size_t>(args.max_report));
   return sink.total() > 0 ? 3 : 0;
 }

@@ -21,6 +21,9 @@
 # Skip with CHRONOS_CI_ASAN=0 / CHRONOS_CI_UBSAN=0;
 # run just one with CHRONOS_CI_ASAN_ONLY=1 / CHRONOS_CI_UBSAN_ONLY=1.
 #
+# A bounded-memory gate then checks that an online run's peak RSS with
+# GC does not grow with the history (skip with CHRONOS_CI_MEMGATE=0).
+#
 # Usage: tools/ci.sh [build_dir]
 set -euo pipefail
 
@@ -206,6 +209,67 @@ if [[ "${CHRONOS_CI_KILLPOINT:-1}" != "0" ]]; then
       >"$ck_dir/resumed.txt"
   diff "$ck_dir/uninterrupted.txt" "$ck_dir/resumed.txt"
   diff -r "$ck_dir/ckpt/spill" "$ck_dir/copy/spill"
+  # --resume skips the recovered run's arrivals by count, so an --in
+  # shorter than that run must fail rather than print the recovered
+  # state's verdict as if the run had finished.
+  echo "crash-recovery: --resume with a shorter --in exits 1"
+  "$BUILD_DIR/chronos_gen" --out="$ck_dir/short.hist" --txns=1000 \
+                           --seed=11 >/dev/null
+  cp -r "$ck_dir/ckpt" "$ck_dir/short"
+  rc=0
+  "$BUILD_DIR/chronos_check" --in="$ck_dir/short.hist" --online \
+      --checkpoint-dir="$ck_dir/short" "${ck_flags[@]}" --resume \
+      >"$ck_dir/short.out" 2>&1 || rc=$?
+  if [[ $rc != 1 ]]; then
+    echo "--resume with a 1000-txn --in exited $rc, expected 1" >&2
+    cat "$ck_dir/short.out" >&2
+    exit 1
+  fi
+fi
+
+# Bounded-memory gate: --online streams its input, so with GC its peak
+# RSS is the checker's live window plus the collector's reorder buffers
+# and does not grow with the history. Histories from e2ebench's
+# generator flags at 30k and 150k txns (both past the ~12.5k-txn window
+# a 1000 ms EXT timeout keeps unfinalized); the larger run may peak at
+# most 15% above the smaller. Skip with CHRONOS_CI_MEMGATE=0.
+if [[ "${CHRONOS_CI_MEMGATE:-1}" != "0" ]]; then
+  echo "bounded memory: online peak RSS at 30k and 150k txns"
+  mem_dir="$BUILD_DIR/mem-gate"
+  rm -rf "$mem_dir"
+  mkdir -p "$mem_dir"
+  for n in 30000 150000; do
+    "$BUILD_DIR/chronos_gen" --out="$mem_dir/h$n.hist" --txns=$n \
+        --workload=default --sessions=50 --ops=15 --keys=1000 --reads=0.5 \
+        --dist=zipf --fault=stale_read --fault-prob=0.001 --seed=4 \
+        --fault-seed=4 >/dev/null
+  done
+  python3 - "$BUILD_DIR/chronos_check" "$mem_dir" <<'PY'
+import os
+import subprocess
+import sys
+
+check, work = sys.argv[1], sys.argv[2]
+
+
+def peak_mb(txns):
+    p = subprocess.Popen([check, f"--in={work}/h{txns}.hist", "--online",
+                          "--timeout-ms=1000", "--gc-every=500",
+                          "--gc-target=2000"], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(p.pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code not in (0, 3):
+        sys.exit(f"chronos_check on {txns} txns exited {code}")
+    return usage.ru_maxrss / 1024.0
+
+
+small, large = peak_mb(30000), peak_mb(150000)
+print(f"bounded memory: peak RSS {small:.1f} MB at 30k txns, "
+      f"{large:.1f} MB at 150k")
+if large > 1.15 * small:
+    sys.exit("bounded memory: the 150k-txn run peaks more than 15% above "
+             "the 30k-txn run")
+PY
 fi
 
 # Differential-fuzz smoke (fixed seed blocks, deterministic): 200 seeded

@@ -1,12 +1,19 @@
 // Minimal --flag=value parsing shared by the CLI tools (chronos_gen,
 // chronos_check, chronos_fuzz, chronos_explore), plus the unified
-// isolation-level spelling (si|ser|rc|ra) they all accept.
+// isolation-level spelling (si|ser|rc|ra) they all accept. Numeric flags
+// are parsed strictly: a value that is not a whole number exits 2 with a
+// message naming the flag, instead of checking with a silent 0.
 #ifndef CHRONOS_TOOLS_FLAGS_H_
 #define CHRONOS_TOOLS_FLAGS_H_
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "core/online_checker.h"
@@ -30,16 +37,78 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-inline uint64_t U64Flag(int argc, char** argv, const char* name,
-                        uint64_t def) {
+/// Reads `name=N`: `*out` is N, or `def` when the flag is absent. False,
+/// with `*err` naming the flag, unless N is a whole unsigned decimal (no
+/// sign, space or suffix) no greater than `max`.
+inline bool ParseU64Flag(int argc, char** argv, const char* name,
+                         uint64_t def, uint64_t max, uint64_t* out,
+                         std::string* err) {
   const char* v = FlagValue(argc, argv, name);
-  return v ? strtoull(v, nullptr, 10) : def;
+  if (!v) {
+    *out = def;
+    return true;
+  }
+  const char* end = v + strlen(v);
+  uint64_t n = 0;
+  auto [p, ec] = std::from_chars(v, end, n);
+  if (ec == std::errc() && p == end && n <= max) {
+    *out = n;
+    return true;
+  }
+  *err = std::string(name) + "=" + v + ": expected a whole unsigned number";
+  if (ec == std::errc() && p == end) {
+    *err += " of at most " + std::to_string(max);
+  } else if (ec == std::errc::result_out_of_range) {
+    *err += " below 2^64";
+  }
+  return false;
 }
 
+/// ParseU64Flag for tools whose whole command line is parsed as it goes:
+/// a rejected value exits 2.
+inline uint64_t U64Flag(int argc, char** argv, const char* name,
+                        uint64_t def) {
+  uint64_t v = 0;
+  std::string err;
+  if (!ParseU64Flag(argc, argv, name, def,
+                    std::numeric_limits<uint64_t>::max(), &v, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Reads `name=X`: `*out` is X, or `def` when the flag is absent. False,
+/// with `*err` naming the flag, unless X is a whole finite number.
+inline bool ParseDoubleFlag(int argc, char** argv, const char* name,
+                            double def, double* out, std::string* err) {
+  const char* v = FlagValue(argc, argv, name);
+  if (!v) {
+    *out = def;
+    return true;
+  }
+  char* end = nullptr;
+  const double x = strtod(v, &end);
+  // strtod would skip leading space; nothing else may surround the number.
+  if (end == v || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(*v)) || !std::isfinite(x)) {
+    *err = std::string(name) + "=" + v + ": expected a number";
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
+/// ParseDoubleFlag that exits 2 on a rejected value.
 inline double DoubleFlag(int argc, char** argv, const char* name,
                          double def) {
-  const char* v = FlagValue(argc, argv, name);
-  return v ? atof(v) : def;
+  double x = 0;
+  std::string err;
+  if (!ParseDoubleFlag(argc, argv, name, def, &x, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+  }
+  return x;
 }
 
 /// Unified run-level isolation parsing for every CLI tool. Only si and
