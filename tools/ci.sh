@@ -22,7 +22,7 @@
 # run just one with CHRONOS_CI_ASAN_ONLY=1 / CHRONOS_CI_UBSAN_ONLY=1.
 #
 # A bounded-memory gate then checks that an online run's peak RSS with
-# GC does not grow with the history (skip with CHRONOS_CI_MEMGATE=0).
+# GC does not grow with the history.
 #
 # Usage: tools/ci.sh [build_dir]
 set -euo pipefail
@@ -232,19 +232,18 @@ fi
 # and does not grow with the history. Histories from e2ebench's
 # generator flags at 30k and 150k txns (both past the ~12.5k-txn window
 # a 1000 ms EXT timeout keeps unfinalized); the larger run may peak at
-# most 15% above the smaller. Skip with CHRONOS_CI_MEMGATE=0.
-if [[ "${CHRONOS_CI_MEMGATE:-1}" != "0" ]]; then
-  echo "bounded memory: online peak RSS at 30k and 150k txns"
-  mem_dir="$BUILD_DIR/mem-gate"
-  rm -rf "$mem_dir"
-  mkdir -p "$mem_dir"
-  for n in 30000 150000; do
-    "$BUILD_DIR/chronos_gen" --out="$mem_dir/h$n.hist" --txns=$n \
-        --workload=default --sessions=50 --ops=15 --keys=1000 --reads=0.5 \
-        --dist=zipf --fault=stale_read --fault-prob=0.001 --seed=4 \
-        --fault-seed=4 >/dev/null
-  done
-  python3 - "$BUILD_DIR/chronos_check" "$mem_dir" <<'PY'
+# most 15% above the smaller.
+echo "bounded memory: online peak RSS at 30k and 150k txns"
+mem_dir="$BUILD_DIR/mem-gate"
+rm -rf "$mem_dir"
+mkdir -p "$mem_dir"
+for n in 30000 150000; do
+  "$BUILD_DIR/chronos_gen" --out="$mem_dir/h$n.hist" --txns=$n \
+      --workload=default --sessions=50 --ops=15 --keys=1000 --reads=0.5 \
+      --dist=zipf --fault=stale_read --fault-prob=0.001 --seed=4 \
+      --fault-seed=4 >/dev/null
+done
+python3 - "$BUILD_DIR/chronos_check" "$mem_dir" <<'PY'
 import os
 import subprocess
 import sys
@@ -270,7 +269,6 @@ if large > 1.15 * small:
     sys.exit("bounded memory: the 150k-txn run peaks more than 15% above "
              "the 30k-txn run")
 PY
-fi
 
 # Differential-fuzz smoke (fixed seed blocks, deterministic): 200 seeded
 # chaos scenarios through every checker, then a list-only pass over a
