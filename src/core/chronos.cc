@@ -53,27 +53,77 @@ void CheckIntOnly(const Transaction& t, ViolationSink* sink,
   }
 }
 
+// An in-memory history as a replay source: the pre-pass walks the
+// vector, then one sort of every event (Algorithm 2 line 2). Operation
+// storage stays until a GC pass releases it.
+class HistorySource : public ReplaySource {
+ public:
+  explicit HistorySource(History* history) : history_(*history) {}
+
+  bool PrePass(WellFormednessPrePass* pre, CheckStats* stats) override {
+    stats->txns = history_.txns.size();
+    stats->ops = history_.NumOps();
+    pre->CheckAll(history_);
+    events_ = BuildSortedEvents(history_);
+    return true;
+  }
+
+  bool Next(EventKind* kind, Transaction** t) override {
+    if (pos_ == events_.size()) return false;
+    const Event& ev = events_[pos_++];
+    if (ev.kind == EventKind::kCommit) committed_.push_back(ev.txn_index);
+    *kind = ev.kind;
+    *t = &history_.txns[ev.txn_index];
+    return true;
+  }
+
+  // Sheds container slack too, so memory actually returns to the OS
+  // allocator (Fig. 10's sawtooth).
+  void ReleaseCommitted() override {
+    for (uint32_t idx : committed_) {
+      Transaction& done = history_.txns[idx];
+      done.ops.clear();
+      done.ops.shrink_to_fit();
+      done.list_args.clear();
+      done.list_args.shrink_to_fit();
+    }
+    committed_.clear();
+    committed_.shrink_to_fit();
+  }
+
+ private:
+  History& history_;
+  std::vector<Event> events_;
+  size_t pos_ = 0;
+  std::vector<uint32_t> committed_;  // since the last ReleaseCommitted
+};
+
 }  // namespace
 
 Chronos::Chronos(const ChronosOptions& options, ViolationSink* sink)
     : options_(options), sink_(sink) {}
 
 CheckStats Chronos::Check(History&& history) {
+  HistorySource source(&history);
+  return Check(&source);
+}
+
+CheckStats Chronos::Check(ReplaySource* source) {
   CheckStats stats;
-  stats.txns = history.txns.size();
-  stats.ops = history.NumOps();
   CountingSink counted(0);
 
-  // ---- Pre-pass: Eq. (1) and duplicate-timestamp well-formedness. ----
+  // ---- Pre-pass: Eq. (1) and duplicate-timestamp well-formedness, then
+  // the sorting stage (Algorithm 2 line 2) where the source sorts. ----
   Stopwatch sw;
   std::unordered_map<SessionId, SessionState> sessions;
-  WellFormednessPrePass(history, sink_, &counted, &sessions,
-                        [&](const Transaction& t) {
-                          CheckIntOnly(t, sink_, &counted);
-                        });
-
-  // ---- Sorting stage (Algorithm 2 line 2). ----
-  std::vector<Event> events = BuildSortedEvents(history);
+  WellFormednessPrePass pre(sink_, &counted, &sessions,
+                            [&](const Transaction& t) {
+                              CheckIntOnly(t, sink_, &counted);
+                            });
+  if (!source->PrePass(&pre, &stats)) {
+    stats.violations = counted.total();
+    return stats;
+  }
   stats.sort_seconds = sw.Seconds();
   sw.Reset();
 
@@ -85,11 +135,12 @@ CheckStats Chronos::Check(History&& history) {
 
   uint64_t commits_since_gc = 0;
   double gc_seconds = 0;
-  std::vector<uint32_t> committed_since_gc;
 
-  for (const Event& ev : events) {
-    Transaction& t = history.txns[ev.txn_index];
-    if (ev.kind == EventKind::kStart) {
+  EventKind kind;
+  Transaction* next = nullptr;
+  while (source->Next(&kind, &next)) {
+    const Transaction& t = *next;
+    if (kind == EventKind::kStart) {
       // SESSION (Algorithm 2 lines 7-10).
       SessionState& ss = sessions[t.sid];
       AdvanceOverSkipped(&ss);
@@ -149,25 +200,14 @@ CheckStats Chronos::Check(History&& history) {
         frontier[k] = *st.ext_val.Find(k);
       }
       live.erase(lit);                    // prompt GC of int_val/ext_val
-      committed_since_gc.push_back(ev.txn_index);
 
       if (options_.gc_every_n_txns > 0 &&
           ++commits_since_gc >= options_.gc_every_n_txns) {
         Stopwatch gc_sw;
         commits_since_gc = 0;
         ++stats.gc_passes;
-        // Release operation storage of processed transactions (T <- T\{T})
-        // and shed container slack so memory actually returns to the OS
-        // allocator (Fig. 10's sawtooth).
-        for (uint32_t idx : committed_since_gc) {
-          Transaction& done = history.txns[idx];
-          done.ops.clear();
-          done.ops.shrink_to_fit();
-          done.list_args.clear();
-          done.list_args.shrink_to_fit();
-        }
-        committed_since_gc.clear();
-        committed_since_gc.shrink_to_fit();
+        // Release operation storage of processed transactions (T <- T\{T}).
+        source->ReleaseCommitted();
         std::unordered_map<Key, std::vector<TxnId>> compact_ongoing;
         for (auto& [k, v] : ongoing) {
           if (!v.empty()) compact_ongoing.emplace(k, std::move(v));

@@ -3,12 +3,23 @@
 // M operations: sort all start/commit timestamps, then simulate the
 // execution in timestamp order while checking SESSION, INT, EXT and
 // NOCONFLICT on the fly.
+//
+// The replay reads its input from a ReplaySource: the well-formedness
+// pre-pass over every transaction, then the start/commit events in
+// timestamp order. Check(History&&) adapts an in-memory history (one
+// sort of every event); hist::EventStream streams a history file
+// through a window of events, so a check holds that window rather than
+// the file. Both give the same events in the same order, so the
+// verdict and the order of the reports are the same.
 #ifndef CHRONOS_CORE_CHRONOS_H_
 #define CHRONOS_CORE_CHRONOS_H_
 
 #include <cstdint>
+#include <unordered_map>
 
+#include "core/event_timeline.h"
 #include "core/online_checker.h"
+#include "core/session_order.h"
 #include "core/stats.h"
 #include "core/types.h"
 #include "core/violation.h"
@@ -26,6 +37,29 @@ struct ChronosOptions {
   bool trim_on_gc = false;
 };
 
+/// What Chronos::Check replays: a history in file order for the
+/// pre-pass, then its events in (ts, kind, file index) order, the order
+/// BuildSortedEvents gives.
+class ReplaySource {
+ public:
+  virtual ~ReplaySource() = default;
+
+  /// Runs `pre` over every transaction in file order (its Check on
+  /// each, its IntOnly on those Check rejects) and adds each
+  /// transaction and its ops to `stats`. False stops the check: the input
+  /// failed, or it is not one this checker takes.
+  virtual bool PrePass(WellFormednessPrePass* pre, CheckStats* stats) = 0;
+
+  /// The next event of an Eq. (1)-valid transaction and that
+  /// transaction, valid until the next call. False at the end of the
+  /// input and at the first error.
+  virtual bool Next(EventKind* kind, Transaction** t) = 0;
+
+  /// A periodic GC pass: release the operation storage of every
+  /// transaction whose commit event has been replayed.
+  virtual void ReleaseCommitted() {}
+};
+
 /// Offline SI checker. Not thread-safe; use one instance per check.
 class Chronos {
  public:
@@ -35,6 +69,11 @@ class Chronos {
   /// is released as transactions are garbage-collected (this is what makes
   /// the Fig. 10 memory curve decrease over time).
   CheckStats Check(History&& history);
+
+  /// Checks what `source` yields against SI (Algorithm 2's replay loop;
+  /// Check(History&&) runs it over an in-memory source). Stops early when
+  /// the source does: the caller reads the source's own status.
+  CheckStats Check(ReplaySource* source);
 
   /// Convenience: checks a copy of `history` with default options.
   static CheckStats CheckHistory(const History& history, ViolationSink* sink);

@@ -54,10 +54,11 @@ CheckStats ChronosList::Check(History&& history) {
   // (shared with the register Chronos, core/session_order.h). ----
   Stopwatch sw;
   std::unordered_map<SessionId, SessionState> sessions;
-  WellFormednessPrePass(history, sink_, &counted, &sessions,
+  WellFormednessPrePass(sink_, &counted, &sessions,
                         [&](const Transaction& t) {
                           CheckListIntOnly(t, sink_, &counted);
-                        });
+                        })
+      .CheckAll(history);
   std::vector<Event> events = BuildSortedEvents(history);
   stats.sort_seconds = sw.Seconds();
   sw.Reset();

@@ -3,16 +3,22 @@
 // number and commit timestamp per session, the set of sequence numbers
 // excluded from replay (Eq. (1) violations) that the contiguity check
 // steps over instead of false-firing, and the Eq. (1) /
-// duplicate-timestamp scan itself. One definition serves Chronos,
+// duplicate-timestamp pre-pass itself. One definition serves Chronos,
 // ChronosList, and the online ingress so the skip and replay policies
 // cannot desynchronize between checkers the differ compares.
 #ifndef CHRONOS_CORE_SESSION_ORDER_H_
 #define CHRONOS_CORE_SESSION_ORDER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "core/gc_triggers.h"
 #include "core/types.h"
 #include "core/violation.h"
 
@@ -34,36 +40,98 @@ inline void AdvanceOverSkipped(SessionState* ss) {
   }
 }
 
-/// The offline pre-pass shared by Chronos and ChronosList: Eq. (1)
-/// violations are reported, handed to `int_only` (INT never depends on
-/// timestamps) and excluded from replay via skipped_snos; duplicate
-/// timestamps across distinct transactions are reported but still
-/// replayed (AION instead skips them — divergence entry D6). SER has
-/// its own commit-only dup rule and does not use this.
-template <typename IntOnlyFn>
-void WellFormednessPrePass(
-    const History& history, ViolationSink* sink, CountingSink* counted,
-    std::unordered_map<SessionId, SessionState>* sessions,
-    IntOnlyFn&& int_only) {
-  std::unordered_set<Timestamp> seen;
-  seen.reserve(history.txns.size() * 2);
-  for (const Transaction& t : history.txns) {
+/// The offline well-formedness pre-pass shared by Chronos and
+/// ChronosList, one transaction at a time in file order, over a history
+/// in memory or streamed from a file (hist::EventStream). Eq. (1)
+/// violations are reported, excluded from replay via skipped_snos and
+/// handed to the checker's INT-only check (INT never depends on
+/// timestamps); duplicate timestamps across distinct transactions are
+/// reported but still replayed (AION instead skips them — divergence
+/// entry D6). SER has its own commit-only dup rule and does not use this.
+class WellFormednessPrePass {
+ public:
+  using IntOnlyFn = std::function<void(const Transaction&)>;
+
+  WellFormednessPrePass(ViolationSink* sink, CountingSink* counted,
+                        std::unordered_map<SessionId, SessionState>* sessions,
+                        IntOnlyFn int_only)
+      : sink_(sink),
+        counted_(counted),
+        sessions_(sessions),
+        int_only_(std::move(int_only)) {}
+
+  /// Checks `t`'s timestamps; its ops are not read. False when `t`
+  /// breaks Eq. (1): TS-ORDER is reported and `t` leaves the replay, and
+  /// the caller hands `t`, ops included, to IntOnly before the next call.
+  bool Check(const Transaction& t) {
     if (!t.TimestampsOrdered()) {
-      sink->Report({ViolationType::kTsOrder, t.tid, kTxnNone, 0,
-                    static_cast<Value>(t.start_ts),
-                    static_cast<Value>(t.commit_ts)});
-      counted->Report({ViolationType::kTsOrder, t.tid});
-      int_only(t);
-      (*sessions)[t.sid].skipped_snos.insert(t.sno);
-      continue;
+      sink_->Report({ViolationType::kTsOrder, t.tid, kTxnNone, 0,
+                     static_cast<Value>(t.start_ts),
+                     static_cast<Value>(t.commit_ts)});
+      counted_->Report({ViolationType::kTsOrder, t.tid});
+      (*sessions_)[t.sid].skipped_snos.insert(t.sno);
+      return false;
     }
-    if (!seen.insert(t.start_ts).second ||
-        (t.commit_ts != t.start_ts && !seen.insert(t.commit_ts).second)) {
-      sink->Report({ViolationType::kTsDuplicate, t.tid});
-      counted->Report({ViolationType::kTsDuplicate, t.tid});
+    if (!Claim(t.start_ts) ||
+        (t.commit_ts != t.start_ts && !Claim(t.commit_ts))) {
+      sink_->Report({ViolationType::kTsDuplicate, t.tid});
+      counted_->Report({ViolationType::kTsDuplicate, t.tid});
+    }
+    return true;
+  }
+
+  /// The INT-only check of a transaction Check rejected.
+  void IntOnly(const Transaction& t) const { int_only_(t); }
+
+  /// The pre-pass over an in-memory history.
+  void CheckAll(const History& history) {
+    for (const Transaction& t : history.txns) {
+      if (!Check(t)) IntOnly(t);
     }
   }
-}
+
+ private:
+  // Registers `ts`; false if an earlier transaction holds it. Claims
+  // land in `recent_`, a short ascending vector, which merges into the
+  // ascending `settled_` once it holds about sqrt(|settled_|) of them,
+  // from the first place it reaches. A file in near timestamp order
+  // claims near both tails, so a claim costs O(log n) and a merge moves
+  // about what it adds; a file in any order costs O(sqrt n) a claim.
+  // Either way the registry is 8 B per timestamp.
+  bool Claim(Timestamp ts) {
+    if (Holds(settled_, ts) || Holds(recent_, ts)) return false;
+    recent_.insert(
+        TailLowerBound(recent_.begin(), recent_.end(), ts, std::less<>()),
+        ts);
+    if (recent_.size() * recent_.size() > settled_.size() &&
+        recent_.size() >= kMinMerge) {
+      const auto mid = static_cast<std::ptrdiff_t>(settled_.size());
+      const auto from = std::lower_bound(settled_.begin(), settled_.end(),
+                                         recent_.front());
+      const auto skip = from - settled_.begin();
+      settled_.insert(settled_.end(), recent_.begin(), recent_.end());
+      std::inplace_merge(settled_.begin() + skip, settled_.begin() + mid,
+                         settled_.end());
+      recent_.clear();
+    }
+    return true;
+  }
+
+  static bool Holds(const std::vector<Timestamp>& v, Timestamp ts) {
+    auto it = TailLowerBound(v.begin(), v.end(), ts, std::less<>());
+    return it != v.end() && *it == ts;
+  }
+
+  static constexpr size_t kMinMerge = 64;
+
+  ViolationSink* sink_;
+  CountingSink* counted_;
+  std::unordered_map<SessionId, SessionState>* sessions_;
+  IntOnlyFn int_only_;
+  // Every claimed timestamp, ascending in two parts (see Claim).
+  std::vector<Timestamp> settled_;
+  std::vector<Timestamp> recent_;
+};
 
 }  // namespace chronos
 

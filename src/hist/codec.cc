@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -46,6 +47,12 @@ bool TakeField(std::string_view* s, std::string_view prefix, Int* v) {
   return true;
 }
 
+// The first `c` in [s, e), or null.
+const char* Find(const char* s, const char* e, char c) {
+  return static_cast<const char*>(
+      std::memchr(s, c, static_cast<size_t>(e - s)));
+}
+
 // Reads '\n'-terminated lines through one reused buffer, so a load holds
 // one block of the file (or one longer line), never the whole file.
 struct LineReader {
@@ -57,12 +64,7 @@ struct LineReader {
   bool Next(std::string_view* line) {
     size_t nl;
     while ((nl = buf.find('\n', pos)) == std::string::npos) {
-      buf.erase(0, pos);
-      pos = 0;
-      const size_t have = buf.size();
-      buf.resize(have + (1 << 16));
-      buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
-      if (buf.size() == have) return false;
+      if (!Fill()) return false;
     }
     *line = std::string_view(buf).substr(pos, nl - pos);
     consumed += nl + 1 - pos;
@@ -71,12 +73,70 @@ struct LineReader {
     return true;
   }
 
+  // The next line that starts with 'T' or '#'; call it at the start of a
+  // line. In a well-formed file those bytes open only the T lines and the
+  // footer, so it searches for them rather than for each line's end
+  // (most lines are short op lines). `lines` does not count what it
+  // skips.
+  bool NextMarked(std::string_view* line) {
+    size_t from = pos;  // the bytes before `from` hold no marked line
+    for (;;) {
+      if (pos < buf.size() && (buf[pos] == 'T' || buf[pos] == '#')) {
+        return Next(line);
+      }
+      const char* b = buf.data();
+      const char* e = b + buf.size();
+      const char* s = b + std::min(std::max(from, pos + 1), buf.size());
+      while (s < e) {
+        const char* t = Find(s, e, 'T');
+        const char* c = Find(s, t ? t : e, '#');
+        if (c == nullptr) c = t;
+        if (c == nullptr) break;
+        if (c[-1] == '\n') {
+          const size_t at = static_cast<size_t>(c - b);
+          consumed += at - pos;
+          pos = at;
+          return Next(line);
+        }
+        s = c + 1;
+      }
+      // None in the buffer: drop its whole lines and read on.
+      const size_t last = buf.rfind('\n');
+      if (last != std::string::npos && last >= pos) {
+        consumed += last + 1 - pos;
+        pos = last + 1;
+      }
+      from = buf.size() - pos;
+      if (!Fill()) return false;
+    }
+  }
+
+  // Drops the bytes returned so far and reads more after the rest. False
+  // at the end of the input.
+  bool Fill() {
+    buf.erase(0, pos);
+    pos = 0;
+    const size_t have = buf.size();
+    buf.resize(have + (1 << 16));
+    buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
+    return buf.size() != have;
+  }
+
   FILE* f;
   std::string buf;
   size_t pos = 0;         // start of the next line in buf
   uint64_t consumed = 0;  // file bytes returned as lines
   uint64_t lines = 0;
 };
+
+// Empties a reused transaction for the next parse: ParseTxnLine sets
+// every header field but the optional iso tag. The op vector keeps its
+// capacity, so a recycled transaction parses without a malloc.
+void ResetTxn(Transaction* t) {
+  t->ops.clear();
+  t->list_args.clear();
+  t->iso = IsolationLevel::kUnspecified;
+}
 
 }  // namespace
 
@@ -260,7 +320,7 @@ bool HistoryReader::Next(Transaction* t) {
     }
     return End(CodecStatus::Ok());
   }
-  *t = Transaction{};
+  ResetTxn(t);
   size_t nops = 0;
   CodecStatus st =
       ParseTxnLine(line, size_ - std::min(size_, in.consumed), t, &nops);
@@ -273,21 +333,28 @@ bool HistoryReader::Next(Transaction* t) {
   return true;
 }
 
+CodecStatus HistoryReader::ReadAll(History* out) {
+  out->txns.clear();
+  out->num_sessions = num_sessions_;
+  out->txns.reserve(
+      std::min<uint64_t>(declared_txns_ - std::min(declared_txns_, read_),
+                         size_ / kMinTxnBlockBytes));
+  Transaction t;
+  while (Next(&t)) out->txns.push_back(std::move(t));
+  return status_;
+}
+
 CodecStatus LoadHistory(const std::string& path, History* out) {
   out->txns.clear();
   out->num_sessions = 0;
   HistoryReader reader;
   if (!reader.Open(path).ok) return reader.status();
-  out->num_sessions = reader.num_sessions();
-  out->txns.reserve(std::min<uint64_t>(reader.declared_txns(),
-                                        reader.size() / kMinTxnBlockBytes));
-  Transaction t;
-  while (reader.Next(&t)) out->txns.push_back(std::move(t));
-  return reader.status();
+  return reader.ReadAll(out);
 }
 
-bool HistoryReader::ScanCommitTimestamps(
-    const std::function<void(Timestamp)>& visit) {
+bool HistoryReader::ScanHeaders(
+    const std::function<bool(const Transaction&, size_t nops)>& header,
+    const std::function<void(const Transaction&)>& ops) {
   if (!in_ || !seekable_) return false;
   FILE* f = in_->file.get();
   // Next's LineReader holds what it has read past; only the file
@@ -296,13 +363,16 @@ bool HistoryReader::ScanCommitTimestamps(
   if (resume_at < 0 || fseek(f, 0, SEEK_SET) != 0) return false;
   LineReader in(f);
   std::string_view line;
-  Transaction t;  // reused: ParseTxnLine reserves no ops with 0 bytes left
+  Transaction t;  // reused
   size_t nops = 0;
-  while (in.Next(&line) && (line.empty() || line[0] != '#')) {
-    if (!line.empty() && line[0] == 'T' &&
-        ParseTxnLine(line, 0, &t, &nops).ok) {
-      visit(t.commit_ts);
+  while (in.NextMarked(&line) && line[0] != '#') {
+    ResetTxn(&t);
+    if (!ParseTxnLine(line, 0, &t, &nops).ok || !header(t, nops)) continue;
+    bool parsed = true;
+    for (size_t i = 0; parsed && i < nops; ++i) {
+      parsed = in.Next(&line) && ParseOpLine(line, &t).ok;
     }
+    if (parsed && ops) ops(t);
   }
   if (fseek(f, resume_at, SEEK_SET) != 0) {
     End(CodecStatus::Error("cannot seek back in " + path_));

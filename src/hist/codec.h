@@ -23,10 +23,14 @@
 // block at a time through a single line buffer, so a reader holds one
 // block of the file (or one longer line), never the whole file.
 // LoadHistory is a loop over it; the online collector
-// (hist/collector.h) streams from it without ever holding the history.
+// (hist/collector.h) and the offline CHRONOS stream (hist/event_stream.h)
+// read from it without ever holding the history, after a pre-pass over
+// the T lines (ScanHeaders) that measures how far the file is from
+// timestamp order.
 #ifndef CHRONOS_HIST_CODEC_H_
 #define CHRONOS_HIST_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,21 +80,33 @@ class HistoryReader {
   /// Opens `path` and reads its header line.
   CodecStatus Open(const std::string& path);
 
-  /// Overwrites `*t` with the next transaction. False at the footer once
-  /// its counts check out, and at the first error: status() tells which.
+  /// Overwrites `*t` with the next transaction, keeping the capacity of
+  /// its op vector for a caller that recycles one. False at the footer
+  /// once its counts check out, and at the first error: status() tells
+  /// which.
   bool Next(Transaction* t);
 
-  /// A light pre-pass over the open file: calls `visit` with the
-  /// commit_ts of each T line that parses, in file order, up to the first
-  /// '#' line (where Next stops), then restores the read position. It
-  /// reads the same open file as Next, so it sees the same bytes. It
-  /// validates nothing else; a malformed file is Next's error. False,
-  /// without a call, when the input cannot seek.
-  bool ScanCommitTimestamps(const std::function<void(Timestamp)>& visit);
+  /// A light pre-pass over the open file, in file order up to the first
+  /// '#' line (where Next stops); the read position is restored after.
+  /// `header` gets each T line that parses, as a transaction with no ops,
+  /// and the op count the line declares. When it returns true, the
+  /// block's op lines are parsed into that transaction and, if they all
+  /// parse, handed to `ops`; other op lines are skipped unparsed. It reads
+  /// the same open file as Next, so it sees the same bytes. It validates
+  /// nothing else; a malformed file is Next's error. False, without a
+  /// call, when the input cannot seek.
+  bool ScanHeaders(
+      const std::function<bool(const Transaction&, size_t nops)>& header,
+      const std::function<void(const Transaction&)>& ops = {});
+
+  /// Reads every block left into `*out` (after Open: the whole history).
+  CodecStatus ReadAll(History* out);
 
   const CodecStatus& status() const { return status_; }
   uint32_t num_sessions() const { return num_sessions_; }
   uint64_t declared_txns() const { return declared_txns_; }
+  /// False for an input that cannot seek (a pipe): it can be read once.
+  bool seekable() const { return seekable_; }
   /// The file's size in bytes, 0 for an input that cannot seek (a
   /// pipe); bounds every reserve taken from a count in the file.
   uint64_t size() const { return size_; }
@@ -111,7 +127,23 @@ class HistoryReader {
   bool done_ = true;
 };
 
-/// Reads a history written by SaveHistory: a HistoryReader loop.
+/// Commit-order lag D: the most a commit_ts falls below the largest one
+/// before it, fed in file order. No later transaction commits below
+/// (largest commit_ts so far) - D.
+struct CommitLag {
+  Timestamp max_seen = 0;
+  Timestamp lag = 0;
+
+  void Add(Timestamp ts) {
+    if (ts < max_seen) {
+      lag = std::max(lag, max_seen - ts);
+    } else {
+      max_seen = ts;
+    }
+  }
+};
+
+/// Reads a history written by SaveHistory: Open, then ReadAll.
 CodecStatus LoadHistory(const std::string& path, History* out);
 
 }  // namespace chronos::hist

@@ -5,25 +5,6 @@
 
 namespace chronos::hist {
 
-namespace {
-
-// D over commit timestamps in file order: the most any one falls below
-// the largest before it.
-struct LagMeter {
-  Timestamp max_seen = 0;
-  Timestamp lag = 0;
-
-  void Add(Timestamp ts) {
-    if (ts < max_seen) {
-      lag = std::max(lag, max_seen - ts);
-    } else {
-      max_seen = ts;
-    }
-  }
-};
-
-}  // namespace
-
 DeliveryStream::DeliveryStream(const std::string& path,
                                const CollectorParams& params) {
   Init(params);
@@ -32,9 +13,11 @@ DeliveryStream::DeliveryStream(const std::string& path,
   if (!status_.ok) return;
   // A pipe can be read only once: it is not pre-scanned, and its lag
   // stays unbounded.
-  LagMeter meter;
-  if (reader_->ScanCommitTimestamps(
-          [&meter](Timestamp ts) { meter.Add(ts); })) {
+  CommitLag meter;
+  if (reader_->ScanHeaders([&meter](const Transaction& t, size_t) {
+        meter.Add(t.commit_ts);
+        return false;
+      })) {
     lag_ = meter.lag;
   }
   status_ = reader_->status();
@@ -43,7 +26,7 @@ DeliveryStream::DeliveryStream(const std::string& path,
 DeliveryStream::DeliveryStream(History history, const CollectorParams& params)
     : history_(std::move(history)) {
   Init(params);
-  LagMeter meter;
+  CommitLag meter;
   for (const Transaction& t : history_.txns) meter.Add(t.commit_ts);
   lag_ = meter.lag;
 }

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "../testutil.h"
 
 namespace chronos {
@@ -265,6 +273,58 @@ TEST(ChronosSerTest, StartTimestampsIgnored) {
                   .Build();
   CountingSink sink;
   EXPECT_EQ(ChronosSer::CheckHistory(h, &sink).violations, 0u);
+}
+
+// The pre-pass's timestamp registry against a hash set, the rule it
+// replaced: a transaction is a TS-DUP when its start, or else its
+// distinct commit, was claimed before; a duplicate start claims nothing.
+// Claims in timestamp order, nearly so, reversed and shuffled, with
+// collisions, reach every merge of the registry's two parts.
+TEST(WellFormednessPrePassTest, DuplicatesMatchAHashSetInAnyOrder) {
+  std::mt19937_64 rng(5);
+  for (const char* order : {"sorted", "near", "reversed", "shuffled"}) {
+    std::vector<std::pair<Timestamp, Timestamp>> spans;
+    for (Timestamp ts = 1; spans.size() < 20000; ts += 1 + rng() % 3) {
+      spans.push_back({ts, ts + rng() % 4});  // neighbours collide
+    }
+    const std::string o = order;
+    if (o == "near") {
+      for (size_t i = 0; i + 8 <= spans.size(); i += 8) {
+        std::shuffle(spans.begin() + static_cast<std::ptrdiff_t>(i),
+                     spans.begin() + static_cast<std::ptrdiff_t>(i + 8), rng);
+      }
+    } else if (o == "reversed") {
+      std::reverse(spans.begin(), spans.end());
+    } else if (o == "shuffled") {
+      std::shuffle(spans.begin(), spans.end(), rng);
+    }
+    std::unordered_set<Timestamp> seen;
+    std::vector<TxnId> want;
+    History h;
+    for (const auto& [start, commit] : spans) {
+      Transaction t;
+      t.tid = h.txns.size() + 1;
+      t.start_ts = start;
+      t.commit_ts = commit;
+      if (!seen.insert(start).second ||
+          (commit != start && !seen.insert(commit).second)) {
+        want.push_back(t.tid);
+      }
+      h.txns.push_back(std::move(t));
+    }
+    VectorSink sink;
+    CountingSink counted(0);
+    std::unordered_map<SessionId, SessionState> sessions;
+    WellFormednessPrePass(&sink, &counted, &sessions, [](const Transaction&) {
+    }).CheckAll(h);
+    std::vector<TxnId> got;
+    for (const Violation& v : sink.TakeAll()) {
+      ASSERT_EQ(v.type, ViolationType::kTsDuplicate);
+      got.push_back(v.tid);
+    }
+    EXPECT_GT(want.size(), 1000u) << order;
+    EXPECT_EQ(got, want) << order;
+  }
 }
 
 }  // namespace

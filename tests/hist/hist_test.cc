@@ -1,7 +1,8 @@
 // History codec round-trips and failure handling; collector delivery
 // schedules (batching, delays, session-order preservation); the pull
 // reader and the streamed schedule against the in-memory ones; and
-// chronos_check's handling of input errors met mid-stream.
+// chronos_check's handling of input errors met mid-stream and of the
+// inputs its offline check loads instead of streaming.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -20,6 +21,7 @@
 
 #include "../testutil.h"
 #include "hist/codec.h"
+#include "core/chronos.h"
 #include "hist/collector.h"
 #include "workload/generator.h"
 
@@ -737,10 +739,12 @@ struct CheckRun {
   std::string output;
 };
 
-CheckRun RunCheck(const std::string& args) {
+const std::string kCheck = std::string(CHRONOS_BUILD_DIR) + "/chronos_check";
+
+// A shell command line, its stderr into its output.
+CheckRun RunShell(const std::string& command) {
   CheckRun run;
-  const std::string cmd =
-      std::string(CHRONOS_BUILD_DIR) + "/chronos_check " + args + " 2>&1";
+  const std::string cmd = command + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return run;
   char buf[4096];
@@ -750,10 +754,11 @@ CheckRun RunCheck(const std::string& args) {
   return run;
 }
 
-bool HaveChronosCheck() {
-  return std::filesystem::exists(std::string(CHRONOS_BUILD_DIR) +
-                                 "/chronos_check");
+CheckRun RunCheck(const std::string& args) {
+  return RunShell(kCheck + " " + args);
 }
+
+bool HaveChronosCheck() { return std::filesystem::exists(kCheck); }
 
 History CliHistory(uint64_t txns) {
   workload::WorkloadParams p;
@@ -795,6 +800,84 @@ TEST(CheckCliTest, MalformedOpLineMidRunExitsOneWithoutAVerdict) {
   }
   // The durable run logged the arrivals it checked before the bad line.
   EXPECT_GT(std::filesystem::file_size(dir + "/ckpt/wal.log"), 0u);
+}
+
+// The output from the `violations:` line on: the verdict and the
+// violations shown.
+std::string Verdict(const std::string& output) {
+  const size_t at = output.find("violations:");
+  return at == std::string::npos ? std::string() : output.substr(at);
+}
+
+TEST(CheckCliTest, MalformedOpLineMidFileOfflineExitsOneWithoutAVerdict) {
+  if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
+  const std::string dir = chronos::testing::UniqueTempDir("cli");
+  const std::string path = dir + "/bad.hist";
+  ASSERT_TRUE(SaveHistory(CliHistory(3000), path).ok);
+  // Break an op line of the 2000th block: the streamed check has
+  // replayed most of what precedes it when its second pass meets it.
+  std::string bytes = Slurp(path);
+  size_t at = 0;
+  for (int blocks = 0; blocks < 2000; ++blocks) at = bytes.find("\nT ", at + 1);
+  const size_t op = bytes.find('\n', at + 1) + 1;
+  bytes.replace(op, bytes.find('\n', op) - op, "W 1 x");
+  WriteBytes(path, bytes);
+  History h;
+  const CodecStatus load = LoadHistory(path, &h);
+  ASSERT_FALSE(load.ok);
+  for (const char* extra : {"", " --gc-every=100", " --level=ser"}) {
+    const CheckRun run = RunCheck("--in=" + path + extra);
+    EXPECT_EQ(run.exit_code, 1) << extra << "\n" << run.output;
+    EXPECT_NE(run.output.find("load failed: " + load.message),
+              std::string::npos)
+        << extra << "\n" << run.output;
+    EXPECT_EQ(run.output.find("violations:"), std::string::npos)
+        << extra << "\n" << run.output;
+  }
+}
+
+TEST(CheckCliTest, OfflineStreamsFilesAndLoadsPipesAndTaggedHistories) {
+  if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
+  const std::string dir = chronos::testing::UniqueTempDir("cli");
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 3000;
+  p.ops_per_txn = 4;
+  p.keys = 50;
+  db::DbConfig faulty;
+  faulty.faults.stale_read_prob = 0.02;
+  faulty.faults.ts_swap_prob = 0.01;
+  const std::string path = dir + "/h.hist";
+  ASSERT_TRUE(
+      SaveHistory(workload::GenerateDefaultHistory(p, faulty), path).ok);
+  const CheckRun file = RunCheck("--in=" + path + " --max-report=1000");
+  ASSERT_EQ(file.exit_code, 3) << file.output;
+  EXPECT_EQ(file.output.rfind("streamed " + path + ": 3000 txns", 0), 0u)
+      << file.output;
+  // A pipe cannot be read twice: it is loaded, and checked the same.
+  const CheckRun piped = RunShell("cat " + path + " | " + kCheck +
+                                  " --in=/dev/stdin --max-report=1000");
+  EXPECT_EQ(piped.exit_code, file.exit_code) << piped.output;
+  EXPECT_NE(piped.output.find("loaded 3000 txns"), std::string::npos)
+      << piped.output;
+  EXPECT_EQ(Verdict(piped.output), Verdict(file.output));
+
+  // Per-transaction iso= tags still go to the mixed-level checker.
+  p.mix = {40, 20, 20, 20};
+  const History tagged = workload::GenerateDefaultHistory(p, faulty);
+  ASSERT_TRUE(SaveHistory(tagged, path).ok);
+  CountingSink want;
+  ChronosMixed::CheckHistory(tagged, CheckMode::kSi, &want);
+  const CheckRun mixed = RunCheck("--in=" + path);
+  EXPECT_EQ(mixed.exit_code, want.total() > 0 ? 3 : 0) << mixed.output;
+  EXPECT_EQ(mixed.output.rfind("loaded 3000 txns", 0), 0u) << mixed.output;
+  EXPECT_NE(mixed.output.find("offline mixed(default=si) check"),
+            std::string::npos)
+      << mixed.output;
+  EXPECT_NE(mixed.output.find("violations: total=" +
+                              std::to_string(want.total()) + " "),
+            std::string::npos)
+      << mixed.output;
 }
 
 TEST(CheckCliTest, ResumeWithAShorterInputFails) {

@@ -9,13 +9,20 @@
 //                 [--gc-every=0] [--gc-target=0]
 //                 [--stats] [--max-report=20] [--help]
 //
-// Offline mode loads the history and runs CHRONOS (--level=list:
-// ChronosList); --online streams it through AION via the collector
-// (hist::DeliveryStream; delays model asynchrony), so the run holds the
-// collector's reorder buffers and the checker's live state, not the
-// file. AION understands list histories natively, so --online works for
-// every level (--level=list selects the SI read-view rule, matching the
-// list workloads). --shards=N checks with the key-partitioned
+// Offline mode runs CHRONOS on a stream of the file (hist::EventStream):
+// a first pass over the transaction headers runs the well-formedness
+// pre-pass and measures the event window, a second feeds the start and
+// commit events through that window, so the check holds the window, not
+// the file; it prints `streamed FILE: ...` with the window it needed.
+// An input that cannot seek (a pipe), a history with iso= tags
+// (ChronosMixed), --level=ser (ChronosSer) and --level=list
+// (ChronosList) are loaded whole instead (`loaded ...`). --online
+// streams the file through AION via the collector (hist::DeliveryStream;
+// delays model asynchrony), so the run holds the collector's reorder
+// buffers and the checker's live state, not the file. AION understands
+// list histories natively, so --online works for every level
+// (--level=list selects the SI read-view rule, matching the list
+// workloads). --shards=N checks with the key-partitioned
 // ShardedAion (N worker threads); violations are then reported in
 // deterministic (commit_ts, txn id) order.
 //
@@ -46,6 +53,7 @@
 #include "core/chronos_list.h"
 #include "hist/codec.h"
 #include "hist/collector.h"
+#include "hist/event_stream.h"
 #include "core/online_checker.h"
 #include "online/checkpoint.h"
 #include "online/metrics.h"
@@ -93,8 +101,11 @@ void PrintUsage(FILE* out) {
       "usage: chronos_check --in=FILE [options]\n"
       "\n"
       "  --in=FILE             history file (hist/codec.h text format);\n"
-      "                        --online streams it; an input that cannot\n"
-      "                        seek (a pipe) is buffered whole\n"
+      "                        streamed: offline si in two passes through\n"
+      "                        an event window, --online through the\n"
+      "                        collector. An input that cannot seek (a\n"
+      "                        pipe) is read whole; so are tagged, ser and\n"
+      "                        list histories offline\n"
       "  --level=si|ser|list   run-level default isolation (default si);\n"
       "                        rc/ra are per-transaction only (iso= tags\n"
       "                        in the history). A history with iso= tags\n"
@@ -274,35 +285,59 @@ int main(int argc, char** argv) {
       if (shard) online::PrintPipelineHealth(shard->pipeline_health(), stdout);
     }
   } else {
-    Stopwatch load_sw;
-    History h;
-    hist::CodecStatus st = hist::LoadHistory(args.in, &h);
-    if (!st.ok) {
-      std::fprintf(stderr, "load failed: %s\n", st.message.c_str());
-      return 1;
-    }
-    std::printf("loaded %zu txns (%zu ops) in %.3fs\n", h.txns.size(),
-                h.NumOps(), load_sw.Seconds());
     ChronosOptions opt;
     opt.gc_every_n_txns = args.gc_every;
-    Stopwatch sw;
+    hist::EventStream stream(args.in);
+    auto load_failed = [&stream] {
+      std::fprintf(stderr, "load failed: %s\n",
+                   stream.status().message.c_str());
+      return 1;
+    };
+    if (!stream.status().ok) return load_failed();
     CheckStats stats;
-    if (level != "list" && HistoryHasLevelTags(h)) {
-      // Per-transaction iso= tags: the single-level replayers would
-      // misjudge the weaker-level transactions, so route to the mixed
-      // checker with --level as the default for untagged ones.
-      ChronosMixed checker(args.mode, &sink);
-      stats = checker.Check(std::move(h));
-      level = "mixed(default=" + level + ")";
-    } else if (level == "ser") {
-      ChronosSer checker(&sink);
-      stats = checker.Check(std::move(h));
-    } else if (level == "list") {
-      ChronosList checker(&sink);
-      stats = checker.Check(std::move(h));
-    } else {
+    bool checked = false;
+    if (level == "si" && stream.seekable()) {
+      // Two passes over the file; the check holds the event window.
       Chronos checker(opt, &sink);
-      stats = checker.Check(std::move(h));
+      stats = checker.Check(&stream);
+      if (!stream.status().ok) return load_failed();
+      checked = !stream.tagged();
+      if (checked) {
+        std::printf("streamed %s: %zu txns (%zu ops) in two passes, event "
+                    "window %llu + %llu ts (commit order + txn span), at "
+                    "most %zu txns held\n",
+                    args.in.c_str(), stats.txns, stats.ops,
+                    static_cast<unsigned long long>(stream.commit_lag()),
+                    static_cast<unsigned long long>(stream.txn_span()),
+                    stream.max_held());
+      } else {
+        sink.Reset();  // the mixed checker re-checks from the first block
+      }
+    }
+    if (!checked) {
+      // A pipe (read once), a tagged history, --level=ser or list.
+      Stopwatch load_sw;
+      History h;
+      if (!stream.Load(&h).ok) return load_failed();
+      std::printf("loaded %zu txns (%zu ops) in %.3fs\n", h.txns.size(),
+                  h.NumOps(), load_sw.Seconds());
+      if (level != "list" && HistoryHasLevelTags(h)) {
+        // Per-transaction iso= tags: the single-level replayers would
+        // misjudge the weaker-level transactions, so route to the mixed
+        // checker with --level as the default for untagged ones.
+        ChronosMixed checker(args.mode, &sink);
+        stats = checker.Check(std::move(h));
+        level = "mixed(default=" + level + ")";
+      } else if (level == "ser") {
+        ChronosSer checker(&sink);
+        stats = checker.Check(std::move(h));
+      } else if (level == "list") {
+        ChronosList checker(&sink);
+        stats = checker.Check(std::move(h));
+      } else {
+        Chronos checker(opt, &sink);
+        stats = checker.Check(std::move(h));
+      }
     }
     std::printf("offline %s check: sort=%.3fs check=%.3fs gc=%.3fs\n",
                 level.c_str(), stats.sort_seconds, stats.check_seconds,
