@@ -61,10 +61,12 @@ struct RingHealth {
 };
 
 /// One quiescent snapshot of the sharded pipeline's plumbing
-/// (ShardedAion::pipeline_health): the caller -> shard ring of every
-/// shard.
+/// (ShardedAion::pipeline_health): the caller -> shard command ring and
+/// payload ring of every shard.
 struct PipelineHealth {
   std::vector<RingHealth> shard_rings;  ///< caller -> shard, per shard
+  /// The shards' payload rings; `published` counts 16-byte records.
+  std::vector<RingHealth> payload_rings;
 
   // Inert: always empty / zero. The sharded checker no longer has a
   // pre-stage pool or a sequencer; these stay only so existing readers

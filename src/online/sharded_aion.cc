@@ -16,6 +16,29 @@ uint64_t MixKey(Key key) {
   return x ^ (x >> 31);
 }
 
+// Records a list op of `n` values takes: its head plus the values, two
+// per record.
+size_t ListRecords(size_t n) { return 1 + (n + 1) / 2; }
+
+// Grows `v` to at least `n` elements; never shrinks, so the elements'
+// own buffers keep their capacity too.
+template <typename T>
+void EnsureSize(std::vector<T>& v, size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
+// Decodes a list op's values from the records after its head.
+template <typename Rec>
+void DecodeList(const Rec*& rec, std::vector<Value>& values) {
+  const size_t n = static_cast<size_t>(rec->second);
+  ++rec;
+  values.resize(n);
+  for (size_t i = 0; i < n; i += 2, ++rec) {
+    values[i] = static_cast<Value>(rec->first);
+    if (i + 1 < n) values[i + 1] = rec->second;
+  }
+}
+
 template <typename IO>
 void TransferStats(IO& io, CheckerStats& s) {
   io.U64(s.txns_processed);
@@ -89,7 +112,9 @@ ShardedAion::~ShardedAion() {
   // no detected violation — is lost for a caller that skipped Finish().
   for (auto& shard : shards_) {
     // The destructor runs on the caller thread, the sole producer.
+    AssumeRole payload_prod(shard->payload.producer_role);
     AssumeRole prod(shard->ring.producer_role);
+    shard->payload.Close();
     shard->ring.Close();
   }
   for (auto& shard : shards_) {
@@ -106,13 +131,24 @@ size_t ShardedAion::ShardOf(Key key) const {
 
 void ShardedAion::WorkerLoop(Shard* shard, size_t index) {
   // This thread owns the shard's engine/stats/violations and is the
-  // sole consumer of its command ring for the whole pipeline lifetime.
+  // sole consumer of its two rings for the whole pipeline lifetime.
   AssumeRole own(shard->owner);
   AssumeRole cons(shard->ring.consumer_role);
+  AssumeRole payload_cons(shard->payload.consumer_role);
   std::vector<ShardCmd> chunk;
+  WorkerScratch scratch;
   while (shard->ring.PopBatch(&chunk, cmd_batch_)) {
     if (options_.stall_hook) options_.stall_hook(index);
-    for (ShardCmd& cmd : chunk) ExecuteCmd(shard, cmd);
+    for (const ShardCmd& cmd : chunk) {
+      EnsureSize(scratch.records, cmd.records);
+      // The caller stages a header's records before it can close the
+      // rings, so they all arrive.
+      if (cmd.records != 0 &&
+          !shard->payload.PopInto(scratch.records.data(), cmd.records)) {
+        return;
+      }
+      ExecuteCmd(shard, cmd, scratch);
+    }
     shard->versions.store(shard->engine->TotalVersions(),
                           std::memory_order_relaxed);
     shard->intervals.store(shard->engine->TotalIntervals(),
@@ -127,18 +163,38 @@ void ShardedAion::WorkerLoop(Shard* shard, size_t index) {
   }
 }
 
-void ShardedAion::ExecuteCmd(Shard* shard, ShardCmd& cmd) {
+void ShardedAion::ExecuteCmd(Shard* shard, const ShardCmd& cmd,
+                             WorkerScratch& scratch) {
   switch (cmd.kind) {
     case ShardCmd::Kind::kTxn: {
+      const PayloadRec* rec = scratch.records.data();
+      EnsureSize(scratch.reads, cmd.num_reads);
+      for (uint32_t i = 0; i < cmd.num_reads; ++i, ++rec) {
+        scratch.reads[i] = {rec->first, rec->second};
+      }
+      EnsureSize(scratch.writes, cmd.num_writes);
+      for (uint32_t i = 0; i < cmd.num_writes; ++i, ++rec) {
+        scratch.writes[i] = {rec->first, rec->second};
+      }
+      EnsureSize(scratch.list_reads, cmd.num_list_reads);
+      for (uint32_t i = 0; i < cmd.num_list_reads; ++i) {
+        scratch.list_reads[i].key = rec->first;
+        DecodeList(rec, scratch.list_reads[i].observed);
+      }
+      EnsureSize(scratch.appends, cmd.num_appends);
+      for (uint32_t i = 0; i < cmd.num_appends; ++i) {
+        scratch.appends[i].key = rec->first;
+        DecodeList(rec, scratch.appends[i].delta);
+      }
       KeyEngine::OpsView view;
-      view.reads = cmd.reads.data();
-      view.num_reads = cmd.reads.size();
-      view.writes = cmd.writes.data();
-      view.num_writes = cmd.writes.size();
-      view.list_reads = cmd.list_reads.data();
-      view.num_list_reads = cmd.list_reads.size();
-      view.appends = cmd.appends.data();
-      view.num_appends = cmd.appends.size();
+      view.reads = scratch.reads.data();
+      view.num_reads = cmd.num_reads;
+      view.writes = scratch.writes.data();
+      view.num_writes = cmd.num_writes;
+      view.list_reads = scratch.list_reads.data();
+      view.num_list_reads = cmd.num_list_reads;
+      view.appends = scratch.appends.data();
+      view.num_appends = cmd.num_appends;
       shard->engine->ProcessTxn(cmd.ctx, view, cmd.register_reads,
                                 cmd.now_ms);
       break;
@@ -154,18 +210,55 @@ void ShardedAion::ExecuteCmd(Shard* shard, ShardCmd& cmd) {
 
 // --- caller side ------------------------------------------------------
 
-void ShardedAion::StageShard(size_t shard, ShardCmd&& cmd) {
-  Shard& s = *shards_[shard];
-  // Every OnlineChecker call comes from one caller thread, which is the
-  // sole producer of every shard ring and owns its issue bookkeeping.
+// Every OnlineChecker call comes from one caller thread, which is the
+// sole producer of every shard ring and owns its issue bookkeeping: each
+// staging function below assumes the caller's three roles on the shard.
+
+void ShardedAion::StageHeader(Shard& s, ShardCmd cmd) {
   AssumeRole caller(s.caller_side);
   AssumeRole prod(s.ring.producer_role);
-  s.ring.Stage(std::move(cmd));
-  ++s.issued;
-  if (++s.staged >= cmd_batch_) {
-    s.ring.Publish();
-    s.staged = 0;
+  AssumeRole payload_prod(s.payload.producer_role);
+  if (!s.ring.TryStage(cmd)) {
+    // Full: the worker may be waiting on staged records of an earlier
+    // command, so publish them before blocking.
+    PublishShard(s);
+    s.ring.Stage(std::move(cmd));
   }
+  ++s.issued;
+  ++s.staged;
+}
+
+void ShardedAion::StagePayload(Shard& s, PayloadRec rec) {
+  AssumeRole caller(s.caller_side);
+  AssumeRole prod(s.ring.producer_role);
+  AssumeRole payload_prod(s.payload.producer_role);
+  if (!s.payload.TryStage(rec)) {
+    // Full: the worker drains only records whose header it sees.
+    PublishShard(s);
+    s.payload.Stage(std::move(rec));
+  }
+}
+
+void ShardedAion::StageList(Shard& s, Key key,
+                            const std::vector<Value>& values) {
+  StagePayload(s, {key, static_cast<int64_t>(values.size())});
+  for (size_t i = 0; i < values.size(); i += 2) {
+    StagePayload(s, {static_cast<uint64_t>(values[i]),
+                     i + 1 < values.size() ? values[i + 1] : 0});
+  }
+}
+
+void ShardedAion::PublishIfBatchFull(Shard& s) {
+  AssumeRole caller(s.caller_side);
+  AssumeRole prod(s.ring.producer_role);
+  AssumeRole payload_prod(s.payload.producer_role);
+  if (s.staged >= cmd_batch_) PublishShard(s);
+}
+
+void ShardedAion::PublishShard(Shard& s) {
+  s.payload.Publish();
+  s.ring.Publish();
+  s.staged = 0;
 }
 
 void ShardedAion::DispatchTxn(const KeyEngine::TxnCtx& ctx,
@@ -176,46 +269,74 @@ void ShardedAion::DispatchTxn(const KeyEngine::TxnCtx& ctx,
   head.register_reads = register_reads;
   head.ctx = ctx;
   head.now_ms = now_ms;
-  partition_.clear();
-  if (shards_.size() == 1) {
+  const bool one_shard = shards_.size() == 1;
+  headers_.clear();
+  op_shard_.clear();
+  if (one_shard) {
     // Always exactly one command, even for an empty footprint: the
     // monolith runs ProcessTxn for it too, and 1 shard must stay
     // byte-identical.
-    head.reads = std::move(ops.ext_reads);
-    head.writes = std::move(ops.writes);
-    head.list_reads = std::move(ops.list_reads);
-    head.appends = std::move(ops.appends);
-    partition_.emplace_back(0, std::move(head));
-  } else {
-    // One command per touched shard, in first-touch order.
-    auto cmd_for = [&](Key key) -> ShardCmd& {
-      const size_t s = ShardOf(key);
-      if (slot_[s] < 0) {
-        slot_[s] = static_cast<int32_t>(partition_.size());
-        partition_.emplace_back(s, head);
-      }
-      return partition_[static_cast<size_t>(slot_[s])].second;
-    };
-    for (const KeyEngine::ExtReadReq& r : ops.ext_reads) {
-      cmd_for(r.key).reads.push_back(r);
-    }
-    for (const KeyEngine::WriteReq& w : ops.writes) {
-      cmd_for(w.key).writes.push_back(w);
-    }
-    for (KeyEngine::ListReadReq& r : ops.list_reads) {
-      cmd_for(r.key).list_reads.push_back(std::move(r));
-    }
-    for (KeyEngine::AppendReq& a : ops.appends) {
-      cmd_for(a.key).appends.push_back(std::move(a));
-    }
+    headers_.emplace_back(0, head);
   }
+  // Counting pass: each op's shard, assigned once, and one header per
+  // touched shard, in first-touch order.
+  auto header_for = [&](Key key) -> ShardCmd& {
+    if (one_shard) return headers_[0].second;
+    const size_t s = ShardOf(key);
+    op_shard_.push_back(static_cast<uint8_t>(s));
+    if (slot_[s] < 0) {
+      slot_[s] = static_cast<int32_t>(headers_.size());
+      headers_.emplace_back(s, head);
+    }
+    return headers_[static_cast<size_t>(slot_[s])].second;
+  };
+  for (const KeyEngine::ExtReadReq& r : ops.ext_reads) {
+    ShardCmd& h = header_for(r.key);
+    ++h.num_reads;
+    ++h.records;
+  }
+  for (const KeyEngine::WriteReq& w : ops.writes) {
+    ShardCmd& h = header_for(w.key);
+    ++h.num_writes;
+    ++h.records;
+  }
+  for (const KeyEngine::ListReadReq& r : ops.list_reads) {
+    ShardCmd& h = header_for(r.key);
+    ++h.num_list_reads;
+    h.records += static_cast<uint32_t>(ListRecords(r.observed.size()));
+  }
+  for (const KeyEngine::AppendReq& a : ops.appends) {
+    ShardCmd& h = header_for(a.key);
+    ++h.num_appends;
+    h.records += static_cast<uint32_t>(ListRecords(a.delta.size()));
+  }
+  // Headers first, then each op's records into its shard's payload ring.
   uint64_t read_mask = 0;
-  for (auto& [s, cmd] : partition_) {
+  for (const auto& [s, cmd] : headers_) {
     slot_[s] = -1;
-    if (register_reads && (!cmd.reads.empty() || !cmd.list_reads.empty())) {
+    if (register_reads && (cmd.num_reads != 0 || cmd.num_list_reads != 0)) {
       read_mask |= 1ull << s;
     }
-    StageShard(s, std::move(cmd));
+    StageHeader(*shards_[s], cmd);
+  }
+  size_t op = 0;
+  auto shard_of_op = [&]() -> Shard& {
+    return *shards_[one_shard ? 0 : op_shard_[op++]];
+  };
+  for (const KeyEngine::ExtReadReq& r : ops.ext_reads) {
+    StagePayload(shard_of_op(), {r.key, r.observed});
+  }
+  for (const KeyEngine::WriteReq& w : ops.writes) {
+    StagePayload(shard_of_op(), {w.key, w.value});
+  }
+  for (const KeyEngine::ListReadReq& r : ops.list_reads) {
+    StageList(shard_of_op(), r.key, r.observed);
+  }
+  for (const KeyEngine::AppendReq& a : ops.appends) {
+    StageList(shard_of_op(), a.key, a.delta);
+  }
+  for (const auto& touched : headers_) {
+    PublishIfBatchFull(*shards_[touched.first]);
   }
   if (read_mask != 0) read_shard_mask_[ctx.tid] = read_mask;
 }
@@ -230,17 +351,19 @@ void ShardedAion::DispatchFinalize(TxnId tid) {
       ShardCmd cmd;
       cmd.kind = ShardCmd::Kind::kFinalize;
       cmd.ctx.tid = tid;
-      StageShard(s, std::move(cmd));
+      StageHeader(*shards_[s], cmd);
+      PublishIfBatchFull(*shards_[s]);
     }
   }
 }
 
 void ShardedAion::DispatchGc(Timestamp watermark) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (auto& shard : shards_) {
     ShardCmd cmd;
     cmd.kind = ShardCmd::Kind::kGc;
     cmd.gc_watermark = watermark;
-    StageShard(s, std::move(cmd));
+    StageHeader(*shard, cmd);
+    PublishIfBatchFull(*shard);
   }
 }
 
@@ -260,12 +383,11 @@ void ShardedAion::GcToLiveTarget(size_t target) {
 
 void ShardedAion::WaitAll() {
   for (auto& shard : shards_) {
-    AssumeRole caller(shard->caller_side);  // caller thread, as StageShard
-    AssumeRole prod(shard->ring.producer_role);
-    if (shard->staged != 0) {
-      shard->ring.Publish();
-      shard->staged = 0;
-    }
+    Shard& s = *shard;
+    AssumeRole caller(s.caller_side);  // caller thread, as StageHeader
+    AssumeRole prod(s.ring.producer_role);
+    AssumeRole payload_prod(s.payload.producer_role);
+    PublishShard(s);
   }
   for (auto& shard : shards_) {
     AssumeRole caller(shard->caller_side);
@@ -395,8 +517,10 @@ FlipFlopStats ShardedAion::flip_stats() {
 PipelineHealth ShardedAion::pipeline_health() {
   WaitAll();
   PipelineHealth h;
-  h.shard_rings.reserve(shards_.size());
-  for (auto& shard : shards_) h.shard_rings.push_back(shard->ring.health());
+  for (auto& shard : shards_) {
+    h.shard_rings.push_back(shard->ring.health());
+    h.payload_rings.push_back(shard->payload.health());
+  }
   return h;
 }
 

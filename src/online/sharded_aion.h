@@ -6,19 +6,33 @@
 // the key it operates on (cf. the per-key version-order decomposition of
 // Biswas & Enea).
 //
-// Pipeline topology: two stages, joined by one SpscRing per shard.
+// Pipeline topology: two stages, joined by two SpscRings per shard.
 //
-//   caller (TxnIngress + Dispatch) ──ring[j]──> shard worker j
+//   caller (TxnIngress + Dispatch) ──ring[j]────> shard worker j
+//                                  ──payload[j]─>
 //
 //   - The calling thread runs the whole TxnIngress, exactly as in the
 //     monolithic `Aion`: admission (SESSION/Eq.(1)/timestamp-uniqueness
 //     checks), INT replay/classification, the EXT timeout clock and GC
 //     watermark decisions. Only its Dispatch differs: instead of calling
 //     one engine inline, it partitions each classified footprint by
-//     key->shard and stages one ShardCmd per touched shard (first-touch
-//     order), publishing each ring's cursor once per cmd_batch commands.
-//     The caller is the sole producer of every shard ring.
-//   - Each shard worker drains its ring in FIFO order. Because the
+//     key->shard and issues one ShardCmd per touched shard (first-touch
+//     order). The caller is the sole producer of every shard ring.
+//   - A ShardCmd is a fixed-size header (trivially copyable) on the
+//     command ring `ring`; the footprint it covers rides the shard's
+//     payload ring as 16-byte records, in op order: a register read or
+//     write as {key, value}, a list read or append as {key, length}
+//     followed by its values, two per record. Nothing the caller
+//     allocates is freed on a worker.
+//   - Header first: DispatchTxn stages every touched shard's header,
+//     then the op records. A batch publication (every cmd_batch
+//     commands per shard) publishes the payload ring before the command
+//     ring, so a visible header finds its records visible too.
+//   - Publish before block: before the caller blocks on a full ring of
+//     a shard, it publishes both of that shard's rings. The worker then
+//     drains the records of a published header as they are published,
+//     so a footprint larger than the payload ring still goes through.
+//   - Each shard worker drains its rings in FIFO order. Because the
 //     caller issues commands in its total order and engines never read
 //     other shards' keys, per-shard FIFO delivery reproduces the
 //     monolith's verdicts exactly: a 1-shard ShardedAion is verdict-
@@ -49,6 +63,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -75,7 +90,8 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// `num_shards` is clamped to [1, kMaxShards]; one worker thread per
   /// shard.
   /// `cmd_batch` commands are staged per shard ring before one cursor
-  /// publication; `queue_capacity` bounds each ring (backpressure on the
+  /// publication; `queue_capacity` bounds each command ring, and four
+  /// times it each payload ring's 16-byte records (backpressure on the
   /// caller).
   ShardedAion(const Options& options, size_t num_shards, ViolationSink* sink,
               size_t cmd_batch = 256, size_t queue_capacity = 8192);
@@ -112,9 +128,9 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// until every dispatched command has executed.
   FlipFlopStats flip_stats();
 
-  /// Shard-ring traffic, depth high-water marks and stall counts
-  /// (online/metrics.h). Drains the pipeline first so the snapshot is
-  /// quiescent.
+  /// Command- and payload-ring traffic, depth high-water marks and
+  /// stall counts (online/metrics.h). Drains the pipeline first so the
+  /// snapshot is quiescent.
   PipelineHealth pipeline_health();
 
   size_t num_shards() const { return shards_.size(); }
@@ -142,13 +158,38 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   void ShedMemory() override;
 
  private:
+  /// One command header. The footprint of a kTxn command rides the
+  /// shard's payload ring: `records` records holding, in this order,
+  /// `num_reads` reads, `num_writes` writes, `num_list_reads` list reads
+  /// and `num_appends` appends.
   struct ShardCmd {
     enum class Kind : uint8_t { kTxn, kFinalize, kGc };
     Kind kind = Kind::kTxn;
     bool register_reads = false;
+    uint32_t num_reads = 0;
+    uint32_t num_writes = 0;
+    uint32_t num_list_reads = 0;
+    uint32_t num_appends = 0;
+    uint32_t records = 0;
     KeyEngine::TxnCtx ctx{};       // kTxn; ctx.tid also keys kFinalize
     Timestamp gc_watermark = kTsMin;  // kGc
     uint64_t now_ms = 0;
+  };
+  static_assert(std::is_trivially_copyable_v<ShardCmd>,
+                "a command header must cross the ring without a heap");
+
+  /// One payload record: a register op's {key, value}, a list op's
+  /// {key, length} head, or two of a list op's values.
+  struct PayloadRec {
+    uint64_t first = 0;
+    int64_t second = 0;
+  };
+  static_assert(sizeof(PayloadRec) == 16);
+
+  /// A worker's decode buffers; they keep their capacity across
+  /// commands, so a steady stream allocates nothing.
+  struct WorkerScratch {
+    std::vector<PayloadRec> records;
     std::vector<KeyEngine::ExtReadReq> reads;
     std::vector<KeyEngine::WriteReq> writes;
     std::vector<KeyEngine::ListReadReq> list_reads;
@@ -160,10 +201,17 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     Violation v;
   };
 
-  struct Shard {
-    explicit Shard(size_t ring_capacity) : ring(ring_capacity) {}
+  /// Payload records per command slot: each payload ring holds this
+  /// many times `queue_capacity` records, no more than the four
+  /// vectors a command slot used to carry took.
+  static constexpr size_t kPayloadPerCmd = 4;
 
-    SpscRing<ShardCmd> ring;  // caller -> worker
+  struct Shard {
+    explicit Shard(size_t ring_capacity)
+        : ring(ring_capacity), payload(ring_capacity * kPayloadPerCmd) {}
+
+    SpscRing<ShardCmd> ring;       // caller -> worker: command headers
+    SpscRing<PayloadRec> payload;  // caller -> worker: their footprints
 
     /// Capability of the shard's worker thread: guards the engine and
     /// the verdict side-products it writes. The caller may assume it
@@ -185,8 +233,7 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     std::atomic<size_t> approx_bytes{0};
 
     // Caller-side issue bookkeeping: commands staged into the ring
-    // (`issued`) and staged-but-unpublished since the last cursor
-    // publication (`staged`).
+    // (`issued`) and staged since the last batch publication (`staged`).
     uint64_t issued CHRONOS_GUARDED_BY(caller_side) = 0;
     uint32_t staged CHRONOS_GUARDED_BY(caller_side) = 0;
 
@@ -206,10 +253,20 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   void DispatchGc(Timestamp watermark) override;
 
   size_t ShardOf(Key key) const;
-  /// Stages `cmd` into `shard`'s ring, publishing every cmd_batch
-  /// commands. Only the caller thread stages: it is the sole producer of
-  /// every shard ring.
-  void StageShard(size_t shard, ShardCmd&& cmd);
+  // Caller-side staging; only the caller thread stages, as the sole
+  // producer of every shard ring. A full ring publishes both of the
+  // shard's rings before blocking (see the topology comment).
+  /// Stages one command header and counts it issued.
+  void StageHeader(Shard& s, ShardCmd cmd);
+  /// Stages one payload record.
+  void StagePayload(Shard& s, PayloadRec rec);
+  /// Stages a list op: its {key, length} head, then its values.
+  void StageList(Shard& s, Key key, const std::vector<Value>& values);
+  /// Publishes once cmd_batch commands are staged on `s`.
+  void PublishIfBatchFull(Shard& s);
+  /// Publishes the payload ring, then the command ring.
+  void PublishShard(Shard& s) CHRONOS_REQUIRES(
+      s.caller_side, s.ring.producer_role, s.payload.producer_role);
 
   /// Caller-side barrier: publishes every staged command, then blocks
   /// until every shard has executed everything issued.
@@ -227,7 +284,8 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   void TransferImage(IO& ingress, IO& coordinator, std::vector<IO>& shards);
 
   void WorkerLoop(Shard* shard, size_t index);
-  void ExecuteCmd(Shard* shard, ShardCmd& cmd)
+  /// Runs one command; a kTxn's records are in `scratch.records`.
+  void ExecuteCmd(Shard* shard, const ShardCmd& cmd, WorkerScratch& scratch)
       CHRONOS_REQUIRES(shard->owner);
 
   Options options_;
@@ -241,10 +299,12 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   // Which shards hold a registered transaction's external reads; the
   // finalize fan-out targets exactly these. Erased at finalize.
   std::unordered_map<TxnId, uint64_t> read_shard_mask_;
-  // DispatchTxn scratch: shard -> index into `partition_` (-1 when the
-  // arrival has not touched it), and one command per touched shard.
+  // DispatchTxn scratch: shard -> index into `headers_` (-1 when the
+  // arrival has not touched it), one header per touched shard, and each
+  // op's shard in op order.
   std::vector<int32_t> slot_;
-  std::vector<std::pair<size_t, ShardCmd>> partition_;
+  std::vector<std::pair<size_t, ShardCmd>> headers_;
+  std::vector<uint8_t> op_shard_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 

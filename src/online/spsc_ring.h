@@ -14,7 +14,8 @@
 //     touching `tail_`; `Publish()` makes everything staged visible with
 //     one release store. A producer that must block (ring full) first
 //     publishes its staged items so the consumer can drain — staged work
-//     is never held across a park.
+//     is never held across a park. `TryStage()` refuses instead of
+//     blocking, for a producer that must publish other rings first.
 //   - `Close()` (producer side) publishes staged items before the
 //     release store of `closed_`, so a consumer that observes the close
 //     flag also observes the final tail: `PopBatch` drains every
@@ -39,8 +40,8 @@
 // `consumer_role` capabilities split the API and the member state into
 // the two sides of the single-producer/single-consumer contract. A
 // thread acquires its side's role at its entry loop (AssumeRole); a new
-// call site of Stage/Push/Publish/Close that does not hold the producer
-// role — a second producer — fails the -Wthread-safety build, and
+// call site of Stage/TryStage/Push/Publish/Close that does not hold the
+// producer role — a second producer — fails the -Wthread-safety build, and
 // chronos_lint's ring-single-producer rule restricts who may legally
 // assume it (ROADMAP "Static analysis").
 #ifndef CHRONOS_ONLINE_SPSC_RING_H_
@@ -80,6 +81,21 @@ class SpscRing {
   ThreadRole consumer_role;
 
   // --- producer side (exactly one thread) -----------------------------
+
+  /// Appends a copy of `item` without publishing it, unless the ring is
+  /// full: then it returns false, so a producer feeding several rings
+  /// can publish what a consumer needs before it blocks in Stage().
+  /// Must not be called after Close().
+  bool TryStage(const T& item) CHRONOS_REQUIRES(producer_role) {
+    uint64_t t = staged_tail_;
+    if (t - cached_head_ >= capacity_) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+      if (t - cached_head_ >= capacity_) return false;
+    }
+    slots_[t & mask_] = item;
+    staged_tail_ = t + 1;
+    return true;
+  }
 
   /// Appends an item without publishing it. Blocks when the ring is full
   /// (publishing everything staged so far first, so the consumer can
@@ -143,6 +159,33 @@ class SpscRing {
       out->push_back(std::move(slots_[(h + i) & mask_]));
     }
     Advance(h + n);
+    return true;
+  }
+
+  /// Moves exactly `n` items, in FIFO order, into `out[0..n)`, blocking
+  /// while fewer are published and releasing each published stretch as
+  /// soon as it is copied, so `n` may exceed the capacity. Returns false
+  /// when the ring is closed and drained before `n` items arrived.
+  bool PopInto(T* out, size_t n) CHRONOS_REQUIRES(consumer_role) {
+    uint64_t h = head_cursor_;
+    while (n > 0) {
+      if (cached_tail_ == h) {
+        cached_tail_ = tail_.load(std::memory_order_acquire);
+        if (cached_tail_ == h) {
+          if (!WaitNonEmpty(h)) return false;
+          cached_tail_ = tail_.load(std::memory_order_acquire);
+        }
+      }
+      size_t k = static_cast<size_t>(cached_tail_ - h);
+      if (k > n) k = n;
+      for (size_t i = 0; i < k; ++i) {
+        out[i] = std::move(slots_[(h + i) & mask_]);
+      }
+      out += k;
+      h += k;
+      n -= k;
+      Advance(h);
+    }
     return true;
   }
 

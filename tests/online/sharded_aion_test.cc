@@ -293,6 +293,81 @@ TEST(ShardedAionTest, FlipFlopMergeMatchesMonolith) {
   }
 }
 
+// Footprints far larger than the payload ring: queue_capacity 2 gives
+// each shard an 8-record payload ring and cmd_batch 1 publishes every
+// command. A command's records can then only go through if the caller
+// publishes the header before it blocks on the full payload ring, and
+// the worker drains the records as they are published. One transaction
+// writes 300 registers, one appends 500 list elements, and two read all
+// of it back, one of them stale. Arriving newest first, the readers
+// flip-flop when the writers land. Every shard count must match the
+// monolith: violations, stats and flip-flops.
+TEST(ShardedAionTest, FootprintLargerThanPayloadRingMatchesMonolith) {
+  constexpr Key kRegisters = 300;
+  constexpr Key kList = 10000;
+  constexpr Value kElems = 500;
+  std::vector<Value> list;
+  for (Value e = 1; e <= kElems; ++e) list.push_back(e);
+  HistoryBuilder b;
+  b.Txn(1, 0, 0, 1, 2);
+  for (Key k = 0; k < kRegisters; ++k) b.W(k, static_cast<Value>(100 + k));
+  b.Txn(2, 1, 0, 3, 4);
+  for (Value e : list) b.A(kList, e);
+  b.Txn(3, 2, 0, 5, 6);
+  for (Key k = 0; k < kRegisters; ++k) b.R(k, static_cast<Value>(100 + k));
+  b.L(kList, list);
+  b.Txn(4, 3, 0, 7, 8);
+  for (Key k = 0; k < kRegisters; k += 3) b.R(k, kValueInit);
+  b.L(kList, std::vector<Value>(list.begin(), list.begin() + kElems / 2));
+  History h = b.Build();
+  const std::vector<Transaction> arrivals(h.txns.rbegin(), h.txns.rend());
+  CheckerOptions opt;
+  opt.ext_timeout_ms = 1u << 30;  // finalize at Finish
+
+  VectorSink mono_sink;
+  Aion mono(opt, &mono_sink);
+  DriveToEnd(&mono, arrivals);
+  const auto mono_v = SortedViolations(mono_sink.TakeAll());
+  const CheckerStats ref = mono.stats();
+  const FlipFlopStats& flips = mono.flip_stats();
+  ASSERT_GT(mono_v.size(), kRegisters / 3);
+  ASSERT_GT(flips.total_flips(), kRegisters);
+
+  std::vector<Violation> sharded_ref;  // ordered 1-shard emission
+  for (size_t shards : {1u, 2u, 8u}) {
+    VectorSink sink;
+    ShardedAion sharded(opt, shards, &sink, /*cmd_batch=*/1,
+                        /*queue_capacity=*/2);
+    DriveToEnd(&sharded, arrivals);
+    const auto got = sink.TakeAll();
+    if (sharded_ref.empty()) sharded_ref = got;
+    EXPECT_EQ(got, sharded_ref) << "shards=" << shards;
+    EXPECT_EQ(SortedViolations(got), mono_v) << "shards=" << shards;
+    const CheckerStats s = sharded.stats();
+    EXPECT_EQ(s.txns_processed, ref.txns_processed) << "shards=" << shards;
+    EXPECT_EQ(s.ext_rechecks, ref.ext_rechecks) << "shards=" << shards;
+    EXPECT_EQ(s.noconflict_checks, ref.noconflict_checks)
+        << "shards=" << shards;
+    EXPECT_EQ(s.spill_reloads, ref.spill_reloads) << "shards=" << shards;
+    EXPECT_EQ(s.unsafe_below_watermark, ref.unsafe_below_watermark)
+        << "shards=" << shards;
+    EXPECT_EQ(s.unsafe_below_horizon, ref.unsafe_below_horizon)
+        << "shards=" << shards;
+    EXPECT_EQ(s.gc_passes, ref.gc_passes) << "shards=" << shards;
+    const FlipFlopStats merged = sharded.flip_stats();
+    EXPECT_EQ(merged.total_flips(), flips.total_flips())
+        << "shards=" << shards;
+    EXPECT_EQ(merged.txns_with_flips(), flips.txns_with_flips())
+        << "shards=" << shards;
+    EXPECT_EQ(merged.pair_flip_histogram(), flips.pair_flip_histogram())
+        << "shards=" << shards;
+    EXPECT_EQ(merged.txn_flip_histogram(), flips.txn_flip_histogram())
+        << "shards=" << shards;
+    EXPECT_EQ(merged.latency_histogram(), flips.latency_histogram())
+        << "shards=" << shards;
+  }
+}
+
 TEST(ShardedAionTest, RunMaxRateDrivesShardedCheckerUnderThresholdGc) {
   History h = MakeWorkload(2500, 16, /*faulty=*/true);
   hist::CollectorParams cp;
@@ -345,6 +420,12 @@ TEST(ShardedAionTest, PipelineHealthCountsTraffic) {
   }
   EXPECT_GE(published, 600u);
   EXPECT_GT(hwm, 0u) << "commands must flow through the shard rings";
+  // Footprints ride the payload rings: every arrival writes a key, so
+  // it stages at least one record.
+  ASSERT_EQ(health.payload_rings.size(), 2u);
+  uint64_t records = 0;
+  for (const RingHealth& r : health.payload_rings) records += r.published;
+  EXPECT_GE(records, 600u);
 }
 
 TEST(ShardedAionTest, SpawnsOneThreadPerShard) {

@@ -195,6 +195,57 @@ TEST(SpscRingTest, ThreadedFifoStress) {
   EXPECT_GT(h.depth_hwm, 0u);
 }
 
+// TryStage stages like Stage while there is room, and refuses — without
+// blocking, publishing or counting a stall — when the ring is full.
+TEST(SpscRingTest, TryStageRefusesWhenFull) {
+  SpscRing<int> ring(2);
+  AssumeRole prod(ring.producer_role), cons(ring.consumer_role);
+  EXPECT_TRUE(ring.TryStage(1));
+  EXPECT_TRUE(ring.TryStage(2));
+  EXPECT_FALSE(ring.TryStage(3));
+  EXPECT_EQ(ring.SizeApprox(), 0u);  // staged, not published
+  ring.Publish();
+  EXPECT_EQ(ring.Pop().value(), 1);
+  EXPECT_TRUE(ring.TryStage(3));  // the pop made room
+  ring.Publish();
+  EXPECT_EQ(ring.Pop().value(), 2);
+  EXPECT_EQ(ring.Pop().value(), 3);
+  EXPECT_EQ(ring.health().producer_stalls, 0u);
+}
+
+// PopInto gathers exactly n items into a caller buffer, n far above the
+// capacity: the consumer frees each published stretch as it copies it,
+// so the producer's blocking Stage calls go through. Runs under TSan.
+TEST(SpscRingTest, PopIntoGathersMoreThanCapacity) {
+  constexpr uint64_t kItems = 5000;
+  SpscRing<uint64_t> ring(4);
+  std::thread producer([&] {
+    AssumeRole prod(ring.producer_role);
+    for (uint64_t i = 0; i < kItems; ++i) ring.Stage(uint64_t(i));
+    ring.Publish();
+  });
+  AssumeRole cons(ring.consumer_role);
+  std::vector<uint64_t> buf(kItems + 1, ~uint64_t{0});
+  ASSERT_TRUE(ring.PopInto(buf.data(), kItems));
+  producer.join();
+  for (uint64_t i = 0; i < kItems; ++i) ASSERT_EQ(buf[i], i);
+  EXPECT_EQ(buf[kItems], ~uint64_t{0});  // wrote exactly n
+  EXPECT_TRUE(ring.PopInto(buf.data(), 0));
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+}
+
+// A ring closed before n items arrive ends the gather with false, after
+// handing over what was published.
+TEST(SpscRingTest, PopIntoReturnsFalseWhenClosedShort) {
+  SpscRing<int> ring(4);
+  AssumeRole prod(ring.producer_role), cons(ring.consumer_role);
+  ring.Push(7);
+  ring.Close();
+  int buf[2] = {0, 0};
+  EXPECT_FALSE(ring.PopInto(buf, 2));
+  EXPECT_EQ(buf[0], 7);
+}
+
 // Move-only payloads: the ring must never copy.
 TEST(SpscRingTest, MoveOnlyPayload) {
   SpscRing<std::unique_ptr<int>> ring(4);

@@ -98,6 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
         LintCase{"atomic_order", "atomic-explicit-order"},
         LintCase{"seqcst_waiter", "seqcst-waiter-only"},
         LintCase{"ring_single_producer", "ring-single-producer"},
+        LintCase{"ring_single_producer_payload", "ring-single-producer"},
         LintCase{"footprint_lockfree", "footprint-lockfree"},
         LintCase{"include_guard", "include-guard"},
         LintCase{"assert_style", "assert-style"},

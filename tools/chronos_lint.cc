@@ -344,20 +344,27 @@ class Linter {
   // may legally assume it.
   void CheckRingSingleProducer(const FileCtx& ctx) {
     if (ctx.rel != "src/online/sharded_aion.cc") return;
+    // Keys are `<ring>.<side op>`: Stage stands for every staging call
+    // (Stage, TryStage, Push) and Pop for every pop (Pop, PopBatch,
+    // PopInto).
     static const std::map<std::string, std::set<std::string>> kAllowed = {
-        // Per-shard command rings: the caller produces, the worker
-        // consumes.
-        {"ring.Stage", {"StageShard"}},
-        {"ring.Publish", {"StageShard", "WaitAll"}},
+        // Per-shard command rings and payload rings: the caller
+        // produces, the worker consumes.
+        {"ring.Stage", {"StageHeader"}},
+        {"ring.Publish", {"PublishShard"}},
         {"ring.Close", {"~ShardedAion"}},
-        {"ring.PopBatch", {"WorkerLoop"}},
+        {"ring.Pop", {"WorkerLoop"}},
+        {"payload.Stage", {"StagePayload"}},
+        {"payload.Publish", {"PublishShard"}},
+        {"payload.Close", {"~ShardedAion"}},
+        {"payload.Pop", {"WorkerLoop"}},
     };
     // A definition line is `... ShardedAion::Name(...`; the last match
     // wins (qualified return types also match). Thread-entry bindings
     // like `&ShardedAion::WorkerLoop,` carry no `(` and do not match.
     static const std::regex kDef(R"(ShardedAion::(~?\w+)\s*\()");
     static const std::regex kOp(
-        R"((?:^|[^\w.])((?:\w+(?:\.|->))?(ring)\.(Stage|Publish|Push|Pop|PopBatch|Close))\s*\()");
+        R"((?:^|[^\w.])((?:\w+(?:\.|->))?(ring|payload)\.(Stage|TryStage|Publish|Push|Pop|PopBatch|PopInto|Close))\s*\()");
     std::string current;
     for (size_t i = 0; i < ctx.code.size(); ++i) {
       const std::string& l = ctx.code[i];
@@ -369,11 +376,12 @@ class Linter {
       if (!last.empty()) current = last;
       auto begin = std::sregex_iterator(l.begin(), l.end(), kOp);
       for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        std::string key = (*it)[2].str() + "." + (*it)[3].str();
-        if (key == "ring.Push") key = "ring.Stage";  // same producer side
+        std::string op = (*it)[3].str();
+        if (op == "TryStage" || op == "Push") op = "Stage";
+        if (op == "PopBatch" || op == "PopInto") op = "Pop";
+        const std::string key = (*it)[2].str() + "." + op;
         auto allowed = kAllowed.find(key);
-        if (allowed == kAllowed.end()) continue;  // not a tracked ring
-        if (allowed->second.count(current) == 0) {
+        if (allowed == kAllowed.end() || allowed->second.count(current) == 0) {
           Report(ctx, i, "ring-single-producer",
                  key + " from " +
                      (current.empty() ? "file scope" :
