@@ -196,6 +196,86 @@ void BM_DurableRunnerPerTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_DurableRunnerPerTxn)->Arg(2000)->Arg(10000)->UseRealTime();
 
+// The two durability layers of a DurableRunner step, apart from the
+// checking. Both use e2ebench's history shape: the generator's defaults
+// (50 sessions, 15 ops per txn, zipf over 1000 keys).
+History MakeE2eHistory(uint64_t txns) {
+  workload::WorkloadParams p;
+  p.txns = txns;
+  p.seed = 4;
+  return workload::GenerateDefaultHistory(p);
+}
+
+std::string BenchPath(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          (name + std::to_string(getpid())))
+      .string();
+}
+
+// WAL append: one record per step for 30k steps (GC every 500, as in
+// durable-gc), encoding and file writes included; the writer is closed
+// at the end of each iteration, so every record reaches the file.
+void BM_WalLogStep(benchmark::State& state) {
+  const History h = MakeE2eHistory(30000);
+  const std::string path = BenchPath("chronos_bm_wal_");
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove(path);
+    state.ResumeTiming();
+    bool ok = true;
+    {
+      online::WalWriter wal;
+      ok = wal.Open(path);
+      uint64_t seq = 0;
+      for (const Transaction& t : h.txns) {
+        ++seq;
+        ok = wal.LogStep(seq, seq, seq % 500 == 0, 2000, false, t) && ok;
+      }
+    }
+    if (!ok) {
+      state.SkipWithError("WAL write failed");
+      break;
+    }
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(h.txns.size()));
+}
+BENCHMARK(BM_WalLogStep)->Unit(benchmark::kMillisecond);
+
+// Checkpoint export: the state image of a 1-shard checker after 12k
+// arrivals, durable-gc's first cut (12.5 arrivals per virtual ms, a
+// 1000 ms EXT timeout, GC every 500 arrivals down to 2000 live).
+// bytes/s is image bytes; timed on the wall clock, since the shard
+// worker serializes its own section.
+void BM_ExportState(benchmark::State& state) {
+  const History h = MakeE2eHistory(12000);
+  const std::string dir = BenchPath("chronos_bm_export_");
+  CountingSink sink;
+  Aion::Options opt;
+  opt.ext_timeout_ms = 1000;
+  opt.spill_dir = dir;
+  online::ShardedAion checker(opt, 1, &sink);
+  uint64_t fed = 0;
+  for (const Transaction& t : h.txns) {
+    checker.OnTransaction(t, fed * 2 / 25);
+    if (++fed % 500 == 0) checker.GcToLiveTarget(2000);
+  }
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    online::ShardedAion::StateImage img = checker.ExportState();
+    bytes += static_cast<int64_t>(img.ingress.size() + img.coordinator.size());
+    for (const std::string& s : img.shards) {
+      bytes += static_cast<int64_t>(s.size());
+    }
+    benchmark::DoNotOptimize(img);
+  }
+  checker.Finish();
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ExportState)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // One key's overlap query over uniformly random intervals, inserted in
 // random order: each insert pays a tail move, so the untimed set-up is
 // quadratic (seconds at 100k); only the queries are timed.

@@ -19,7 +19,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build-bench}"
 OUT="${2:-BENCH_micro.json}"
-FILTER="${BENCH_FILTER:-BM_AionPerTxn|BM_AionPerTxnDelayed|BM_ShardedAionPerTxn|BM_DurableRunnerPerTxn|BM_ChronosPerTxn|BM_VersionedKv|BM_VersionedKvLookupRecent|BM_MapKv|BM_OngoingIndexGcHotKey|BM_OngoingIndexOverlap|BM_AionFootprint}"
+FILTER="${BENCH_FILTER:-BM_AionPerTxn|BM_AionPerTxnDelayed|BM_ShardedAionPerTxn|BM_DurableRunnerPerTxn|BM_WalLogStep|BM_ExportState|BM_ChronosPerTxn|BM_VersionedKv|BM_VersionedKvLookupRecent|BM_MapKv|BM_OngoingIndexGcHotKey|BM_OngoingIndexOverlap|BM_AionFootprint}"
 MIN_TIME="${BENCH_MIN_TIME:-0.5}"
 
 source "$(dirname "$0")/release_guard.sh"

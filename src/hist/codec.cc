@@ -29,11 +29,14 @@ constexpr uint64_t kMinTxnBlockBytes = 14;
 
 constexpr std::string_view kOpTags = "RWAL";  // indexed by OpType
 
+// The most bytes one " <integer>" field takes: a space and up to 20
+// characters ("-9223372036854775808", "18446744073709551615").
+constexpr size_t kMaxFieldBytes = 21;
+
 template <typename Int>
-void AppendField(std::string* out, Int v) {
-  char buf[24];
-  out->push_back(' ');
-  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+char* WriteField(char* p, Int v) {
+  *p++ = ' ';
+  return std::to_chars(p, p + kMaxFieldBytes - 1, v).ptr;
 }
 
 // Consumes `prefix` and the decimal integer right after it from `*s`.
@@ -140,28 +143,57 @@ void ResetTxn(Transaction* t) {
 
 }  // namespace
 
-void AppendTxnBlock(const Transaction& t, std::string* out) {
-  out->push_back('T');
+size_t TxnBlockBound(const Transaction& t) {
+  // The T line: its tag, six fields, the iso tag and the newline; each
+  // op line: its tag, the key, a value or an L length, and the newline,
+  // plus an L line's elements.
+  size_t n = 2 + 6 * kMaxFieldBytes;
+  if (t.iso != IsolationLevel::kUnspecified) {
+    n += 5 + std::strlen(IsolationLevelName(t.iso));
+  }
+  n += t.ops.size() * (2 + 2 * kMaxFieldBytes);
+  for (const Op& op : t.ops) {
+    if (op.type == OpType::kReadList) {
+      n += t.list_args[op.list_index].size() * kMaxFieldBytes;
+    }
+  }
+  return n;
+}
+
+char* WriteTxnBlock(const Transaction& t, char* p) {
+  *p++ = 'T';
   for (uint64_t v : {t.tid, uint64_t{t.sid}, t.sno, t.start_ts, t.commit_ts,
                      uint64_t{t.ops.size()}}) {
-    AppendField(out, v);
+    p = WriteField(p, v);
   }
   if (t.iso != IsolationLevel::kUnspecified) {
-    out->append(" iso=").append(IsolationLevelName(t.iso));
+    std::memcpy(p, " iso=", 5);
+    const char* name = IsolationLevelName(t.iso);
+    const size_t len = std::strlen(name);
+    std::memcpy(p + 5, name, len);
+    p += 5 + len;
   }
-  out->push_back('\n');
+  *p++ = '\n';
   for (const Op& op : t.ops) {
-    out->push_back(kOpTags[static_cast<size_t>(op.type)]);
-    AppendField(out, op.key);
+    *p++ = kOpTags[static_cast<size_t>(op.type)];
+    p = WriteField(p, op.key);
     if (op.type == OpType::kReadList) {
       const std::vector<Value>& elems = t.list_args[op.list_index];
-      AppendField(out, elems.size());
-      for (Value e : elems) AppendField(out, e);
+      p = WriteField(p, elems.size());
+      for (Value e : elems) p = WriteField(p, e);
     } else {
-      AppendField(out, op.value);
+      p = WriteField(p, op.value);
     }
-    out->push_back('\n');
+    *p++ = '\n';
   }
+  return p;
+}
+
+void AppendTxnBlock(const Transaction& t, std::string* out) {
+  const size_t at = out->size();
+  out->resize(at + TxnBlockBound(t));
+  char* begin = &(*out)[0];
+  out->resize(static_cast<size_t>(WriteTxnBlock(t, begin + at) - begin));
 }
 
 CodecStatus ParseTxnLine(std::string_view line, uint64_t bytes_left,

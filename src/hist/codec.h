@@ -51,8 +51,17 @@ struct CodecStatus {
 };
 
 /// Appends `t`'s block to `out`: its T line (with ` iso=` when tagged)
-/// and one line per op.
+/// and one line per op. The buffer is sized once, to TxnBlockBound(t),
+/// and trimmed to the bytes written.
 void AppendTxnBlock(const Transaction& t, std::string* out);
+
+/// The most bytes `t`'s block can take.
+size_t TxnBlockBound(const Transaction& t);
+
+/// Writes `t`'s block at `p`, which has room for TxnBlockBound(t) bytes,
+/// and returns the end of what it wrote: AppendTxnBlock for a caller
+/// that frames the block in a buffer of its own (the WAL record).
+char* WriteTxnBlock(const Transaction& t, char* p);
 
 /// Parses a T line, without its '\n', into `t` and sets `*nops` to the op
 /// count it declares. Reserves room for those ops only as far as

@@ -1,6 +1,7 @@
 #include "online/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <exception>
 #include <filesystem>
@@ -48,6 +49,26 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   bool ok = !ferror(f);
   fclose(f);
   return ok;
+}
+
+// A WAL record's B line ("B <seq> T <now_ms> <gc> <gc_target> <shed>")
+// and E line ("E <16 hex digits>"), at their longest.
+constexpr size_t kStepLineBound = 4 + 5 * 21;
+constexpr size_t kSumLineBytes = 19;
+
+// Writes " <v>" at `p`; returns the end.
+char* WriteU64(char* p, uint64_t v) {
+  *p++ = ' ';
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
+// Writes "E <sum as 16 lowercase hex digits>\n" at `p`; returns the end.
+char* WriteSumLine(char* p, uint64_t sum) {
+  *p++ = 'E';
+  *p++ = ' ';
+  for (int i = 15; i >= 0; --i, sum >>= 4) p[i] = "0123456789abcdef"[sum & 15];
+  p[16] = '\n';
+  return p + 17;
 }
 
 bool Put(FILE* f, const std::string& bytes) {
@@ -103,26 +124,43 @@ bool WalWriter::Open(const std::string& path, uint64_t truncate_to) {
 }
 
 WalWriter::~WalWriter() {
-  if (f_) fclose(f_);
+  if (!f_) return;
+  Flush();
+  fclose(f_);
 }
 
 bool WalWriter::LogStep(uint64_t seq, uint64_t now_ms, bool gc,
                         uint64_t gc_target, bool shed, const Transaction& txn) {
   if (!f_) return false;
-  char line[128];
-  int n = snprintf(line, sizeof(line),
-                   "B %" PRIu64 " T %" PRIu64 " %d %" PRIu64 " %d\n", seq,
-                   now_ms, gc ? 1 : 0, gc_target, shed ? 1 : 0);
-  record_.assign(line, static_cast<size_t>(n));
-  hist::AppendTxnBlock(txn, &record_);
-  n = snprintf(line, sizeof(line), "E %016" PRIx64 "\n",
-               Fnv1a(record_.data(), record_.size()));
-  record_.append(line, static_cast<size_t>(n));
-  return Put(f_, record_) && fflush(f_) == 0;
+  // One pass into a buffer sized once: the B line, the block, the E line.
+  const size_t at = pending_.size();
+  pending_.resize(at + kStepLineBound + hist::TxnBlockBound(txn) +
+                  kSumLineBytes);
+  char* const record = &pending_[at];
+  char* p = record;
+  *p++ = 'B';
+  p = WriteU64(p, seq);
+  *p++ = ' ';
+  *p++ = 'T';
+  for (uint64_t v : {now_ms, uint64_t{gc}, gc_target, uint64_t{shed}}) {
+    p = WriteU64(p, v);
+  }
+  *p++ = '\n';
+  p = hist::WriteTxnBlock(txn, p);
+  p = WriteSumLine(p, Fnv1a(record, static_cast<size_t>(p - record)));
+  pending_.resize(at + static_cast<size_t>(p - record));
+  return pending_.size() < kGroupBytes || Flush();
+}
+
+bool WalWriter::Flush() {
+  if (!f_) return false;
+  const bool ok = Put(f_, pending_) && fflush(f_) == 0;
+  pending_.clear();
+  return ok;
 }
 
 bool WalWriter::Sync() {
-  return f_ && fflush(f_) == 0 && chronos_fsync(chronos_fileno(f_)) == 0;
+  return Flush() && chronos_fsync(chronos_fileno(f_)) == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -333,21 +371,25 @@ bool DurableRunner::Checkpoint() {
     ok_ = false;
     return false;
   }
-  // The image is taken here, at the quiescent cut; checksums, the file
-  // write, fsync, rename and retention run on the writer task, which
-  // also frees the image.
+  // The cut is an export command in every shard's stream: each worker
+  // serializes its section when it reaches the command, while this
+  // thread feeds on. The writer task collects the sections, then runs
+  // the checksums, the file write, fsync, rename and retention, and
+  // frees the image.
   write_ = std::async(
       std::launch::async,
-      [this, img = checker_->ExportState(), wal_seq = next_seq_ - 1,
+      [this, pending = checker_->BeginExport(), wal_seq = next_seq_ - 1,
        events = events_]() mutable {
-        const ShardedAion::StateImage owned = std::move(img);
-        return ckpts_.Write(owned, wal_seq, events, opts_.keep_checkpoints);
+        const ShardedAion::StateImage img =
+            checker_->CompleteExport(std::move(pending));
+        return ckpts_.Write(img, wal_seq, events, opts_.keep_checkpoints);
       });
   return true;
 }
 
 bool DurableRunner::Finish() {
   checker_->Finish();
+  if (!wal_.Flush()) ok_ = false;
   return AwaitWrite();
 }
 

@@ -6,9 +6,11 @@
 // Determinism basis: every verdict, stat and watermark of the checker is
 // a pure function of the arrival sequence (transaction, now_ms) and the
 // driver's GC/shed decisions, all of which the WAL records. A checkpoint
-// is therefore only ever taken at a quiescent cut (ExportState drains
-// the shard pipeline), and recovery = newest valid checkpoint + WAL
-// replay of the records past its cut.
+// is therefore an image of one cut in that sequence: the caller
+// serializes its sections at the cut and stages an export command in
+// every shard's stream, and each worker serializes its section when it
+// reaches the command (ShardedAion::BeginExport). Recovery = newest
+// valid checkpoint + WAL replay of the records past its cut.
 //
 // Checkpoint file (ckpt-<seq>.ckpt, binary, written tmp+fsync+rename
 // piece by piece, straight from the image's sections):
@@ -37,15 +39,22 @@
 // unchanged, so the header stays `chronos-wal v1`.
 // One record describes EVERYTHING the runner did for one arrival: feed
 // the transaction, then (gc=1) GcToLiveTarget(gc_target), then (shed=1)
-// the ceiling shed (max GC + list-buffer trim). The record is written
-// atomically AFTER those decisions, so a crash leaves either the whole
-// step or none of it — there is no window where replay would feed the
-// arrival but lose its GC/shed, which would fork the recovered state
-// from the uninterrupted run. (A step lost entirely is refed by the
-// caller; its decisions are re-derived deterministically: the GC cadence
-// from the event count, the shed from the barrier-exact footprint.)
-// A torn tail (partial record, bad checksum) ends replay at the last
-// valid record; recovery truncates the file there before appending.
+// the ceiling shed (max GC + list-buffer trim). The record is encoded
+// AFTER those decisions, so the file holds either the whole step or
+// none of it — there is no window where replay would feed the arrival
+// but lose its GC/shed, which would fork the recovered state from the
+// uninterrupted run.
+// Whole records are written in groups: once WalWriter::kGroupBytes are
+// pending, at every checkpoint cut (then fsynced, before the image is
+// taken), at Finish and in the runner's destructor. No step is fsynced
+// on its own, and a process crash loses the steps since the last group
+// write. Steps lost that way are refed by the caller from its input, by
+// count, like the step a crash interrupts; their decisions are
+// re-derived deterministically (the GC cadence from the event count,
+// the shed from the barrier-exact footprint). A record is torn only by a
+// crash in the middle of a write: a torn tail (partial record, bad
+// checksum) ends replay at the last valid record, and recovery
+// truncates the file there before appending.
 #ifndef CHRONOS_ONLINE_CHECKPOINT_H_
 #define CHRONOS_ONLINE_CHECKPOINT_H_
 
@@ -73,28 +82,40 @@ struct WalRecord {
 };
 
 /// Appends checksummed records to a WAL file. Not thread-safe; owned by
-/// the driver thread.
+/// the driver thread. Records are encoded into a pending buffer and
+/// written whole, in groups: when kGroupBytes are pending, at Flush and
+/// Sync, and in the destructor.
 class WalWriter {
  public:
+  static constexpr size_t kGroupBytes = 64 << 10;
+
+  WalWriter() = default;
+  WalWriter(const WalWriter&) = delete;  // one owner writes the file
+  WalWriter& operator=(const WalWriter&) = delete;
+
   /// Opens `path` for append, writing the header when the file is new
   /// (or empty). `truncate_to` > 0 first truncates the file to that many
   /// bytes — recovery uses it to drop a torn tail before resuming.
   bool Open(const std::string& path, uint64_t truncate_to = 0);
+  /// Writes the pending records, then closes the file.
   ~WalWriter();
 
-  /// Appends one step's record and flushes it to the OS.
+  /// Appends one step's record to the pending group, writing the group
+  /// to the OS once it holds kGroupBytes. False when that write fails.
   bool LogStep(uint64_t seq, uint64_t now_ms, bool gc, uint64_t gc_target,
                bool shed, const Transaction& txn);
   bool LogStep(const WalRecord& rec) {
     return LogStep(rec.seq, rec.now_ms, rec.gc, rec.gc_target, rec.shed,
                    rec.txn);
   }
-  /// Flushes user-space buffers and fsyncs (checkpoint boundaries).
+  /// Writes the pending records to the OS.
+  bool Flush();
+  /// Flush, then fsync (checkpoint boundaries).
   bool Sync();
 
  private:
   FILE* f_ = nullptr;
-  std::string record_;  ///< the record being formatted, reused per step
+  std::string pending_;  ///< whole records not yet written
 };
 
 /// Parses a WAL file. `records` receives every valid record in order;
@@ -147,13 +168,17 @@ class CheckpointManager {
 /// state. A kill at any byte of this sequence recovers
 /// verdict-identical via Recover() (online/recovery.h).
 ///
-/// A checkpoint is cut on the driver thread (WAL fsync + ExportState at
-/// the quiescent point) and written to disk by a background task, at
-/// most one at a time: the next cut, Finish and the destructor wait for
-/// the write in flight. A crash before its rename leaves the previous
-/// checkpoint newest, which only lengthens the WAL replay. A failed
-/// write makes ok() false; the step that cuts the next checkpoint, or
-/// Finish, reports it.
+/// A checkpoint is cut on the driver thread (WAL group write + fsync,
+/// then ShardedAion::BeginExport, which stages an export command in
+/// every shard's stream and serializes the caller's sections) and
+/// finished by a background task: it collects the shard sections as the
+/// workers pass their export commands (CompleteExport), then writes the
+/// file, at most one at a time: the next cut, Finish and the destructor
+/// wait for the write in flight. The task reads the checker, so the
+/// checker must outlive the runner. A crash before the rename leaves the
+/// previous checkpoint newest, which only lengthens the WAL replay. A
+/// failed write makes ok() false; the step that cuts the next
+/// checkpoint, or Finish, reports it.
 class DurableRunner {
  public:
   struct Options {
@@ -177,10 +202,12 @@ class DurableRunner {
 
   /// `start_seq`/`start_events` resume the WAL numbering after recovery
   /// (1/0 for a fresh run). `wal_truncate_to` drops a torn tail first.
+  /// `checker` must outlive the runner.
   DurableRunner(ShardedAion* checker, const Options& opts,
                 uint64_t start_seq = 1, uint64_t start_events = 0,
                 uint64_t wal_truncate_to = 0);
-  /// Waits for the checkpoint write in flight, if any.
+  /// Waits for the checkpoint write in flight, if any, then writes the
+  /// WAL's pending records.
   ~DurableRunner();
   DurableRunner(const DurableRunner&) = delete;  // the writer holds `this`
   DurableRunner& operator=(const DurableRunner&) = delete;
@@ -202,8 +229,9 @@ class DurableRunner {
   /// the previous checkpoint's write, failed.
   bool Checkpoint() CHRONOS_REQUIRES(driver_role);
 
-  /// Finalizes the checker (end of stream; not WAL-logged) and waits for
-  /// the last checkpoint write. Returns false if any write failed.
+  /// Finalizes the checker (end of stream; not WAL-logged), writes the
+  /// WAL's pending records and waits for the last checkpoint write.
+  /// Returns false if any write failed.
   bool Finish() CHRONOS_REQUIRES(driver_role);
 
   bool ok() const { return ok_; }

@@ -51,6 +51,10 @@ void TransferStats(IO& io, CheckerStats& s) {
   io.U64(s.gc_passes);
 }
 
+// The buffer to reserve for an export whose previous one took `hint`
+// bytes: a little more, so a section that grew a bit is not doubled.
+size_t ReserveFor(size_t hint) { return hint == 0 ? 0 : hint + hint / 8; }
+
 template <typename IO, typename Tagged>
 void TransferViolations(IO& io, std::vector<Tagged>& violations) {
   io.Seq(violations, /*order_ts .. divergence*/ 64, [&](auto& tv) {
@@ -205,6 +209,13 @@ void ShardedAion::ExecuteCmd(Shard* shard, const ShardCmd& cmd,
     case ShardCmd::Kind::kGc:
       shard->engine->CollectUpTo(cmd.gc_watermark);
       break;
+    case ShardCmd::Kind::kExport: {
+      StateWriter w(ReserveFor(shard->export_hint));
+      TransferShard(w, shard);
+      shard->export_slot = w.Take();
+      shard->export_hint = shard->export_slot.size();
+      break;
+    }
   }
 }
 
@@ -426,8 +437,7 @@ void ShardedAion::EmitViolations() {
 }
 
 template <typename IO>
-void ShardedAion::TransferImage(IO& ingress, IO& coordinator,
-                                std::vector<IO>& shards) {
+void ShardedAion::TransferCaller(IO& ingress, IO& coordinator) {
   ingress_.Transfer(ingress);
   uint64_t num_shards = shards_.size();
   coordinator.U64(num_shards);
@@ -441,25 +451,56 @@ void ShardedAion::TransferImage(IO& ingress, IO& coordinator,
       coordinator.Require(shards_.size() >= 64 || (mask >> shards_.size()) == 0);
     }
   });
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    // Callers hold the WaitAll barrier: the shard workers are idle, so
-    // the caller may touch their state (see EmitViolations).
-    AssumeRole own(shard.owner);
-    TransferStats(shards[s], shard.stats);
-    shard.flips.Transfer(shards[s]);
-    TransferViolations(shards[s], shard.violations);
-    shard.engine->Transfer(shards[s]);
-  }
 }
 
-ShardedAion::StateImage ShardedAion::ExportState() {
-  WaitAll();
-  StateWriter ingress, coordinator;
-  std::vector<StateWriter> shards(shards_.size());
-  TransferImage(ingress, coordinator, shards);
-  StateImage img{ingress.Take(), coordinator.Take(), {}};
-  for (StateWriter& w : shards) img.shards.push_back(w.Take());
+template <typename IO>
+void ShardedAion::TransferShard(IO& io, Shard* shard) {
+  TransferStats(io, shard->stats);
+  shard->flips.Transfer(io);
+  TransferViolations(io, shard->violations);
+  shard->engine->Transfer(io);
+}
+
+ShardedAion::PendingExport ShardedAion::BeginExport() {
+  PendingExport p;
+  // The export commands go first, so the workers serialize their
+  // sections while this thread serializes its own.
+  ShardCmd cmd;
+  cmd.kind = ShardCmd::Kind::kExport;
+  for (auto& shard : shards_) {
+    Shard& s = *shard;
+    StageHeader(s, cmd);
+    AssumeRole caller(s.caller_side);  // caller thread, as StageHeader
+    AssumeRole prod(s.ring.producer_role);
+    AssumeRole payload_prod(s.payload.producer_role);
+    PublishShard(s);
+    p.until.push_back(s.issued);
+  }
+  StateWriter ingress(ReserveFor(ingress_hint_));
+  StateWriter coordinator(ReserveFor(coordinator_hint_));
+  TransferCaller(ingress, coordinator);
+  p.img.ingress = ingress.Take();
+  p.img.coordinator = coordinator.Take();
+  ingress_hint_ = p.img.ingress.size();
+  coordinator_hint_ = p.img.coordinator.size();
+  return p;
+}
+
+ShardedAion::StateImage ShardedAion::CompleteExport(PendingExport&& pending) {
+  StateImage img = std::move(pending.img);
+  img.shards.resize(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = *shards_[i];
+    {
+      MutexLock lock(s.done_mu);
+      while (s.done < pending.until[i]) s.done_cv.Wait(lock);
+    }
+    // Barrier edge: the worker filled the slot before it raised `done`
+    // past the export command under done_mu, and fills it again only for
+    // the next export, which is staged after this one completed.
+    AssumeRole own(s.owner);
+    img.shards[i] = std::move(s.export_slot);
+  }
   return img;
 }
 
@@ -467,13 +508,17 @@ bool ShardedAion::ImportState(const StateImage& img) {
   if (img.shards.size() != shards_.size()) return false;
   WaitAll();
   StateReader ingress(img.ingress), coordinator(img.coordinator);
-  std::vector<StateReader> shards(img.shards.begin(), img.shards.end());
-  TransferImage(ingress, coordinator, shards);
+  TransferCaller(ingress, coordinator);
   bool ok = ingress.ok() && ingress.AtEnd() && coordinator.ok() &&
             coordinator.AtEnd();
-  for (const StateReader& r : shards) ok = ok && r.ok() && r.AtEnd();
-  for (auto& shard : shards_) {
-    AssumeRole own(shard->owner);  // barrier edge, as in TransferImage
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard* shard = shards_[i].get();
+    // Behind WaitAll the workers are idle, so the caller may touch
+    // their state (see EmitViolations).
+    AssumeRole own(shard->owner);
+    StateReader r(img.shards[i]);
+    TransferShard(r, shard);
+    ok = ok && r.ok() && r.AtEnd();
     shard->versions.store(shard->engine->TotalVersions(),
                           std::memory_order_relaxed);
     shard->intervals.store(shard->engine->TotalIntervals(),
@@ -487,7 +532,7 @@ bool ShardedAion::ImportState(const StateImage& img) {
 void ShardedAion::ShedMemory() {
   WaitAll();
   for (auto& shard : shards_) {
-    AssumeRole own(shard->owner);  // barrier edge, as in ExportState
+    AssumeRole own(shard->owner);  // barrier edge, as in ImportState
     shard->engine->TrimListsBelowHorizon();
     shard->approx_bytes.store(shard->engine->ApproxBytes(),
                               std::memory_order_relaxed);
@@ -498,7 +543,7 @@ CheckerStats ShardedAion::stats() {
   WaitAll();
   CheckerStats merged = coord_stats_;
   for (auto& shard : shards_) {
-    AssumeRole own(shard->owner);  // barrier edge, as in ExportState
+    AssumeRole own(shard->owner);  // barrier edge, as in ImportState
     merged += shard->stats;
   }
   return merged;
@@ -508,7 +553,7 @@ FlipFlopStats ShardedAion::flip_stats() {
   WaitAll();
   FlipFlopStats merged;
   for (auto& shard : shards_) {
-    AssumeRole own(shard->owner);  // barrier edge, as in ExportState
+    AssumeRole own(shard->owner);  // barrier edge, as in ImportState
     merged.Merge(shard->flips);
   }
   return merged;

@@ -40,7 +40,9 @@
 //   - Finalize commands go only to the shards holding the transaction's
 //     external reads; GC commands broadcast the coordinator's effective
 //     watermark to every shard, which collects and spills independently
-//     (spill_dir/shard<i>) but at the same cut.
+//     (spill_dir/shard<i>) but at the same cut. Export commands
+//     broadcast too: each worker serializes its checkpoint section at
+//     that point of its stream (BeginExport).
 //   - Violations are buffered per producer (caller, shards) and emitted
 //     to the sink at Finish(), sorted by (commit_ts, txn id, content) —
 //     deterministic regardless of shard count or thread timing.
@@ -62,6 +64,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -137,19 +140,35 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   Timestamp watermark() const { return ingress_.watermark(); }
 
   /// Crash-safe checkpoint support (online/checkpoint.h): a full state
-  /// image, one byte-deterministic section per component. ExportState
-  /// drains the pipeline first (WaitAll makes the subsequent reads of
-  /// shard state race-free); ImportState assumes a freshly constructed
-  /// checker with the same options and shard count, whose spill
-  /// directories still hold the epoch files the serialized manifests
-  /// reference. The coordinator section begins with the shard
+  /// image, one byte-deterministic section per component. The export
+  /// runs in-stream, without draining the pipeline: BeginExport stages
+  /// an export command on every shard ring and serializes the ingress
+  /// and coordinator sections on the caller thread; each worker
+  /// serializes its own section when it reaches that command, which is
+  /// the state a drained export would see. CompleteExport waits for the
+  /// workers to pass the command and collects their sections; it may run
+  /// on another thread while the caller goes on feeding, and the checker
+  /// must outlive it. At most one export is in flight: BeginExport must
+  /// not be called again before the previous CompleteExport returned.
+  /// ExportState is the two back to back. ImportState assumes a freshly
+  /// constructed checker with the same options and shard count, whose
+  /// spill directories still hold the epoch files the serialized
+  /// manifests reference. The coordinator section begins with the shard
   /// count so recovery can size the checker before parsing the rest.
   struct StateImage {
     std::string ingress;
     std::string coordinator;  ///< shard count, stats, violations, masks
     std::vector<std::string> shards;  ///< stats + flips + violations + engine
   };
-  StateImage ExportState();
+  /// An image whose shard sections are still being serialized.
+  struct PendingExport {
+    StateImage img;  ///< ingress and coordinator only
+    /// Per shard, the `done` count at which its export command has run.
+    std::vector<uint64_t> until;
+  };
+  PendingExport BeginExport();
+  StateImage CompleteExport(PendingExport&& pending);
+  StateImage ExportState() { return CompleteExport(BeginExport()); }
   bool ImportState(const StateImage& img);
 
   /// Memory-ceiling degradation: drains dispatched work, then trims list
@@ -163,7 +182,7 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// `num_reads` reads, `num_writes` writes, `num_list_reads` list reads
   /// and `num_appends` appends.
   struct ShardCmd {
-    enum class Kind : uint8_t { kTxn, kFinalize, kGc };
+    enum class Kind : uint8_t { kTxn, kFinalize, kGc, kExport };
     Kind kind = Kind::kTxn;
     bool register_reads = false;
     uint32_t num_reads = 0;
@@ -215,7 +234,9 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
 
     /// Capability of the shard's worker thread: guards the engine and
     /// the verdict side-products it writes. The caller may assume it
-    /// only behind a quiescent barrier (WaitAll / joined threads).
+    /// only behind a quiescent barrier (WaitAll / joined threads), and
+    /// CompleteExport for `export_slot` only behind the done_mu edge
+    /// past the export command.
     ThreadRole owner;
     /// Capability of the caller (coordinator) thread over this shard's
     /// issue bookkeeping.
@@ -225,6 +246,12 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
     CheckerStats stats CHRONOS_GUARDED_BY(owner);  // read at barrier
     FlipFlopStats flips CHRONOS_GUARDED_BY(owner);  // read at barrier
     std::vector<TaggedViolation> violations CHRONOS_GUARDED_BY(owner);
+    /// The section a kExport command serialized. CompleteExport takes it
+    /// behind the done_mu edge; the worker writes it again only for the
+    /// next export, which is staged after that.
+    std::string export_slot CHRONOS_GUARDED_BY(owner);
+    /// The size of the previous export, reserved for the next one.
+    size_t export_hint CHRONOS_GUARDED_BY(owner) = 0;
     // Footprint mirrors, refreshed by the worker after each batch;
     // lock-free by design (GetFootprint runs inside the GC policy
     // check), so they carry explicit memory orders instead of a guard.
@@ -275,13 +302,17 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   /// after WaitAll or after the workers joined).
   void EmitViolations();
 
-  /// The whole state image, one IO per section: the ingress, the
-  /// coordinator (shard count, stats, buffered violations, read masks),
-  /// then per shard its stats, flip-flop stats, buffered violations and
-  /// engine. Instantiated for StateWriter and StateReader behind
-  /// WaitAll.
+  /// The caller's sections of the state image: the ingress, then the
+  /// coordinator (shard count, stats, buffered violations, read masks).
+  /// Instantiated for StateWriter and StateReader.
   template <typename IO>
-  void TransferImage(IO& ingress, IO& coordinator, std::vector<IO>& shards);
+  void TransferCaller(IO& ingress, IO& coordinator);
+  /// One shard's section: its stats, flip-flop stats, buffered
+  /// violations and engine. Run by the worker for an export, by the
+  /// caller behind WaitAll for an import.
+  template <typename IO>
+  static void TransferShard(IO& io, Shard* shard)
+      CHRONOS_REQUIRES(shard->owner);
 
   void WorkerLoop(Shard* shard, size_t index);
   /// Runs one command; a kTxn's records are in `scratch.records`.
@@ -305,6 +336,11 @@ class ShardedAion : public OnlineChecker, private TxnIngress::Dispatch {
   std::vector<int32_t> slot_;
   std::vector<std::pair<size_t, ShardCmd>> headers_;
   std::vector<uint8_t> op_shard_;
+
+  // The sizes of the previous export's caller sections, reserved for the
+  // next one.
+  size_t ingress_hint_ = 0;
+  size_t coordinator_hint_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -539,6 +540,87 @@ TEST(ListKvTrimTest, StragglerIntoTrimmedRegionTaintsHash) {
   EXPECT_EQ(p.trimmed, 3u);
   EXPECT_TRUE(p.hash_tainted);
   ASSERT_NE(kv.MergedBelow(1), nullptr);  // content kept for below-base reads
+}
+
+// The per-field encoding StateWriter replaced with its staged block:
+// every field appended to the buffer as it is written.
+struct PerFieldWriter {
+  std::string buf;
+  void Put(uint64_t v) {
+    for (int i = 0; i < 8; ++i) buf.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  void Raw(const void* p, size_t n) {
+    buf.append(static_cast<const char*>(p), n);
+  }
+};
+
+TEST(StateWriterTest, StagedBytesEqualPerFieldEncoding) {
+  // Fields in a random mix, so 8-byte fields land at every offset of
+  // the 4 KiB stage and straddle its end; Bytes and Values of every
+  // size (empty, inside the stage, larger than it) after staged fields;
+  // data() read mid-stream, then writing goes on until Take().
+  std::mt19937_64 rng(2025);
+  for (int round = 0; round < 20; ++round) {
+    StateWriter w(round % 2 == 0 ? 0 : 64);
+    PerFieldWriter ref;
+    for (int field = 0; field < 3000; ++field) {
+      switch (rng() % 8) {
+        case 0:
+        case 1: {
+          const uint64_t v = rng();
+          w.U64(v);
+          ref.Put(v);
+          break;
+        }
+        case 2: {
+          const int64_t v = static_cast<int64_t>(rng());
+          w.I64(v);
+          ref.Put(static_cast<uint64_t>(v));
+          break;
+        }
+        case 3: {
+          const bool flag = rng() % 2 == 0;
+          w.U8(flag);
+          ref.Put(flag ? 1 : 0);
+          break;
+        }
+        case 4: {
+          const size_t sizes[] = {0, 1, 7, 4095, 4096, 4097, 9000};
+          const size_t n = rng() % 4 == 0 ? sizes[rng() % 7] : rng() % 40;
+          std::string bytes(n, '\0');
+          for (char& c : bytes) c = static_cast<char>(rng());
+          w.Bytes(bytes);
+          ref.Put(n);
+          ref.Raw(bytes.data(), n);
+          break;
+        }
+        case 5: {
+          std::vector<Value> values(rng() % 4 == 0 ? 600 : rng() % 6);
+          for (Value& v : values) v = static_cast<Value>(rng());
+          w.Values(values);
+          ref.Put(values.size() * sizeof(Value));
+          ref.Raw(values.data(), values.size() * sizeof(Value));
+          break;
+        }
+        case 6: {
+          const std::vector<uint64_t> seq = {rng(), rng(), rng()};
+          w.Seq(seq, 8, [&w](uint64_t x) { w.U64(x); });
+          ref.Put(seq.size());
+          for (uint64_t x : seq) ref.Put(x);
+          break;
+        }
+        default:
+          ASSERT_EQ(w.data(), ref.buf) << "round " << round << " field "
+                                       << field;
+      }
+    }
+    EXPECT_EQ(w.data(), ref.buf) << "round " << round;
+    w.U64(round);
+    ref.Put(static_cast<uint64_t>(round));
+    EXPECT_EQ(w.Take(), ref.buf) << "round " << round;
+    EXPECT_TRUE(w.data().empty());
+    EXPECT_TRUE(w.Take().empty());
+  }
 }
 
 }  // namespace

@@ -8,12 +8,15 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -297,6 +300,97 @@ TEST(CodecTest, SaveWritesPinnedBytes) {
   ASSERT_TRUE(st.ok) << st.message;
   EXPECT_EQ(loaded.num_sessions, 2u);
   EXPECT_EQ(Blocks(loaded), Blocks(AllShapes()));
+}
+
+// The block encoder as it was before it sized its buffer once: one
+// string append per field. AppendTxnBlock must write the same bytes.
+template <typename Int>
+void ReferenceField(std::string* out, Int v) {
+  char buf[24];
+  out->push_back(' ');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void ReferenceTxnBlock(const Transaction& t, std::string* out) {
+  static constexpr std::string_view kTags = "RWAL";
+  out->push_back('T');
+  for (uint64_t v : {t.tid, uint64_t{t.sid}, t.sno, t.start_ts, t.commit_ts,
+                     uint64_t{t.ops.size()}}) {
+    ReferenceField(out, v);
+  }
+  if (t.iso != IsolationLevel::kUnspecified) {
+    out->append(" iso=").append(IsolationLevelName(t.iso));
+  }
+  out->push_back('\n');
+  for (const Op& op : t.ops) {
+    out->push_back(kTags[static_cast<size_t>(op.type)]);
+    ReferenceField(out, op.key);
+    if (op.type == OpType::kReadList) {
+      const std::vector<Value>& elems = t.list_args[op.list_index];
+      ReferenceField(out, elems.size());
+      for (Value e : elems) ReferenceField(out, e);
+    } else {
+      ReferenceField(out, op.value);
+    }
+    out->push_back('\n');
+  }
+}
+
+// Every transaction of `h` through both encoders, appended after a
+// prefix (as SaveHistory and the WAL append), and inside its bound.
+void ExpectEncodersAgree(const History& h, const std::string& what) {
+  std::string got = "prefix\n", want = got;
+  for (const Transaction& t : h.txns) {
+    const size_t before = got.size();
+    AppendTxnBlock(t, &got);
+    ReferenceTxnBlock(t, &want);
+    ASSERT_EQ(got, want) << what << ": tid " << t.tid;
+    EXPECT_LE(got.size() - before, TxnBlockBound(t)) << what;
+  }
+}
+
+TEST(CodecTest, AppendTxnBlockMatchesTheFieldByFieldEncoder) {
+  workload::WorkloadParams reg;
+  reg.sessions = 8;
+  reg.txns = 1000;
+  reg.ops_per_txn = 8;
+  workload::WorkloadParams list = reg;
+  list.txns = 300;
+  list.list_mode = true;
+  workload::WorkloadParams mixed = reg;
+  mixed.mix = {40, 20, 20, 20};
+  db::DbConfig faulty;
+  faulty.faults.lost_update_prob = 0.05;
+  faulty.faults.ts_swap_prob = 0.05;
+  faulty.fault_seed = 3;
+  ExpectEncodersAgree(workload::GenerateDefaultHistory(reg, faulty),
+                      "register");
+  ExpectEncodersAgree(workload::GenerateDefaultHistory(list, faulty), "list");
+  ExpectEncodersAgree(workload::GenerateDefaultHistory(mixed, faulty),
+                      "mixed");
+  ExpectEncodersAgree(AllShapes(), "all shapes");
+
+  // Extreme fields: every one at its widest, and the empty shapes.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  constexpr Key kMaxKey = std::numeric_limits<Key>::max();
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  chronos::testing::HistoryBuilder b;
+  b.Txn(kMaxU64, std::numeric_limits<SessionId>::max(), kMaxU64, kMaxU64 - 1,
+        kMaxU64)
+      .R(kMaxKey, kMin)
+      .W(kMaxKey, kMax)
+      .A(kMaxKey, kMin)
+      .L(kMaxKey, {kMin, kMax, 0, -1})
+      .L(0, {});
+  b.Txn(1, 0, 0, 0, 0);  // no ops
+  for (IsolationLevel level :
+       {IsolationLevel::kUnspecified, IsolationLevel::kSer,
+        IsolationLevel::kSi, IsolationLevel::kRc, IsolationLevel::kRa}) {
+    b.Txn(2, 0, 1, 1, 2).Iso(level);
+    b.Txn(3, 0, 2, 3, 4).Iso(level).W(kMaxKey, kMin).L(kMaxKey, {kMax});
+  }
+  ExpectEncodersAgree(b.Build(), "hand cases");
 }
 
 TEST(CodecTest, CorpusFilesResaveByteIdentically) {

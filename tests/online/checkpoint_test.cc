@@ -7,15 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../testutil.h"
@@ -194,6 +198,7 @@ TEST(WalTest, TornTailStopsAtLastValidRecordAndResumes) {
     r.seq = 1;
     r.txn = OneTxn();
     ASSERT_TRUE(w.LogStep(r));
+    ASSERT_TRUE(w.Sync());  // records are written in groups
     size_after_first = fs::file_size(path);
     r.seq = 2;
     ASSERT_TRUE(w.LogStep(r));
@@ -241,6 +246,7 @@ TEST(WalTest, CorruptChecksumEndsReplayBeforeTheRecord) {
     r.seq = 1;
     r.txn = OneTxn();
     ASSERT_TRUE(w.LogStep(r));
+    ASSERT_TRUE(w.Sync());  // records are written in groups
     size_after_first = fs::file_size(path);
     r.seq = 2;
     ASSERT_TRUE(w.LogStep(r));
@@ -309,6 +315,7 @@ TEST(WalTest, CorruptionAtEveryByteIsSafe) {
       r.txn = OneTxn();
       r.txn.iso = level;
       ASSERT_TRUE(w.LogStep(r));
+      ASSERT_TRUE(w.Sync());  // records are written in groups
       written.push_back(r);
       ends.push_back(fs::file_size(path));
     }
@@ -553,6 +560,65 @@ TEST(StateImageTest, ImportRejectsShardCountMismatch) {
   ShardedAion::StateImage img = two.ExportState();
   ShardedAion three(opt, 3, &s2);
   EXPECT_FALSE(three.ImportState(img));
+}
+
+TEST(StateImageTest, MidStreamExportEqualsDrainedExport) {
+  // The export is a command in every shard's stream: each worker
+  // serializes its section when it reaches the command, while the caller
+  // feeds on. With capacity-2 rings, one command per publication and
+  // stalling workers, and with the sections collected on another thread
+  // while later arrivals are still fed, the image must equal one taken
+  // after draining the pipeline.
+  const std::string dir = FreshDir("img_midstream");
+  const History h = MakeWorkload(400, 61, /*list_mode=*/false);
+  const std::vector<Transaction> arrivals = SessionPreservingShuffle(h, 5);
+  CheckerOptions opt;
+  opt.ext_timeout_ms = 40;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (size_t cut : {size_t{1}, arrivals.size() / 3, arrivals.size() - 1}) {
+      const std::string tag =
+          std::to_string(shards) + "_" + std::to_string(cut);
+      const std::string what = "shards=" + std::to_string(shards) +
+                               " cut=" + std::to_string(cut);
+      ShardedAion::StateImage drained;
+      {
+        CheckerOptions o = opt;
+        o.spill_dir = dir + "/drained" + tag;
+        VectorSink discard;
+        ShardedAion checker(o, shards, &discard);
+        size_t since_gc = 0;
+        DriveRange(&checker, arrivals, 0, cut, 32, 16, &since_gc);
+        checker.FootprintExact();  // drains the pipeline
+        drained = checker.ExportState();
+      }
+      CheckerOptions o = opt;
+      o.spill_dir = dir + "/stream" + tag;
+      std::atomic<uint64_t> calls{0};
+      o.stall_hook = [&calls](size_t shard) {
+        if ((calls.fetch_add(1, std::memory_order_relaxed) + shard) % 8 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        } else {
+          std::this_thread::yield();
+        }
+      };
+      VectorSink discard;
+      ShardedAion checker(o, shards, &discard, /*cmd_batch=*/1,
+                          /*queue_capacity=*/2);
+      size_t since_gc = 0;
+      DriveRange(&checker, arrivals, 0, cut, 32, 16, &since_gc);
+      ShardedAion::PendingExport pending = checker.BeginExport();
+      std::future<ShardedAion::StateImage> collected =
+          std::async(std::launch::async, [&checker, &pending] {
+            return checker.CompleteExport(std::move(pending));
+          });
+      DriveRange(&checker, arrivals, cut, arrivals.size(), 32, 16, &since_gc);
+      const ShardedAion::StateImage img = collected.get();
+      checker.Finish();
+      EXPECT_TRUE(img.ingress == drained.ingress) << what;
+      EXPECT_TRUE(img.coordinator == drained.coordinator) << what;
+      EXPECT_TRUE(img.shards == drained.shards) << what;
+    }
+  }
 }
 
 // A fixed, generator-free arrival stream that fills every section of

@@ -9,10 +9,14 @@
 //
 // Two kill models:
 //   - event-boundary kills: feed k steps through a DurableRunner, then
-//     destroy runner + checker without Finish. Records are flushed
-//     per-step, so the on-disk state is exactly the crash state (the
-//     runner's destructor lets a checkpoint write in flight land; a
-//     crash before it lands is the torn-tmp fallback case below).
+//     destroy runner + checker without Finish. The WAL writes records
+//     in groups and its destructor writes the pending ones, so the
+//     on-disk state is that of a crash right after step k (the runner's
+//     destructor also lets a checkpoint write in flight land; a crash
+//     before it lands is the torn-tmp fallback case below). A real
+//     process death loses the steps since the last group write too:
+//     the byte-truncation kills below cover that, and tools/ci.sh's
+//     crash-recovery stage kills a chronos_check process with SIGKILL.
 //   - byte-truncation kills: run the whole stream (again without
 //     Finish), then truncate wal.log at an arbitrary offset — torn
 //     tails, mid-record cuts, even cuts below the newest checkpoint's
@@ -119,21 +123,38 @@ Outcome RunUninterrupted(const Scenario& sc, const std::string& dir) {
   return out;
 }
 
+/// The file offset just past each record of the WAL in `dir`: the end of
+/// each "E <checksum>" line.
+std::vector<uint64_t> WalRecordEnds(const std::string& dir) {
+  std::ifstream in(dir + "/wal.log", std::ios::binary);
+  std::vector<uint64_t> ends;
+  uint64_t at = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    at += line.size() + 1;
+    if (!line.empty() && line[0] == 'E') ends.push_back(at);
+  }
+  return ends;
+}
+
 /// Feeds the first `k` steps, then "crashes" (no Finish, no final
 /// checkpoint — just process death). Returns the WAL size after every
-/// step, for the truncation sweep.
+/// step, for the truncation sweep. Records are written in groups, so
+/// those sizes are the record boundaries of the finished file.
 std::vector<uint64_t> RunAndCrash(const Scenario& sc, const std::string& dir,
                                   size_t k) {
-  std::vector<uint64_t> wal_sizes;
-  VectorSink discard;
-  auto checker =
-      std::make_unique<ShardedAion>(Opt(sc, dir), sc.shards, &discard);
-  DurableRunner runner(checker.get(), Dopts(sc, dir));
-  AssumeRole driver(runner.driver_role);  // single-threaded test driver
-  for (size_t i = 0; i < k; ++i) {
-    EXPECT_TRUE(runner.Feed(sc.arrivals[i], i));
-    wal_sizes.push_back(fs::file_size(dir + "/wal.log"));
+  {
+    VectorSink discard;
+    auto checker =
+        std::make_unique<ShardedAion>(Opt(sc, dir), sc.shards, &discard);
+    DurableRunner runner(checker.get(), Dopts(sc, dir));
+    AssumeRole driver(runner.driver_role);  // single-threaded test driver
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_TRUE(runner.Feed(sc.arrivals[i], i));
+    }
   }
+  std::vector<uint64_t> wal_sizes = WalRecordEnds(dir);
+  EXPECT_EQ(wal_sizes.size(), k);
   return wal_sizes;
 }
 

@@ -226,6 +226,42 @@ if [[ "${CHRONOS_CI_KILLPOINT:-1}" != "0" ]]; then
     cat "$ck_dir/short.out" >&2
     exit 1
   fi
+  # A real process death. The kill-point suites crash in-process by
+  # destroying the runner, whose destructor writes the WAL's pending
+  # group; SIGKILL loses the steps logged since the last group write.
+  # --resume refeeds them from --in by count and must print what the
+  # uninterrupted run printed, wherever the kill lands.
+  echo "crash-recovery: SIGKILL mid-run, then --resume"
+  kill_dir="$BUILD_DIR/kill-resume"
+  rm -rf "$kill_dir"
+  mkdir -p "$kill_dir"
+  "$BUILD_DIR/chronos_gen" --out="$kill_dir/reg.hist" --txns=30000 \
+                           --seed=13 >/dev/null
+  kill_flags=(--gc-every=500 --gc-target=2000 --checkpoint-every=3000)
+  durable_run "$kill_dir/reg.hist" "$kill_dir/ref" "${kill_flags[@]}" \
+      >"$kill_dir/uninterrupted.txt"
+  "$BUILD_DIR/chronos_check" --in="$kill_dir/reg.hist" --online \
+      --delay-mean=20 --delay-stddev=10 --timeout-ms=50 \
+      --checkpoint-dir="$kill_dir/ckpt" "${kill_flags[@]}" >/dev/null &
+  victim=$!
+  killed=0
+  while kill -0 "$victim" 2>/dev/null; do
+    if [[ $(stat -c %s "$kill_dir/ckpt/wal.log" 2>/dev/null || echo 0) \
+          -gt 1048576 ]]; then
+      kill -9 "$victim" && killed=1
+      break
+    fi
+    sleep 0.002
+  done
+  wait "$victim" || true
+  if [[ $killed != 1 ]]; then
+    echo "chronos_check finished before its WAL passed 1 MB" >&2
+    exit 1
+  fi
+  durable_run "$kill_dir/reg.hist" "$kill_dir/ckpt" "${kill_flags[@]}" \
+      --resume >"$kill_dir/resumed.txt"
+  grep -E '^recovered:' "$kill_dir/ckpt.out"
+  diff "$kill_dir/uninterrupted.txt" "$kill_dir/resumed.txt"
 fi
 
 # Bounded-memory gate: --online streams its input, so with GC its peak
