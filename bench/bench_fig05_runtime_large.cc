@@ -5,7 +5,6 @@
 #include "baselines/emme.h"
 #include "bench_util.h"
 #include "core/chronos.h"
-#include "core/chronos_list.h"
 
 using namespace chronos;
 
@@ -41,7 +40,7 @@ int main() {
     CountingSink s1, s2;
     baselines::BaselineResult elle =
         baselines::CheckElleList(h, baselines::CheckLevel::kSi, &s1);
-    CheckStats chronos = ChronosList::CheckHistory(h, &s2);
+    CheckStats chronos = Chronos::CheckHistory(h, &s2);
     std::printf("%8llu %9.3fs %9.3fs\n",
                 static_cast<unsigned long long>(txns), elle.seconds,
                 chronos.sort_seconds + chronos.check_seconds);

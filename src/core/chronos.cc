@@ -10,6 +10,7 @@
 #endif
 
 #include "core/event_timeline.h"
+#include "core/list_replay.h"
 #include "core/session_order.h"
 #include "core/small_map.h"
 #include "core/txn_ingress.h"
@@ -17,37 +18,105 @@
 namespace chronos {
 namespace {
 
-// Per-transaction replay state (Algorithm 2's int_val[tid] / ext_val[tid] /
-// T.wkey). Released at the transaction's commit event (prompt GC).
+// What a transaction's commit event applies (Algorithm 2's ext_val[tid]
+// and T.wkey), for register and list ops alike. Released at that event
+// (prompt GC). A register-only transaction leaves `appends` empty.
 struct TxnState {
-  SmallMap<Key, Value> int_val;  // last value read-or-written per key
   SmallMap<Key, Value> ext_val;  // last value written per key
-  std::vector<Key> wkey;         // keys written (insertion order, unique)
+  SmallMap<Key, std::vector<Value>> appends;  // elements appended per key
+  std::vector<Key> wkey;  // keys written or appended (first-write order)
 };
 
-// Checks the INT axiom of one transaction in isolation. INT only depends
-// on program order, never on timestamps, so it is checked even for
-// transactions whose timestamps are malformed. Reports feed `counted`
-// too so CheckStats.violations stays equal to the sink total (the same
-// convention as ChronosList's CheckListIntOnly).
-void CheckIntOnly(const Transaction& t, ViolationSink* sink,
-                  CountingSink* counted) {
-  SmallMap<Key, Value> int_val;
+// The committed state a snapshot reads: a register's last committed
+// value, a list's committed cumulative append sequence. Commit events
+// replay in timestamp order, so a list frontier only grows at the tail
+// (the offline mirror of the online materialized-prefix chain,
+// core/list_kv.h).
+struct Frontier {
+  std::unordered_map<Key, Value> regs;
+  std::unordered_map<Key, std::vector<Value>> lists;
+};
+
+// Reports `v` and counts it, so CheckStats.violations stays equal to the
+// sink total.
+void Emit(const Violation& v, ViolationSink* sink, CountingSink* counted) {
+  sink->Report(v);
+  counted->Report(v);
+}
+
+// A list mismatch: list lengths plus the first divergent element index.
+Violation ListViolation(ViolationType type, TxnId tid, Key key,
+                        int64_t expected_len, int64_t got_len,
+                        int64_t divergence) {
+  return {type, tid, kTxnNone, key, static_cast<Value>(expected_len),
+          static_cast<Value>(got_len), divergence};
+}
+
+// Replays `t`'s ops into `st` (Algorithm 2 lines 11-22): INT against the
+// transaction's own earlier ops, EXT against `snapshot`. All ops replay
+// at the start event, so the frontier *is* the snapshot, and what INT
+// compares against (int_val[tid], each list's expected state) is only
+// needed here. A null `snapshot` checks INT only, which depends on
+// program order alone: that is how transactions with malformed
+// timestamps are still checked.
+void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
+               ViolationSink* sink, CountingSink* counted) {
+  SmallMap<Key, Value> int_val;     // last value read or written per key
+  SmallMap<Key, ListAccess> lists;  // list reads (core/list_replay.h)
+  auto note_write = [st](Key k) {
+    if (!st->ext_val.Find(k) && !st->appends.Find(k)) st->wkey.push_back(k);
+  };
   for (const Op& op : t.ops) {
-    if (op.type == OpType::kWrite) {
-      int_val.Put(op.key, op.value);
-    } else if (op.type == OpType::kRead) {
-      if (const Value* v = int_val.Find(op.key)) {
-        if (*v != op.value) {
-          sink->Report({ViolationType::kInt, t.tid, kTxnNone, op.key, *v,
-                        op.value});
-          counted->Report({ViolationType::kInt, t.tid});
+    switch (op.type) {
+      case OpType::kRead:
+        if (const Value* iv = int_val.Find(op.key)) {
+          if (*iv != op.value) {
+            Emit({ViolationType::kInt, t.tid, kTxnNone, op.key, *iv,
+                  op.value},
+                 sink, counted);
+          }
+        } else if (snapshot) {
+          auto fit = snapshot->regs.find(op.key);
+          Value expect = fit == snapshot->regs.end() ? kValueInit : fit->second;
+          if (op.value != expect) {
+            Emit({ViolationType::kExt, t.tid, kTxnNone, op.key, expect,
+                  op.value},
+                 sink, counted);
+          }
         }
-        // Track the read value so later internal reads compare against it,
-        // mirroring int_val semantics (last read-or-written value).
         int_val.Put(op.key, op.value);
-      } else {
-        int_val.Put(op.key, op.value);  // external read: EXT handled later
+        break;
+      case OpType::kWrite:
+        note_write(op.key);
+        st->ext_val.Put(op.key, op.value);
+        int_val.Put(op.key, op.value);
+        break;
+      case OpType::kAppend:
+        note_write(op.key);
+        lists.FindOrInsert(op.key)->own.push_back(op.value);
+        st->appends.FindOrInsert(op.key)->push_back(op.value);
+        break;
+      case OpType::kReadList: {
+        if (op.list_index >= t.list_args.size()) break;
+        ListReadOutcome oc = ClassifyListRead(lists.FindOrInsert(op.key),
+                                              t.list_args[op.list_index]);
+        if (oc.kind == ListReadOutcome::Kind::kIntMismatch) {
+          Emit(ListViolation(ViolationType::kInt, t.tid, op.key,
+                             oc.expected_len, oc.got_len, oc.divergence),
+               sink, counted);
+        } else if (oc.kind == ListReadOutcome::Kind::kResolvedBase &&
+                   snapshot) {
+          // The resolved base must be the key's committed sequence.
+          const std::vector<Value>& snap = snapshot->lists[op.key];
+          const int64_t div = FirstListDivergence(snap, oc.resolved);
+          if (div >= 0) {
+            Emit(ListViolation(ViolationType::kExt, t.tid, op.key,
+                               static_cast<int64_t>(snap.size()),
+                               static_cast<int64_t>(oc.resolved.size()), div),
+                 sink, counted);
+          }
+        }
+        break;
       }
     }
   }
@@ -118,7 +187,9 @@ CheckStats Chronos::Check(ReplaySource* source) {
   std::unordered_map<SessionId, SessionState> sessions;
   WellFormednessPrePass pre(sink_, &counted, &sessions,
                             [&](const Transaction& t) {
-                              CheckIntOnly(t, sink_, &counted);
+                              TxnState scratch;
+                              ReplayOps(t, nullptr, &scratch, sink_,
+                                        &counted);
                             });
   if (!source->PrePass(&pre, &stats)) {
     stats.violations = counted.total();
@@ -128,10 +199,13 @@ CheckStats Chronos::Check(ReplaySource* source) {
   sw.Reset();
 
   // ---- Checking stage: simulate in timestamp order. ----
-  std::unordered_map<Key, Value> frontier;
+  // Appends join `ongoing` like writes: NOCONFLICT is per key, whatever
+  // the data type.
+  Frontier frontier;
   std::unordered_map<Key, std::vector<TxnId>> ongoing;
   std::unordered_map<TxnId, TxnState> live;
   live.reserve(1024);
+  auto report = [&](const Violation& v) { Emit(v, sink_, &counted); };
 
   uint64_t commits_since_gc = 0;
   double gc_seconds = 0;
@@ -146,43 +220,23 @@ CheckStats Chronos::Check(ReplaySource* source) {
       AdvanceOverSkipped(&ss);
       if (static_cast<int64_t>(t.sno) != ss.last_sno + 1 ||
           t.start_ts < ss.last_cts) {
-        sink_->Report({ViolationType::kSession, t.tid, kTxnNone, 0,
-                       static_cast<Value>(ss.last_sno + 1),
-                       static_cast<Value>(t.sno)});
-        counted.Report({ViolationType::kSession, t.tid});
+        report({ViolationType::kSession, t.tid, kTxnNone, 0,
+                static_cast<Value>(ss.last_sno + 1),
+                static_cast<Value>(t.sno)});
       }
       ss.last_sno = static_cast<int64_t>(t.sno);
       ss.last_cts = t.commit_ts;
 
       // INT and EXT per operation (lines 11-22).
       TxnState& st = live[t.tid];
-      for (const Op& op : t.ops) {
-        if (op.type == OpType::kRead) {
-          if (Value* iv = st.int_val.Find(op.key)) {
-            if (*iv != op.value) {
-              sink_->Report({ViolationType::kInt, t.tid, kTxnNone, op.key,
-                             *iv, op.value});
-              counted.Report({ViolationType::kInt, t.tid});
-            }
-            st.int_val.Put(op.key, op.value);
-          } else {
-            auto fit = frontier.find(op.key);
-            Value expect = fit == frontier.end() ? kValueInit : fit->second;
-            if (op.value != expect) {
-              sink_->Report({ViolationType::kExt, t.tid, kTxnNone, op.key,
-                             expect, op.value});
-              counted.Report({ViolationType::kExt, t.tid});
-            }
-            st.int_val.Put(op.key, op.value);
-          }
-        } else if (op.type == OpType::kWrite) {
-          if (!st.ext_val.Find(op.key)) st.wkey.push_back(op.key);
-          st.ext_val.Put(op.key, op.value);
-          st.int_val.Put(op.key, op.value);
-          auto& og = ongoing[op.key];
-          if (std::find(og.begin(), og.end(), t.tid) == og.end()) {
-            og.push_back(t.tid);
-          }
+      ReplayOps(t, &frontier, &st, sink_, &counted);
+      // The lists it read, most of a list history's bytes, are not read
+      // again: the commit event needs only the tid.
+      next->list_args.clear();
+      for (Key k : st.wkey) {
+        auto& og = ongoing[k];
+        if (std::find(og.begin(), og.end(), t.tid) == og.end()) {
+          og.push_back(t.tid);
         }
       }
     } else {
@@ -194,12 +248,15 @@ CheckStats Chronos::Check(ReplaySource* source) {
         auto& og = ongoing[k];
         og.erase(std::remove(og.begin(), og.end(), t.tid), og.end());
         for (TxnId other : og) {
-          sink_->Report({ViolationType::kNoConflict, t.tid, other, k});
-          counted.Report({ViolationType::kNoConflict, t.tid});
+          report({ViolationType::kNoConflict, t.tid, other, k});
         }
-        frontier[k] = *st.ext_val.Find(k);
+        if (const Value* v = st.ext_val.Find(k)) frontier.regs[k] = *v;
+        if (const std::vector<Value>* a = st.appends.Find(k)) {
+          std::vector<Value>& f = frontier.lists[k];
+          f.insert(f.end(), a->begin(), a->end());
+        }
       }
-      live.erase(lit);                    // prompt GC of int_val/ext_val
+      live.erase(lit);  // prompt GC of the transaction's replay state
 
       if (options_.gc_every_n_txns > 0 &&
           ++commits_since_gc >= options_.gc_every_n_txns) {

@@ -4,6 +4,17 @@
 // execution in timestamp order while checking SESSION, INT, EXT and
 // NOCONFLICT on the fly.
 //
+// One replay checks register and list histories alike (Sec. III-B1:
+// "easily adaptable to support other data types such as lists", Fig.
+// 5b). R/W ops compare against the key's last committed value. A/L ops
+// go through core/list_replay.h, the helper AION's ingress uses too: a
+// list read that contradicts the transaction's own list ops is INT, and
+// the external base it resolves must equal the key's committed
+// cumulative append sequence at the snapshot, or it is EXT (reported
+// with list lengths and Violation::divergence). Appends and writes share
+// the NOCONFLICT bookkeeping; a register-only transaction builds no list
+// state.
+//
 // The replay reads its input from a ReplaySource: the well-formedness
 // pre-pass over every transaction, then the start/commit events in
 // timestamp order. Check(History&&) adapts an in-memory history (one
@@ -60,7 +71,8 @@ class ReplaySource {
   virtual void ReleaseCommitted() {}
 };
 
-/// Offline SI checker. Not thread-safe; use one instance per check.
+/// Offline SI checker for register and list histories. Not thread-safe;
+/// use one instance per check.
 class Chronos {
  public:
   Chronos(const ChronosOptions& options, ViolationSink* sink);
@@ -72,7 +84,8 @@ class Chronos {
 
   /// Checks what `source` yields against SI (Algorithm 2's replay loop;
   /// Check(History&&) runs it over an in-memory source). Stops early when
-  /// the source does: the caller reads the source's own status.
+  /// the source does: the caller reads the source's own status. Clears a
+  /// transaction's list_args once its start event has replayed.
   CheckStats Check(ReplaySource* source);
 
   /// Convenience: checks a copy of `history` with default options.

@@ -551,7 +551,7 @@ void KeyEngine::FinalizeTxn(TxnId tid) {
     flip_stats_->RecordPairDone(lr.flips);
     if (!lr.satisfied) {
       // Lengths + first divergent element index identify the mismatch;
-      // full contents are unbounded (same convention as ChronosList).
+      // full contents are unbounded (same convention as Chronos).
       ListEval ev = EvaluateListRead(lr.key, rec.view_ts, lr.observed);
       report_(rec.commit_ts,
               {ViolationType::kExt, tid, ev.frontier_tid, lr.key,

@@ -1,6 +1,6 @@
 // Shared per-transaction replay of list operations (paper Sec. III-B1:
 // CHRONOS/AION "easily adaptable to support other data types such as
-// lists"). Both the offline ChronosList and the online ingress
+// lists"). Both the offline Chronos replay and the online ingress
 // (TxnIngress::ClassifyOps) classify a transaction's list reads with
 // this helper, so their INT/EXT taxonomy agrees by construction:
 //

@@ -3,8 +3,8 @@
 // number and commit timestamp per session, the set of sequence numbers
 // excluded from replay (Eq. (1) violations) that the contiguity check
 // steps over instead of false-firing, and the Eq. (1) /
-// duplicate-timestamp pre-pass itself. One definition serves Chronos,
-// ChronosList, and the online ingress so the skip and replay policies
+// duplicate-timestamp pre-pass itself. One definition serves Chronos
+// and the online ingress so the skip and replay policies
 // cannot desynchronize between checkers the differ compares.
 #ifndef CHRONOS_CORE_SESSION_ORDER_H_
 #define CHRONOS_CORE_SESSION_ORDER_H_
@@ -40,8 +40,8 @@ inline void AdvanceOverSkipped(SessionState* ss) {
   }
 }
 
-/// The offline well-formedness pre-pass shared by Chronos and
-/// ChronosList, one transaction at a time in file order, over a history
+/// Chronos's offline well-formedness pre-pass (register and list
+/// histories), one transaction at a time in file order, over a history
 /// in memory or streamed from a file (hist::EventStream). Eq. (1)
 /// violations are reported, excluded from replay via skipped_snos and
 /// handed to the checker's INT-only check (INT never depends on

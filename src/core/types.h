@@ -114,6 +114,14 @@ struct History {
 /// single-level paths unchanged).
 bool HistoryHasLevelTags(const History& h);
 
+/// True when any transaction has a list op (kAppend or kReadList).
+bool HistoryHasListOps(const History& h);
+
+/// The offline checkers' dispatch rule: a history with iso= tags and no
+/// list ops is checked per transaction level (ChronosMixed); every other
+/// history is checked at one level, lists always at SI (Chronos).
+bool NeedsMixedLevelCheck(const History& h);
+
 /// Returns a short human-readable description of an operation.
 std::string ToString(const Op& op);
 

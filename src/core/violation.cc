@@ -43,6 +43,21 @@ bool HistoryHasLevelTags(const History& h) {
   return false;
 }
 
+bool HistoryHasListOps(const History& h) {
+  for (const Transaction& t : h.txns) {
+    for (const Op& op : t.ops) {
+      if (op.type == OpType::kAppend || op.type == OpType::kReadList) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool NeedsMixedLevelCheck(const History& h) {
+  return HistoryHasLevelTags(h) && !HistoryHasListOps(h);
+}
+
 const char* ViolationTypeName(ViolationType t) {
   switch (t) {
     case ViolationType::kSession: return "SESSION";

@@ -13,7 +13,6 @@
 #include "baselines/polysi.h"
 #include "core/aion.h"
 #include "core/chronos.h"
-#include "core/chronos_list.h"
 #include "hist/collector.h"
 #include "online/sharded_aion.h"
 
@@ -30,17 +29,6 @@ constexpr ViolationType kAllTypes[] = {
     ViolationType::kExt,        ViolationType::kNoConflict,
     ViolationType::kTsOrder,    ViolationType::kTsDuplicate,
 };
-
-bool HasListOps(const History& h) {
-  for (const Transaction& t : h.txns) {
-    for (const Op& op : t.ops) {
-      if (op.type == OpType::kAppend || op.type == OpType::kReadList) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
 
 // Arrival schedule for the online checkers: either the collector's
 // commit-order schedule (optionally delayed) or a session-preserving
@@ -244,11 +232,11 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   DiffReport report;
   report.expectation = expect;
 
-  // List histories are SI-only throughout the tree (ChronosList has no
-  // SER mode and the scenario generator never pairs them); forcing SI
-  // here keeps a stray `--ser` replay of a list repro from comparing an
-  // SI offline reference against SER-mode online checkers.
-  const bool list = sc.wl.list_mode || HasListOps(h);
+  // List histories are SI-only throughout the tree (Chronos checks lists
+  // at SI only and the scenario generator never pairs them with SER);
+  // forcing SI here keeps a stray `--ser` replay of a list repro from
+  // comparing an SI offline reference against SER-mode online checkers.
+  const bool list = sc.wl.list_mode || HistoryHasListOps(h);
   const bool ser =
       !list && sc.db.isolation == db::DbConfig::Isolation::kSer;
   // Mixed-level histories (entry D8): per-transaction iso tags route the
@@ -256,7 +244,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   // (Chronos/ChronosSer, Emme, ElleKV, PolySI have no notion of
   // per-transaction levels). The online matrix below is level-aware
   // end-to-end and runs unchanged.
-  const bool mixed = !list && HistoryHasLevelTags(h);
+  const bool mixed = NeedsMixedLevelCheck(h);
 
   // Polled between checkers: once the caller's budget is spent, the
   // remaining (more expensive) checkers are skipped and the report is
@@ -269,20 +257,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   };
 
   // ---------------------------------------------------- offline checkers
-  if (list) {
-    CountingSink cl;
-    ChronosList::CheckHistory(h, &cl);
-    report.checkers.push_back(FromCountingSink("chronos-list", cl));
-
-    if (!budget_spent()) {
-      CountingSink el;
-      baselines::BaselineResult elle =
-          baselines::CheckElleList(h, baselines::CheckLevel::kSi, &el);
-      CheckerReport er = FromCountingSink("elle-list", el);
-      er.detected = !elle.Accepted() || er.total > 0;
-      report.checkers.push_back(std::move(er));
-    }
-  } else if (mixed) {
+  if (mixed) {
     CountingSink cs;
     ChronosMixed::CheckHistory(h, ser ? CheckMode::kSer : CheckMode::kSi,
                                &cs);
@@ -323,24 +298,33 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
       report.checkers.push_back(FromCountingSink("chronos-gc", gs));
     }
 
-    if (!budget_spent()) {
-      CountingSink es;
-      baselines::BaselineResult emme = baselines::CheckEmmeSi(h, &es);
-      CheckerReport er = FromCountingSink("emme", es);
-      er.detected = !emme.Accepted() || er.total > 0;
-      report.checkers.push_back(std::move(er));
-    }
+    if (list) {
+      if (!budget_spent()) {
+        CountingSink el;
+        baselines::BaselineResult elle =
+            baselines::CheckElleList(h, baselines::CheckLevel::kSi, &el);
+        CheckerReport er = FromCountingSink("elle-list", el);
+        er.detected = !elle.Accepted() || er.total > 0;
+        report.checkers.push_back(std::move(er));
+      }
+    } else {
+      if (!budget_spent()) {
+        CountingSink es;
+        baselines::BaselineResult emme = baselines::CheckEmmeSi(h, &es);
+        CheckerReport er = FromCountingSink("emme", es);
+        er.detected = !emme.Accepted() || er.total > 0;
+        report.checkers.push_back(std::move(er));
+      }
 
-    if (!budget_spent()) {
-      CountingSink ks;
-      baselines::BaselineResult elle =
-          baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &ks);
-      CheckerReport kr = FromCountingSink("ellekv", ks);
-      kr.detected = !elle.Accepted() || kr.total > 0;
-      report.checkers.push_back(std::move(kr));
-    }
+      if (!budget_spent()) {
+        CountingSink ks;
+        baselines::BaselineResult elle =
+            baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &ks);
+        CheckerReport kr = FromCountingSink("ellekv", ks);
+        kr.detected = !elle.Accepted() || kr.total > 0;
+        report.checkers.push_back(std::move(kr));
+      }
 
-    {
       CheckerReport pr;
       pr.name = "polysi";
       if (h.txns.size() <= kPolysiMaxTxns && !budget_spent()) {
@@ -458,8 +442,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     report.disagreements.push_back(
         {rule, std::move(detail), std::move(checker)});
   };
-  const CheckerReport* ref = report.Find(
-      list ? "chronos-list" : mixed ? "chronos-mixed" : "chronos");
+  const CheckerReport* ref = report.Find(mixed ? "chronos-mixed" : "chronos");
 
   // Rule: clean histories are accepted by everything. Online checkers
   // are exempt in weak scenarios (entries D5/D7); HLC-skew runs never
@@ -480,7 +463,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     const CheckerReport* aion = report.Find("aion");
 
     // Rule: AION's final counts equal the white-box offline reference's
-    // (Chronos for registers, ChronosList for lists), class by class, in
+    // (Chronos, ChronosSer or ChronosMixed), class by class, in
     // strict scenarios. SESSION is boolean (entry D4); duplicate
     // timestamps suspend the class comparison (entry D6).
     if (sc.strict && ref && aion) {

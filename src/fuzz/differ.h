@@ -3,9 +3,10 @@
 // (with and without periodic GC), Emme-SI/SER, ElleKV/ElleList, PolySI —
 // and cross-checks the verdicts against the fault-injection ground truth
 // and against each other. List histories run the full online matrix too
-// (Aion and ShardedAion understand kAppend/kReadList) with ChronosList
-// as the white-box reference and ElleList as the black-box one; the
-// register-only baselines (Emme, PolySI, Chronos) are gated out.
+// (Aion and ShardedAion understand kAppend/kReadList) with Chronos (and
+// Chronos with GC) as the white-box reference and ElleList as the
+// black-box one; the register-only baselines (Emme, ElleKV, PolySI) are
+// gated out.
 //
 // Expected-divergence table. A disagreement is only reported when it is
 // NOT explained by one of these entries; each entry is exercised by at

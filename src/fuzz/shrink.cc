@@ -35,7 +35,7 @@ Transaction WithoutOps(const Transaction& t, size_t begin, size_t end) {
 // Op::list_index to match. Applied to every candidate before the
 // predicate runs, so no reduction path — present or future — can leave
 // an index dangling into list_args or an orphaned payload behind:
-// downstream checkers (ChronosList, ElleList, the ingress) index
+// downstream checkers (Chronos, ElleList, the ingress) index
 // list_args unchecked, and orphaned payloads bloat the emitted .repro.
 // Ops whose index is already out of range are dropped outright (a
 // malformed read cannot be part of a faithful reduction).

@@ -56,82 +56,6 @@ const char* Find(const char* s, const char* e, char c) {
       std::memchr(s, c, static_cast<size_t>(e - s)));
 }
 
-// Reads '\n'-terminated lines through one reused buffer, so a load holds
-// one block of the file (or one longer line), never the whole file.
-struct LineReader {
-  explicit LineReader(FILE* file) : f(file) {}
-
-  // The next line without its '\n', valid until the next call. False at
-  // the end of the input, also after a last line with no '\n' (a torn
-  // file).
-  bool Next(std::string_view* line) {
-    size_t nl;
-    while ((nl = buf.find('\n', pos)) == std::string::npos) {
-      if (!Fill()) return false;
-    }
-    *line = std::string_view(buf).substr(pos, nl - pos);
-    consumed += nl + 1 - pos;
-    pos = nl + 1;
-    ++lines;
-    return true;
-  }
-
-  // The next line that starts with 'T' or '#'; call it at the start of a
-  // line. In a well-formed file those bytes open only the T lines and the
-  // footer, so it searches for them rather than for each line's end
-  // (most lines are short op lines). `lines` does not count what it
-  // skips.
-  bool NextMarked(std::string_view* line) {
-    size_t from = pos;  // the bytes before `from` hold no marked line
-    for (;;) {
-      if (pos < buf.size() && (buf[pos] == 'T' || buf[pos] == '#')) {
-        return Next(line);
-      }
-      const char* b = buf.data();
-      const char* e = b + buf.size();
-      const char* s = b + std::min(std::max(from, pos + 1), buf.size());
-      while (s < e) {
-        const char* t = Find(s, e, 'T');
-        const char* c = Find(s, t ? t : e, '#');
-        if (c == nullptr) c = t;
-        if (c == nullptr) break;
-        if (c[-1] == '\n') {
-          const size_t at = static_cast<size_t>(c - b);
-          consumed += at - pos;
-          pos = at;
-          return Next(line);
-        }
-        s = c + 1;
-      }
-      // None in the buffer: drop its whole lines and read on.
-      const size_t last = buf.rfind('\n');
-      if (last != std::string::npos && last >= pos) {
-        consumed += last + 1 - pos;
-        pos = last + 1;
-      }
-      from = buf.size() - pos;
-      if (!Fill()) return false;
-    }
-  }
-
-  // Drops the bytes returned so far and reads more after the rest. False
-  // at the end of the input.
-  bool Fill() {
-    buf.erase(0, pos);
-    pos = 0;
-    const size_t have = buf.size();
-    buf.resize(have + (1 << 16));
-    buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
-    return buf.size() != have;
-  }
-
-  FILE* f;
-  std::string buf;
-  size_t pos = 0;         // start of the next line in buf
-  uint64_t consumed = 0;  // file bytes returned as lines
-  uint64_t lines = 0;
-};
-
 // Empties a reused transaction for the next parse: ParseTxnLine sets
 // every header field but the optional iso tag. The op vector keeps its
 // capacity, so a recycled transaction parses without a malloc.
@@ -142,6 +66,48 @@ void ResetTxn(Transaction* t) {
 }
 
 }  // namespace
+
+bool LineReader::NextMarked(std::string_view* line) {
+  size_t from = pos;  // the bytes before `from` hold no marked line
+  for (;;) {
+    if (pos < buf.size() && (buf[pos] == 'T' || buf[pos] == '#')) {
+      return Next(line);
+    }
+    const char* b = buf.data();
+    const char* e = b + buf.size();
+    const char* s = b + std::min(std::max(from, pos + 1), buf.size());
+    while (s < e) {
+      const char* t = Find(s, e, 'T');
+      const char* c = Find(s, t ? t : e, '#');
+      if (c == nullptr) c = t;
+      if (c == nullptr) break;
+      if (c[-1] == '\n') {
+        const size_t at = static_cast<size_t>(c - b);
+        consumed += at - pos;
+        pos = at;
+        return Next(line);
+      }
+      s = c + 1;
+    }
+    // None in the buffer: drop its whole lines and read on.
+    const size_t last = buf.rfind('\n');
+    if (last != std::string::npos && last >= pos) {
+      consumed += last + 1 - pos;
+      pos = last + 1;
+    }
+    from = buf.size() - pos;
+    if (!Fill()) return false;
+  }
+}
+
+bool LineReader::Fill() {
+  buf.erase(0, pos);
+  pos = 0;
+  const size_t have = buf.size();
+  buf.resize(have + (1 << 16));
+  buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
+  return buf.size() != have;
+}
 
 size_t TxnBlockBound(const Transaction& t) {
   // The T line: its tag, six fields, the iso tag and the newline; each

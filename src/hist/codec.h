@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -71,6 +72,46 @@ CodecStatus ParseTxnLine(std::string_view line, uint64_t bytes_left,
 
 /// Parses one R/W/A/L line, without its '\n', and appends the op to `t`.
 CodecStatus ParseOpLine(std::string_view line, Transaction* t);
+
+/// Reads '\n'-terminated lines of an open file through one reused buffer,
+/// so a reader holds one line of the file (or one 64 KiB read), never the
+/// whole file. HistoryReader reads history files through it and
+/// online::ReadWal the WAL.
+struct LineReader {
+  explicit LineReader(FILE* file) : f(file) {}
+
+  /// The next line without its '\n', valid until the next call. False at
+  /// the end of the input, also after a last line with no '\n' (a torn
+  /// file). Defined here, so the per-line call inlines into both readers.
+  bool Next(std::string_view* line) {
+    size_t nl;
+    while ((nl = buf.find('\n', pos)) == std::string::npos) {
+      if (!Fill()) return false;
+    }
+    *line = std::string_view(buf).substr(pos, nl - pos);
+    consumed += nl + 1 - pos;
+    pos = nl + 1;
+    ++lines;
+    return true;
+  }
+
+  /// The next line that starts with 'T' or '#'; call it at the start of a
+  /// line. In a well-formed history those bytes open only the T lines and
+  /// the footer, so it searches for them rather than for each line's end
+  /// (most lines are short op lines). `lines` does not count what it
+  /// skips.
+  bool NextMarked(std::string_view* line);
+
+  /// Drops the bytes returned so far and reads more after the rest. False
+  /// at the end of the input.
+  bool Fill();
+
+  FILE* f;
+  std::string buf;
+  size_t pos = 0;         ///< start of the next line in buf
+  uint64_t consumed = 0;  ///< file bytes returned as lines
+  uint64_t lines = 0;
+};
 
 /// Writes `history` to `path`, overwriting.
 CodecStatus SaveHistory(const History& history, const std::string& path);

@@ -19,9 +19,10 @@
 // A transaction stays in one slot from its read to its commit event, and
 // the slot, with its op vector's capacity, then takes the next block.
 // An input that cannot seek (a pipe) cannot be pre-scanned: Load reads
-// it whole for an in-memory check. A history with iso= tags is for
-// ChronosMixed: pass 1 stops reporting at the first tag and the check
-// stops (tagged()); Load then reads the history from its first block.
+// it whole for an in-memory check. A history with iso= tags is checked
+// in memory too (NeedsMixedLevelCheck picks the checker): pass 1 stops
+// reporting at the first tag and the check stops (tagged()); Load then
+// reads the history from its first block.
 #ifndef CHRONOS_HIST_EVENT_STREAM_H_
 #define CHRONOS_HIST_EVENT_STREAM_H_
 

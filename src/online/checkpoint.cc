@@ -6,6 +6,8 @@
 #include <exception>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <string_view>
 
 #include "core/state_io.h"
 #include "hist/codec.h"
@@ -27,17 +29,6 @@ namespace {
 constexpr char kWalHeader[] = "chronos-wal v1\n";
 constexpr uint64_t kCkptMagic = 0x43484B5054763201ULL;   // "CHKPTv2" + 1
 constexpr uint64_t kCkptFooter = 0x454E44434B505401ULL;  // "ENDCKPT" + 1
-
-// Pulls the next newline-terminated line out of `s` starting at *pos.
-// Returns false (leaving *pos alone) when no complete line remains —
-// a torn tail.
-bool NextLine(const std::string& s, size_t* pos, std::string* line) {
-  size_t nl = s.find('\n', *pos);
-  if (nl == std::string::npos) return false;
-  line->assign(s, *pos, nl - *pos);
-  *pos = nl + 1;
-  return true;
-}
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
   FILE* f = fopen(path.c_str(), "rb");
@@ -166,53 +157,63 @@ bool WalWriter::Sync() {
 // ---------------------------------------------------------------------------
 // ReadWal
 
-bool ReadWal(const std::string& path, std::vector<WalRecord>* records,
+bool ReadWal(const std::string& path,
+             const std::function<void(const WalRecord&)>& on_record,
              uint64_t* valid_bytes) {
-  records->clear();
   *valid_bytes = 0;
-  std::string data;
-  if (!ReadWholeFile(path, &data)) return false;
-  const size_t header_len = sizeof(kWalHeader) - 1;
-  if (data.size() < header_len ||
-      data.compare(0, header_len, kWalHeader) != 0) {
+  std::unique_ptr<FILE, int (*)(FILE*)> f(fopen(path.c_str(), "rb"),
+                                          fclose);
+  if (!f || fseek(f.get(), 0, SEEK_END) != 0) return false;
+  // Bounds every reserve taken from a count in the file.
+  const uint64_t size = static_cast<uint64_t>(std::max(ftell(f.get()), 0L));
+  rewind(f.get());
+  hist::LineReader in(f.get());
+  std::string_view view;  // the header line lacks kWalHeader's '\n'
+  if (!in.Next(&view) ||
+      view != std::string_view(kWalHeader, sizeof(kWalHeader) - 2)) {
     return false;
   }
-  size_t pos = header_len;
-  *valid_bytes = pos;
+  *valid_bytes = in.consumed;
+  // The current record's bytes from its 'B' line through its last body
+  // line, newline included: what its E line's checksum covers.
+  std::string record;
   std::string line;
+  auto next = [&](bool summed) {
+    if (!in.Next(&view)) return false;  // torn or end of file
+    line.assign(view);
+    if (summed) record.append(line).push_back('\n');
+    return true;
+  };
   for (;;) {
-    size_t rec_start = pos;
-    if (!NextLine(data, &pos, &line)) break;  // torn or end of file
+    record.clear();
     WalRecord rec;
     int gc = 0, shed = 0;
     size_t nops = 0;
-    if (sscanf(line.c_str(), "B %" SCNu64 " T %" SCNu64 " %d %" SCNu64 " %d",
+    if (!next(true) ||
+        sscanf(line.c_str(), "B %" SCNu64 " T %" SCNu64 " %d %" SCNu64 " %d",
                &rec.seq, &rec.now_ms, &gc, &rec.gc_target, &shed) != 5 ||
-        !NextLine(data, &pos, &line) ||
-        !hist::ParseTxnLine(line, data.size() - pos, &rec.txn, &nops).ok) {
+        !next(true) ||
+        !hist::ParseTxnLine(line, size - std::min(size, in.consumed),
+                            &rec.txn, &nops)
+             .ok) {
       break;
     }
     rec.gc = gc != 0;
     rec.shed = shed != 0;
     bool body_ok = true;
     for (size_t i = 0; i < nops && body_ok; ++i) {
-      body_ok = NextLine(data, &pos, &line) &&
-                hist::ParseOpLine(line, &rec.txn).ok;
+      body_ok = next(true) && hist::ParseOpLine(line, &rec.txn).ok;
     }
-    if (!body_ok) break;
-    // Checksum line covers everything from the 'B' line through the last
-    // body line, newline included.
-    size_t body_end = pos;
     uint64_t want = 0;
-    if (!NextLine(data, &pos, &line) ||
+    if (!body_ok || !next(false) ||
         sscanf(line.c_str(), "E %" SCNx64, &want) != 1 ||
-        Fnv1a(data.data() + rec_start, body_end - rec_start) != want) {
+        Fnv1a(record.data(), record.size()) != want) {
       break;
     }
-    records->push_back(std::move(rec));
-    *valid_bytes = pos;
+    on_record(rec);
+    *valid_bytes = in.consumed;
   }
-  return true;
+  return !ferror(f.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ std::vector<std::pair<uint64_t, std::string>> CheckpointManager::List(
 }
 
 bool CheckpointManager::Write(const ShardedAion::StateImage& img,
-                              uint64_t wal_seq, uint64_t events, size_t keep) {
+                              uint64_t wal_seq, uint64_t events) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   char name[64];
@@ -281,7 +282,7 @@ bool CheckpointManager::Write(const ShardedAion::StateImage& img,
   ++next_seq_;
 
   auto all = List(dir_);
-  while (all.size() > keep) {
+  while (all.size() > kKeep) {
     remove(all.front().second.c_str());
     all.erase(all.begin());
   }
@@ -382,7 +383,7 @@ bool DurableRunner::Checkpoint() {
        events = events_]() mutable {
         const ShardedAion::StateImage img =
             checker_->CompleteExport(std::move(pending));
-        return ckpts_.Write(img, wal_seq, events, opts_.keep_checkpoints);
+        return ckpts_.Write(img, wal_seq, events);
       });
   return true;
 }
@@ -406,8 +407,7 @@ bool DurableRunner::Feed(const Transaction& t, uint64_t now_ms) {
   // prefix: GC as far as the safe watermark allows, then trim list
   // buffers below it.
   bool shed = false;
-  if (opts_.memory_ceiling_bytes > 0 && opts_.ceiling_check_every > 0 &&
-      events_ % opts_.ceiling_check_every == 0 &&
+  if (opts_.memory_ceiling_bytes > 0 && events_ % kCeilingCheckEvery == 0 &&
       checker_->FootprintExact().approx_bytes > opts_.memory_ceiling_bytes) {
     shed = true;
     checker_->Gc(std::numeric_limits<Timestamp>::max());

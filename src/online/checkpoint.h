@@ -60,6 +60,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <string>
 #include <utility>
@@ -118,12 +119,15 @@ class WalWriter {
   std::string pending_;  ///< whole records not yet written
 };
 
-/// Parses a WAL file. `records` receives every valid record in order;
-/// `valid_bytes` the file offset just past the last valid record (the
-/// truncation point for resuming). Returns false only when the file
-/// cannot be read at all or its header is wrong — a torn tail is a
-/// normal, expected outcome, not an error.
-bool ReadWal(const std::string& path, std::vector<WalRecord>* records,
+/// Parses a WAL file record by record, holding only the current record,
+/// and hands each valid record to `on_record` in order. `valid_bytes`
+/// receives the file offset just past the last valid record (the
+/// truncation point for resuming). Returns false when the file cannot be
+/// opened, its header is wrong or a read fails (records before a failed
+/// read have been handed over) — a torn tail is a normal, expected
+/// outcome, not an error.
+bool ReadWal(const std::string& path,
+             const std::function<void(const WalRecord&)>& on_record,
              uint64_t* valid_bytes);
 
 /// Checkpoint writer/loader for one durability directory.
@@ -131,11 +135,15 @@ class CheckpointManager {
  public:
   explicit CheckpointManager(std::string dir);
 
+  /// Checkpoints kept: a torn or corrupt newest one falls back to its
+  /// predecessor.
+  static constexpr size_t kKeep = 2;
+
   /// Writes `img` as the next checkpoint (tmp + fsync + rename), then
-  /// prunes to the `keep` newest. `wal_seq` is the last WAL record the
+  /// prunes to the kKeep newest. `wal_seq` is the last WAL record the
   /// image covers and `events` the arrival count it covers.
   bool Write(const ShardedAion::StateImage& img, uint64_t wal_seq,
-             uint64_t events, size_t keep = 2);
+             uint64_t events);
 
   uint64_t next_seq() const { return next_seq_; }
   const std::string& dir() const { return dir_; }
@@ -181,6 +189,13 @@ class CheckpointManager {
 /// checkpoint, or Finish, reports it.
 class DurableRunner {
  public:
+  /// Ceiling checks run every this-many events with the barrier-exact
+  /// footprint: the check is deterministic (so replay and refeed make
+  /// the same shed decisions) at the cost of one pipeline drain per
+  /// check; the footprint can overshoot the ceiling by at most the
+  /// growth of one check interval.
+  static constexpr size_t kCeilingCheckEvery = 16;
+
   struct Options {
     std::string dir;                     ///< checkpoints + wal.log
     uint64_t checkpoint_every_events = 0;  ///< 0: only ceiling checkpoints
@@ -191,13 +206,6 @@ class DurableRunner {
     /// refed.
     GcPolicy gc;
     size_t memory_ceiling_bytes = 0;     ///< 0: no ceiling
-    /// Ceiling checks run every this-many events with the barrier-exact
-    /// footprint: the check is deterministic (so replay and refeed make
-    /// the same shed decisions) at the cost of one pipeline drain per
-    /// check; the footprint can overshoot the ceiling by at most the
-    /// growth of one check interval.
-    size_t ceiling_check_every = 16;
-    size_t keep_checkpoints = 2;
   };
 
   /// `start_seq`/`start_events` resume the WAL numbering after recovery

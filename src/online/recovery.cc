@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <limits>
 #include <utility>
-#include <vector>
 
 #include "online/checkpoint.h"
 
@@ -16,8 +15,8 @@ RecoverResult Recover(const CheckerOptions& options, const std::string& dir,
 
   // Newest checkpoint first; a corrupt or torn file (or one whose state
   // fails to import) falls back to its predecessor. Keep-2 retention
-  // guarantees a predecessor exists unless the run never checkpointed
-  // twice — and WAL-only replay covers even that.
+  // (CheckpointManager::kKeep) guarantees a predecessor exists unless the
+  // run never checkpointed twice — and WAL-only replay covers even that.
   auto ckpts = CheckpointManager::List(dir);
   uint64_t replay_from_seq = 0;
   for (size_t i = ckpts.size(); i-- > 0;) {
@@ -45,24 +44,12 @@ RecoverResult Recover(const CheckerOptions& options, const std::string& dir,
                                                 cmd_batch, queue_capacity);
   }
 
-  std::string wal_path = dir + "/wal.log";
-  std::vector<WalRecord> records;
-  uint64_t valid_bytes = 0;
-  std::error_code ec;
-  if (std::filesystem::exists(wal_path, ec)) {
-    if (!ReadWal(wal_path, &records, &valid_bytes)) {
-      res.checker.reset();
-      res.error = "wal.log unreadable or header corrupt";
-      return res;
-    }
-  }
-  res.wal_truncate_to = valid_bytes;
-
-  // Replay everything past the checkpoint's cut, reproducing the crashed
-  // driver's exact step sequence (arrivals with their original clocks,
-  // GC decisions, shed decisions — all inside the same record).
-  for (const WalRecord& rec : records) {
-    if (rec.seq <= replay_from_seq) continue;
+  // Replay every record past the checkpoint's cut as it is read,
+  // reproducing the crashed driver's exact step sequence (arrivals with
+  // their original clocks, GC decisions, shed decisions — all inside the
+  // same record).
+  auto replay = [&](const WalRecord& rec) {
+    if (rec.seq <= replay_from_seq) return;
     res.checker->OnTransaction(rec.txn, rec.now_ms);
     ++res.events;
     if (rec.gc) res.checker->GcToLiveTarget(rec.gc_target);
@@ -71,6 +58,14 @@ RecoverResult Recover(const CheckerOptions& options, const std::string& dir,
       res.checker->ShedMemory();
     }
     res.next_seq = rec.seq + 1;
+  };
+  const std::string wal_path = dir + "/wal.log";
+  std::error_code ec;
+  if (std::filesystem::exists(wal_path, ec) &&
+      !ReadWal(wal_path, replay, &res.wal_truncate_to)) {
+    res.checker.reset();
+    res.error = "wal.log unreadable or header corrupt";
+    return res;
   }
   return res;
 }

@@ -1,6 +1,6 @@
 // CHRONOS on list histories: append/read-list semantics, INT/EXT
 // classification for lists, NOCONFLICT on concurrent appends.
-#include "core/chronos_list.h"
+#include "core/chronos.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ TEST(ChronosListTest, AcceptsSimpleAppendChain) {
                   .Txn(3, 2, 0, 5, 6).L(1, {100, 101})
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosList::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
 }
 
 TEST(ChronosListTest, EmptyListReadBeforeAnyAppend) {
@@ -27,7 +27,7 @@ TEST(ChronosListTest, EmptyListReadBeforeAnyAppend) {
                   .Txn(2, 1, 0, 2, 3).A(1, 100)
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosList::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
 }
 
 TEST(ChronosListTest, SnapshotExcludesConcurrentAppend) {
@@ -37,7 +37,7 @@ TEST(ChronosListTest, SnapshotExcludesConcurrentAppend) {
                   .Txn(3, 2, 0, 4, 5).L(1, {100})  // T2 not yet committed
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosList::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
 }
 
 TEST(ChronosListTest, ObservingUncommittedAppendIsExt) {
@@ -47,7 +47,7 @@ TEST(ChronosListTest, ObservingUncommittedAppendIsExt) {
                   .Txn(3, 2, 0, 4, 5).L(1, {100, 101})  // sees future append
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kExt), 1u);
 }
 
@@ -57,7 +57,7 @@ TEST(ChronosListTest, ReadsOwnAppendsAfterSnapshot) {
                   .Txn(2, 1, 0, 3, 4).A(1, 101).L(1, {100, 101})
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosList::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
 }
 
 TEST(ChronosListTest, MissingOwnAppendIsInt) {
@@ -65,7 +65,7 @@ TEST(ChronosListTest, MissingOwnAppendIsInt) {
                   .Txn(1, 0, 0, 1, 2).A(1, 100).L(1, {})  // lost own append
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kInt), 1u);
 }
 
@@ -75,7 +75,7 @@ TEST(ChronosListTest, ConcurrentAppendersConflict) {
                   .Txn(2, 1, 0, 2, 4).A(1, 101)
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kNoConflict), 1u);
 }
 
@@ -86,7 +86,7 @@ TEST(ChronosListTest, WrongPrefixOrderIsExt) {
                   .Txn(3, 2, 0, 5, 6).L(1, {101, 100})
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kExt), 1u);
 }
 
@@ -99,7 +99,7 @@ TEST(ChronosListTest, MismatchReportsFirstDivergentIndex) {
                   .Txn(3, 2, 0, 5, 6).L(1, {100, 999})
                   .Build();
   CountingSink sink(4);
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   ASSERT_EQ(sink.count(ViolationType::kExt), 1u);
   // By value: first() returns a copy, so a reference would dangle.
   const Violation v = sink.first()[0];
@@ -114,7 +114,7 @@ TEST(ChronosListTest, MismatchReportsFirstDivergentIndex) {
                    .Txn(3, 2, 0, 5, 6).L(1, {100})
                    .Build();
   CountingSink sink2(4);
-  ChronosList::CheckHistory(h2, &sink2);
+  Chronos::CheckHistory(h2, &sink2);
   ASSERT_EQ(sink2.count(ViolationType::kExt), 1u);
   EXPECT_EQ(sink2.first()[0].divergence, 1);
   EXPECT_EQ(sink2.first()[0].expected, 2);
@@ -133,7 +133,7 @@ TEST(ChronosListTest, BadBaseUnderOwnAppendsIsExt) {
                   .Txn(2, 1, 0, 3, 4).A(1, 101).L(1, {999, 101})
                   .Build();
   CountingSink sink(4);
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kInt), 0u);
   ASSERT_EQ(sink.count(ViolationType::kExt), 1u);
   EXPECT_EQ(sink.first()[0].divergence, 0);
@@ -149,7 +149,7 @@ TEST(ChronosListTest, DuplicateTimestampReported) {
                   .Txn(3, 2, 0, 4, 5).L(1, {100, 101})
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kTsDuplicate), 1u);
   EXPECT_EQ(sink.count(ViolationType::kExt), 0u);  // duplicate replayed
 }
@@ -161,7 +161,7 @@ TEST(ChronosListTest, TsOrderViolationStillChecksInt) {
                   .Txn(1, 0, 0, 5, 2).A(1, 100).L(1, {})  // start > commit
                   .Build();
   CountingSink sink;
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kTsOrder), 1u);
   EXPECT_EQ(sink.count(ViolationType::kInt), 1u);
 }
@@ -177,7 +177,7 @@ TEST(ChronosListTest, CumulativeFrontierKeepsBothConcurrentDeltas) {
                   .Txn(3, 2, 0, 5, 6).L(1, {101})  // dropped 100
                   .Build();
   CountingSink sink(4);
-  ChronosList::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink);
   EXPECT_EQ(sink.count(ViolationType::kNoConflict), 1u);
   ASSERT_EQ(sink.count(ViolationType::kExt), 1u);
   EXPECT_EQ(sink.first()[1].divergence, 0);  // [100,101] vs [101]
@@ -188,7 +188,7 @@ TEST(ChronosListTest, CumulativeFrontierKeepsBothConcurrentDeltas) {
                    .Txn(3, 2, 0, 5, 6).L(1, {100, 101})
                    .Build();
   CountingSink ok_sink;
-  ChronosList::CheckHistory(ok, &ok_sink);
+  Chronos::CheckHistory(ok, &ok_sink);
   EXPECT_EQ(ok_sink.count(ViolationType::kExt), 0u);
 }
 

@@ -15,7 +15,6 @@
 #include "../testutil.h"
 #include "core/aion.h"
 #include "core/chronos.h"
-#include "core/chronos_list.h"
 #include "fuzz/corpus.h"
 #include "fuzz/differ.h"
 #include "fuzz/scenario.h"
@@ -70,7 +69,6 @@ TEST(CorpusTest, DifferCleanAndChronosCountsPinned) {
     EXPECT_TRUE(report.Clean())
         << entry.file << ":\n" << report.Summary();
     const CheckerReport* ref = report.Find("chronos");
-    if (!ref) ref = report.Find("chronos-list");
     if (!ref) ref = report.Find("chronos-mixed");
     ASSERT_NE(ref, nullptr) << entry.file;
     EXPECT_EQ(ref->counts, entry.expected)
@@ -207,7 +205,7 @@ TEST(CorpusTest, ListGcStragglerEntryDemonstratesD7) {
   ASSERT_EQ(entry.history.txns.size(), 8u);
 
   CountingSink offline;
-  ChronosList::CheckHistory(entry.history, &offline);
+  Chronos::CheckHistory(entry.history, &offline);
   EXPECT_EQ(offline.total(), 0u);
 
   auto run = [&](const std::string& spill_dir) {

@@ -178,7 +178,8 @@ TEST(EventStreamTest, FuzzScenarioHistoriesStreamLikeTheyLoad) {
 }
 
 TEST(EventStreamTest, CorpusFilesStreamLikeTheyLoad) {
-  int streamed = 0, tagged = 0;
+  int streamed = 0, tagged = 0, lists = 0;
+  size_t list_reports = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            CHRONOS_TEST_SRCDIR "/tests/corpus")) {
     if (entry.path().extension() != ".repro") continue;
@@ -202,9 +203,17 @@ TEST(EventStreamTest, CorpusFilesStreamLikeTheyLoad) {
       ExpectStreamMatchesMemory(path, gc_every, path);
     }
     ++streamed;
+    if (HistoryHasListOps(h)) {
+      ++lists;
+      list_reports += InMemory(std::move(h), 0).reports.size();
+    }
   }
   EXPECT_GE(streamed, 14);
   EXPECT_GE(tagged, 3);
+  // The list files are checked, not skipped: list_stale_read's EXT and
+  // list_int_divergence's INT are their only reports.
+  EXPECT_GE(lists, 5);
+  EXPECT_EQ(list_reports, 2u);
 }
 
 // Once the third block is read, A's commit at ts 10 sits exactly at

@@ -974,6 +974,34 @@ TEST(CheckCliTest, OfflineStreamsFilesAndLoadsPipesAndTaggedHistories) {
       << mixed.output;
 }
 
+// List ops are checked at the default level too, and --level=list (a
+// spelling of si) streams rather than loads: both report what the list
+// corpus files pin.
+TEST(CheckCliTest, OfflineListHistoriesStreamAtEveryLevelSpelling) {
+  if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
+  const struct {
+    const char* file;
+    const char* verdict;
+  } cases[] = {
+      {"list_stale_read.repro",
+       "violations: total=1 SESSION=0 INT=0 EXT=1 NOCONFLICT=0"},
+      {"list_int_divergence.repro",
+       "violations: total=1 SESSION=0 INT=1 EXT=0 NOCONFLICT=0"},
+  };
+  for (const auto& c : cases) {
+    const std::string path =
+        std::string(CHRONOS_TEST_SRCDIR "/tests/corpus/") + c.file;
+    for (const char* level : {"", " --level=list"}) {
+      const CheckRun run = RunCheck("--in=" + path + level);
+      EXPECT_EQ(run.exit_code, 3) << c.file << level << "\n" << run.output;
+      EXPECT_EQ(run.output.rfind("streamed " + path + ": ", 0), 0u)
+          << c.file << level << "\n" << run.output;
+      EXPECT_EQ(Verdict(run.output).rfind(c.verdict, 0), 0u)
+          << c.file << level << "\n" << run.output;
+    }
+  }
+}
+
 TEST(CheckCliTest, ResumeWithAShorterInputFails) {
   if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
   const std::string dir = chronos::testing::UniqueTempDir("cli");

@@ -39,6 +39,14 @@ namespace fs = std::filesystem;
 
 using chronos::testing::SessionPreservingShuffle;
 
+// ReadWal, collecting the records it hands over.
+bool ReadWalRecords(const std::string& path, std::vector<WalRecord>* recs,
+                    uint64_t* valid) {
+  recs->clear();
+  return ReadWal(
+      path, [recs](const WalRecord& r) { recs->push_back(r); }, valid);
+}
+
 std::string FreshDir(const std::string& name) {
   return chronos::testing::UniqueTempDir(name);
 }
@@ -132,7 +140,7 @@ TEST(WalTest, RoundTripAllRecordShapes) {
   }
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
-  ASSERT_TRUE(ReadWal(path, &recs, &valid));
+  ASSERT_TRUE(ReadWalRecords(path, &recs, &valid));
   ASSERT_EQ(recs.size(), 2u + std::size(kLevels));
   EXPECT_EQ(valid, fs::file_size(path));
   EXPECT_EQ(recs[0].seq, 1u);
@@ -211,7 +219,7 @@ TEST(WalTest, TornTailStopsAtLastValidRecordAndResumes) {
     fs::resize_file(path, cut);
     std::vector<WalRecord> recs;
     uint64_t valid = 0;
-    ASSERT_TRUE(ReadWal(path, &recs, &valid)) << "cut=" << cut;
+    ASSERT_TRUE(ReadWalRecords(path, &recs, &valid)) << "cut=" << cut;
     ASSERT_EQ(recs.size(), 1u) << "cut=" << cut;
     EXPECT_EQ(recs[0].seq, 1u);
     EXPECT_EQ(valid, size_after_first) << "cut=" << cut;
@@ -229,7 +237,7 @@ TEST(WalTest, TornTailStopsAtLastValidRecordAndResumes) {
   }
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
-  ASSERT_TRUE(ReadWal(path, &recs, &valid));
+  ASSERT_TRUE(ReadWalRecords(path, &recs, &valid));
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[1].now_ms, 99u);
   EXPECT_EQ(valid, fs::file_size(path));
@@ -263,7 +271,7 @@ TEST(WalTest, CorruptChecksumEndsReplayBeforeTheRecord) {
   }
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
-  ASSERT_TRUE(ReadWal(path, &recs, &valid));
+  ASSERT_TRUE(ReadWalRecords(path, &recs, &valid));
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(valid, size_after_first);
 }
@@ -289,7 +297,7 @@ TEST(WalTest, HugeListCountInLastRecordEndsReplayBeforeIt) {
   WriteBytes(path, Slurp(path) + body + sum);
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
-  ASSERT_TRUE(ReadWal(path, &recs, &valid));
+  ASSERT_TRUE(ReadWalRecords(path, &recs, &valid));
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(valid, size_after_first);
 }
@@ -343,7 +351,7 @@ TEST(WalTest, CorruptionAtEveryByteIsSafe) {
       std::vector<WalRecord> recs;
       uint64_t valid = 0;
       const std::string what = "byte " + std::to_string(i);
-      if (!ReadWal(path, &recs, &valid)) {
+      if (!ReadWalRecords(path, &recs, &valid)) {
         EXPECT_LT(i, header) << what;
         continue;
       }
@@ -361,7 +369,7 @@ TEST(WalTest, CorruptionAtEveryByteIsSafe) {
     std::vector<WalRecord> recs;
     uint64_t valid = 0;
     const std::string what = "len " + std::to_string(len);
-    ASSERT_TRUE(ReadWal(path, &recs, &valid)) << what;
+    ASSERT_TRUE(ReadWalRecords(path, &recs, &valid)) << what;
     const size_t kept = static_cast<size_t>(
         std::upper_bound(ends.begin(), ends.end(), len) - ends.begin());
     EXPECT_EQ(recs.size(), kept) << what;
@@ -383,12 +391,12 @@ TEST(CheckpointManagerTest, WriteLoadRoundTripAndRetention) {
   img.coordinator = coord.data();
   img.shards = {"shard-zero", "shard-one"};
 
-  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/10, /*events=*/10, /*keep=*/2));
-  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/20, /*events=*/20, /*keep=*/2));
-  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/30, /*events=*/30, /*keep=*/2));
+  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/10, /*events=*/10));
+  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/20, /*events=*/20));
+  ASSERT_TRUE(mgr.Write(img, /*wal_seq=*/30, /*events=*/30));
 
   auto all = CheckpointManager::List(dir);
-  ASSERT_EQ(all.size(), 2u);  // keep=2 pruned the first
+  ASSERT_EQ(all.size(), CheckpointManager::kKeep);  // pruned the first
   EXPECT_EQ(all[0].first, 2u);
   EXPECT_EQ(all[1].first, 3u);
 
@@ -416,7 +424,7 @@ TEST(CheckpointManagerTest, CorruptionAtEveryByteIsRejected) {
   coord.U64(1);
   img.coordinator = coord.data();
   img.shards = {"sss"};
-  ASSERT_TRUE(mgr.Write(img, 1, 1, 2));
+  ASSERT_TRUE(mgr.Write(img, 1, 1));
   auto all = CheckpointManager::List(dir);
   ASSERT_EQ(all.size(), 1u);
   const std::string path = all[0].second;
@@ -1320,7 +1328,7 @@ TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {
 
   std::vector<WalRecord> recs;
   uint64_t valid = 0;
-  ASSERT_TRUE(ReadWal(dopts.dir + "/wal.log", &recs, &valid));
+  ASSERT_TRUE(ReadWalRecords(dopts.dir + "/wal.log", &recs, &valid));
   ASSERT_EQ(recs.size(), stream.size());
   EXPECT_EQ(due, stream.size() / 50);
   EXPECT_EQ(static_cast<size_t>(std::count_if(
@@ -1388,14 +1396,13 @@ TEST(MemoryCeilingTest, ShedsKeepFootprintBoundedWithoutVerdictChanges) {
   dopts.dir = dir + "/run";
   dopts.gc = GcPolicy::Every(64, 64);
   dopts.memory_ceiling_bytes = ceiling;
-  dopts.ceiling_check_every = 16;
   DurableRunner runner(checker.get(), dopts);
   AssumeRole driver(runner.driver_role);  // single-threaded test driver
   for (size_t i = 0; i < h.txns.size(); ++i) {
     ASSERT_TRUE(runner.Feed(h.txns[i], i));
     // At every check boundary the runner just shed if it was over: the
     // footprint must be back under the ceiling.
-    if ((i + 1) % dopts.ceiling_check_every == 0) {
+    if ((i + 1) % DurableRunner::kCeilingCheckEvery == 0) {
       EXPECT_LE(checker->FootprintExact().approx_bytes, ceiling)
           << "event " << i;
     }

@@ -1,5 +1,5 @@
 // List-history parity suite: AION's materialized-prefix list checking
-// must be indistinguishable from the offline ChronosList under infinite
+// must be indistinguishable from the offline Chronos under infinite
 // timeout + in-order arrival, a 1-shard ShardedAion must stay identical
 // to the monolith on list histories (and every shard count must emit the
 // same deterministic stream), and GC/spill must keep below-watermark
@@ -14,7 +14,7 @@
 
 #include "../testutil.h"
 #include "core/aion.h"
-#include "core/chronos_list.h"
+#include "core/chronos.h"
 #include "online/sharded_aion.h"
 #include "workload/generator.h"
 
@@ -56,7 +56,7 @@ std::array<size_t, 6> CountsOf(const CountingSink& sink) {
   return c;
 }
 
-// Aion's final per-class counts equal ChronosList's on list histories
+// Aion's final per-class counts equal Chronos's on list histories
 // under infinite timeout + in-order arrival — clean and faulty.
 TEST(ListParityTest, AionMatchesChronosListInOrder) {
   for (uint64_t seed : {21u, 22u, 23u}) {
@@ -64,7 +64,7 @@ TEST(ListParityTest, AionMatchesChronosListInOrder) {
       History h = MakeListWorkload(600, seed, faulty);
 
       CountingSink offline;
-      ChronosList::CheckHistory(h, &offline);
+      Chronos::CheckHistory(h, &offline);
 
       CountingSink online;
       Aion::Options opt;
@@ -94,7 +94,7 @@ TEST(ListParityTest, AionMatchesChronosListShuffled) {
   auto arrivals = SessionPreservingShuffle(h, 77);
 
   CountingSink offline;
-  ChronosList::CheckHistory(h, &offline);
+  Chronos::CheckHistory(h, &offline);
 
   CountingSink online;
   Aion::Options opt;
@@ -188,7 +188,7 @@ TEST(ListParityTest, GcSpillStragglerParityWithAppends) {
   // The history is NOT offline-clean: t9 overlaps t1 on key 0 (interval
   // [2,6] vs [1,4]) — a genuine NOCONFLICT both sides must report.
   CountingSink offline;
-  ChronosList::CheckHistory(h, &offline);
+  Chronos::CheckHistory(h, &offline);
   EXPECT_EQ(offline.count(ViolationType::kExt), 0u);
   EXPECT_EQ(offline.count(ViolationType::kInt), 0u);
   EXPECT_EQ(offline.count(ViolationType::kNoConflict), 1u);
@@ -275,7 +275,7 @@ TEST(ListParityTest, ListMismatchReportsDivergenceIndex) {
                   .Build();
 
   CountingSink offline(8);
-  ChronosList::CheckHistory(h, &offline);
+  Chronos::CheckHistory(h, &offline);
   ASSERT_EQ(offline.count(ViolationType::kExt), 1u);
   ASSERT_EQ(offline.first().size(), 1u);
   EXPECT_EQ(offline.first()[0].divergence, 1);

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "core/chronos.h"
-#include "core/chronos_list.h"
 #include "workload/apps.h"
 #include "workload/generator.h"
 #include "workload/zipf.h"
@@ -81,7 +80,7 @@ TEST(GeneratorTest, ListHistoriesAreValid) {
   p.keys = 30;
   p.list_mode = true;
   CountingSink sink;
-  ChronosList::CheckHistory(GenerateDefaultHistory(p), &sink);
+  Chronos::CheckHistory(GenerateDefaultHistory(p), &sink);
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 }

@@ -9,20 +9,23 @@
 //                 [--gc-every=0] [--gc-target=0]
 //                 [--stats] [--max-report=20] [--help]
 //
-// Offline mode runs CHRONOS on a stream of the file (hist::EventStream):
-// a first pass over the transaction headers runs the well-formedness
-// pre-pass and measures the event window, a second feeds the start and
-// commit events through that window, so the check holds the window, not
-// the file; it prints `streamed FILE: ...` with the window it needed.
-// An input that cannot seek (a pipe), a history with iso= tags
-// (ChronosMixed), --level=ser (ChronosSer) and --level=list
-// (ChronosList) are loaded whole instead (`loaded ...`). --online
-// streams the file through AION via the collector (hist::DeliveryStream;
-// delays model asynchrony), so the run holds the collector's reorder
-// buffers and the checker's live state, not the file. AION understands
-// list histories natively, so --online works for every level
-// (--level=list selects the SI read-view rule, matching the list
-// workloads). --shards=N checks with the key-partitioned
+// Offline mode runs CHRONOS, which checks register and list ops alike,
+// on a stream of the file (hist::EventStream): a first pass over the
+// transaction headers runs the well-formedness pre-pass and measures the
+// event window, a second feeds the start and commit events through that
+// window, so the check holds the window, not the file; it prints
+// `streamed FILE: ...` with the window it needed. --level=list is
+// another spelling of si. An input that cannot seek (a pipe), a history
+// with iso= tags and --level=ser (ChronosSer, register ops only) are
+// loaded whole instead (`loaded ...`); a loaded history with iso= tags
+// and no list ops goes to the per-transaction-level ChronosMixed
+// (NeedsMixedLevelCheck).
+// --online streams the file through AION via the collector
+// (hist::DeliveryStream; delays model asynchrony), so the run holds the
+// collector's reorder buffers and the checker's live state, not the
+// file. AION understands list histories natively, so --online works for
+// every level (--level=list selects the SI read-view rule, matching the
+// list workloads). --shards=N checks with the key-partitioned
 // ShardedAion (N worker threads); violations are then reported in
 // deterministic (commit_ts, txn id) order.
 //
@@ -50,7 +53,6 @@
 
 #include "core/aion.h"
 #include "core/chronos.h"
-#include "core/chronos_list.h"
 #include "hist/codec.h"
 #include "hist/collector.h"
 #include "hist/event_stream.h"
@@ -104,14 +106,17 @@ void PrintUsage(FILE* out) {
       "                        streamed: offline si in two passes through\n"
       "                        an event window, --online through the\n"
       "                        collector. An input that cannot seek (a\n"
-      "                        pipe) is read whole; so are tagged, ser and\n"
-      "                        list histories offline\n"
-      "  --level=si|ser|list   run-level default isolation (default si);\n"
-      "                        rc/ra are per-transaction only (iso= tags\n"
-      "                        in the history). A history with iso= tags\n"
-      "                        dispatches offline to the mixed-level\n"
-      "                        checker; untagged transactions follow\n"
-      "                        --level\n"
+      "                        pipe) is read whole; so are tagged and ser\n"
+      "                        histories offline\n"
+      "  --level=si|ser|list   run-level default isolation (default si;\n"
+      "                        list is another spelling of si, which\n"
+      "                        checks register and list ops; offline ser\n"
+      "                        checks registers only); rc/ra are\n"
+      "                        per-transaction only (iso= tags in the\n"
+      "                        history). A history with iso= tags and no\n"
+      "                        list ops dispatches offline to the\n"
+      "                        mixed-level checker; untagged transactions\n"
+      "                        follow --level\n"
       "  --max-report=N        violations to print (default 20)\n"
       "  --gc-every=N          offline: GC every N txns; online:\n"
       "                        GcToLiveTarget cadence in arrivals (0: off)\n"
@@ -296,7 +301,7 @@ int main(int argc, char** argv) {
     if (!stream.status().ok) return load_failed();
     CheckStats stats;
     bool checked = false;
-    if (level == "si" && stream.seekable()) {
+    if (args.mode == CheckMode::kSi && stream.seekable()) {
       // Two passes over the file; the check holds the event window.
       Chronos checker(opt, &sink);
       stats = checker.Check(&stream);
@@ -311,28 +316,25 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stream.txn_span()),
                     stream.max_held());
       } else {
-        sink.Reset();  // the mixed checker re-checks from the first block
+        sink.Reset();  // the loaded check re-checks from the first block
       }
     }
     if (!checked) {
-      // A pipe (read once), a tagged history, --level=ser or list.
+      // A pipe (read once), a tagged history or --level=ser.
       Stopwatch load_sw;
       History h;
       if (!stream.Load(&h).ok) return load_failed();
       std::printf("loaded %zu txns (%zu ops) in %.3fs\n", h.txns.size(),
                   h.NumOps(), load_sw.Seconds());
-      if (level != "list" && HistoryHasLevelTags(h)) {
+      if (NeedsMixedLevelCheck(h)) {
         // Per-transaction iso= tags: the single-level replayers would
         // misjudge the weaker-level transactions, so route to the mixed
         // checker with --level as the default for untagged ones.
         ChronosMixed checker(args.mode, &sink);
         stats = checker.Check(std::move(h));
         level = "mixed(default=" + level + ")";
-      } else if (level == "ser") {
+      } else if (args.mode == CheckMode::kSer) {
         ChronosSer checker(&sink);
-        stats = checker.Check(std::move(h));
-      } else if (level == "list") {
-        ChronosList checker(&sink);
         stats = checker.Check(std::move(h));
       } else {
         Chronos checker(opt, &sink);

@@ -112,7 +112,6 @@ int RunCorpus(const std::string& dir, const std::string& work_dir) {
     fuzz::DiffReport report = fuzz::DiffHistory(
         entry.history, ReplayScenario(entry.ser), expect, work_dir);
     const fuzz::CheckerReport* ref = report.Find("chronos");
-    if (!ref) ref = report.Find("chronos-list");
     if (!ref) ref = report.Find("chronos-mixed");
     bool counts_ok = ref && ref->counts == entry.expected;
     // Mixed-level entries gate out every black-box checker (entry D8),
@@ -242,9 +241,7 @@ int main(int argc, char** argv) {
                                              report.expectation, work_dir);
       for (const auto& [rule, checker] : signature) {
         if (!matches(r, rule, checker)) continue;
-        if (rule == "clean-accept" &&
-            (matches(r, "clean-accept", "chronos") ||
-             matches(r, "clean-accept", "chronos-list"))) {
+        if (rule == "clean-accept" && matches(r, "clean-accept", "chronos")) {
           continue;  // reference detects too: genuinely-faulty candidate
         }
         return true;

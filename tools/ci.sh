@@ -22,8 +22,9 @@
 # run just one with CHRONOS_CI_ASAN_ONLY=1 / CHRONOS_CI_UBSAN_ONLY=1.
 #
 # A bounded-memory gate then checks that the peak RSS of an online run
-# with GC and of a plain offline run does not grow with the history
-# beyond what each design allows (tools/peak_rss measures it).
+# with GC, of a plain offline run and of an offline list run does not
+# grow with the history beyond what each design allows (tools/peak_rss
+# measures it).
 #
 # Usage: tools/ci.sh [build_dir]
 set -euo pipefail
@@ -274,10 +275,16 @@ fi
 # 32 B per extra txn. A whole-file load (~0.6 KB per txn) fails both.
 # Histories from e2ebench's generator flags at 30k and 150k txns (both
 # past the ~12.5k-txn window a 1000 ms EXT timeout keeps unfinalized).
+# A list history's file grows quadratically (each L line holds the whole
+# list read), while the offline list check streams it like a register
+# history and also holds each key's committed append sequence, which
+# grows with the appends: at 1k and 4k txns (2.8 and 47.8 MB files) the
+# 4k run may peak at most 15% above the 1k run plus 256 B per extra txn.
 # Peaks are read by tools/peak_rss (fork/exec/wait4), whose own few-MB
 # RSS is the floor of a child's ru_maxrss; measured from Python that
 # floor is Python's ~14 MB, above the offline check's true peak.
-echo "bounded memory: online and offline peak RSS at 30k and 150k txns"
+echo "bounded memory: online and offline peak RSS at 30k and 150k txns," \
+     "offline list at 1k and 4k"
 mem_dir="$BUILD_DIR/mem-gate"
 rm -rf "$mem_dir"
 mkdir -p "$mem_dir"
@@ -287,41 +294,47 @@ for n in 30000 150000; do
       --dist=zipf --fault=stale_read --fault-prob=0.001 --seed=4 \
       --fault-seed=4 >/dev/null
 done
+for n in 1000 4000; do
+  "$BUILD_DIR/chronos_gen" --out="$mem_dir/l$n.hist" --txns=$n --list \
+      --keys=1000 --seed=4 >/dev/null
+done
 python3 - "$BUILD_DIR/peak_rss" "$BUILD_DIR/chronos_check" "$mem_dir" <<'PY'
 import subprocess
 import sys
 
 peak_rss, check, work = sys.argv[1], sys.argv[2], sys.argv[3]
-SMALL, LARGE = 30000, 150000
-# mode -> (flags, allowance in bytes per txn beyond the 30k run)
+# mode -> (history file prefix, small and large txn counts, flags,
+#          allowance in bytes per txn beyond the small run)
 MODES = {
-    "online": (["--online", "--timeout-ms=1000", "--gc-every=500",
-                "--gc-target=2000"], 0),
-    "offline": ([], 32),
+    "online": ("h", 30000, 150000, ["--online", "--timeout-ms=1000",
+                                    "--gc-every=500", "--gc-target=2000"], 0),
+    "offline": ("h", 30000, 150000, [], 32),
+    "offline list": ("l", 1000, 4000, ["--level=list"], 256),
 }
 
 
-def peak_mb(txns, flags):
-    p = subprocess.run([peak_rss, check, f"--in={work}/h{txns}.hist", *flags],
+def peak_mb(hist, flags):
+    p = subprocess.run([peak_rss, check, f"--in={work}/{hist}.hist", *flags],
                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                        text=True)
     if p.returncode not in (0, 3):
-        sys.exit(f"chronos_check {' '.join(flags)} on {txns} txns "
+        sys.exit(f"chronos_check {' '.join(flags)} on {hist} "
                  f"exited {p.returncode}: {p.stderr}")
     kb = [l for l in p.stderr.splitlines() if l.startswith("peak_rss: ")]
     return int(kb[-1].split()[1]) / 1024.0
 
 
 failed = []
-for mode, (flags, per_txn) in MODES.items():
-    small, large = peak_mb(SMALL, flags), peak_mb(LARGE, flags)
-    limit = 1.15 * small + per_txn * (LARGE - SMALL) / 2**20
-    print(f"bounded memory: {mode} peak RSS {small:.1f} MB at 30k txns, "
-          f"{large:.1f} MB at 150k (limit {limit:.1f} MB)")
+for mode, (prefix, small_n, large_n, flags, per_txn) in MODES.items():
+    small = peak_mb(f"{prefix}{small_n}", flags)
+    large = peak_mb(f"{prefix}{large_n}", flags)
+    limit = 1.15 * small + per_txn * (large_n - small_n) / 2**20
+    print(f"bounded memory: {mode} peak RSS {small:.1f} MB at {small_n} "
+          f"txns, {large:.1f} MB at {large_n} (limit {limit:.1f} MB)")
     if large > limit:
         failed.append(mode)
 if failed:
-    sys.exit(f"bounded memory: the 150k-txn run peaks above its limit "
+    sys.exit(f"bounded memory: the larger run peaks above its limit "
              f"({', '.join(failed)})")
 PY
 
