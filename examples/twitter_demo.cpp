@@ -29,7 +29,7 @@ int main() {
               keys.size());
 
   CountingSink offline;
-  CheckStats stats = ChronosSer::CheckHistory(h, &offline);
+  CheckStats stats = Chronos::CheckHistory(h, &offline, CheckMode::kSer);
   std::printf("offline CHRONOS-SER: %.3fs, %zu violations\n",
               stats.TotalSeconds(), stats.violations);
 
@@ -39,7 +39,7 @@ int main() {
   auto stream = hist::ScheduleDelivery(h, cp);
   CountingSink online_sink;
   Aion::Options opt;
-  opt.mode = Aion::Mode::kSer;
+  opt.mode = CheckMode::kSer;
   opt.ext_timeout_ms = 5000;
   Aion checker(opt, &online_sink);
   online::RunResult r = online::RunMaxRate(

@@ -36,7 +36,6 @@ namespace chronos {
 /// Online checker for SI (default) or SER histories.
 class Aion : public OnlineChecker, private TxnIngress::Dispatch {
  public:
-  using Mode = CheckMode;
   using Options = CheckerOptions;
   using Stats = CheckerStats;
   using Footprint = CheckerFootprint;

@@ -133,7 +133,7 @@ class HistorySource : public ReplaySource {
     stats->txns = history_.txns.size();
     stats->ops = history_.NumOps();
     pre->CheckAll(history_);
-    events_ = BuildSortedEvents(history_);
+    events_ = BuildSortedEvents(history_, pre->mode());
     return true;
   }
 
@@ -185,7 +185,7 @@ CheckStats Chronos::Check(ReplaySource* source) {
   // the sorting stage (Algorithm 2 line 2) where the source sorts. ----
   Stopwatch sw;
   std::unordered_map<SessionId, SessionState> sessions;
-  WellFormednessPrePass pre(sink_, &counted, &sessions,
+  WellFormednessPrePass pre(options_.mode, sink_, &counted, &sessions,
                             [&](const Transaction& t) {
                               TxnState scratch;
                               ReplayOps(t, nullptr, &scratch, sink_,
@@ -200,7 +200,8 @@ CheckStats Chronos::Check(ReplaySource* source) {
 
   // ---- Checking stage: simulate in timestamp order. ----
   // Appends join `ongoing` like writes: NOCONFLICT is per key, whatever
-  // the data type.
+  // the data type. SER has no NOCONFLICT, so nothing joins it there.
+  const bool noconflict = options_.mode == CheckMode::kSi;
   Frontier frontier;
   std::unordered_map<Key, std::vector<TxnId>> ongoing;
   std::unordered_map<TxnId, TxnState> live;
@@ -219,7 +220,7 @@ CheckStats Chronos::Check(ReplaySource* source) {
       SessionState& ss = sessions[t.sid];
       AdvanceOverSkipped(&ss);
       if (static_cast<int64_t>(t.sno) != ss.last_sno + 1 ||
-          t.start_ts < ss.last_cts) {
+          ReplayStart(t, options_.mode) < ss.last_cts) {
         report({ViolationType::kSession, t.tid, kTxnNone, 0,
                 static_cast<Value>(ss.last_sno + 1),
                 static_cast<Value>(t.sno)});
@@ -233,10 +234,12 @@ CheckStats Chronos::Check(ReplaySource* source) {
       // The lists it read, most of a list history's bytes, are not read
       // again: the commit event needs only the tid.
       next->list_args.clear();
-      for (Key k : st.wkey) {
-        auto& og = ongoing[k];
-        if (std::find(og.begin(), og.end(), t.tid) == og.end()) {
-          og.push_back(t.tid);
+      if (noconflict) {
+        for (Key k : st.wkey) {
+          auto& og = ongoing[k];
+          if (std::find(og.begin(), og.end(), t.tid) == og.end()) {
+            og.push_back(t.tid);
+          }
         }
       }
     } else {
@@ -245,10 +248,12 @@ CheckStats Chronos::Check(ReplaySource* source) {
       if (lit == live.end()) continue;  // defensive; start always precedes
       TxnState& st = lit->second;
       for (Key k : st.wkey) {
-        auto& og = ongoing[k];
-        og.erase(std::remove(og.begin(), og.end(), t.tid), og.end());
-        for (TxnId other : og) {
-          report({ViolationType::kNoConflict, t.tid, other, k});
+        if (noconflict) {
+          auto& og = ongoing[k];
+          og.erase(std::remove(og.begin(), og.end(), t.tid), og.end());
+          for (TxnId other : og) {
+            report({ViolationType::kNoConflict, t.tid, other, k});
+          }
         }
         if (const Value* v = st.ext_val.Find(k)) frontier.regs[k] = *v;
         if (const std::vector<Value>* a = st.appends.Find(k)) {
@@ -284,91 +289,11 @@ CheckStats Chronos::Check(ReplaySource* source) {
   return stats;
 }
 
-CheckStats Chronos::CheckHistory(const History& history, ViolationSink* sink) {
-  Chronos checker(ChronosOptions{}, sink);
-  History copy = history;
-  return checker.Check(std::move(copy));
-}
-
-CheckStats ChronosSer::Check(History&& history) {
-  CheckStats stats;
-  stats.txns = history.txns.size();
-  stats.ops = history.NumOps();
-  CountingSink counted(0);
-
-  Stopwatch sw;
-  // SER replay order: commit timestamps only (start timestamps ignored).
-  std::vector<uint32_t> order(history.txns.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const Transaction &ta = history.txns[a], &tb = history.txns[b];
-    if (ta.commit_ts != tb.commit_ts) return ta.commit_ts < tb.commit_ts;
-    return ta.tid < tb.tid;
-  });
-  {
-    std::unordered_set<Timestamp> seen;
-    seen.reserve(history.txns.size());
-    for (const Transaction& t : history.txns) {
-      if (!seen.insert(t.commit_ts).second) {
-        sink_->Report({ViolationType::kTsDuplicate, t.tid});
-        counted.Report({ViolationType::kTsDuplicate, t.tid});
-      }
-    }
-  }
-  stats.sort_seconds = sw.Seconds();
-  sw.Reset();
-
-  std::unordered_map<Key, Value> frontier;
-  std::unordered_map<SessionId, int64_t> last_sno;
-  SmallMap<Key, Value> int_val;
-
-  for (uint32_t idx : order) {
-    const Transaction& t = history.txns[idx];
-    auto [sit, inserted] = last_sno.emplace(t.sid, -1);
-    // SESSION under SER: commit order must extend session order, i.e. the
-    // per-session sequence numbers appear consecutively in replay order.
-    if (static_cast<int64_t>(t.sno) != sit->second + 1) {
-      sink_->Report({ViolationType::kSession, t.tid, kTxnNone, 0,
-                     static_cast<Value>(sit->second + 1),
-                     static_cast<Value>(t.sno)});
-      counted.Report({ViolationType::kSession, t.tid});
-    }
-    sit->second = static_cast<int64_t>(t.sno);
-
-    int_val.Clear();
-    for (const Op& op : t.ops) {
-      if (op.type == OpType::kRead) {
-        if (Value* iv = int_val.Find(op.key)) {
-          if (*iv != op.value) {
-            sink_->Report({ViolationType::kInt, t.tid, kTxnNone, op.key, *iv,
-                           op.value});
-            counted.Report({ViolationType::kInt, t.tid});
-          }
-        } else {
-          auto fit = frontier.find(op.key);
-          Value expect = fit == frontier.end() ? kValueInit : fit->second;
-          if (op.value != expect) {
-            sink_->Report({ViolationType::kExt, t.tid, kTxnNone, op.key,
-                           expect, op.value});
-            counted.Report({ViolationType::kExt, t.tid});
-          }
-        }
-        int_val.Put(op.key, op.value);
-      } else if (op.type == OpType::kWrite) {
-        int_val.Put(op.key, op.value);
-        frontier[op.key] = op.value;  // applied in commit order
-      }
-    }
-  }
-
-  stats.check_seconds = sw.Seconds();
-  stats.violations = counted.total();
-  return stats;
-}
-
-CheckStats ChronosSer::CheckHistory(const History& history,
-                                    ViolationSink* sink) {
-  ChronosSer checker(sink);
+CheckStats Chronos::CheckHistory(const History& history, ViolationSink* sink,
+                                  CheckMode mode) {
+  ChronosOptions options;
+  options.mode = mode;
+  Chronos checker(options, sink);
   History copy = history;
   return checker.Check(std::move(copy));
 }

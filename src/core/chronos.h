@@ -1,8 +1,14 @@
-// CHRONOS: the offline timestamp-based snapshot isolation checker
-// (paper Algorithm 2, Sec. III-B). O(N log N + M) for N transactions and
-// M operations: sort all start/commit timestamps, then simulate the
+// CHRONOS: the offline timestamp-based isolation checker (paper
+// Algorithm 2, Sec. III-B). O(N log N + M) for N transactions and M
+// operations: sort all start/commit timestamps, then simulate the
 // execution in timestamp order while checking SESSION, INT, EXT and
 // NOCONFLICT on the fly.
+//
+// SER (Sec. VI-A) is the same replay with ChronosOptions::mode kSer: a
+// transaction's start event replays at its commit timestamp, the read
+// view (ReplayStart, core/event_timeline.h), so all transactions replay
+// one after another in commit order. No transaction breaks Eq. (1),
+// only commit timestamps must be unique, and NOCONFLICT is not checked.
 //
 // One replay checks register and list histories alike (Sec. III-B1:
 // "easily adaptable to support other data types such as lists", Fig.
@@ -37,8 +43,11 @@
 
 namespace chronos {
 
-/// Options controlling the offline SI check.
+/// Options controlling the offline check.
 struct ChronosOptions {
+  /// The level every transaction is checked at (iso= tags are
+  /// ChronosMixed's).
+  CheckMode mode = CheckMode::kSi;
   /// Trigger a periodic garbage-collection pass after this many commit
   /// events (paper Fig. 6/9: gc-10k, gc-20k, ...). 0 disables periodic GC;
   /// the per-transaction prompt GC of Algorithm 2 lines 30-33 always runs.
@@ -50,7 +59,7 @@ struct ChronosOptions {
 
 /// What Chronos::Check replays: a history in file order for the
 /// pre-pass, then its events in (ts, kind, file index) order, the order
-/// BuildSortedEvents gives.
+/// BuildSortedEvents gives at the pre-pass's mode().
 class ReplaySource {
  public:
   virtual ~ReplaySource() = default;
@@ -71,44 +80,30 @@ class ReplaySource {
   virtual void ReleaseCommitted() {}
 };
 
-/// Offline SI checker for register and list histories. Not thread-safe;
-/// use one instance per check.
+/// Offline SI or SER checker for register and list histories. Not
+/// thread-safe; use one instance per check.
 class Chronos {
  public:
   Chronos(const ChronosOptions& options, ViolationSink* sink);
 
-  /// Checks `history` against SI. Consumes the history: operation storage
-  /// is released as transactions are garbage-collected (this is what makes
-  /// the Fig. 10 memory curve decrease over time).
+  /// Checks `history` at options.mode. Consumes the history: operation
+  /// storage is released as transactions are garbage-collected (this is
+  /// what makes the Fig. 10 memory curve decrease over time).
   CheckStats Check(History&& history);
 
-  /// Checks what `source` yields against SI (Algorithm 2's replay loop;
-  /// Check(History&&) runs it over an in-memory source). Stops early when
-  /// the source does: the caller reads the source's own status. Clears a
-  /// transaction's list_args once its start event has replayed.
+  /// Checks what `source` yields at options.mode (Algorithm 2's replay
+  /// loop; Check(History&&) runs it over an in-memory source). Stops
+  /// early when the source does: the caller reads the source's own
+  /// status. Clears a transaction's list_args once its start event has
+  /// replayed.
   CheckStats Check(ReplaySource* source);
 
-  /// Convenience: checks a copy of `history` with default options.
-  static CheckStats CheckHistory(const History& history, ViolationSink* sink);
+  /// Convenience: checks a copy of `history` at `mode`, no periodic GC.
+  static CheckStats CheckHistory(const History& history, ViolationSink* sink,
+                                 CheckMode mode = CheckMode::kSi);
 
  private:
   ChronosOptions options_;
-  ViolationSink* sink_;
-};
-
-/// CHRONOS-SER: the offline serializability checker (paper Sec. VI-A and
-/// VI-B: "checks whether all transactions appear to execute sequentially
-/// in commit timestamp order"; start timestamps are ignored and
-/// NOCONFLICT is not checked).
-class ChronosSer {
- public:
-  explicit ChronosSer(ViolationSink* sink) : sink_(sink) {}
-
-  CheckStats Check(History&& history);
-
-  static CheckStats CheckHistory(const History& history, ViolationSink* sink);
-
- private:
   ViolationSink* sink_;
 };
 

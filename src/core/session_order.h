@@ -18,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/event_timeline.h"
 #include "core/gc_triggers.h"
+#include "core/online_checker.h"
 #include "core/types.h"
 #include "core/violation.h"
 
@@ -41,21 +43,25 @@ inline void AdvanceOverSkipped(SessionState* ss) {
 }
 
 /// Chronos's offline well-formedness pre-pass (register and list
-/// histories), one transaction at a time in file order, over a history
-/// in memory or streamed from a file (hist::EventStream). Eq. (1)
-/// violations are reported, excluded from replay via skipped_snos and
-/// handed to the checker's INT-only check (INT never depends on
-/// timestamps); duplicate timestamps across distinct transactions are
-/// reported but still replayed (AION instead skips them — divergence
-/// entry D6). SER has its own commit-only dup rule and does not use this.
+/// histories, SI or SER), one transaction at a time in file order, over
+/// a history in memory or streamed from a file (hist::EventStream).
+/// Eq. (1) violations are reported, excluded from replay via
+/// skipped_snos and handed to the checker's INT-only check (INT never
+/// depends on timestamps); duplicate timestamps across distinct
+/// transactions are reported but still replayed (AION instead skips
+/// them — divergence entry D6). Both rules read a transaction's replay
+/// start (ReplayStart), so under SER no transaction breaks Eq. (1) and
+/// only commit timestamps are claimed.
 class WellFormednessPrePass {
  public:
   using IntOnlyFn = std::function<void(const Transaction&)>;
 
-  WellFormednessPrePass(ViolationSink* sink, CountingSink* counted,
+  WellFormednessPrePass(CheckMode mode, ViolationSink* sink,
+                        CountingSink* counted,
                         std::unordered_map<SessionId, SessionState>* sessions,
                         IntOnlyFn int_only)
-      : sink_(sink),
+      : mode_(mode),
+        sink_(sink),
         counted_(counted),
         sessions_(sessions),
         int_only_(std::move(int_only)) {}
@@ -64,7 +70,7 @@ class WellFormednessPrePass {
   /// breaks Eq. (1): TS-ORDER is reported and `t` leaves the replay, and
   /// the caller hands `t`, ops included, to IntOnly before the next call.
   bool Check(const Transaction& t) {
-    if (!t.TimestampsOrdered()) {
+    if (!Replayed(t, mode_)) {
       sink_->Report({ViolationType::kTsOrder, t.tid, kTxnNone, 0,
                      static_cast<Value>(t.start_ts),
                      static_cast<Value>(t.commit_ts)});
@@ -72,13 +78,16 @@ class WellFormednessPrePass {
       (*sessions_)[t.sid].skipped_snos.insert(t.sno);
       return false;
     }
-    if (!Claim(t.start_ts) ||
-        (t.commit_ts != t.start_ts && !Claim(t.commit_ts))) {
+    const Timestamp start = ReplayStart(t, mode_);
+    if (!Claim(start) || (t.commit_ts != start && !Claim(t.commit_ts))) {
       sink_->Report({ViolationType::kTsDuplicate, t.tid});
       counted_->Report({ViolationType::kTsDuplicate, t.tid});
     }
     return true;
   }
+
+  /// The level the replay checks: where start events replay.
+  CheckMode mode() const { return mode_; }
 
   /// The INT-only check of a transaction Check rejected.
   void IntOnly(const Transaction& t) const { int_only_(t); }
@@ -124,6 +133,7 @@ class WellFormednessPrePass {
 
   static constexpr size_t kMinMerge = 64;
 
+  CheckMode mode_;
   ViolationSink* sink_;
   CountingSink* counted_;
   std::unordered_map<SessionId, SessionState>* sessions_;

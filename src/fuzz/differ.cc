@@ -232,18 +232,20 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   DiffReport report;
   report.expectation = expect;
 
-  // List histories are SI-only throughout the tree (Chronos checks lists
-  // at SI only and the scenario generator never pairs them with SER);
-  // forcing SI here keeps a stray `--ser` replay of a list repro from
-  // comparing an SI offline reference against SER-mode online checkers.
+  // List histories are checked at SI: the scenario generator never pairs
+  // them with SER, and neither list baseline (Elle-list) nor the corpus
+  // has an SER list verdict, though Chronos and AION check lists at
+  // either level. Forcing SI keeps a stray `--ser` replay of a list
+  // repro on the SI matrix it was found with.
   const bool list = sc.wl.list_mode || HistoryHasListOps(h);
   const bool ser =
       !list && sc.db.isolation == db::DbConfig::Isolation::kSer;
+  const CheckMode mode = ser ? CheckMode::kSer : CheckMode::kSi;
   // Mixed-level histories (entry D8): per-transaction iso tags route the
   // offline side to ChronosMixed and gate out every single-level checker
-  // (Chronos/ChronosSer, Emme, ElleKV, PolySI have no notion of
-  // per-transaction levels). The online matrix below is level-aware
-  // end-to-end and runs unchanged.
+  // (Chronos, Emme, ElleKV, PolySI have no notion of per-transaction
+  // levels). The online matrix below is level-aware end-to-end and runs
+  // unchanged.
   const bool mixed = NeedsMixedLevelCheck(h);
 
   // Polled between checkers: once the caller's budget is spent, the
@@ -259,37 +261,16 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   // ---------------------------------------------------- offline checkers
   if (mixed) {
     CountingSink cs;
-    ChronosMixed::CheckHistory(h, ser ? CheckMode::kSer : CheckMode::kSi,
-                               &cs);
+    ChronosMixed::CheckHistory(h, mode, &cs);
     report.checkers.push_back(FromCountingSink("chronos-mixed", cs));
-  } else if (ser) {
-    CountingSink cs;
-    ChronosSer::CheckHistory(h, &cs);
-    report.checkers.push_back(FromCountingSink("chronos", cs));
-
-    if (!budget_spent()) {
-      CountingSink es;
-      baselines::BaselineResult emme = baselines::CheckEmmeSer(h, &es);
-      CheckerReport er = FromCountingSink("emme", es);
-      er.detected = !emme.Accepted() || er.total > 0;
-      report.checkers.push_back(std::move(er));
-    }
-
-    if (!budget_spent()) {
-      CountingSink ks;
-      baselines::BaselineResult elle =
-          baselines::CheckElleKv(h, baselines::CheckLevel::kSer, &ks);
-      CheckerReport kr = FromCountingSink("ellekv", ks);
-      kr.detected = !elle.Accepted() || kr.total > 0;
-      report.checkers.push_back(std::move(kr));
-    }
   } else {
     CountingSink cs;
-    Chronos::CheckHistory(h, &cs);
+    Chronos::CheckHistory(h, &cs, mode);
     report.checkers.push_back(FromCountingSink("chronos", cs));
 
     if (!budget_spent()) {
       ChronosOptions copt;
+      copt.mode = mode;
       copt.gc_every_n_txns = 50;
       CountingSink gs;
       Chronos gc_checker(copt, &gs);
@@ -310,7 +291,8 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     } else {
       if (!budget_spent()) {
         CountingSink es;
-        baselines::BaselineResult emme = baselines::CheckEmmeSi(h, &es);
+        baselines::BaselineResult emme = ser ? baselines::CheckEmmeSer(h, &es)
+                                             : baselines::CheckEmmeSi(h, &es);
         CheckerReport er = FromCountingSink("emme", es);
         er.detected = !emme.Accepted() || er.total > 0;
         report.checkers.push_back(std::move(er));
@@ -318,13 +300,15 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
 
       if (!budget_spent()) {
         CountingSink ks;
-        baselines::BaselineResult elle =
-            baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &ks);
+        baselines::BaselineResult elle = baselines::CheckElleKv(
+            h, ser ? baselines::CheckLevel::kSer : baselines::CheckLevel::kSi,
+            &ks);
         CheckerReport kr = FromCountingSink("ellekv", ks);
         kr.detected = !elle.Accepted() || kr.total > 0;
         report.checkers.push_back(std::move(kr));
       }
-
+    }
+    if (!list && !ser) {  // PolySI checks SI only
       CheckerReport pr;
       pr.name = "polysi";
       if (h.txns.size() <= kPolysiMaxTxns && !budget_spent()) {
@@ -351,7 +335,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     if (!spill_root.empty()) fs::remove_all(spill_root);
 
     CheckerOptions opt;
-    opt.mode = ser ? CheckMode::kSer : CheckMode::kSi;
+    opt.mode = mode;
     opt.ext_timeout_ms = sc.ext_timeout_ms;
 
     {
@@ -463,7 +447,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     const CheckerReport* aion = report.Find("aion");
 
     // Rule: AION's final counts equal the white-box offline reference's
-    // (Chronos, ChronosSer or ChronosMixed), class by class, in
+    // (Chronos or ChronosMixed), class by class, in
     // strict scenarios. SESSION is boolean (entry D4); duplicate
     // timestamps suspend the class comparison (entry D6).
     if (sc.strict && ref && aion) {

@@ -44,9 +44,9 @@
 //       membership reads below the watermark degrade the same way (the
 //       membership window always reaches back to the beginning of time).
 //   D8  Mixed isolation levels (Transaction::iso tags): the single-level
-//       checkers — Chronos/ChronosSer, Emme, ElleKV, PolySI — have no
-//       notion of per-transaction levels, so they are gated out on mixed
-//       histories rather than compared. ChronosMixed is the white-box
+//       checkers — Chronos, Emme, ElleKV, PolySI — have no notion of
+//       per-transaction levels, so they are gated out on mixed histories
+//       rather than compared. ChronosMixed is the white-box
 //       reference instead ("chronos-mixed"); the online matrix and all
 //       sharded/ckpt identity rules run unchanged.
 //   D9  RC/RA commit-timestamp collisions bypass the ingress dup-gate

@@ -241,7 +241,7 @@ TEST(ChronosSerTest, AcceptsSequentialHistory) {
                   .Txn(3, 0, 1, 5, 6).R(2, 6)
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosSer::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink, CheckMode::kSer).violations, 0u);
 }
 
 TEST(ChronosSerTest, WriteSkewIsSerViolation) {
@@ -250,7 +250,7 @@ TEST(ChronosSerTest, WriteSkewIsSerViolation) {
                   .Txn(2, 1, 0, 2, 4).R(2, 0).W(1, 8)
                   .Build();
   CountingSink sink;
-  ChronosSer::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
   // In commit order, T2's read of key 2 must see T1's write.
   EXPECT_EQ(sink.count(ViolationType::kExt), 1u);
 }
@@ -261,7 +261,7 @@ TEST(ChronosSerTest, SessionOrderMustMatchCommitOrder) {
                   .Txn(2, 0, 1, 2, 5).W(2, 1)  // commits before predecessor
                   .Build();
   CountingSink sink;
-  ChronosSer::CheckHistory(h, &sink);
+  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
   EXPECT_GE(sink.count(ViolationType::kSession), 1u);
 }
 
@@ -272,7 +272,26 @@ TEST(ChronosSerTest, StartTimestampsIgnored) {
                   .Txn(2, 1, 0, 1, 4).R(1, 1)
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(ChronosSer::CheckHistory(h, &sink).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink, CheckMode::kSer).violations, 0u);
+}
+
+// Two SER transactions that share a commit_ts: a TS-DUP, reported and
+// still replayed. Both read the frontier below the shared commit_ts (the
+// exclusive SER read view), so T2 does not see T1's write, and the two
+// writers of key 1 are no NOCONFLICT at SER. T3 sees the later writer in
+// file order.
+TEST(ChronosSerTest, SharedCommitTsReadsTheFrontierBelowIt) {
+  History h = HistoryBuilder()
+                  .Txn(1, 0, 0, 1, 5).W(1, 1)
+                  .Txn(2, 1, 0, 2, 5).R(1, 0).W(1, 2)
+                  .Txn(3, 0, 1, 6, 7).R(1, 2)
+                  .Build();
+  CountingSink sink;
+  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
+  EXPECT_EQ(sink.count(ViolationType::kTsDuplicate), 1u);
+  EXPECT_EQ(sink.count(ViolationType::kNoConflict), 0u);
+  EXPECT_EQ(sink.count(ViolationType::kExt), 0u);
+  EXPECT_EQ(sink.total(), 1u);
 }
 
 // The pre-pass's timestamp registry against a hash set, the rule it
@@ -315,8 +334,9 @@ TEST(WellFormednessPrePassTest, DuplicatesMatchAHashSetInAnyOrder) {
     VectorSink sink;
     CountingSink counted(0);
     std::unordered_map<SessionId, SessionState> sessions;
-    WellFormednessPrePass(&sink, &counted, &sessions, [](const Transaction&) {
-    }).CheckAll(h);
+    WellFormednessPrePass(CheckMode::kSi, &sink, &counted, &sessions,
+                          [](const Transaction&) {})
+        .CheckAll(h);
     std::vector<TxnId> got;
     for (const Violation& v : sink.TakeAll()) {
       ASSERT_EQ(v.type, ViolationType::kTsDuplicate);

@@ -405,7 +405,7 @@ TEST(SingleLevelEquivalence, AllSerTagsMatchUntaggedSerRun) {
   ExpectSameCounts(ser_tagged, plain);
 
   CountingSink chronos_sink, mixed_sink;
-  ChronosSer::CheckHistory(h, &chronos_sink);
+  Chronos::CheckHistory(h, &chronos_sink, CheckMode::kSer);
   ChronosMixed::CheckHistory(tagged, CheckMode::kSi, &mixed_sink);
   ExpectSameCounts(mixed_sink, chronos_sink);
 }

@@ -36,8 +36,10 @@ struct CheckRun {
   CheckStats stats;
 };
 
-CheckRun InMemory(History h, uint64_t gc_every) {
+CheckRun InMemory(History h, uint64_t gc_every,
+                  CheckMode mode = CheckMode::kSi) {
   ChronosOptions opt;
+  opt.mode = mode;
   opt.gc_every_n_txns = gc_every;
   VectorSink sink;
   CheckRun run;
@@ -47,8 +49,9 @@ CheckRun InMemory(History h, uint64_t gc_every) {
 }
 
 CheckRun Streamed(const std::string& path, uint64_t gc_every,
-                  EventStream* stream) {
+                  EventStream* stream, CheckMode mode = CheckMode::kSi) {
   ChronosOptions opt;
+  opt.mode = mode;
   opt.gc_every_n_txns = gc_every;
   VectorSink sink;
   CheckRun run;
@@ -62,14 +65,15 @@ CheckRun Streamed(const std::string& path, uint64_t gc_every,
 // The file streamed through Chronos emits exactly what the in-memory
 // check of the loaded history emits, in the same order.
 void ExpectStreamMatchesMemory(const std::string& path, uint64_t gc_every,
-                               const std::string& what) {
+                               const std::string& what,
+                               CheckMode mode = CheckMode::kSi) {
   History loaded;
   ASSERT_TRUE(LoadHistory(path, &loaded).ok) << what;
-  const CheckRun want = InMemory(std::move(loaded), gc_every);
+  const CheckRun want = InMemory(std::move(loaded), gc_every, mode);
   EventStream stream(path);
   ASSERT_TRUE(stream.status().ok) << what;
   ASSERT_TRUE(stream.seekable()) << what;
-  const CheckRun got = Streamed(path, gc_every, &stream);
+  const CheckRun got = Streamed(path, gc_every, &stream, mode);
   ASSERT_FALSE(stream.tagged()) << what;
   EXPECT_EQ(got.reports, want.reports) << what;
   EXPECT_EQ(got.stats.txns, want.stats.txns) << what;
@@ -199,8 +203,12 @@ TEST(EventStreamTest, CorpusFilesStreamLikeTheyLoad) {
       ++tagged;
       continue;
     }
-    for (uint64_t gc_every : {0, 1}) {
-      ExpectStreamMatchesMemory(path, gc_every, path);
+    for (CheckMode mode : {CheckMode::kSi, CheckMode::kSer}) {
+      for (uint64_t gc_every : {0, 1}) {
+        ExpectStreamMatchesMemory(
+            path, gc_every,
+            path + (mode == CheckMode::kSer ? " at ser" : " at si"), mode);
+      }
     }
     ++streamed;
     if (HistoryHasListOps(h)) {

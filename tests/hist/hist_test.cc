@@ -975,8 +975,8 @@ TEST(CheckCliTest, OfflineStreamsFilesAndLoadsPipesAndTaggedHistories) {
 }
 
 // List ops are checked at the default level too, and --level=list (a
-// spelling of si) streams rather than loads: both report what the list
-// corpus files pin.
+// spelling of si) and --level=ser stream rather than load: each reports
+// what the list corpus files pin, as --online does at every level.
 TEST(CheckCliTest, OfflineListHistoriesStreamAtEveryLevelSpelling) {
   if (!HaveChronosCheck()) GTEST_SKIP() << "chronos_check not built";
   const struct {
@@ -991,7 +991,7 @@ TEST(CheckCliTest, OfflineListHistoriesStreamAtEveryLevelSpelling) {
   for (const auto& c : cases) {
     const std::string path =
         std::string(CHRONOS_TEST_SRCDIR "/tests/corpus/") + c.file;
-    for (const char* level : {"", " --level=list"}) {
+    for (const char* level : {"", " --level=list", " --level=ser"}) {
       const CheckRun run = RunCheck("--in=" + path + level);
       EXPECT_EQ(run.exit_code, 3) << c.file << level << "\n" << run.output;
       EXPECT_EQ(run.output.rfind("streamed " + path + ": ", 0), 0u)

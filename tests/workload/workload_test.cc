@@ -146,7 +146,7 @@ TEST(AppsTest, SerWorkloadsPassSerChecker) {
   RubisParams p;
   p.txns = 800;
   CountingSink sink;
-  ChronosSer::CheckHistory(GenerateRubisHistory(p, cfg), &sink);
+  Chronos::CheckHistory(GenerateRubisHistory(p, cfg), &sink, CheckMode::kSer);
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 }

@@ -9,17 +9,16 @@
 //                 [--gc-every=0] [--gc-target=0]
 //                 [--stats] [--max-report=20] [--help]
 //
-// Offline mode runs CHRONOS, which checks register and list ops alike,
-// on a stream of the file (hist::EventStream): a first pass over the
-// transaction headers runs the well-formedness pre-pass and measures the
-// event window, a second feeds the start and commit events through that
-// window, so the check holds the window, not the file; it prints
-// `streamed FILE: ...` with the window it needed. --level=list is
-// another spelling of si. An input that cannot seek (a pipe), a history
-// with iso= tags and --level=ser (ChronosSer, register ops only) are
-// loaded whole instead (`loaded ...`); a loaded history with iso= tags
-// and no list ops goes to the per-transaction-level ChronosMixed
-// (NeedsMixedLevelCheck).
+// Offline mode runs CHRONOS, which checks register and list ops alike
+// at si or ser, on a stream of the file (hist::EventStream): a first
+// pass over the transaction headers runs the well-formedness pre-pass
+// and measures the event window, a second feeds the start and commit
+// events through that window, so the check holds the window, not the
+// file; it prints `streamed FILE: ...` with the window it needed.
+// --level=list is another spelling of si. An input that cannot seek (a
+// pipe) and a history with iso= tags are loaded whole instead (`loaded
+// ...`); a loaded history with iso= tags and no list ops goes to the
+// per-transaction-level ChronosMixed (NeedsMixedLevelCheck).
 // --online streams the file through AION via the collector
 // (hist::DeliveryStream; delays model asynchrony), so the run holds the
 // collector's reorder buffers and the checker's live state, not the
@@ -103,15 +102,14 @@ void PrintUsage(FILE* out) {
       "usage: chronos_check --in=FILE [options]\n"
       "\n"
       "  --in=FILE             history file (hist/codec.h text format);\n"
-      "                        streamed: offline si in two passes through\n"
+      "                        streamed: offline in two passes through\n"
       "                        an event window, --online through the\n"
       "                        collector. An input that cannot seek (a\n"
-      "                        pipe) is read whole; so are tagged and ser\n"
+      "                        pipe) is read whole; so are tagged\n"
       "                        histories offline\n"
       "  --level=si|ser|list   run-level default isolation (default si;\n"
-      "                        list is another spelling of si, which\n"
-      "                        checks register and list ops; offline ser\n"
-      "                        checks registers only); rc/ra are\n"
+      "                        list is another spelling of si; si and ser\n"
+      "                        check register and list ops); rc/ra are\n"
       "                        per-transaction only (iso= tags in the\n"
       "                        history). A history with iso= tags and no\n"
       "                        list ops dispatches offline to the\n"
@@ -291,6 +289,7 @@ int main(int argc, char** argv) {
     }
   } else {
     ChronosOptions opt;
+    opt.mode = args.mode;
     opt.gc_every_n_txns = args.gc_every;
     hist::EventStream stream(args.in);
     auto load_failed = [&stream] {
@@ -301,7 +300,7 @@ int main(int argc, char** argv) {
     if (!stream.status().ok) return load_failed();
     CheckStats stats;
     bool checked = false;
-    if (args.mode == CheckMode::kSi && stream.seekable()) {
+    if (stream.seekable()) {
       // Two passes over the file; the check holds the event window.
       Chronos checker(opt, &sink);
       stats = checker.Check(&stream);
@@ -320,7 +319,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!checked) {
-      // A pipe (read once), a tagged history or --level=ser.
+      // A pipe (read once) or a tagged history.
       Stopwatch load_sw;
       History h;
       if (!stream.Load(&h).ok) return load_failed();
@@ -333,9 +332,6 @@ int main(int argc, char** argv) {
         ChronosMixed checker(args.mode, &sink);
         stats = checker.Check(std::move(h));
         level = "mixed(default=" + level + ")";
-      } else if (args.mode == CheckMode::kSer) {
-        ChronosSer checker(&sink);
-        stats = checker.Check(std::move(h));
       } else {
         Chronos checker(opt, &sink);
         stats = checker.Check(std::move(h));

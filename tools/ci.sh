@@ -22,9 +22,9 @@
 # run just one with CHRONOS_CI_ASAN_ONLY=1 / CHRONOS_CI_UBSAN_ONLY=1.
 #
 # A bounded-memory gate then checks that the peak RSS of an online run
-# with GC, of a plain offline run and of an offline list run does not
-# grow with the history beyond what each design allows (tools/peak_rss
-# measures it).
+# with GC, of offline runs at si and ser and of an offline list run does
+# not grow with the history beyond what each design allows
+# (tools/peak_rss measures it).
 #
 # Usage: tools/ci.sh [build_dir]
 set -euo pipefail
@@ -269,10 +269,11 @@ fi
 # RSS is the checker's live window plus the collector's reorder buffers
 # and does not grow with the history: the 150k-txn run may peak at most
 # 15% above the 30k-txn run. The offline check streams the file in two
-# passes, so its peak RSS is the event window plus pass 1's timestamp
-# registry, which grows by design (8 B per timestamp plus vector
-# doubling): the 150k run may peak at most 15% above the 30k run plus
-# 32 B per extra txn. A whole-file load (~0.6 KB per txn) fails both.
+# passes, at --level=si and --level=ser alike, so its peak RSS is the
+# event window plus pass 1's timestamp registry, which grows by design
+# (8 B per timestamp plus vector doubling): the 150k run may peak at
+# most 15% above the 30k run plus 32 B per extra txn. A whole-file load
+# (~0.6 KB per txn) fails both.
 # Histories from e2ebench's generator flags at 30k and 150k txns (both
 # past the ~12.5k-txn window a 1000 ms EXT timeout keeps unfinalized).
 # A list history's file grows quadratically (each L line holds the whole
@@ -283,8 +284,8 @@ fi
 # Peaks are read by tools/peak_rss (fork/exec/wait4), whose own few-MB
 # RSS is the floor of a child's ru_maxrss; measured from Python that
 # floor is Python's ~14 MB, above the offline check's true peak.
-echo "bounded memory: online and offline peak RSS at 30k and 150k txns," \
-     "offline list at 1k and 4k"
+echo "bounded memory: online and offline (si, ser) peak RSS at 30k and" \
+     "150k txns, offline list at 1k and 4k"
 mem_dir="$BUILD_DIR/mem-gate"
 rm -rf "$mem_dir"
 mkdir -p "$mem_dir"
@@ -309,6 +310,7 @@ MODES = {
     "online": ("h", 30000, 150000, ["--online", "--timeout-ms=1000",
                                     "--gc-every=500", "--gc-target=2000"], 0),
     "offline": ("h", 30000, 150000, [], 32),
+    "offline ser": ("h", 30000, 150000, ["--level=ser"], 32),
     "offline list": ("l", 1000, 4000, ["--level=list"], 256),
 }
 
