@@ -30,7 +30,7 @@ int main() {
 
     CountingSink s3;
     baselines::BaselineResult elle =
-        baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &s3);
+        baselines::CheckElleKv(h, IsolationLevel::kSi, &s3);
 
     CountingSink s4;
     baselines::BaselineResult emme = baselines::CheckEmmeSi(h, &s4);

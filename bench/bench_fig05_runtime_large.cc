@@ -19,7 +19,7 @@ int main() {
     History h = bench::DefaultHistory(txns);
     CountingSink s1, s2, s3;
     baselines::BaselineResult elle =
-        baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &s1);
+        baselines::CheckElleKv(h, IsolationLevel::kSi, &s1);
     baselines::BaselineResult emme = baselines::CheckEmmeSi(h, &s2);
     CheckStats chronos = Chronos::CheckHistory(h, &s3);
     double ct = chronos.sort_seconds + chronos.check_seconds;
@@ -39,7 +39,7 @@ int main() {
     History h = workload::GenerateDefaultHistory(p);
     CountingSink s1, s2;
     baselines::BaselineResult elle =
-        baselines::CheckElleList(h, baselines::CheckLevel::kSi, &s1);
+        baselines::CheckElleList(h, IsolationLevel::kSi, &s1);
     CheckStats chronos = Chronos::CheckHistory(h, &s2);
     std::printf("%8llu %9.3fs %9.3fs\n",
                 static_cast<unsigned long long>(txns), elle.seconds,

@@ -14,7 +14,7 @@ namespace {
 void Compare(const History& h, const char* label) {
   auto [elle_s, elle_rss] = bench::TimedWithPeakRss([&] {
     CountingSink s;
-    baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &s);
+    baselines::CheckElleKv(h, IsolationLevel::kSi, &s);
   });
   auto [emme_s, emme_rss] = bench::TimedWithPeakRss([&] {
     CountingSink s;

@@ -18,7 +18,7 @@ void Compare(const char* label, const History& h) {
   Chronos::CheckHistory(h, &cs);
   baselines::PolygraphResult poly = baselines::CheckPolySi(h, &ps);
   baselines::BaselineResult elle =
-      baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &es);
+      baselines::CheckElleKv(h, IsolationLevel::kSi, &es);
   bool poly_detected =
       poly.verdict == baselines::PolygraphResult::Verdict::kViolation ||
       poly.anomalies > 0;

@@ -21,7 +21,7 @@ std::vector<hist::CollectedTxn> Stream(const History& h) {
   return hist::ScheduleDelivery(h, cp);
 }
 
-void RunAionRow(const char* label, CheckMode mode,
+void RunAionRow(const char* label, IsolationLevel mode,
                 const std::vector<hist::CollectedTxn>& stream,
                 GcPolicy gc, size_t shards = 1) {
   CountingSink sink;
@@ -73,7 +73,7 @@ History DefaultFor(bool ser, uint64_t txns) {
   p.dist = workload::WorkloadParams::KeyDist::kUniform;
   if (ser) p.read_ratio = 0.9;  // paper: prevents Cobra blow-up
   db::DbConfig cfg;
-  if (ser) cfg.isolation = db::DbConfig::Isolation::kSer;
+  if (ser) cfg.isolation = IsolationLevel::kSer;
   return workload::GenerateDefaultHistory(p, cfg);
 }
 
@@ -86,11 +86,11 @@ int main() {
   bench::Header("Fig 12a", "SER checking throughput (default workload)");
   {
     auto stream = Stream(DefaultFor(true, txns));
-    RunAionRow("Aion-SER-no-gc", CheckMode::kSer, stream,
+    RunAionRow("Aion-SER-no-gc", IsolationLevel::kSer, stream,
                GcPolicy::None());
-    RunAionRow("Aion-SER-checking-gc", CheckMode::kSer, stream,
+    RunAionRow("Aion-SER-checking-gc", IsolationLevel::kSer, stream,
                GcPolicy::Threshold(20000, 10000));
-    RunAionRow("Aion-SER-full-gc", CheckMode::kSer, stream,
+    RunAionRow("Aion-SER-full-gc", IsolationLevel::kSer, stream,
                GcPolicy::HardCap(5000));
     // Cobra's closure is O(N^2) bits of memory (GPU-resident in the
     // original): cap its slice so the CPU model stays within RAM.
@@ -108,18 +108,18 @@ int main() {
   bench::Header("Fig 12b", "SI checking throughput (default workload)");
   {
     auto stream = Stream(DefaultFor(false, txns));
-    RunAionRow("Aion-no-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-no-gc", IsolationLevel::kSi, stream,
                GcPolicy::None());
-    RunAionRow("Aion-checking-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-checking-gc", IsolationLevel::kSi, stream,
                GcPolicy::Threshold(20000, 10000));
-    RunAionRow("Aion-full-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-full-gc", IsolationLevel::kSi, stream,
                GcPolicy::HardCap(5000));
     // Key-partitioned checking (collector -> coordinator -> shards).
-    RunAionRow("Aion-sharded2-no-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-sharded2-no-gc", IsolationLevel::kSi, stream,
                GcPolicy::None(), /*shards=*/2);
-    RunAionRow("Aion-sharded4-no-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-sharded4-no-gc", IsolationLevel::kSi, stream,
                GcPolicy::None(), /*shards=*/4);
-    RunAionRow("Aion-sharded4-chk-gc", CheckMode::kSi, stream,
+    RunAionRow("Aion-sharded4-chk-gc", IsolationLevel::kSi, stream,
                GcPolicy::Threshold(20000, 10000), /*shards=*/4);
   }
 
@@ -129,12 +129,12 @@ int main() {
     workload::RubisParams rp;
     rp.txns = app_txns;
     db::DbConfig ser_cfg;
-    ser_cfg.isolation = db::DbConfig::Isolation::kSer;
+    ser_cfg.isolation = IsolationLevel::kSer;
     auto ser_stream = Stream(workload::GenerateRubisHistory(rp, ser_cfg));
-    RunAionRow("Aion-SER-rubis", CheckMode::kSer, ser_stream,
+    RunAionRow("Aion-SER-rubis", IsolationLevel::kSer, ser_stream,
                GcPolicy::Threshold(20000, 10000));
     auto si_stream = Stream(workload::GenerateRubisHistory(rp));
-    RunAionRow("Aion-SI-rubis", CheckMode::kSi, si_stream,
+    RunAionRow("Aion-SI-rubis", IsolationLevel::kSi, si_stream,
                GcPolicy::Threshold(20000, 10000));
   }
 
@@ -143,12 +143,12 @@ int main() {
     workload::TwitterParams tp;
     tp.txns = app_txns;
     db::DbConfig ser_cfg;
-    ser_cfg.isolation = db::DbConfig::Isolation::kSer;
+    ser_cfg.isolation = IsolationLevel::kSer;
     auto ser_stream = Stream(workload::GenerateTwitterHistory(tp, ser_cfg));
-    RunAionRow("Aion-SER-twitter", CheckMode::kSer, ser_stream,
+    RunAionRow("Aion-SER-twitter", IsolationLevel::kSer, ser_stream,
                GcPolicy::Threshold(20000, 10000));
     auto si_stream = Stream(workload::GenerateTwitterHistory(tp));
-    RunAionRow("Aion-SI-twitter", CheckMode::kSi, si_stream,
+    RunAionRow("Aion-SI-twitter", IsolationLevel::kSi, si_stream,
                GcPolicy::Threshold(20000, 10000));
   }
   return 0;

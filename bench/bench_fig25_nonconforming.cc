@@ -25,7 +25,7 @@ int main() {
   History h = workload::GenerateDefaultHistory(p);
 
   CountingSink ref;
-  Chronos::CheckHistory(h, &ref, CheckMode::kSer);
+  Chronos::CheckHistory(h, &ref, IsolationLevel::kSer);
   std::printf("Chronos-SER ground truth: %zu violations\n",
               static_cast<size_t>(ref.total()));
 
@@ -41,7 +41,7 @@ int main() {
   for (const auto& [name, gc] : rows) {
     CountingSink sink;
     Aion::Options opt;
-    opt.mode = CheckMode::kSer;
+    opt.mode = IsolationLevel::kSer;
     opt.ext_timeout_ms = 50;
     Aion checker(opt, &sink);
     online::RunResult r = online::RunMaxRate(&checker, stream, gc);

@@ -15,7 +15,7 @@ using namespace chronos;
 
 int main() {
   db::DbConfig cfg;
-  cfg.isolation = db::DbConfig::Isolation::kSer;
+  cfg.isolation = IsolationLevel::kSer;
   workload::TwitterParams params;
   params.users = 500;
   params.txns = 15000;
@@ -29,7 +29,7 @@ int main() {
               keys.size());
 
   CountingSink offline;
-  CheckStats stats = Chronos::CheckHistory(h, &offline, CheckMode::kSer);
+  CheckStats stats = Chronos::CheckHistory(h, &offline, IsolationLevel::kSer);
   std::printf("offline CHRONOS-SER: %.3fs, %zu violations\n",
               stats.TotalSeconds(), stats.violations);
 
@@ -39,7 +39,7 @@ int main() {
   auto stream = hist::ScheduleDelivery(h, cp);
   CountingSink online_sink;
   Aion::Options opt;
-  opt.mode = CheckMode::kSer;
+  opt.mode = IsolationLevel::kSer;
   opt.ext_timeout_ms = 5000;
   Aion checker(opt, &online_sink);
   online::RunResult r = online::RunMaxRate(

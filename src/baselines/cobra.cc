@@ -114,7 +114,7 @@ CobraRun RunCobraSer(const std::vector<hist::CollectedTxn>& stream,
 
     // Solve the round's SER polygraph with fence-epoch pruning.
     PolygraphParams pp;
-    pp.level = CheckLevel::kSer;
+    pp.level = IsolationLevel::kSer;
     pp.prune_known_orders = true;
     uint64_t base_index = pos;
     pp.epoch_of = [&epoch_of_pos, base_index](uint32_t local) {

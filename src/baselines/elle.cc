@@ -4,7 +4,7 @@
 
 namespace chronos::baselines {
 
-BaselineResult CheckElleKv(const History& h, CheckLevel level,
+BaselineResult CheckElleKv(const History& h, IsolationLevel level,
                            ViolationSink* sink) {
   BaselineResult result;
   Stopwatch sw;
@@ -48,8 +48,8 @@ BaselineResult CheckElleKv(const History& h, CheckLevel level,
                                    GraphBuildOptions{true, false}, &g, sink);
   for (const auto& [a, b] : rmw_ww) g.AddDep(a, b);
   result.graph_edges = g.NumEdges();
-  bool ok = level == CheckLevel::kSer ? SatisfiesSerCriterion(g)
-                                      : SatisfiesSiCriterion(g);
+  bool ok = level == IsolationLevel::kSer ? SatisfiesSerCriterion(g)
+                                          : SatisfiesSiCriterion(g);
   result.cycle_found = !ok;
   if (!ok && !h.txns.empty()) {
     sink->Report({ViolationType::kExt, h.txns[0].tid, kTxnNone, 0});
@@ -58,7 +58,7 @@ BaselineResult CheckElleKv(const History& h, CheckLevel level,
   return result;
 }
 
-BaselineResult CheckElleList(const History& h, CheckLevel level,
+BaselineResult CheckElleList(const History& h, IsolationLevel level,
                              ViolationSink* sink) {
   BaselineResult result;
   Stopwatch sw;
@@ -69,8 +69,8 @@ BaselineResult CheckElleList(const History& h, CheckLevel level,
       prefix_anomalies +
       BuildDepGraph(h, orders, GraphBuildOptions{true, false}, &g, sink);
   result.graph_edges = g.NumEdges();
-  bool ok = level == CheckLevel::kSer ? SatisfiesSerCriterion(g)
-                                      : SatisfiesSiCriterion(g);
+  bool ok = level == IsolationLevel::kSer ? SatisfiesSerCriterion(g)
+                                          : SatisfiesSiCriterion(g);
   result.cycle_found = !ok;
   if (!ok && !h.txns.empty()) {
     sink->Report({ViolationType::kExt, h.txns[0].tid, kTxnNone, 0});

@@ -26,15 +26,13 @@ struct BaselineResult {
   bool Accepted() const { return !cycle_found && anomalies == 0; }
 };
 
-/// Isolation level for the cycle criterion.
-enum class CheckLevel { kSer, kSi };
-
-/// ElleKV: register histories.
-BaselineResult CheckElleKv(const History& h, CheckLevel level,
+/// ElleKV: register histories. `level` (kSi or kSer) picks the cycle
+/// criterion.
+BaselineResult CheckElleKv(const History& h, IsolationLevel level,
                            ViolationSink* sink);
 
 /// ElleList: list-append histories with prefix-based recovery.
-BaselineResult CheckElleList(const History& h, CheckLevel level,
+BaselineResult CheckElleList(const History& h, IsolationLevel level,
                              ViolationSink* sink);
 
 }  // namespace chronos::baselines

@@ -205,7 +205,7 @@ PolygraphResult CheckPolygraph(const History& h,
   };
 
   // ---- CEGAR loop ----
-  const bool si = params.level == CheckLevel::kSi;
+  const bool si = params.level == IsolationLevel::kSi;
   while (result.cegar_rounds < params.max_cegar_rounds) {
     ++result.cegar_rounds;
     sat::Solver::Result sres = solver.Solve(params.max_conflicts);
@@ -282,14 +282,14 @@ PolygraphResult CheckPolygraph(const History& h,
 
 PolygraphResult CheckPolySi(const History& h, ViolationSink* sink) {
   PolygraphParams p;
-  p.level = CheckLevel::kSi;
+  p.level = IsolationLevel::kSi;
   p.prune_known_orders = false;
   return CheckPolygraph(h, p, sink);
 }
 
 PolygraphResult CheckViper(const History& h, ViolationSink* sink) {
   PolygraphParams p;
-  p.level = CheckLevel::kSi;
+  p.level = IsolationLevel::kSi;
   p.prune_known_orders = true;
   return CheckPolygraph(h, p, sink);
 }

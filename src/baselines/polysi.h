@@ -24,7 +24,7 @@ namespace chronos::baselines {
 
 /// Tuning for the polygraph CEGAR check.
 struct PolygraphParams {
-  CheckLevel level = CheckLevel::kSi;
+  IsolationLevel level = IsolationLevel::kSi;  ///< kSi or kSer
   bool prune_known_orders = false;  ///< Viper-style session/RMW pruning
   /// Cobra fence epochs: writer pairs two or more epochs apart are
   /// ordered by epoch instead of a SAT variable (nullptr: disabled).

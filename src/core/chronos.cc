@@ -133,7 +133,7 @@ class HistorySource : public ReplaySource {
     stats->txns = history_.txns.size();
     stats->ops = history_.NumOps();
     pre->CheckAll(history_);
-    events_ = BuildSortedEvents(history_, pre->mode());
+    events_ = BuildSortedEvents(history_, pre->level());
     return true;
   }
 
@@ -201,7 +201,7 @@ CheckStats Chronos::Check(ReplaySource* source) {
   // ---- Checking stage: simulate in timestamp order. ----
   // Appends join `ongoing` like writes: NOCONFLICT is per key, whatever
   // the data type. SER has no NOCONFLICT, so nothing joins it there.
-  const bool noconflict = options_.mode == CheckMode::kSi;
+  const bool noconflict = options_.mode == IsolationLevel::kSi;
   Frontier frontier;
   std::unordered_map<Key, std::vector<TxnId>> ongoing;
   std::unordered_map<TxnId, TxnState> live;
@@ -220,7 +220,7 @@ CheckStats Chronos::Check(ReplaySource* source) {
       SessionState& ss = sessions[t.sid];
       AdvanceOverSkipped(&ss);
       if (static_cast<int64_t>(t.sno) != ss.last_sno + 1 ||
-          ReplayStart(t, options_.mode) < ss.last_cts) {
+          ReadView(t, options_.mode) < ss.last_cts) {
         report({ViolationType::kSession, t.tid, kTxnNone, 0,
                 static_cast<Value>(ss.last_sno + 1),
                 static_cast<Value>(t.sno)});
@@ -290,9 +290,9 @@ CheckStats Chronos::Check(ReplaySource* source) {
 }
 
 CheckStats Chronos::CheckHistory(const History& history, ViolationSink* sink,
-                                  CheckMode mode) {
+                                  IsolationLevel level) {
   ChronosOptions options;
-  options.mode = mode;
+  options.mode = level;
   Chronos checker(options, sink);
   History copy = history;
   return checker.Check(std::move(copy));
@@ -330,7 +330,7 @@ CheckStats ChronosMixed::Check(History&& history) {
   std::unordered_map<SessionId, SessionState> sessions;
   for (uint32_t idx : order) {
     const Transaction& t = history.txns[idx];
-    const IsolationLevel lv = EffectiveLevel(t, default_mode_);
+    const IsolationLevel lv = EffectiveLevel(t, default_level_);
     if (lv == IsolationLevel::kSi && !t.TimestampsOrdered()) {
       report({ViolationType::kTsOrder, t.tid, kTxnNone, 0,
               static_cast<Value>(t.start_ts),
@@ -383,10 +383,10 @@ CheckStats ChronosMixed::Check(History&& history) {
       for (uint32_t idx : idxs) {
         if (admit[idx] != kAdmitted) continue;  // skipped_snos already set
         const Transaction& t = history.txns[idx];
-        const IsolationLevel lv = EffectiveLevel(t, default_mode_);
+        const IsolationLevel lv = EffectiveLevel(t, default_level_);
         AdvanceOverSkipped(&ss);
         const bool si = lv == IsolationLevel::kSi;
-        Timestamp order_ts = si ? t.start_ts : t.commit_ts;
+        const Timestamp order_ts = ReadView(t, lv);
         bool bad_order = si ? order_ts < ss.last_cts
                             : order_ts <= ss.last_cts && ss.last_sno >= 0;
         if (static_cast<int64_t>(t.sno) != ss.last_sno + 1 || bad_order) {
@@ -451,9 +451,9 @@ CheckStats ChronosMixed::Check(History&& history) {
   for (uint32_t idx : order) {
     if (admit[idx] != kAdmitted) continue;
     const Transaction& t = history.txns[idx];
-    const IsolationLevel lv = EffectiveLevel(t, default_mode_);
+    const IsolationLevel lv = EffectiveLevel(t, default_level_);
     const bool si = lv == IsolationLevel::kSi;
-    const Timestamp view = si ? t.start_ts : t.commit_ts;
+    const Timestamp view = ReadView(t, lv);
     for (const KeyEngine::ExtReadReq& r : footprints[idx].ext_reads) {
       bool ok;
       if (MembershipLevel(lv)) {
@@ -493,7 +493,7 @@ CheckStats ChronosMixed::Check(History&& history) {
     for (uint32_t idx : order) {
       if (admit[idx] != kAdmitted) continue;
       const Transaction& t = history.txns[idx];
-      if (EffectiveLevel(t, default_mode_) != IsolationLevel::kSi) continue;
+      if (EffectiveLevel(t, default_level_) != IsolationLevel::kSi) continue;
       SmallMap<Key, bool> seen_key;
       auto add = [&](Key key) {
         if (seen_key.Find(key)) return;
@@ -525,9 +525,9 @@ CheckStats ChronosMixed::Check(History&& history) {
 }
 
 CheckStats ChronosMixed::CheckHistory(const History& history,
-                                      CheckMode default_mode,
+                                      IsolationLevel default_level,
                                       ViolationSink* sink) {
-  ChronosMixed checker(default_mode, sink);
+  ChronosMixed checker(default_level, sink);
   History copy = history;
   return checker.Check(std::move(copy));
 }

@@ -6,7 +6,7 @@
 //
 // SER (Sec. VI-A) is the same replay with ChronosOptions::mode kSer: a
 // transaction's start event replays at its commit timestamp, the read
-// view (ReplayStart, core/event_timeline.h), so all transactions replay
+// view (ReadView, core/online_checker.h), so all transactions replay
 // one after another in commit order. No transaction breaks Eq. (1),
 // only commit timestamps must be unique, and NOCONFLICT is not checked.
 //
@@ -45,9 +45,9 @@ namespace chronos {
 
 /// Options controlling the offline check.
 struct ChronosOptions {
-  /// The level every transaction is checked at (iso= tags are
-  /// ChronosMixed's).
-  CheckMode mode = CheckMode::kSi;
+  /// The level every transaction is checked at, kSi or kSer (iso= tags
+  /// are ChronosMixed's).
+  IsolationLevel mode = IsolationLevel::kSi;
   /// Trigger a periodic garbage-collection pass after this many commit
   /// events (paper Fig. 6/9: gc-10k, gc-20k, ...). 0 disables periodic GC;
   /// the per-transaction prompt GC of Algorithm 2 lines 30-33 always runs.
@@ -59,7 +59,7 @@ struct ChronosOptions {
 
 /// What Chronos::Check replays: a history in file order for the
 /// pre-pass, then its events in (ts, kind, file index) order, the order
-/// BuildSortedEvents gives at the pre-pass's mode().
+/// BuildSortedEvents gives at the pre-pass's level().
 class ReplaySource {
  public:
   virtual ~ReplaySource() = default;
@@ -98,9 +98,9 @@ class Chronos {
   /// replayed.
   CheckStats Check(ReplaySource* source);
 
-  /// Convenience: checks a copy of `history` at `mode`, no periodic GC.
+  /// Convenience: checks a copy of `history` at `level`, no periodic GC.
   static CheckStats CheckHistory(const History& history, ViolationSink* sink,
-                                 CheckMode mode = CheckMode::kSi);
+                                 IsolationLevel level = IsolationLevel::kSi);
 
  private:
   ChronosOptions options_;
@@ -109,9 +109,9 @@ class Chronos {
 
 /// CHRONOS-MIXED: the offline mirror of AION on per-transaction
 /// isolation levels (Transaction::iso; untagged transactions fall back
-/// to `default_mode`). An independent, batch re-implementation of the
-/// online per-level semantics, used by the differ as the white-box
-/// reference for mixed histories:
+/// to `default_level`, kSi or kSer). An independent, batch
+/// re-implementation of the online per-level semantics, used by the
+/// differ as the white-box reference for mixed histories:
 ///   - admission replayed in canonical (commit_ts, tid) order with
 ///     per-level timestamp registration (SER {commit}, Eq.(1)-valid SI
 ///     {start, commit}, RC/RA none);
@@ -127,16 +127,17 @@ class Chronos {
 ///     per-level ordering rule of TxnIngress::CheckSession.
 class ChronosMixed {
  public:
-  ChronosMixed(CheckMode default_mode, ViolationSink* sink)
-      : default_mode_(default_mode), sink_(sink) {}
+  ChronosMixed(IsolationLevel default_level, ViolationSink* sink)
+      : default_level_(default_level), sink_(sink) {}
 
   CheckStats Check(History&& history);
 
   static CheckStats CheckHistory(const History& history,
-                                 CheckMode default_mode, ViolationSink* sink);
+                                 IsolationLevel default_level,
+                                 ViolationSink* sink);
 
  private:
-  CheckMode default_mode_;
+  IsolationLevel default_level_;
   ViolationSink* sink_;
 };
 

@@ -13,18 +13,11 @@
 
 namespace chronos {
 
-/// Where a transaction's start event replays. Under SI it is start_ts.
-/// Under SER the commit timestamp is the read view (paper Sec. VI-A), so
-/// it is commit_ts: the start sorts right before its own commit and the
-/// reads see exactly the commits below it.
-inline Timestamp ReplayStart(const Transaction& t, CheckMode mode) {
-  return mode == CheckMode::kSer ? t.commit_ts : t.start_ts;
-}
-
-/// False for a transaction that breaks Eq. (1) under `mode`, which the
-/// pre-pass reports and the replay skips. Under SER none does.
-inline bool Replayed(const Transaction& t, CheckMode mode) {
-  return ReplayStart(t, mode) <= t.commit_ts;
+/// False for a transaction that breaks Eq. (1) at run level `level`,
+/// which the pre-pass reports and the replay skips. A start event
+/// replays at the read view (ReadView), so under SER none does.
+inline bool Replayed(const Transaction& t, IsolationLevel level) {
+  return ReadView(t, level) <= t.commit_ts;
 }
 
 /// Kind of a timeline event. Start events sort before commit events at
@@ -47,13 +40,13 @@ struct Event {
 
 /// Builds the fully sorted event vector for an offline history.
 inline std::vector<Event> BuildSortedEvents(const History& h,
-                                            CheckMode mode) {
+                                            IsolationLevel level) {
   std::vector<Event> events;
   events.reserve(h.txns.size() * 2);
   for (uint32_t i = 0; i < h.txns.size(); ++i) {
     const Transaction& t = h.txns[i];
-    if (!Replayed(t, mode)) continue;  // reported separately
-    events.push_back({ReplayStart(t, mode), EventKind::kStart, i});
+    if (!Replayed(t, level)) continue;  // reported separately
+    events.push_back({ReadView(t, level), EventKind::kStart, i});
     events.push_back({t.commit_ts, EventKind::kCommit, i});
   }
   std::sort(events.begin(), events.end());

@@ -357,7 +357,7 @@ KeyEngine::ListEval KeyEngine::EvaluateListRead(
   // Its own delta is stripped from the resolved base (list_replay.h), so
   // the evaluation must step to the predecessor — the list analogue of
   // the self_stamped_rw fuzz finding for registers.
-  const bool inclusive = options_.mode == CheckMode::kSi;
+  const bool inclusive = options_.mode == IsolationLevel::kSi;
   ListEval ev;
 
   // Below-base straggler view: the in-memory prefix is incomplete (the

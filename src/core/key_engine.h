@@ -37,7 +37,7 @@ namespace chronos {
 class KeyEngine {
  public:
   struct Options {
-    CheckMode mode = CheckMode::kSi;
+    IsolationLevel mode = IsolationLevel::kSi;  ///< run default: kSi or kSer
     std::string spill_dir;  ///< empty disables spill persistence
   };
 

@@ -3,9 +3,9 @@
 // (online/sharded_aion.h) implement the same contract, so the online
 // drivers (online/pipeline.h, online/checkpoint.h) and the GC policy
 // below work against either.
-// The mode/options/stats/footprint types live here — outside Aion — so
-// the key-scoped `KeyEngine` layer and the sharded coordinator can share
-// them without depending on the monolith.
+// The level rules, options, stats and footprint types live here —
+// outside Aion — so the key-scoped `KeyEngine` layer and the sharded
+// coordinator can share them without depending on the monolith.
 #ifndef CHRONOS_CORE_ONLINE_CHECKER_H_
 #define CHRONOS_CORE_ONLINE_CHECKER_H_
 
@@ -18,25 +18,23 @@
 
 namespace chronos {
 
-/// The run-level default isolation level. SER ignores start timestamps,
-/// uses the commit timestamp as the read view, and skips NOCONFLICT
-/// (paper Sec. VI-A). Individual transactions may override the default
-/// via Transaction::iso (mixed-level histories); EffectiveLevel resolves
-/// the two.
-enum class CheckMode { kSi, kSer };
-
-/// The IsolationLevel a CheckMode defaults untagged transactions to.
-inline IsolationLevel DefaultLevel(CheckMode mode) {
-  return mode == CheckMode::kSer ? IsolationLevel::kSer
-                                 : IsolationLevel::kSi;
-}
-
 /// The level a transaction is actually checked under: its own tag, or
-/// the run-level default when untagged. Resolved exactly once per
+/// `run_level`, the run-level default (kSi or kSer), when untagged. SER
+/// ignores start timestamps, uses the commit timestamp as the read view,
+/// and skips NOCONFLICT (paper Sec. VI-A). Resolved exactly once per
 /// arrival (TxnIngress::AdmitTxn) and carried through the engines in
 /// KeyEngine::TxnCtx, so every downstream decision sees one value.
-inline IsolationLevel EffectiveLevel(const Transaction& t, CheckMode mode) {
-  return t.iso == IsolationLevel::kUnspecified ? DefaultLevel(mode) : t.iso;
+inline IsolationLevel EffectiveLevel(const Transaction& t,
+                                     IsolationLevel run_level) {
+  return t.iso == IsolationLevel::kUnspecified ? run_level : t.iso;
+}
+
+/// The read view of `t` at (effective) `level`: start_ts under SI, and
+/// commit_ts under SER, RC and RA, which read in commit order (paper
+/// Sec. VI-A). Also where Chronos replays the start event and what the
+/// session rule orders by.
+inline Timestamp ReadView(const Transaction& t, IsolationLevel level) {
+  return level == IsolationLevel::kSi ? t.start_ts : t.commit_ts;
 }
 
 /// Which timestamps the ingress registers for the cross-transaction
@@ -67,7 +65,8 @@ using StallHook = std::function<void(size_t shard)>;
 
 /// Configuration shared by the monolithic and sharded checkers.
 struct CheckerOptions {
-  CheckMode mode = CheckMode::kSi;
+  /// The run-level default for untagged transactions: kSi or kSer.
+  IsolationLevel mode = IsolationLevel::kSi;
   /// EXT verdicts become final this long after the transaction arrives
   /// (the paper conservatively uses 5000 ms). Time is whatever unit the
   /// caller passes to OnTransaction/AdvanceTime; tests use virtual ms.

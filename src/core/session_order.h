@@ -49,18 +49,18 @@ inline void AdvanceOverSkipped(SessionState* ss) {
 /// skipped_snos and handed to the checker's INT-only check (INT never
 /// depends on timestamps); duplicate timestamps across distinct
 /// transactions are reported but still replayed (AION instead skips
-/// them — divergence entry D6). Both rules read a transaction's replay
-/// start (ReplayStart), so under SER no transaction breaks Eq. (1) and
-/// only commit timestamps are claimed.
+/// them — divergence entry D6). Both rules read a transaction's read view
+/// (ReadView), so under SER no transaction breaks Eq. (1) and only
+/// commit timestamps are claimed.
 class WellFormednessPrePass {
  public:
   using IntOnlyFn = std::function<void(const Transaction&)>;
 
-  WellFormednessPrePass(CheckMode mode, ViolationSink* sink,
+  WellFormednessPrePass(IsolationLevel level, ViolationSink* sink,
                         CountingSink* counted,
                         std::unordered_map<SessionId, SessionState>* sessions,
                         IntOnlyFn int_only)
-      : mode_(mode),
+      : level_(level),
         sink_(sink),
         counted_(counted),
         sessions_(sessions),
@@ -70,7 +70,7 @@ class WellFormednessPrePass {
   /// breaks Eq. (1): TS-ORDER is reported and `t` leaves the replay, and
   /// the caller hands `t`, ops included, to IntOnly before the next call.
   bool Check(const Transaction& t) {
-    if (!Replayed(t, mode_)) {
+    if (!Replayed(t, level_)) {
       sink_->Report({ViolationType::kTsOrder, t.tid, kTxnNone, 0,
                      static_cast<Value>(t.start_ts),
                      static_cast<Value>(t.commit_ts)});
@@ -78,7 +78,7 @@ class WellFormednessPrePass {
       (*sessions_)[t.sid].skipped_snos.insert(t.sno);
       return false;
     }
-    const Timestamp start = ReplayStart(t, mode_);
+    const Timestamp start = ReadView(t, level_);
     if (!Claim(start) || (t.commit_ts != start && !Claim(t.commit_ts))) {
       sink_->Report({ViolationType::kTsDuplicate, t.tid});
       counted_->Report({ViolationType::kTsDuplicate, t.tid});
@@ -87,7 +87,7 @@ class WellFormednessPrePass {
   }
 
   /// The level the replay checks: where start events replay.
-  CheckMode mode() const { return mode_; }
+  IsolationLevel level() const { return level_; }
 
   /// The INT-only check of a transaction Check rejected.
   void IntOnly(const Transaction& t) const { int_only_(t); }
@@ -133,7 +133,7 @@ class WellFormednessPrePass {
 
   static constexpr size_t kMinMerge = 64;
 
-  CheckMode mode_;
+  IsolationLevel level_;
   ViolationSink* sink_;
   CountingSink* counted_;
   std::unordered_map<SessionId, SessionState>* sessions_;

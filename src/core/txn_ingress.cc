@@ -126,8 +126,7 @@ TxnIngress::Admission TxnIngress::AdmitTxn(const Transaction& t,
 
   CheckSession(t, lv);
 
-  const Timestamp view_ts =
-      lv == IsolationLevel::kSi ? t.start_ts : t.commit_ts;
+  const Timestamp view_ts = ReadView(t, lv);
 
   // A replayed tid keeps its original record and registrations: pushing
   // its view on the heap again would outlive the single finalize
@@ -192,7 +191,7 @@ void TxnIngress::CheckSession(const Transaction& t, IsolationLevel lv) {
   // one committed (strong session). Every commit-view level (SER, RC,
   // RA): its commit must come later in commit order.
   const bool si = lv == IsolationLevel::kSi;
-  Timestamp order_ts = si ? t.start_ts : t.commit_ts;
+  const Timestamp order_ts = ReadView(t, lv);
   bool bad_order = si ? order_ts < ss.last_cts
                       : order_ts <= ss.last_cts && ss.last_sno >= 0;
   if (static_cast<int64_t>(t.sno) != ss.last_sno + 1 || bad_order) {

@@ -122,7 +122,7 @@ Database::CommitResult Database::Commit(std::unique_ptr<Txn> txn) {
     ++fault_log_.lost_updates;
   }
   // SER: OCC read validation — any newer version of a read key aborts.
-  if (config_.isolation == DbConfig::Isolation::kSer) {
+  if (config_.isolation == IsolationLevel::kSer) {
     for (Key key : txn->read_keys_) {
       if (store_.LatestCommitTs(key) > txn->start_ts_) {
         ++aborted_;

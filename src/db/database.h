@@ -25,8 +25,8 @@ namespace chronos::db {
 
 /// Database configuration.
 struct DbConfig {
-  enum class Isolation { kSi, kSer };
-  Isolation isolation = Isolation::kSi;
+  /// kSi or kSer: SER also validates the read set at commit.
+  IsolationLevel isolation = IsolationLevel::kSi;
 
   enum class Timestamping { kCentralized, kHlc };
   Timestamping timestamping = Timestamping::kCentralized;

@@ -86,12 +86,12 @@ std::vector<Violation> NormalizeForSchedule(const std::vector<Violation>& in) {
 // catch.
 uint64_t PlantedFrontierExtCount(const std::vector<Arrival>& arrivals,
                                  const std::vector<size_t>& perm,
-                                 CheckMode mode) {
+                                 IsolationLevel mode) {
   std::map<Key, std::vector<std::pair<Timestamp, Value>>> versions;
   uint64_t mismatches = 0;
   for (size_t idx : perm) {
     const Transaction& t = *arrivals[idx].txn;
-    const Timestamp view = mode == CheckMode::kSer ? t.commit_ts : t.start_ts;
+    const Timestamp view = ReadView(t, mode);
     std::set<Key> own;
     for (const Op& op : t.ops) {
       if (op.type == OpType::kWrite) {

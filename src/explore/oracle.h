@@ -37,7 +37,7 @@ namespace chronos::explore {
 inline constexpr uint64_t kInfiniteTimeoutMs = 1ull << 30;
 
 struct OracleConfig {
-  CheckMode mode = CheckMode::kSi;
+  IsolationLevel mode = IsolationLevel::kSi;  ///< run default: kSi or kSer
   uint64_t ext_timeout_ms = kInfiniteTimeoutMs;
   /// GcToLiveTarget(gc_target) every `gc_every` arrivals (0: never).
   /// Non-zero makes every arrival pair position-dependent (watermark

@@ -5,7 +5,8 @@
 
 namespace chronos::explore {
 
-std::vector<Arrival> CanonicalArrivals(const History& h, CheckMode mode) {
+std::vector<Arrival> CanonicalArrivals(const History& h,
+                                       IsolationLevel run_level) {
   std::vector<Arrival> out;
   out.reserve(h.txns.size());
   for (const Transaction& t : h.txns) {
@@ -18,7 +19,7 @@ std::vector<Arrival> CanonicalArrivals(const History& h, CheckMode mode) {
     // SER registers {commit}, Eq.(1)-valid SI registers {start, commit},
     // and RC/RA register nothing at all — which makes mixed-level
     // histories commute more widely under the DPOR dependence relation.
-    switch (EffectiveLevel(t, mode)) {
+    switch (EffectiveLevel(t, run_level)) {
       case IsolationLevel::kSer:
         a.reg_ts = {t.commit_ts};
         break;

@@ -63,7 +63,8 @@ struct Arrival {
 /// (commit_ts, tid) — the collector's commit-order schedule. Every
 /// explored schedule is a session-preserving permutation of this list,
 /// and the enumerator's reference schedule is its lex-min extension.
-std::vector<Arrival> CanonicalArrivals(const History& h, CheckMode mode);
+std::vector<Arrival> CanonicalArrivals(const History& h,
+                                       IsolationLevel run_level);
 
 /// Symmetric dependence matrix over the canonical arrivals.
 /// `position_sensitive` marks every pair dependent (finite timeout or

@@ -85,7 +85,8 @@ Corpus LoadCorpus(const std::string& dir) {
                          ": mode must be si|ser, got '" + value + "'";
           return corpus;
         }
-        entry.ser = value == "ser";
+        entry.level =
+            value == "ser" ? IsolationLevel::kSer : IsolationLevel::kSi;
       } else if (ClassIndex(key, &cls)) {
         entry.expected[cls] = std::strtoull(value.c_str(), nullptr, 10);
       } else {

@@ -29,7 +29,8 @@ struct CorpusEntry {
   std::string tag;         ///< divergence-table entry exercised (D1..D7)
   std::array<size_t, 6> expected{};  ///< Chronos counts per ViolationType
   bool blackbox_detect = false;      ///< expected ElleKV/ElleList verdict
-  bool ser = false;                  ///< replay under the SER checker set
+  /// Manifest `mode=si|ser`: the run level it replays at.
+  IsolationLevel level = IsolationLevel::kSi;
   bool mixed = false;                ///< per-transaction iso tags (D8/D9)
   History history;
 

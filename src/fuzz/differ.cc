@@ -130,28 +130,7 @@ ScheduleInvariance ScheduleInvarianceFor(bool finite_ext_timeout,
   return inv;
 }
 
-bool HistoryHasDuplicateTs(const History& h, bool ser) {
-  std::unordered_map<Timestamp, TxnId> owner;
-  for (const Transaction& t : h.txns) {
-    // Eq.(1)-invalid transactions never reach the uniqueness check
-    // (TxnIngress::AdmitTxn returns kIntOnly first) in SI mode.
-    if (!ser && !t.TimestampsOrdered()) continue;
-    auto clashes = [&](Timestamp ts) {
-      auto [it, fresh] = owner.emplace(ts, t.tid);
-      return !fresh && it->second != t.tid;
-    };
-    if (ser ? clashes(t.commit_ts)
-            : (clashes(t.start_ts) || clashes(t.commit_ts))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool HistoryHasDuplicateTs(const History& h, CheckMode mode) {
-  if (!HistoryHasLevelTags(h)) {
-    return HistoryHasDuplicateTs(h, mode == CheckMode::kSer);
-  }
+bool HistoryHasDuplicateTs(const History& h, IsolationLevel run_level) {
   std::unordered_map<Timestamp, TxnId> owner;  // registered timestamps
   auto clashes = [&](Timestamp ts, TxnId tid) {
     auto [it, fresh] = owner.emplace(ts, tid);
@@ -165,7 +144,7 @@ bool HistoryHasDuplicateTs(const History& h, CheckMode mode) {
   };
   std::unordered_map<Timestamp, CtsInfo> committers;
   for (const Transaction& t : h.txns) {
-    const IsolationLevel lv = EffectiveLevel(t, mode);
+    const IsolationLevel lv = EffectiveLevel(t, run_level);
     const bool member = MembershipLevel(lv);
     auto [cit, fresh] =
         committers.try_emplace(t.commit_ts, CtsInfo{t.tid, member});
@@ -235,12 +214,10 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   // List histories are checked at SI: the scenario generator never pairs
   // them with SER, and neither list baseline (Elle-list) nor the corpus
   // has an SER list verdict, though Chronos and AION check lists at
-  // either level. Forcing SI keeps a stray `--ser` replay of a list
+  // either level. Forcing SI keeps a stray `--level=ser` replay of a list
   // repro on the SI matrix it was found with.
   const bool list = sc.wl.list_mode || HistoryHasListOps(h);
-  const bool ser =
-      !list && sc.db.isolation == db::DbConfig::Isolation::kSer;
-  const CheckMode mode = ser ? CheckMode::kSer : CheckMode::kSi;
+  const IsolationLevel level = list ? IsolationLevel::kSi : sc.db.isolation;
   // Mixed-level histories (entry D8): per-transaction iso tags route the
   // offline side to ChronosMixed and gate out every single-level checker
   // (Chronos, Emme, ElleKV, PolySI have no notion of per-transaction
@@ -261,16 +238,16 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
   // ---------------------------------------------------- offline checkers
   if (mixed) {
     CountingSink cs;
-    ChronosMixed::CheckHistory(h, mode, &cs);
+    ChronosMixed::CheckHistory(h, level, &cs);
     report.checkers.push_back(FromCountingSink("chronos-mixed", cs));
   } else {
     CountingSink cs;
-    Chronos::CheckHistory(h, &cs, mode);
+    Chronos::CheckHistory(h, &cs, level);
     report.checkers.push_back(FromCountingSink("chronos", cs));
 
     if (!budget_spent()) {
       ChronosOptions copt;
-      copt.mode = mode;
+      copt.mode = level;
       copt.gc_every_n_txns = 50;
       CountingSink gs;
       Chronos gc_checker(copt, &gs);
@@ -283,7 +260,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
       if (!budget_spent()) {
         CountingSink el;
         baselines::BaselineResult elle =
-            baselines::CheckElleList(h, baselines::CheckLevel::kSi, &el);
+            baselines::CheckElleList(h, IsolationLevel::kSi, &el);
         CheckerReport er = FromCountingSink("elle-list", el);
         er.detected = !elle.Accepted() || er.total > 0;
         report.checkers.push_back(std::move(er));
@@ -291,8 +268,9 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     } else {
       if (!budget_spent()) {
         CountingSink es;
-        baselines::BaselineResult emme = ser ? baselines::CheckEmmeSer(h, &es)
-                                             : baselines::CheckEmmeSi(h, &es);
+        baselines::BaselineResult emme =
+            level == IsolationLevel::kSer ? baselines::CheckEmmeSer(h, &es)
+                                          : baselines::CheckEmmeSi(h, &es);
         CheckerReport er = FromCountingSink("emme", es);
         er.detected = !emme.Accepted() || er.total > 0;
         report.checkers.push_back(std::move(er));
@@ -300,15 +278,14 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
 
       if (!budget_spent()) {
         CountingSink ks;
-        baselines::BaselineResult elle = baselines::CheckElleKv(
-            h, ser ? baselines::CheckLevel::kSer : baselines::CheckLevel::kSi,
-            &ks);
+        baselines::BaselineResult elle =
+            baselines::CheckElleKv(h, level, &ks);
         CheckerReport kr = FromCountingSink("ellekv", ks);
         kr.detected = !elle.Accepted() || kr.total > 0;
         report.checkers.push_back(std::move(kr));
       }
     }
-    if (!list && !ser) {  // PolySI checks SI only
+    if (!list && level == IsolationLevel::kSi) {  // PolySI checks SI only
       CheckerReport pr;
       pr.name = "polysi";
       if (h.txns.size() <= kPolysiMaxTxns && !budget_spent()) {
@@ -335,7 +312,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
     if (!spill_root.empty()) fs::remove_all(spill_root);
 
     CheckerOptions opt;
-    opt.mode = mode;
+    opt.mode = level;
     opt.ext_timeout_ms = sc.ext_timeout_ms;
 
     {

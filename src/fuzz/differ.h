@@ -93,23 +93,17 @@ ScheduleInvariance ScheduleInvarianceFor(bool finite_ext_timeout,
                                          bool gc_active, bool has_dup_ts);
 
 /// True when two distinct transactions share a timestamp the ingress
-/// registers: commit timestamps under SER, start and commit under SI
-/// (Eq.(1)-invalid transactions never register theirs, and a single
-/// transaction's start==commit is not a duplicate).
-bool HistoryHasDuplicateTs(const History& h, bool ser);
-
-/// Level-aware variant: applies each transaction's *effective*
-/// registration rules under `mode` (SER registers {commit}, Eq.(1)-valid
-/// SI registers {start, commit}, RC/RA register nothing), and
-/// additionally reports true when two distinct transactions share a
+/// registers under their *effective* level (EffectiveLevel against
+/// `run_level`): SER registers {commit}, Eq.(1)-valid SI {start,
+/// commit}, RC/RA nothing, and a single transaction's start==commit is
+/// not a duplicate. Also true when two distinct transactions share a
 /// commit timestamp and at least one of them is RC/RA-effective — those
 /// bypass the ingress dup-gate and can still collide at version install
 /// (entry D9). Conservative on that axis: the install collision is only
 /// real when the pair writes a common key, but treating every such
 /// history under the D6 boolean regime merely weakens a comparison,
-/// never fabricates a disagreement. Untagged histories defer to the
-/// plain overload above.
-bool HistoryHasDuplicateTs(const History& h, CheckMode mode);
+/// never fabricates a disagreement.
+bool HistoryHasDuplicateTs(const History& h, IsolationLevel run_level);
 
 /// Plain (non-atomic) copy of the fault-injection ground truth.
 struct FaultCounts {

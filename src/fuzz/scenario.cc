@@ -57,7 +57,7 @@ FuzzScenario ScenarioFromSeed(uint64_t seed) {
 
   // --- database configuration ---
   if (!sc.wl.list_mode && Chance(rng, 0.20)) {
-    sc.db.isolation = db::DbConfig::Isolation::kSer;
+    sc.db.isolation = IsolationLevel::kSer;
   }
   if (Chance(rng, 0.25)) {
     sc.db.timestamping = db::DbConfig::Timestamping::kHlc;
@@ -132,7 +132,7 @@ FuzzScenario ScenarioFromSeed(uint64_t seed) {
   // the clean-accept rule stays meaningful. SER tags would false-fire on
   // correct SI histories, and list workloads are SI-only end to end.
   if (!sc.wl.list_mode &&
-      sc.db.isolation == db::DbConfig::Isolation::kSi) {
+      sc.db.isolation == IsolationLevel::kSi) {
     uint64_t mh = (seed + 0x9E3779B97F4A7C15ULL) * 0xD1B54A32D192ED03ULL;
     if ((mh >> 62) == 0) {  // ~25% of eligible scenarios
       switch ((mh >> 8) % 3) {
@@ -154,7 +154,7 @@ std::string FuzzScenario::Describe() const {
   s += " keys=" + std::to_string(wl.keys);
   s += std::string(" dist=") + dist_names[static_cast<int>(wl.dist)];
   if (wl.list_mode) s += " list";
-  if (db.isolation == db::DbConfig::Isolation::kSer) s += " ser";
+  if (db.isolation == IsolationLevel::kSer) s += " ser";
   if (db.timestamping == db::DbConfig::Timestamping::kHlc) {
     s += " hlc(skew=" + std::to_string(db.hlc_max_skew) + ")";
   }

@@ -16,7 +16,7 @@ CodecStatus EventStream::Load(History* out) {
 
 bool EventStream::PrePass(WellFormednessPrePass* pre, CheckStats* stats) {
   if (!status_.ok) return false;
-  mode_ = pre->mode();
+  level_ = pre->level();
   CommitLag lag;
   Timestamp span = 0;
   const bool scanned = reader_.ScanHeaders(
@@ -29,7 +29,7 @@ bool EventStream::PrePass(WellFormednessPrePass* pre, CheckStats* stats) {
         stats->ops += nops;
         lag.Add(t.commit_ts);
         if (!pre->Check(t)) return true;  // its ops: the INT-only check
-        span = std::max(span, t.commit_ts - ReplayStart(t, mode_));
+        span = std::max(span, t.commit_ts - ReadView(t, level_));
         return false;
       },
       [pre](const Transaction& t) { pre->IntOnly(t); });
@@ -70,9 +70,9 @@ void EventStream::Read() {
   const uint64_t index = read_++;
   max_seen_ = std::max(max_seen_, t.commit_ts);
   // The pre-pass reported an Eq. (1)-invalid block; its slot stays free.
-  if (!Replayed(t, mode_)) return;
+  if (!Replayed(t, level_)) return;
   free_slots_.pop_back();
-  heap_.push_back({ReplayStart(t, mode_), EventKind::kStart, index, slot});
+  heap_.push_back({ReadView(t, level_), EventKind::kStart, index, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later);
   heap_.push_back({t.commit_ts, EventKind::kCommit, index, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later);

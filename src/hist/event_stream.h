@@ -8,7 +8,7 @@
 //     measures D, the largest backward commit_ts jump (hist::CommitLag),
 //     and L, the largest commit_ts - start_ts of an Eq. (1)-valid
 //     transaction (0 under SER, where a start replays at its commit_ts:
-//     ReplayStart, core/event_timeline.h).
+//     ReadView, core/online_checker.h).
 //   - Pass 2 reads the blocks one at a time (HistoryReader::Next) and
 //     pushes each valid transaction's start and commit events into a
 //     heap keyed on (ts, kind, file index). No later block commits below
@@ -83,7 +83,7 @@ class EventStream : public ReplaySource {
   HistoryReader reader_;
   CodecStatus status_;
   bool tagged_ = false;
-  CheckMode mode_ = CheckMode::kSi;  // the pre-pass's
+  IsolationLevel level_ = IsolationLevel::kSi;  // the pre-pass's
   Timestamp lag_ = 0;
   Timestamp span_ = 0;
   Timestamp window_ = 0;  // D + L, saturating

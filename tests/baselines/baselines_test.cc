@@ -132,7 +132,7 @@ History ValidHistory(uint64_t txns = 400) {
 
 TEST(ElleKvTest, AcceptsValidHistory) {
   CountingSink sink;
-  BaselineResult r = CheckElleKv(ValidHistory(), CheckLevel::kSi, &sink);
+  BaselineResult r = CheckElleKv(ValidHistory(), IsolationLevel::kSi, &sink);
   EXPECT_TRUE(r.Accepted()) << "anomalies=" << r.anomalies;
 }
 
@@ -140,7 +140,7 @@ TEST(ElleKvTest, DetectsPhantomValue) {
   History h = ValidHistory(200);
   h.txns[100].ops[0] = {OpType::kRead, 1, 987654321, 0};  // never written
   CountingSink sink;
-  BaselineResult r = CheckElleKv(h, CheckLevel::kSi, &sink);
+  BaselineResult r = CheckElleKv(h, IsolationLevel::kSi, &sink);
   EXPECT_GT(r.anomalies, 0u);
 }
 
@@ -153,7 +153,7 @@ TEST(ElleListTest, AcceptsValidListHistory) {
   p.list_mode = true;
   CountingSink sink;
   BaselineResult r = CheckElleList(workload::GenerateDefaultHistory(p),
-                                   CheckLevel::kSi, &sink);
+                                   IsolationLevel::kSi, &sink);
   EXPECT_TRUE(r.Accepted()) << "anomalies=" << r.anomalies;
 }
 
@@ -165,7 +165,7 @@ TEST(ElleListTest, DetectsPrefixDivergence) {
                   .Txn(4, 3, 0, 7, 8).L(1, {101, 100})  // incompatible order
                   .Build();
   CountingSink sink;
-  BaselineResult r = CheckElleList(h, CheckLevel::kSi, &sink);
+  BaselineResult r = CheckElleList(h, IsolationLevel::kSi, &sink);
   EXPECT_GT(r.anomalies, 0u);
 }
 
@@ -256,7 +256,7 @@ TEST(ViperTest, AcceptsValidHistoryWithFewerVariables) {
 
 TEST(CobraTest, AcceptsValidSerStream) {
   db::DbConfig cfg;
-  cfg.isolation = db::DbConfig::Isolation::kSer;
+  cfg.isolation = IsolationLevel::kSer;
   workload::WorkloadParams p;
   p.sessions = 8;
   p.txns = 600;

@@ -256,7 +256,7 @@ TEST(AionGcTest, VerdictsUnchangedByAggressiveGc) {
 
   CountingSink sink;
   std::string dir = TempSpillDir("gc_equiv");
-  testing::RunAionToEnd(h.txns, CheckMode::kSi, &sink, dir,
+  testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &sink, dir,
                         /*gc_every=*/4, /*gc_target=*/2,
                         /*ext_timeout=*/1);
   EXPECT_EQ(sink.count(ViolationType::kExt), ref.count(ViolationType::kExt));

@@ -53,7 +53,7 @@ TEST(AionTest, InOrderDeliveryMatchesChronosOnFig2) {
   History h = Fig2History();
   CountingSink chronos_sink, aion_sink;
   Chronos::CheckHistory(h, &chronos_sink);
-  RunAionToEnd(h.txns, CheckMode::kSi, &aion_sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &aion_sink);
   EXPECT_EQ(aion_sink.count(ViolationType::kNoConflict),
             chronos_sink.count(ViolationType::kNoConflict));
   EXPECT_EQ(aion_sink.count(ViolationType::kExt),
@@ -106,7 +106,7 @@ TEST(AionTest, NoConflictPairReportedOncePerPair) {
                   .Build();
   for (uint64_t seed = 0; seed < 5; ++seed) {
     CountingSink sink;
-    RunAionToEnd(SessionPreservingShuffle(h, seed), CheckMode::kSi, &sink);
+    RunAionToEnd(SessionPreservingShuffle(h, seed), IsolationLevel::kSi, &sink);
     EXPECT_EQ(sink.count(ViolationType::kNoConflict), 3u) << "seed " << seed;
   }
 }
@@ -117,7 +117,7 @@ TEST(AionTest, SessionOrderViolationDetected) {
                   .Txn(2, 0, 2, 3, 4).W(1, 2)  // sno gap
                   .Build();
   CountingSink sink;
-  RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.count(ViolationType::kSession), 1u);
 }
 
@@ -126,7 +126,7 @@ TEST(AionTest, TsOrderViolationDetectedAndIntStillChecked) {
                   .Txn(1, 0, 0, 9, 2).W(1, 5).R(1, 6)
                   .Build();
   CountingSink sink;
-  RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.count(ViolationType::kTsOrder), 1u);
   EXPECT_EQ(sink.count(ViolationType::kInt), 1u);
 }
@@ -137,7 +137,7 @@ TEST(AionTest, DuplicateTimestampDetected) {
                   .Txn(2, 1, 0, 3, 5).W(2, 1)
                   .Build();
   CountingSink sink;
-  RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.count(ViolationType::kTsDuplicate), 1u);
 }
 
@@ -172,7 +172,7 @@ TEST(AionTest, AgreesWithChronosUnderArbitraryArrivalOrders) {
   Chronos::CheckHistory(h, &ref);
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     CountingSink sink;
-    RunAionToEnd(SessionPreservingShuffle(h, seed), CheckMode::kSi, &sink);
+    RunAionToEnd(SessionPreservingShuffle(h, seed), IsolationLevel::kSi, &sink);
     EXPECT_EQ(sink.count(ViolationType::kExt), ref.count(ViolationType::kExt))
         << "seed " << seed;
     EXPECT_EQ(sink.count(ViolationType::kNoConflict),
@@ -190,8 +190,8 @@ TEST(AionSerTest, CommitOrderReadViewEnforced) {
                   .Txn(2, 1, 0, 2, 4).R(2, 0).W(1, 8)
                   .Build();
   CountingSink si_sink, ser_sink;
-  RunAionToEnd(h.txns, CheckMode::kSi, &si_sink);
-  RunAionToEnd(h.txns, CheckMode::kSer, &ser_sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &si_sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSer, &ser_sink);
   EXPECT_EQ(si_sink.total(), 0u);
   EXPECT_EQ(ser_sink.count(ViolationType::kExt), 1u);
 }
@@ -204,7 +204,7 @@ TEST(AionSerTest, OutOfOrderArrivalStillJustifiesReads) {
   // Reader first, then writer.
   std::vector<Transaction> arrivals = {h.txns[1], h.txns[0]};
   CountingSink sink;
-  RunAionToEnd(arrivals, CheckMode::kSer, &sink);
+  RunAionToEnd(arrivals, IsolationLevel::kSer, &sink);
   EXPECT_EQ(sink.count(ViolationType::kExt), 0u);
 }
 

@@ -241,7 +241,8 @@ TEST(ChronosSerTest, AcceptsSequentialHistory) {
                   .Txn(3, 0, 1, 5, 6).R(2, 6)
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(Chronos::CheckHistory(h, &sink, CheckMode::kSer).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink, IsolationLevel::kSer).violations,
+            0u);
 }
 
 TEST(ChronosSerTest, WriteSkewIsSerViolation) {
@@ -250,7 +251,7 @@ TEST(ChronosSerTest, WriteSkewIsSerViolation) {
                   .Txn(2, 1, 0, 2, 4).R(2, 0).W(1, 8)
                   .Build();
   CountingSink sink;
-  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
+  Chronos::CheckHistory(h, &sink, IsolationLevel::kSer);
   // In commit order, T2's read of key 2 must see T1's write.
   EXPECT_EQ(sink.count(ViolationType::kExt), 1u);
 }
@@ -261,7 +262,7 @@ TEST(ChronosSerTest, SessionOrderMustMatchCommitOrder) {
                   .Txn(2, 0, 1, 2, 5).W(2, 1)  // commits before predecessor
                   .Build();
   CountingSink sink;
-  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
+  Chronos::CheckHistory(h, &sink, IsolationLevel::kSer);
   EXPECT_GE(sink.count(ViolationType::kSession), 1u);
 }
 
@@ -272,7 +273,8 @@ TEST(ChronosSerTest, StartTimestampsIgnored) {
                   .Txn(2, 1, 0, 1, 4).R(1, 1)
                   .Build();
   CountingSink sink;
-  EXPECT_EQ(Chronos::CheckHistory(h, &sink, CheckMode::kSer).violations, 0u);
+  EXPECT_EQ(Chronos::CheckHistory(h, &sink, IsolationLevel::kSer).violations,
+            0u);
 }
 
 // Two SER transactions that share a commit_ts: a TS-DUP, reported and
@@ -287,7 +289,7 @@ TEST(ChronosSerTest, SharedCommitTsReadsTheFrontierBelowIt) {
                   .Txn(3, 0, 1, 6, 7).R(1, 2)
                   .Build();
   CountingSink sink;
-  Chronos::CheckHistory(h, &sink, CheckMode::kSer);
+  Chronos::CheckHistory(h, &sink, IsolationLevel::kSer);
   EXPECT_EQ(sink.count(ViolationType::kTsDuplicate), 1u);
   EXPECT_EQ(sink.count(ViolationType::kNoConflict), 0u);
   EXPECT_EQ(sink.count(ViolationType::kExt), 0u);
@@ -334,7 +336,7 @@ TEST(WellFormednessPrePassTest, DuplicatesMatchAHashSetInAnyOrder) {
     VectorSink sink;
     CountingSink counted(0);
     std::unordered_map<SessionId, SessionState> sessions;
-    WellFormednessPrePass(CheckMode::kSi, &sink, &counted, &sessions,
+    WellFormednessPrePass(IsolationLevel::kSi, &sink, &counted, &sessions,
                           [](const Transaction&) {})
         .CheckAll(h);
     std::vector<TxnId> got;

@@ -19,7 +19,7 @@ TEST(EdgeCaseTest, TransactionWithNoOps) {
   CountingSink sink;
   EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
   CountingSink aion;
-  RunAionToEnd(h.txns, CheckMode::kSi, &aion);
+  RunAionToEnd(h.txns, IsolationLevel::kSi, &aion);
   EXPECT_EQ(aion.total(), 0u);
 }
 
@@ -63,7 +63,7 @@ TEST(EdgeCaseTest, LongSessionChainAccepted) {
   CountingSink sink;
   EXPECT_EQ(Chronos::CheckHistory(h, &sink).violations, 0u);
   CountingSink aion;
-  RunAionToEnd(testing::SessionPreservingShuffle(h, 3), CheckMode::kSi,
+  RunAionToEnd(testing::SessionPreservingShuffle(h, 3), IsolationLevel::kSi,
                &aion);
   EXPECT_EQ(aion.total(), 0u);
 }
@@ -100,7 +100,7 @@ TEST(EdgeCaseTest, ConflictSpanningManyCommits) {
   EXPECT_EQ(sink.count(ViolationType::kNoConflict), 5u);
   CountingSink aion;
   RunAionToEnd(testing::SessionPreservingShuffle(b.Build(), 11),
-               CheckMode::kSi, &aion);
+               IsolationLevel::kSi, &aion);
   EXPECT_EQ(aion.count(ViolationType::kNoConflict), 5u);
 }
 
@@ -141,7 +141,7 @@ TEST(EdgeCaseTest, AionSerDuplicateCommitTsDetected) {
                   .Txn(2, 1, 0, 2, 5).W(2, 1)  // same commit ts
                   .Build();
   CountingSink sink;
-  RunAionToEnd(h.txns, CheckMode::kSer, &sink);
+  RunAionToEnd(h.txns, IsolationLevel::kSer, &sink);
   EXPECT_EQ(sink.count(ViolationType::kTsDuplicate), 1u);
 }
 
@@ -172,7 +172,7 @@ TEST(EdgeCaseTest, ChronosSerIgnoresNoConflict) {
                   .Build();
   CountingSink si_sink, ser_sink;
   Chronos::CheckHistory(h, &si_sink);
-  Chronos::CheckHistory(h, &ser_sink, CheckMode::kSer);
+  Chronos::CheckHistory(h, &ser_sink, IsolationLevel::kSer);
   EXPECT_EQ(si_sink.count(ViolationType::kNoConflict), 1u);
   EXPECT_EQ(ser_sink.count(ViolationType::kNoConflict), 0u);
   // Under SER replay T2's read of key 1 correctly sees T1's value.

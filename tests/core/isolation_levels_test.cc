@@ -1,4 +1,5 @@
-// Per-transaction isolation levels: the per-level timestamp-registration
+// Per-transaction isolation levels: EffectiveLevel and ReadView for every
+// tag under both run defaults, the per-level timestamp-registration
 // table at the ingress (SER {commit}, SI {start, commit}, RC/RA none),
 // the per-level SESSION rules, the RC/RA membership read semantics, the
 // codec round-trip for iso= tags, AssignLevels determinism, and the
@@ -61,13 +62,13 @@ struct IngressHarness {
   NullDispatch dispatch;
   TxnIngress ingress;
 
-  explicit IngressHarness(CheckMode mode)
+  explicit IngressHarness(IsolationLevel mode)
       : opt(MakeOpt(mode)),
         ingress(opt, &stats,
                 [this](Timestamp, const Violation& v) { reported.push_back(v); },
                 &dispatch) {}
 
-  static CheckerOptions MakeOpt(CheckMode mode) {
+  static CheckerOptions MakeOpt(IsolationLevel mode) {
     CheckerOptions o;
     o.mode = mode;
     o.ext_timeout_ms = 1u << 30;  // never fire deadlines mid-test
@@ -79,8 +80,39 @@ struct IngressHarness {
   }
 };
 
+// The level resolution and read-view column of the per-level table.
+TEST(LevelTable, EffectiveLevelAndReadViewPerTagUnderBothRunDefaults) {
+  // A transaction with start_ts 3 and commit_ts 8: only SI reads at its
+  // start; SER, RC and RA read at the commit.
+  struct Row {
+    IsolationLevel tag;
+    IsolationLevel level_at_si;  // EffectiveLevel under run default kSi
+    Timestamp view_at_si;
+    IsolationLevel level_at_ser;  // ... and under run default kSer
+    Timestamp view_at_ser;
+  };
+  using L = IsolationLevel;
+  const Row rows[] = {
+      {L::kUnspecified, L::kSi, 3, L::kSer, 8},
+      {L::kSi, L::kSi, 3, L::kSi, 3},
+      {L::kSer, L::kSer, 8, L::kSer, 8},
+      {L::kRc, L::kRc, 8, L::kRc, 8},
+      {L::kRa, L::kRa, 8, L::kRa, 8},
+  };
+  for (const Row& r : rows) {
+    const Transaction t = MakeTxn(1, 0, 0, /*sts=*/3, /*cts=*/8, r.tag);
+    const IsolationLevel at_si = EffectiveLevel(t, L::kSi);
+    const IsolationLevel at_ser = EffectiveLevel(t, L::kSer);
+    EXPECT_EQ(at_si, r.level_at_si) << IsolationLevelName(r.tag);
+    EXPECT_EQ(ReadView(t, at_si), r.view_at_si) << IsolationLevelName(r.tag);
+    EXPECT_EQ(at_ser, r.level_at_ser) << IsolationLevelName(r.tag);
+    EXPECT_EQ(ReadView(t, at_ser), r.view_at_ser)
+        << IsolationLevelName(r.tag);
+  }
+}
+
 TEST(LevelRegistration, SerRegistersCommitOnly) {
-  IngressHarness h(CheckMode::kSi);
+  IngressHarness h(IsolationLevel::kSi);
   auto a = h.Admit(MakeTxn(1, 0, 0, 4, 5, IsolationLevel::kSer));
   EXPECT_EQ(a.kind, TxnIngress::Admission::Kind::kDispatch);
   EXPECT_EQ(h.ingress.used_ts_count(), 1u);  // {commit}, not {start, commit}
@@ -98,7 +130,7 @@ TEST(LevelRegistration, SerRegistersCommitOnly) {
 }
 
 TEST(LevelRegistration, SiRegistersStartAndCommit) {
-  IngressHarness h(CheckMode::kSi);
+  IngressHarness h(IsolationLevel::kSi);
   auto a = h.Admit(MakeTxn(1, 0, 0, 1, 2, IsolationLevel::kUnspecified));
   EXPECT_EQ(a.kind, TxnIngress::Admission::Kind::kDispatch);
   EXPECT_EQ(h.ingress.used_ts_count(), 2u);  // default level is SI
@@ -107,7 +139,7 @@ TEST(LevelRegistration, SiRegistersStartAndCommit) {
 }
 
 TEST(LevelRegistration, InvalidSiIsIntOnlyAndRegistersNothing) {
-  IngressHarness h(CheckMode::kSi);
+  IngressHarness h(IsolationLevel::kSi);
   auto a = h.Admit(MakeTxn(1, 0, 0, 9, 8, IsolationLevel::kSi));  // Eq.(1) bad
   EXPECT_EQ(a.kind, TxnIngress::Admission::Kind::kIntOnly);
   EXPECT_EQ(h.ingress.used_ts_count(), 0u);
@@ -120,7 +152,7 @@ TEST(LevelRegistration, InvalidSiIsIntOnlyAndRegistersNothing) {
 }
 
 TEST(LevelRegistration, RcRaRegisterNothingAndBypassDupGate) {
-  IngressHarness h(CheckMode::kSi);
+  IngressHarness h(IsolationLevel::kSi);
   auto a = h.Admit(MakeTxn(1, 0, 0, 1, 5, IsolationLevel::kRc));
   EXPECT_EQ(a.kind, TxnIngress::Admission::Kind::kDispatch);
   EXPECT_EQ(h.ingress.used_ts_count(), 0u);
@@ -143,7 +175,7 @@ TEST(LevelRegistration, RcRaRegisterNothingAndBypassDupGate) {
 TEST(LevelRegistration, PerLevelSessionRules) {
   // SI successor: bad iff start < predecessor's commit.
   {
-    IngressHarness h(CheckMode::kSi);
+    IngressHarness h(IsolationLevel::kSi);
     h.Admit(MakeTxn(1, 0, 0, 1, 10, IsolationLevel::kSi));
     h.Admit(MakeTxn(2, 0, 1, 11, 15, IsolationLevel::kSi));  // start > cts ok
     EXPECT_TRUE(h.reported.empty());
@@ -154,7 +186,7 @@ TEST(LevelRegistration, PerLevelSessionRules) {
   // RC successor: SER-style rule on commit timestamps — bad iff
   // commit <= predecessor's commit.
   {
-    IngressHarness h(CheckMode::kSi);
+    IngressHarness h(IsolationLevel::kSi);
     h.Admit(MakeTxn(1, 0, 0, 9, 10, IsolationLevel::kRc));
     h.Admit(MakeTxn(2, 0, 1, 10, 10, IsolationLevel::kRc));  // 10 <= 10: bad
     ASSERT_FALSE(h.reported.empty());
@@ -163,7 +195,7 @@ TEST(LevelRegistration, PerLevelSessionRules) {
   // RC successor with a strictly later commit is fine even when its
   // start dips below the predecessor's commit (no SI snapshot rule).
   {
-    IngressHarness h(CheckMode::kSi);
+    IngressHarness h(IsolationLevel::kSi);
     h.Admit(MakeTxn(1, 0, 0, 1, 10, IsolationLevel::kSi));
     h.Admit(MakeTxn(2, 0, 1, 5, 11, IsolationLevel::kRc));
     EXPECT_TRUE(h.reported.empty());
@@ -182,14 +214,14 @@ TEST(MembershipReads, RcAcceptsAnyCommittedVersionBeforeCommit) {
                   .Txn(3, 2, 0, 5, 6).Iso(IsolationLevel::kRc).R(1, 100)
                   .Build();
   CountingSink sink;
-  chronos::testing::RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  chronos::testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 
   History si = h;
   si.txns[2].iso = IsolationLevel::kUnspecified;
   CountingSink si_sink;
-  chronos::testing::RunAionToEnd(si.txns, CheckMode::kSi, &si_sink);
+  chronos::testing::RunAionToEnd(si.txns, IsolationLevel::kSi, &si_sink);
   EXPECT_EQ(si_sink.count(ViolationType::kExt), 1u);
 }
 
@@ -202,7 +234,7 @@ TEST(MembershipReads, RcRejectsVersionAtOrAfterOwnCommit) {
                   .Txn(3, 2, 0, 4, 6).Iso(IsolationLevel::kRc).R(1, 100)
                   .Build();
   CountingSink sink;
-  chronos::testing::RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  chronos::testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.count(ViolationType::kExt), 1u);
 }
 
@@ -215,7 +247,7 @@ TEST(MembershipReads, InstallTimeRecheckFlipsLateWriterIn) {
                   .Txn(1, 0, 0, 1, 2).W(1, 100)
                   .Build();
   CountingSink sink;
-  chronos::testing::RunAionToEnd(h.txns, CheckMode::kSi, &sink);
+  chronos::testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &sink);
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 }
@@ -369,8 +401,8 @@ TEST(SingleLevelEquivalence, AllSiTagsMatchUntaggedRun) {
   ASSERT_TRUE(HistoryHasLevelTags(tagged));
 
   CountingSink plain, si_tagged;
-  chronos::testing::RunAionToEnd(h.txns, CheckMode::kSi, &plain);
-  chronos::testing::RunAionToEnd(tagged.txns, CheckMode::kSi, &si_tagged);
+  chronos::testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &plain);
+  chronos::testing::RunAionToEnd(tagged.txns, IsolationLevel::kSi, &si_tagged);
   ASSERT_GT(plain.total(), 0u) << "faulty history must surface violations";
   ExpectSameCounts(si_tagged, plain);
 
@@ -378,7 +410,7 @@ TEST(SingleLevelEquivalence, AllSiTagsMatchUntaggedRun) {
   // plain Chronos on the untagged one.
   CountingSink chronos_sink, mixed_sink;
   Chronos::CheckHistory(h, &chronos_sink);
-  ChronosMixed::CheckHistory(tagged, CheckMode::kSi, &mixed_sink);
+  ChronosMixed::CheckHistory(tagged, IsolationLevel::kSi, &mixed_sink);
   ExpectSameCounts(mixed_sink, chronos_sink);
 }
 
@@ -399,14 +431,14 @@ TEST(SingleLevelEquivalence, AllSerTagsMatchUntaggedSerRun) {
   ASSERT_TRUE(HistoryHasLevelTags(tagged));
 
   CountingSink plain, ser_tagged;
-  chronos::testing::RunAionToEnd(h.txns, CheckMode::kSer, &plain);
+  chronos::testing::RunAionToEnd(h.txns, IsolationLevel::kSer, &plain);
   // Tagged SER under an SI run default: the tags must fully override.
-  chronos::testing::RunAionToEnd(tagged.txns, CheckMode::kSi, &ser_tagged);
+  chronos::testing::RunAionToEnd(tagged.txns, IsolationLevel::kSi, &ser_tagged);
   ExpectSameCounts(ser_tagged, plain);
 
   CountingSink chronos_sink, mixed_sink;
-  Chronos::CheckHistory(h, &chronos_sink, CheckMode::kSer);
-  ChronosMixed::CheckHistory(tagged, CheckMode::kSi, &mixed_sink);
+  Chronos::CheckHistory(h, &chronos_sink, IsolationLevel::kSer);
+  ChronosMixed::CheckHistory(tagged, IsolationLevel::kSi, &mixed_sink);
   ExpectSameCounts(mixed_sink, chronos_sink);
 }
 

@@ -83,7 +83,7 @@ TEST(DatabaseTest, SiAllowsWriteSkewSerForbidsIt) {
   }
   {
     DbConfig cfg;
-    cfg.isolation = DbConfig::Isolation::kSer;
+    cfg.isolation = IsolationLevel::kSer;
     Database ser(cfg);
     auto t1 = ser.Begin(0);
     auto t2 = ser.Begin(1);

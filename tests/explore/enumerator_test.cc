@@ -92,7 +92,7 @@ size_t CountTraceClasses(const std::vector<std::vector<size_t>>& exts,
 // exactly one explored schedule per class, and explored + pruned
 // branches account for the search without double-visits.
 void CheckAgainstBruteForce(const History& h, bool position_sensitive) {
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, position_sensitive);
 
   std::vector<std::vector<size_t>> exts;
@@ -131,7 +131,7 @@ TEST(EnumeratorTest, FullyDependentVisitsEveryPermutation) {
                   .Txn(2, 1, 0, 3, 4).W(0, 2)
                   .Txn(3, 2, 0, 5, 6).W(0, 3)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, false);
   EnumerationCounts counts;
   std::vector<std::vector<size_t>> explored = Explore(a, dep, 0, &counts);
@@ -150,7 +150,7 @@ TEST(EnumeratorTest, DisjointGroupsCollapseToOrderingsWithinGroups) {
                   .Txn(3, 2, 0, 5, 6).W(1, 1)
                   .Txn(4, 3, 0, 7, 8).W(1, 2)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, false);
   EnumerationCounts counts;
   EXPECT_EQ(Explore(a, dep, 0, &counts).size(), 4u);
@@ -163,7 +163,7 @@ TEST(EnumeratorTest, SessionOrderIsNeverViolated) {
                   .Txn(2, 0, 1, 3, 4).W(1, 1)  // same session, after tid 1
                   .Txn(3, 1, 0, 5, 6).W(2, 1)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, false);
   for (const std::vector<size_t>& s : Explore(a, dep)) {
     size_t p1 = 0, p2 = 0;
@@ -210,7 +210,7 @@ TEST(EnumeratorTest, MaxSchedulesTruncates) {
                   .Txn(2, 1, 0, 3, 4).W(0, 2)
                   .Txn(3, 2, 0, 5, 6).W(0, 3)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, false);
   EnumerationCounts counts;
   EXPECT_EQ(Explore(a, dep, 2, &counts).size(), 2u);
@@ -223,7 +223,7 @@ TEST(EnumeratorTest, VisitorAborts) {
                   .Txn(1, 0, 0, 1, 2).W(0, 1)
                   .Txn(2, 1, 0, 3, 4).W(0, 2)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   Dependence dep(a, false);
   EnumerationCounts c = EnumerateSchedules(
       a, dep, 0, [](const std::vector<size_t>&) { return false; });

@@ -34,7 +34,7 @@ TEST(ExploreCorpusTest, EverySmallCorpusEntryIsScheduleInvariant) {
     ++explored_entries;
 
     ExploreOptions opts;
-    opts.oracle.mode = e.ser ? CheckMode::kSer : CheckMode::kSi;
+    opts.oracle.mode = e.level;
     opts.max_schedules = kMaxSchedulesPerEntry;
     ExploreResult r = ExploreHistory(e.history, opts);
 
@@ -47,8 +47,7 @@ TEST(ExploreCorpusTest, EverySmallCorpusEntryIsScheduleInvariant) {
     // The reference schedule's violation counts match the manifest for
     // the classes that are exact under strict knobs (everything but
     // SESSION, which is boolean per D4, and the D6 dup entries).
-    const bool dup = fuzz::HistoryHasDuplicateTs(
-        e.history, e.ser ? CheckMode::kSer : CheckMode::kSi);
+    const bool dup = fuzz::HistoryHasDuplicateTs(e.history, e.level);
     if (!dup && e.tag != "D3") {  // D3: HLC skew, online counts differ
       for (ViolationType t : {ViolationType::kInt, ViolationType::kExt,
                               ViolationType::kNoConflict,

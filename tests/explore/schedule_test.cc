@@ -20,7 +20,7 @@ TEST(ScheduleTest, CanonicalArrivalsSortByCommitThenTid) {
                   .Txn(1, 1, 0, 2, 5).W(1, 1)
                   .Txn(2, 2, 0, 3, 5).W(2, 1)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   ASSERT_EQ(a.size(), 3u);
   EXPECT_EQ(a[0].txn->tid, 1u);  // commit 5, tid 1
   EXPECT_EQ(a[1].txn->tid, 2u);  // commit 5, tid 2
@@ -32,7 +32,7 @@ TEST(ScheduleTest, FootprintCollectsAllOpKindsSortedDeduped) {
                   .Txn(1, 0, 0, 1, 2)
                   .W(5, 1).R(3, 0).W(5, 2).A(7, 1).L(2, {})
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   EXPECT_EQ(a[0].keys, (std::vector<Key>{2, 3, 5, 7}));
 }
 
@@ -42,14 +42,14 @@ TEST(ScheduleTest, RegisteredTimestampsFollowIngressRules) {
                   .Txn(2, 1, 0, 4, 4).W(1, 1)   // start == commit: one entry
                   .Txn(3, 2, 0, 9, 8).W(2, 1)   // Eq.(1) invalid: none (SI)
                   .Build();
-  std::vector<Arrival> si = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> si = CanonicalArrivals(h, IsolationLevel::kSi);
   // Canonical order: tid 2 (commit 4), tid 1 (commit 7), tid 3 (commit 8).
   EXPECT_EQ(si[0].reg_ts, (std::vector<Timestamp>{4}));
   EXPECT_EQ(si[1].reg_ts, (std::vector<Timestamp>{3, 7}));
   EXPECT_TRUE(si[2].reg_ts.empty());
 
   // SER registers only commit timestamps, Eq.(1) validity is moot.
-  std::vector<Arrival> ser = CanonicalArrivals(h, CheckMode::kSer);
+  std::vector<Arrival> ser = CanonicalArrivals(h, IsolationLevel::kSer);
   EXPECT_EQ(ser[0].reg_ts, (std::vector<Timestamp>{4}));
   EXPECT_EQ(ser[1].reg_ts, (std::vector<Timestamp>{7}));
   EXPECT_EQ(ser[2].reg_ts, (std::vector<Timestamp>{8}));
@@ -63,7 +63,7 @@ TEST(ScheduleTest, DependenceAxes) {
                   .Txn(4, 2, 0, 7, 8).W(9, 1)    // disjoint from everything
                   .Txn(5, 3, 0, 1, 10).W(7, 1)   // shares start_ts 1 w/ tid 1
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   // Canonical order == tid order here (commit 2,4,6,8,10).
   Dependence dep(a, /*position_sensitive=*/false);
   EXPECT_TRUE(dep.Depends(0, 1));   // same session
@@ -85,7 +85,7 @@ TEST(ScheduleTest, PositionSensitiveMarksAllPairsDependent) {
                   .Txn(1, 0, 0, 1, 2).W(0, 1)
                   .Txn(2, 1, 0, 3, 4).W(1, 1)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   EXPECT_FALSE(Dependence(a, false).Depends(0, 1));
   EXPECT_TRUE(Dependence(a, true).Depends(0, 1));
 }
@@ -95,7 +95,7 @@ TEST(ScheduleTest, FormatAndTids) {
                   .Txn(1, 0, 0, 1, 2).W(0, 1)
                   .Txn(2, 1, 0, 3, 4).W(1, 1)
                   .Build();
-  std::vector<Arrival> a = CanonicalArrivals(h, CheckMode::kSi);
+  std::vector<Arrival> a = CanonicalArrivals(h, IsolationLevel::kSi);
   EXPECT_EQ(FormatSchedule(a, {1, 0}), "2,1");
   EXPECT_EQ(ScheduleTids(a, {1, 0}), (std::vector<TxnId>{2, 1}));
 }

@@ -40,9 +40,9 @@ const CorpusEntry& EntryOrDie(const Corpus& corpus, const std::string& file) {
 }
 
 // Strict replay knobs: infinite timeout, commit order, no GC.
-FuzzScenario StrictScenario(bool ser = false) {
+FuzzScenario StrictScenario(IsolationLevel level) {
   FuzzScenario sc;
-  if (ser) sc.db.isolation = db::DbConfig::Isolation::kSer;
+  sc.db.isolation = level;
   return sc;
 }
 
@@ -65,7 +65,7 @@ TEST(CorpusTest, DifferCleanAndChronosCountsPinned) {
                                   ? CleanExpectation::kClean
                                   : CleanExpectation::kFaulty;
     DiffReport report =
-        DiffHistory(entry.history, StrictScenario(entry.ser), expect, work);
+        DiffHistory(entry.history, StrictScenario(entry.level), expect, work);
     EXPECT_TRUE(report.Clean())
         << entry.file << ":\n" << report.Summary();
     const CheckerReport* ref = report.Find("chronos");
@@ -275,7 +275,7 @@ TEST(CorpusTest, MixedRcSessionEntryDemonstratesD8) {
   ASSERT_TRUE(entry.mixed);
 
   CountingSink mixed;
-  ChronosMixed::CheckHistory(entry.history, CheckMode::kSi, &mixed);
+  ChronosMixed::CheckHistory(entry.history, IsolationLevel::kSi, &mixed);
   EXPECT_EQ(mixed.count(ViolationType::kSession), 1u);
   EXPECT_EQ(mixed.total(), 1u);
 
@@ -298,7 +298,7 @@ TEST(CorpusTest, MixedRcWaivesExtEntryDemonstratesD8) {
   ASSERT_TRUE(entry.mixed);
 
   CountingSink mixed;
-  ChronosMixed::CheckHistory(entry.history, CheckMode::kSi, &mixed);
+  ChronosMixed::CheckHistory(entry.history, IsolationLevel::kSi, &mixed);
   EXPECT_EQ(mixed.total(), 0u) << "RC membership must accept the "
                                   "superseded-but-committed value";
 
@@ -320,7 +320,7 @@ TEST(CorpusTest, MixedRcDupEntryDemonstratesD9) {
   ASSERT_TRUE(entry.mixed);
 
   CountingSink mixed;
-  ChronosMixed::CheckHistory(entry.history, CheckMode::kSi, &mixed);
+  ChronosMixed::CheckHistory(entry.history, IsolationLevel::kSi, &mixed);
   EXPECT_EQ(mixed.count(ViolationType::kTsDuplicate), 1u);
 
   CountingSink aion_sink;
@@ -337,19 +337,17 @@ TEST(CorpusTest, MixedRcDupEntryDemonstratesD9) {
 
   // The level-aware duplicate predicate classifies this history under
   // the D6 boolean regime via its membership-commit-collision rule.
-  EXPECT_TRUE(HistoryHasDuplicateTs(entry.history, CheckMode::kSi));
+  EXPECT_TRUE(HistoryHasDuplicateTs(entry.history, IsolationLevel::kSi));
 
   // And it must NOT fire on a registered-looking clash that an RC tag
   // dissolves: an RC start timestamp equal to an SI commit timestamp is
-  // no duplicate at all (RC registers nothing), where the level-blind
+  // no duplicate at all (RC registers nothing), where a level-blind
   // predicate would waive comparisons spuriously.
   History no_dup = entry.history;
   no_dup.txns[1].start_ts = 3;   // collides with txn 1's registered commit
   no_dup.txns[1].commit_ts = 5;  // ...but the commit no longer does
   no_dup.txns[1].ops[0].key = 2;
-  EXPECT_TRUE(HistoryHasDuplicateTs(no_dup, /*ser=*/false))
-      << "level-blind predicate treats the RC start as registered";
-  EXPECT_FALSE(HistoryHasDuplicateTs(no_dup, CheckMode::kSi))
+  EXPECT_FALSE(HistoryHasDuplicateTs(no_dup, IsolationLevel::kSi))
       << "RC registers no timestamps, so nothing is duplicated";
 }
 

@@ -37,7 +37,7 @@ struct CheckRun {
 };
 
 CheckRun InMemory(History h, uint64_t gc_every,
-                  CheckMode mode = CheckMode::kSi) {
+                  IsolationLevel mode = IsolationLevel::kSi) {
   ChronosOptions opt;
   opt.mode = mode;
   opt.gc_every_n_txns = gc_every;
@@ -49,7 +49,8 @@ CheckRun InMemory(History h, uint64_t gc_every,
 }
 
 CheckRun Streamed(const std::string& path, uint64_t gc_every,
-                  EventStream* stream, CheckMode mode = CheckMode::kSi) {
+                  EventStream* stream,
+                  IsolationLevel mode = IsolationLevel::kSi) {
   ChronosOptions opt;
   opt.mode = mode;
   opt.gc_every_n_txns = gc_every;
@@ -66,7 +67,7 @@ CheckRun Streamed(const std::string& path, uint64_t gc_every,
 // check of the loaded history emits, in the same order.
 void ExpectStreamMatchesMemory(const std::string& path, uint64_t gc_every,
                                const std::string& what,
-                               CheckMode mode = CheckMode::kSi) {
+                               IsolationLevel mode = IsolationLevel::kSi) {
   History loaded;
   ASSERT_TRUE(LoadHistory(path, &loaded).ok) << what;
   const CheckRun want = InMemory(std::move(loaded), gc_every, mode);
@@ -203,11 +204,11 @@ TEST(EventStreamTest, CorpusFilesStreamLikeTheyLoad) {
       ++tagged;
       continue;
     }
-    for (CheckMode mode : {CheckMode::kSi, CheckMode::kSer}) {
+    for (IsolationLevel mode : {IsolationLevel::kSi, IsolationLevel::kSer}) {
       for (uint64_t gc_every : {0, 1}) {
         ExpectStreamMatchesMemory(
             path, gc_every,
-            path + (mode == CheckMode::kSer ? " at ser" : " at si"), mode);
+            path + (mode == IsolationLevel::kSer ? " at ser" : " at si"), mode);
       }
     }
     ++streamed;

@@ -961,7 +961,7 @@ TEST(CheckCliTest, OfflineStreamsFilesAndLoadsPipesAndTaggedHistories) {
   const History tagged = workload::GenerateDefaultHistory(p, faulty);
   ASSERT_TRUE(SaveHistory(tagged, path).ok);
   CountingSink want;
-  ChronosMixed::CheckHistory(tagged, CheckMode::kSi, &want);
+  ChronosMixed::CheckHistory(tagged, IsolationLevel::kSi, &want);
   const CheckRun mixed = RunCheck("--in=" + path);
   EXPECT_EQ(mixed.exit_code, want.total() > 0 ? 3 : 0) << mixed.output;
   EXPECT_EQ(mixed.output.rfind("loaded 3000 txns", 0), 0u) << mixed.output;

@@ -67,7 +67,7 @@ TEST_P(ValidHistorySweep, AllSiCheckersAccept) {
 
   CountingSink aion_sink;
   RunAionToEnd(SessionPreservingShuffle(h, GetParam().seed * 31 + 7),
-               CheckMode::kSi, &aion_sink);
+               IsolationLevel::kSi, &aion_sink);
   EXPECT_EQ(aion_sink.total(), 0u);
 
   CountingSink emme_sink;
@@ -77,7 +77,7 @@ TEST_P(ValidHistorySweep, AllSiCheckersAccept) {
 
   CountingSink elle_sink;
   EXPECT_TRUE(
-      baselines::CheckElleKv(h, baselines::CheckLevel::kSi, &elle_sink)
+      baselines::CheckElleKv(h, IsolationLevel::kSi, &elle_sink)
           .Accepted());
 }
 
@@ -124,7 +124,8 @@ TEST_P(FaultSweep, ChronosAndAionDetect) {
   EXPECT_GT(chronos_sink.count(GetParam().expected), 0u) << GetParam().name;
 
   CountingSink aion_sink;
-  RunAionToEnd(SessionPreservingShuffle(h, 99), CheckMode::kSi, &aion_sink);
+  RunAionToEnd(SessionPreservingShuffle(h, 99), IsolationLevel::kSi,
+               &aion_sink);
   EXPECT_GT(aion_sink.count(GetParam().expected), 0u) << GetParam().name;
 }
 
@@ -177,7 +178,7 @@ TEST_P(PermutationEquivalence, AionMatchesChronosCounts) {
   for (uint64_t shuffle_seed : {1ull, 2ull, 3ull}) {
     CountingSink sink;
     RunAionToEnd(SessionPreservingShuffle(h, GetParam() * 100 + shuffle_seed),
-                 CheckMode::kSi, &sink);
+                 IsolationLevel::kSi, &sink);
     EXPECT_EQ(sink.count(ViolationType::kExt), ref.count(ViolationType::kExt))
         << "shuffle " << shuffle_seed;
     EXPECT_EQ(sink.count(ViolationType::kInt), ref.count(ViolationType::kInt));
@@ -196,7 +197,7 @@ TEST_P(PermutationEquivalence, AionMatchesChronosCounts) {
   ordered.reserve(stream.size());
   for (auto& ct : stream) ordered.push_back(ct.txn);
   CountingSink gc_sink;
-  RunAionToEnd(ordered, CheckMode::kSi, &gc_sink, dir, /*gc_every=*/50,
+  RunAionToEnd(ordered, IsolationLevel::kSi, &gc_sink, dir, /*gc_every=*/50,
                /*gc_target=*/20, /*ext_timeout=*/1);
   EXPECT_EQ(gc_sink.count(ViolationType::kExt),
             ref.count(ViolationType::kExt));
@@ -221,17 +222,17 @@ TEST_P(SerSweep, SerHistoriesPassSerCheckers) {
   p.read_ratio = 0.7;
   p.seed = GetParam();
   db::DbConfig cfg;
-  cfg.isolation = db::DbConfig::Isolation::kSer;
+  cfg.isolation = IsolationLevel::kSer;
   History h = workload::GenerateDefaultHistory(p, cfg);
 
   CountingSink ser_sink;
-  Chronos::CheckHistory(h, &ser_sink, CheckMode::kSer);
+  Chronos::CheckHistory(h, &ser_sink, IsolationLevel::kSer);
   EXPECT_EQ(ser_sink.total(), 0u)
       << (ser_sink.first().empty() ? "" : ser_sink.first()[0].ToString());
 
   CountingSink aion_sink;
-  RunAionToEnd(SessionPreservingShuffle(h, GetParam() + 77), CheckMode::kSer,
-               &aion_sink);
+  RunAionToEnd(SessionPreservingShuffle(h, GetParam() + 77),
+               IsolationLevel::kSer, &aion_sink);
   EXPECT_EQ(aion_sink.total(), 0u);
 }
 

@@ -146,7 +146,7 @@ inline void DriveToEnd(OnlineChecker* checker,
 /// virtual time advancing 1 ms per transaction), finalizes it, and
 /// returns the violation counts.
 inline void RunAionToEnd(const std::vector<Transaction>& arrivals,
-                         CheckMode mode, CountingSink* sink,
+                         IsolationLevel mode, CountingSink* sink,
                          const std::string& spill_dir = "",
                          size_t gc_every = 0, size_t gc_target = 0,
                          uint64_t ext_timeout = 1u << 30) {

@@ -1,8 +1,10 @@
-// Strict numeric flag parsing (tools/flags.h) and chronos_check's whole
-// command line (tools/check_args.h). Only the parsers run here, so a
-// rejected value is seen before any checker or thread could exist; the
-// subprocess cases check that chronos_check exits 2 before it opens its
-// input.
+// Strict numeric flag parsing (tools/flags.h), the run level, the
+// known-flags check, and chronos_check's whole command line
+// (tools/check_args.h). Only the parsers run here, so a rejected value
+// is seen before any checker or thread could exist; the subprocess cases
+// check that chronos_check exits 2 before it opens its input, and that
+// chronos_gen, chronos_fuzz and chronos_explore exit 2 naming a flag
+// they do not know or a value they do not take.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -32,6 +34,31 @@ class Argv {
   std::vector<std::string> strings_;
   std::vector<char*> ptrs_;
 };
+
+// The path of `tool` in the build tree, or "" when it is not built.
+std::string ToolPath(const std::string& tool) {
+  const std::string bin = std::string(CHRONOS_BUILD_DIR) + "/" + tool;
+  FILE* f = fopen(bin.c_str(), "rb");
+  if (f == nullptr) return "";
+  fclose(f);
+  return bin;
+}
+
+struct ToolRun {
+  int status = -1;  ///< exit status; -1 unless the tool exited
+  std::string out;  ///< stdout and stderr
+};
+
+ToolRun RunTool(const std::string& bin, const std::string& args) {
+  ToolRun r;
+  FILE* pipe = popen((bin + " " + args + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[512];
+  while (fgets(buf, sizeof(buf), pipe) != nullptr) r.out += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.status = WEXITSTATUS(status);
+  return r;
+}
 
 TEST(FlagsTest, U64AcceptsWholeUnsignedDecimals) {
   const std::pair<const char*, uint64_t> good[] = {
@@ -95,6 +122,91 @@ TEST(FlagsTest, DoubleAcceptsOnlyWholeFiniteNumbers) {
   }
 }
 
+TEST(FlagsTest, RunLevelIsSiOrSer) {
+  IsolationLevel level = IsolationLevel::kUnspecified;
+  std::string err;
+  ASSERT_TRUE(ParseRunLevel("si", &level, &err)) << err;
+  EXPECT_EQ(level, IsolationLevel::kSi);
+  ASSERT_TRUE(ParseRunLevel("ser", &level, &err)) << err;
+  EXPECT_EQ(level, IsolationLevel::kSer);
+  // rc and ra are per-transaction tags only; "default" is how an
+  // untagged transaction's level prints, not a level.
+  for (const char* v : {"rc", "ra", "default", "SER", ""}) {
+    level = IsolationLevel::kUnspecified;
+    err.clear();
+    EXPECT_FALSE(ParseRunLevel(v, &level, &err)) << v;
+    EXPECT_EQ(level, IsolationLevel::kUnspecified) << v;
+    EXPECT_NE(err.find(v), std::string::npos) << v << ": " << err;
+  }
+}
+
+TEST(FlagsTest, UnknownFlagNamesTheFirstArgumentNotListed) {
+  const auto unknown = [](std::vector<std::string> flags) {
+    Argv a(std::move(flags));
+    const char* bad = UnknownFlag(a.argc(), a.argv(), {"--in=", "--list"});
+    return std::string(bad ? bad : "");
+  };
+  EXPECT_EQ(unknown({}), "");
+  EXPECT_EQ(unknown({"--in=h.hist", "--list", "--in="}), "");
+  EXPECT_EQ(unknown({"--in=h.hist", "--ser", "--bogus"}), "--ser");
+  EXPECT_EQ(unknown({"--list=1"}), "--list=1");  // a switch takes no value
+  EXPECT_EQ(unknown({"--in"}), "--in");          // a value flag needs one
+  EXPECT_EQ(unknown({"--inx=3"}), "--inx=3");
+  EXPECT_EQ(unknown({"h.hist"}), "h.hist");
+}
+
+TEST(ToolFlagsTest, UnknownRetiredAndBadValuesExitTwoNamingTheFlag) {
+  const std::string tmp = ::testing::TempDir();
+  const std::string gen = "--txns=20 --out=" + tmp + "flags_test.hist ";
+  const std::string repro = std::string(CHRONOS_TEST_SRCDIR) +
+                            "/tests/corpus/ser_write_skew.repro";
+  const std::string fuzz = "--out-dir=" + tmp + "flags_test_fuzz ";
+  const struct {
+    const char* tool;
+    std::string args;
+    const char* named;  // what the message must name
+  } cases[] = {
+      {"chronos_gen", gen + "--bogus=1", "--bogus=1"},
+      {"chronos_gen", gen + "--ser", "--ser"},
+      {"chronos_gen", gen + "--dist=unifrom", "--dist=unifrom"},
+      {"chronos_gen", gen + "--hlc=3x", "--hlc=3x"},
+      {"chronos_gen", gen + "--hlc=0", "--hlc=0"},
+      {"chronos_gen", gen + "--level=rc", "--level=rc"},
+      {"chronos_fuzz", fuzz + "--seeds=1 --bogus=1", "--bogus=1"},
+      {"chronos_fuzz", fuzz + "--repro=" + repro + " --ser", "--ser"},
+      {"chronos_fuzz", fuzz + "--repro=" + repro + " --mode=ser",
+       "--mode=ser"},
+      {"chronos_fuzz", fuzz + "--seeds=1 --level=ser", "--level"},
+      {"chronos_explore", "--repro=" + repro + " --bogus", "--bogus"},
+      {"chronos_explore", "--repro=" + repro + " --ser", "--ser"},
+      {"chronos_explore", "--repro=" + repro + " --mode=ser", "--mode=ser"},
+      {"chronos_explore", "--repro=" + repro + " --level=ra", "--level=ra"},
+  };
+  for (const auto& c : cases) {
+    const std::string bin = ToolPath(c.tool);
+    if (bin.empty()) GTEST_SKIP() << c.tool << " not built";
+    const ToolRun r = RunTool(bin, c.args);
+    EXPECT_EQ(r.status, 2) << c.tool << " " << c.args << ": " << r.out;
+    EXPECT_NE(r.out.find(c.named), std::string::npos)
+        << c.tool << " " << c.args << ": " << r.out;
+  }
+}
+
+TEST(ToolFlagsTest, ChronosGenTakesTheBenchmarkFlags) {
+  // The generator flags e2ebench/run.py passes (GEN_FLAGS and per-history
+  // flags), plus --level=ser.
+  const std::string bin = ToolPath("chronos_gen");
+  if (bin.empty()) GTEST_SKIP() << "chronos_gen not built";
+  const std::string out = ::testing::TempDir() + "flags_test_gen.hist";
+  const ToolRun r = RunTool(
+      bin,
+      "--out=" + out + " --txns=50 --workload=default --sessions=50 "
+      "--ops=15 --keys=1000 --reads=0.5 --dist=zipf --fault=stale_read "
+      "--fault-prob=0.001 --seed=4 --fault-seed=4 --level=ser");
+  EXPECT_EQ(r.status, 0) << r.out;
+  std::remove(out.c_str());
+}
+
 TEST(CheckArgsTest, ParsesEveryOption) {
   Argv a({"--in=h.hist", "--level=ser", "--online", "--timeout-ms=1000",
           "--gc-every=500", "--gc-target=2000", "--shards=64",
@@ -105,7 +217,7 @@ TEST(CheckArgsTest, ParsesEveryOption) {
   std::string err;
   ASSERT_TRUE(ParseCheckArgs(a.argc(), a.argv(), &args, &err)) << err;
   EXPECT_EQ(args.in, "h.hist");
-  EXPECT_EQ(args.mode, CheckMode::kSer);
+  EXPECT_EQ(args.mode, IsolationLevel::kSer);
   EXPECT_TRUE(args.online && args.resume && args.stats);
   EXPECT_EQ(args.timeout_ms, 1000u);
   EXPECT_EQ(args.gc_every, 500u);
@@ -145,26 +257,15 @@ TEST(CheckArgsTest, RejectsSilentMisreadings) {
 }
 
 TEST(CheckArgsTest, ChronosCheckExitsTwoBeforeOpeningItsInput) {
-  const std::string bin = std::string(CHRONOS_BUILD_DIR) + "/chronos_check";
-  if (FILE* f = fopen(bin.c_str(), "rb")) {
-    fclose(f);
-  } else {
-    GTEST_SKIP() << "chronos_check not built";
-  }
+  const std::string bin = ToolPath("chronos_check");
+  if (bin.empty()) GTEST_SKIP() << "chronos_check not built";
   // The input does not exist: a load error would exit 1.
   for (const char* flag :
        {"--shards=-1", "--timeout-ms=abc", "--gc-every=5OO"}) {
-    const std::string cmd =
-        bin + " --in=/nonexistent.hist --online " + flag + " 2>&1";
-    FILE* pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buf[512];
-    while (fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-    const int status = pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << flag;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << ": " << out;
-    EXPECT_EQ(out.rfind(flag, 0), 0u) << out;
+    const ToolRun r =
+        RunTool(bin, std::string("--in=/nonexistent.hist --online ") + flag);
+    EXPECT_EQ(r.status, 2) << flag << ": " << r.out;
+    EXPECT_EQ(r.out.rfind(flag, 0), 0u) << r.out;
   }
 }
 

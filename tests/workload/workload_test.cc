@@ -142,11 +142,12 @@ TEST(AppsTest, TpccHistoryIsValidAndContended) {
 
 TEST(AppsTest, SerWorkloadsPassSerChecker) {
   db::DbConfig cfg;
-  cfg.isolation = db::DbConfig::Isolation::kSer;
+  cfg.isolation = IsolationLevel::kSer;
   RubisParams p;
   p.txns = 800;
   CountingSink sink;
-  Chronos::CheckHistory(GenerateRubisHistory(p, cfg), &sink, CheckMode::kSer);
+  Chronos::CheckHistory(GenerateRubisHistory(p, cfg), &sink,
+                        IsolationLevel::kSer);
   EXPECT_EQ(sink.total(), 0u)
       << (sink.first().empty() ? "" : sink.first()[0].ToString());
 }

@@ -10,7 +10,7 @@
 
 #include "flags.h"
 
-#include "core/online_checker.h"
+#include "core/types.h"
 #include "online/sharded_aion.h"
 
 namespace chronos::tools {
@@ -18,7 +18,7 @@ namespace chronos::tools {
 struct CheckArgs {
   std::string in;
   std::string level = "si";  ///< as given; "list" runs mode kSi
-  CheckMode mode = CheckMode::kSi;
+  IsolationLevel mode = IsolationLevel::kSi;
   uint64_t max_report = 20;
   uint64_t gc_every = 0;
   uint64_t gc_target = 0;

@@ -52,12 +52,11 @@ void PrintUsage(FILE* out) {
       "  --sweep-start=S       first sweep seed (default 1)\n"
       "\n"
       "checker config:\n"
-      "  --mode=si|ser         run-level default isolation (default si);\n"
+      "  --level=si|ser        run-level default isolation (default si);\n"
       "                        per-transaction iso= tags in the input\n"
       "                        override it, and RC/RA-tagged arrivals\n"
       "                        register no timestamps (wider DPOR\n"
       "                        commutativity)\n"
-      "  --ser                 shorthand for --mode=ser\n"
       "  --timeout-ms=N        finite EXT timeout (default: infinite;\n"
       "                        finite waives cross-schedule EXT equality,\n"
       "                        divergence entry D5)\n"
@@ -76,7 +75,8 @@ void PrintUsage(FILE* out) {
       "  --verbose             print every explored schedule\n"
       "\n"
       "exit status: 0 all schedules agree, 1 flip found (artifacts\n"
-      "written), 2 usage or load error (including > %zu-txn input).\n",
+      "written), 2 usage or load error (including an unknown flag and\n"
+      "> %zu-txn input).\n",
       explore::kMaxExploreTxns, explore::kMaxExploreTxns);
 }
 
@@ -181,21 +181,19 @@ History SweepHistory(uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(
+      "chronos_explore", argc, argv,
+      {"--help", "--in=", "--repro=", "--sweep-seeds=", "--sweep-start=",
+       "--level=", "--timeout-ms=", "--gc-every=", "--gc-target=",
+       "--max-schedules=", "--no-stall", "--plant-bug", "--shrink-budget=",
+       "--out-dir=", "--verbose"});
   if (HasFlag(argc, argv, "--help")) {
     PrintUsage(stdout);
     return 0;
   }
 
   explore::ExploreOptions opts;
-  opts.oracle.mode =
-      HasFlag(argc, argv, "--ser") ? CheckMode::kSer : CheckMode::kSi;
-  if (const char* m = FlagValue(argc, argv, "--mode")) {
-    std::string err;
-    if (!ParseRunLevel(m, &opts.oracle.mode, &err)) {
-      std::fprintf(stderr, "--mode=%s: %s\n", m, err.c_str());
-      return 2;
-    }
-  }
+  opts.oracle.mode = RunLevelFlag(argc, argv);
   opts.oracle.ext_timeout_ms =
       U64Flag(argc, argv, "--timeout-ms", explore::kInfiniteTimeoutMs);
   opts.oracle.gc_every = U64Flag(argc, argv, "--gc-every", 0);

@@ -3,7 +3,7 @@
 //   chronos_fuzz [--seeds=200] [--seed-start=0] [--time-budget=0]
 //                [--list-only] [--mix-only] [--ckpt] [--out-dir=DIR]
 //                [--verbose]
-//   chronos_fuzz --repro=FILE [--ser | --mode=si|ser]
+//   chronos_fuzz --repro=FILE [--level=si|ser]
 //   chronos_fuzz --corpus=DIR
 //
 // Default mode runs seed-derived chaos scenarios (workload x faults x
@@ -35,7 +35,8 @@
 // ran), and the run stops — a long 300-txn matrix pass or a PolySI
 // CEGAR blowup overshoots by at most one checker run.
 //
-// Exit status: 0 all clean, 1 disagreements/mismatches, 2 usage error.
+// Exit status: 0 all clean, 1 disagreements/mismatches, 2 usage error
+// (an unknown flag included, and --level without --repro).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -62,13 +63,14 @@ using chronos::tools::U64Flag;
 
 // Replay knobs: strict, no GC, infinite timeout, commit-order arrival —
 // the configuration under which every equality rule applies.
-fuzz::FuzzScenario ReplayScenario(bool ser) {
+fuzz::FuzzScenario ReplayScenario(IsolationLevel level) {
   fuzz::FuzzScenario sc;
-  if (ser) sc.db.isolation = db::DbConfig::Isolation::kSer;
+  sc.db.isolation = level;
   return sc;
 }
 
-int RunRepro(const std::string& path, bool ser, const std::string& work_dir) {
+int RunRepro(const std::string& path, IsolationLevel level,
+             const std::string& work_dir) {
   History h;
   hist::CodecStatus st = hist::LoadHistory(path, &h);
   if (!st.ok) {
@@ -79,7 +81,7 @@ int RunRepro(const std::string& path, bool ser, const std::string& work_dir) {
   // knob-dependent disagreements (shuffle order, finite timeout, GC
   // cadence) only reproduce under that scenario's knobs, so re-derive
   // them. Without a sidecar, replay under the strict default knobs.
-  fuzz::FuzzScenario sc = ReplayScenario(ser);
+  fuzz::FuzzScenario sc = ReplayScenario(level);
   if (FILE* meta = fopen((path + ".meta").c_str(), "r")) {
     unsigned long long seed = 0;
     if (fscanf(meta, "seed=%llu", &seed) == 1) {
@@ -110,7 +112,7 @@ int RunCorpus(const std::string& dir, const std::string& work_dir) {
                                         ? fuzz::CleanExpectation::kClean
                                         : fuzz::CleanExpectation::kFaulty;
     fuzz::DiffReport report = fuzz::DiffHistory(
-        entry.history, ReplayScenario(entry.ser), expect, work_dir);
+        entry.history, ReplayScenario(entry.level), expect, work_dir);
     const fuzz::CheckerReport* ref = report.Find("chronos");
     if (!ref) ref = report.Find("chronos-mixed");
     bool counts_ok = ref && ref->counts == entry.expected;
@@ -145,6 +147,16 @@ int RunCorpus(const std::string& dir, const std::string& work_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::RejectUnknownFlags(
+      "chronos_fuzz", argc, argv,
+      {"--seeds=", "--seed-start=", "--time-budget=", "--list-only",
+       "--mix-only", "--ckpt", "--out-dir=", "--verbose", "--repro=",
+       "--level=", "--corpus="});
+  const char* repro = FlagValue(argc, argv, "--repro");
+  if (!repro && FlagValue(argc, argv, "--level")) {
+    std::fprintf(stderr, "--level applies to --repro only\n");
+    return 2;
+  }
   std::string out_dir = FlagValue(argc, argv, "--out-dir")
                             ? FlagValue(argc, argv, "--out-dir")
                             : (std::filesystem::temp_directory_path() /
@@ -153,18 +165,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir);
   const std::string work_dir = out_dir + "/work";
 
-  if (const char* repro = FlagValue(argc, argv, "--repro")) {
-    bool ser = HasFlag(argc, argv, "--ser");
-    if (const char* m = FlagValue(argc, argv, "--mode")) {
-      CheckMode mode;
-      std::string err;
-      if (!tools::ParseRunLevel(m, &mode, &err)) {
-        std::fprintf(stderr, "--mode=%s: %s\n", m, err.c_str());
-        return 2;
-      }
-      ser = mode == CheckMode::kSer;
-    }
-    return RunRepro(repro, ser, work_dir);
+  if (repro) {
+    return RunRepro(repro, tools::RunLevelFlag(argc, argv), work_dir);
   }
   if (const char* corpus = FlagValue(argc, argv, "--corpus")) {
     return RunCorpus(corpus, work_dir);

@@ -3,7 +3,7 @@
 //
 //   chronos_gen --out=h.hist --workload=default --txns=100000
 //               [--sessions=50] [--ops=15] [--keys=1000] [--reads=0.5]
-//               [--dist=zipf|uniform|hotspot] [--list] [--ser]
+//               [--dist=zipf|uniform|hotspot] [--list] [--level=si|ser]
 //               [--mix=si:70,ser:10,rc:10,ra:10]
 //               [--seed=1] [--fault=lost_update|stale_read|value|ts_swap|
 //                           early_commit|late_start|session_reorder]
@@ -18,7 +18,13 @@
 // values are derived from a run-local counter. --mix tags the given
 // percentage of transactions with per-transaction isolation levels
 // (Transaction::iso, saved as iso= in the history file); the assignment
-// hashes (seed, tid), so it is seed-deterministic too.
+// hashes (seed, tid), so it is seed-deterministic too. --level=ser runs
+// the database at SER (commit-time read validation); untagged
+// transactions are checked at chronos_check's --level.
+//
+// Any flag not listed above, and any --dist, --fault or --level value
+// not listed, exits 2, as does a numeric value that is not a whole
+// number (--hlc also outside 1-256).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,6 +39,12 @@ using namespace chronos;
 using namespace chronos::tools;
 
 int main(int argc, char** argv) {
+  RejectUnknownFlags(
+      "chronos_gen", argc, argv,
+      {"--out=", "--workload=", "--txns=", "--sessions=", "--ops=",
+       "--keys=", "--reads=", "--dist=", "--list", "--level=", "--mix=",
+       "--seed=", "--fault=", "--fault-prob=", "--fault-seed=", "--hlc=",
+       "--skew="});
   const char* out = FlagValue(argc, argv, "--out");
   if (!out) {
     std::fprintf(stderr, "usage: chronos_gen --out=FILE [options]\n");
@@ -44,13 +56,13 @@ int main(int argc, char** argv) {
   uint64_t txns = U64Flag(argc, argv, "--txns", 10000);
 
   db::DbConfig cfg;
-  if (HasFlag(argc, argv, "--ser")) {
-    cfg.isolation = db::DbConfig::Isolation::kSer;
-  }
+  cfg.isolation = RunLevelFlag(argc, argv);
   cfg.fault_seed = U64Flag(argc, argv, "--fault-seed", cfg.fault_seed);
   if (const char* hlc = FlagValue(argc, argv, "--hlc")) {
-    uint64_t nodes = strtoull(hlc, nullptr, 10);
-    if (nodes == 0 || nodes > 256) {
+    uint64_t nodes = 0;
+    std::string err;
+    if (!ParseU64Flag(argc, argv, "--hlc", 0, 256, &nodes, &err) ||
+        nodes == 0) {
       std::fprintf(stderr, "--hlc=%s: node count must be in [1, 256]\n", hlc);
       return 2;
     }
@@ -101,8 +113,12 @@ int main(int argc, char** argv) {
         p.dist = workload::WorkloadParams::KeyDist::kUniform;
       } else if (!strcmp(d, "hotspot")) {
         p.dist = workload::WorkloadParams::KeyDist::kHotspot;
-      } else {
+      } else if (!strcmp(d, "zipf")) {
         p.dist = workload::WorkloadParams::KeyDist::kZipf;
+      } else {
+        std::fprintf(stderr, "unknown --dist=%s (expected zipf, uniform "
+                     "or hotspot)\n", d);
+        return 2;
       }
     }
     h = workload::GenerateDefaultHistory(p, cfg);

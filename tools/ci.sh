@@ -64,6 +64,12 @@ run_san() {
   "$dir/chronos_explore" --repro=tests/corpus/fig11_stale_read.repro \
                          --out-dir="$dir/explore-out"
   "$dir/chronos_explore" --sweep-seeds=5 --out-dir="$dir/explore-out"
+  # The SER run level through the explorer and the differ.
+  "$dir/chronos_explore" --level=ser \
+                         --repro=tests/corpus/ser_write_skew.repro \
+                         --out-dir="$dir/explore-out"
+  "$dir/chronos_fuzz" --repro=tests/corpus/ser_write_skew.repro --level=ser \
+                      --out-dir="$dir/fuzz-smoke"
 }
 
 run_asan() { run_san asan "-fsanitize=address -D_GLIBCXX_ASSERTIONS"; }

@@ -1,8 +1,10 @@
 // Minimal --flag=value parsing shared by the CLI tools (chronos_gen,
-// chronos_check, chronos_fuzz, chronos_explore), plus the unified
-// isolation-level spelling (si|ser|rc|ra) they all accept. Numeric flags
-// are parsed strictly: a value that is not a whole number exits 2 with a
-// message naming the flag, instead of checking with a silent 0.
+// chronos_check, chronos_fuzz, chronos_explore), plus the one run-level
+// flag they all take, --level=si|ser, parsed into an IsolationLevel.
+// Numeric flags are parsed strictly: a value that is not a whole number
+// exits 2 with a message naming the flag, instead of checking with a
+// silent 0. A tool that lists its flags (RejectUnknownFlags) exits 2 on
+// any other argument, so a misspelled or retired flag is not ignored.
 #ifndef CHRONOS_TOOLS_FLAGS_H_
 #define CHRONOS_TOOLS_FLAGS_H_
 
@@ -13,10 +15,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 
-#include "core/online_checker.h"
+#include "core/types.h"
 
 namespace chronos::tools {
 
@@ -35,6 +38,33 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
     if (strcmp(argv[i], name) == 0) return true;
   }
   return false;
+}
+
+/// The first argument that is none of `known`, or nullptr. An entry
+/// ending in '=' ("--in=") takes a value; any other ("--list") is a
+/// switch and matches only itself.
+inline const char* UnknownFlag(int argc, char** argv,
+                               std::initializer_list<const char*> known) {
+  for (int i = 1; i < argc; ++i) {
+    bool ok = false;
+    for (const char* k : known) {
+      const size_t len = strlen(k);
+      ok = k[len - 1] == '=' ? strncmp(argv[i], k, len) == 0
+                             : strcmp(argv[i], k) == 0;
+      if (ok) break;
+    }
+    if (!ok) return argv[i];
+  }
+  return nullptr;
+}
+
+/// UnknownFlag that exits 2 naming the argument.
+inline void RejectUnknownFlags(const char* tool, int argc, char** argv,
+                               std::initializer_list<const char*> known) {
+  if (const char* bad = UnknownFlag(argc, argv, known)) {
+    std::fprintf(stderr, "%s: unknown flag '%s'\n", tool, bad);
+    std::exit(2);
+  }
 }
 
 /// Reads `name=N`: `*out` is N, or `def` when the flag is absent. False,
@@ -111,17 +141,18 @@ inline double DoubleFlag(int argc, char** argv, const char* name,
   return x;
 }
 
-/// Unified run-level isolation parsing for every CLI tool. Only si and
-/// ser are valid run-level defaults; rc and ra exist solely as
-/// per-transaction tags (Transaction::iso), so naming them here gets a
-/// specific explanation rather than "unknown level".
-inline bool ParseRunLevel(const char* v, CheckMode* mode, std::string* err) {
+/// Run-level isolation parsing for every CLI tool. Only si and ser are
+/// valid run-level defaults; rc and ra exist solely as per-transaction
+/// tags (Transaction::iso), so naming them here gets a specific
+/// explanation rather than "unknown level".
+inline bool ParseRunLevel(const char* v, IsolationLevel* level,
+                          std::string* err) {
   if (strcmp(v, "si") == 0) {
-    *mode = CheckMode::kSi;
+    *level = IsolationLevel::kSi;
     return true;
   }
   if (strcmp(v, "ser") == 0) {
-    *mode = CheckMode::kSer;
+    *level = IsolationLevel::kSer;
     return true;
   }
   if (strcmp(v, "rc") == 0 || strcmp(v, "ra") == 0) {
@@ -136,6 +167,18 @@ inline bool ParseRunLevel(const char* v, CheckMode* mode, std::string* err) {
   *err = "unknown isolation level '" + std::string(v) +
          "' (expected si, ser, rc, or ra)";
   return false;
+}
+
+/// Reads `--level=si|ser` (si when absent); any other value exits 2.
+inline IsolationLevel RunLevelFlag(int argc, char** argv) {
+  IsolationLevel level = IsolationLevel::kSi;
+  std::string err;
+  const char* v = FlagValue(argc, argv, "--level");
+  if (v && !ParseRunLevel(v, &level, &err)) {
+    std::fprintf(stderr, "--level=%s: %s\n", v, err.c_str());
+    std::exit(2);
+  }
+  return level;
 }
 
 /// Parses a --mix=si:70,ser:10,rc:10,ra:10 spec (any subset of levels,
