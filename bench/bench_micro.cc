@@ -17,6 +17,7 @@
 #include "core/chronos.h"
 #include "core/ongoing_index.h"
 #include "core/versioned_kv.h"
+#include "hist/codec.h"
 #include "hist/collector.h"
 #include "online/checkpoint.h"
 #include "online/sharded_aion.h"
@@ -275,6 +276,35 @@ void BM_ExportState(benchmark::State& state) {
   state.SetBytesProcessed(bytes);
 }
 BENCHMARK(BM_ExportState)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The codec's pass-2 load: HistoryReader::Next over a 10k-txn file of
+// e2ebench's shape, one recycled transaction, as the offline stream
+// reads it. bytes/s is file bytes (the page cache serves them after the
+// first iteration).
+void BM_HistoryReaderNext(benchmark::State& state) {
+  const std::string path = BenchPath("chronos_bm_reader_") + ".hist";
+  if (!hist::SaveHistory(MakeE2eHistory(10000), path).ok) {
+    state.SkipWithError("cannot write the history");
+    return;
+  }
+  const int64_t file_bytes =
+      static_cast<int64_t>(std::filesystem::file_size(path));
+  Transaction t;
+  for (auto _ : state) {
+    hist::HistoryReader reader;
+    reader.Open(path);
+    uint64_t ops = 0;
+    while (reader.Next(&t)) ops += t.ops.size();
+    if (!reader.status().ok) {
+      state.SkipWithError("history did not read back");
+      break;
+    }
+    benchmark::DoNotOptimize(ops);
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(state.iterations() * file_bytes);
+}
+BENCHMARK(BM_HistoryReaderNext)->Unit(benchmark::kMillisecond);
 
 // One key's overlap query over uniformly random intervals, inserted in
 // random order: each insert pays a tail move, so the untimed set-up is

@@ -20,11 +20,31 @@ namespace {
 
 // What a transaction's commit event applies (Algorithm 2's ext_val[tid]
 // and T.wkey), for register and list ops alike. Released at that event
-// (prompt GC). A register-only transaction leaves `appends` empty.
+// (prompt GC) into the check's pool, which hands it, with its capacity,
+// to a later start event. A register-only transaction leaves `appends`
+// empty.
 struct TxnState {
   SmallMap<Key, Value> ext_val;  // last value written per key
   SmallMap<Key, std::vector<Value>> appends;  // elements appended per key
   std::vector<Key> wkey;  // keys written or appended (first-write order)
+
+  // Empties the state for a transaction of `ops` operations, with room
+  // for all of them, so its replay does not allocate.
+  void Reset(size_t ops) {
+    ext_val.Clear();
+    appends.Clear();
+    wkey.clear();
+    ext_val.Reserve(ops);
+    wkey.reserve(ops);
+  }
+};
+
+// What INT compares against while one transaction replays (int_val[tid]
+// and each list's expected state). Owned by the check and cleared per
+// transaction, so it keeps its capacity.
+struct OpScratch {
+  SmallMap<Key, Value> int_val;     // last value read or written per key
+  SmallMap<Key, ListAccess> lists;  // list reads (core/list_replay.h)
 };
 
 // The committed state a snapshot reads: a register's last committed
@@ -55,14 +75,17 @@ Violation ListViolation(ViolationType type, TxnId tid, Key key,
 // Replays `t`'s ops into `st` (Algorithm 2 lines 11-22): INT against the
 // transaction's own earlier ops, EXT against `snapshot`. All ops replay
 // at the start event, so the frontier *is* the snapshot, and what INT
-// compares against (int_val[tid], each list's expected state) is only
-// needed here. A null `snapshot` checks INT only, which depends on
-// program order alone: that is how transactions with malformed
-// timestamps are still checked.
+// compares against (`scratch`) is only needed here. A null `snapshot`
+// checks INT only, which depends on program order alone: that is how
+// transactions with malformed timestamps are still checked.
 void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
-               ViolationSink* sink, CountingSink* counted) {
-  SmallMap<Key, Value> int_val;     // last value read or written per key
-  SmallMap<Key, ListAccess> lists;  // list reads (core/list_replay.h)
+               OpScratch* scratch, ViolationSink* sink,
+               CountingSink* counted) {
+  SmallMap<Key, Value>& int_val = scratch->int_val;
+  SmallMap<Key, ListAccess>& lists = scratch->lists;
+  int_val.Clear();
+  int_val.Reserve(t.ops.size());
+  lists.Clear();
   auto note_write = [st](Key k) {
     if (!st->ext_val.Find(k) && !st->appends.Find(k)) st->wkey.push_back(k);
   };
@@ -184,12 +207,14 @@ CheckStats Chronos::Check(ReplaySource* source) {
   // ---- Pre-pass: Eq. (1) and duplicate-timestamp well-formedness, then
   // the sorting stage (Algorithm 2 line 2) where the source sorts. ----
   Stopwatch sw;
+  OpScratch scratch;
+  TxnState int_only;  // what an INT-only replay writes, never applied
   std::unordered_map<SessionId, SessionState> sessions;
   WellFormednessPrePass pre(options_.mode, sink_, &counted, &sessions,
                             [&](const Transaction& t) {
-                              TxnState scratch;
-                              ReplayOps(t, nullptr, &scratch, sink_,
-                                        &counted);
+                              int_only.Reset(t.ops.size());
+                              ReplayOps(t, nullptr, &int_only, &scratch,
+                                        sink_, &counted);
                             });
   if (!source->PrePass(&pre, &stats)) {
     stats.violations = counted.total();
@@ -204,8 +229,14 @@ CheckStats Chronos::Check(ReplaySource* source) {
   const bool noconflict = options_.mode == IsolationLevel::kSi;
   Frontier frontier;
   std::unordered_map<Key, std::vector<TxnId>> ongoing;
-  std::unordered_map<TxnId, TxnState> live;
+  // Replay state of each transaction between its start and commit
+  // events, keyed by tid (a duplicate tid shares its state, as Algorithm
+  // 2's ext_val[tid]). A commit event extracts its node into `pool` and
+  // a later start event takes it back, state and capacity included.
+  using LiveMap = std::unordered_map<TxnId, TxnState>;
+  LiveMap live;
   live.reserve(1024);
+  std::vector<LiveMap::node_type> pool;
   auto report = [&](const Violation& v) { Emit(v, sink_, &counted); };
 
   uint64_t commits_since_gc = 0;
@@ -229,8 +260,19 @@ CheckStats Chronos::Check(ReplaySource* source) {
       ss.last_cts = t.commit_ts;
 
       // INT and EXT per operation (lines 11-22).
-      TxnState& st = live[t.tid];
-      ReplayOps(t, &frontier, &st, sink_, &counted);
+      auto lit = live.find(t.tid);
+      if (lit == live.end()) {
+        if (pool.empty()) {
+          lit = live.try_emplace(t.tid).first;
+        } else {
+          pool.back().key() = t.tid;
+          lit = live.insert(std::move(pool.back())).position;
+          pool.pop_back();
+        }
+        lit->second.Reset(t.ops.size());
+      }
+      TxnState& st = lit->second;
+      ReplayOps(t, &frontier, &st, &scratch, sink_, &counted);
       // The lists it read, most of a list history's bytes, are not read
       // again: the commit event needs only the tid.
       next->list_args.clear();
@@ -246,7 +288,7 @@ CheckStats Chronos::Check(ReplaySource* source) {
       // Commit event: NOCONFLICT and frontier update (lines 23-33).
       auto lit = live.find(t.tid);
       if (lit == live.end()) continue;  // defensive; start always precedes
-      TxnState& st = lit->second;
+      const TxnState& st = lit->second;
       for (Key k : st.wkey) {
         if (noconflict) {
           auto& og = ongoing[k];
@@ -261,7 +303,8 @@ CheckStats Chronos::Check(ReplaySource* source) {
           f.insert(f.end(), a->begin(), a->end());
         }
       }
-      live.erase(lit);  // prompt GC of the transaction's replay state
+      // Prompt GC of the transaction's replay state.
+      pool.push_back(live.extract(lit));
 
       if (options_.gc_every_n_txns > 0 &&
           ++commits_since_gc >= options_.gc_every_n_txns) {
@@ -358,13 +401,15 @@ CheckStats ChronosMixed::Check(History&& history) {
   }
 
   // ---- INT + footprint classification (per-txn, order-free). ----
-  auto classify_report = [&](Timestamp, const Violation& v) { report(v); };
+  const KeyEngine::ReportFn classify_report =
+      [&](Timestamp, const Violation& v) { report(v); };
+  ClassifyScratch scratch;
   std::vector<ClassifiedOps> footprints(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (admit[i] == kAdmitted) {
-      ClassifyOps(history.txns[i], classify_report, &footprints[i]);
+      ClassifyOps(history.txns[i], classify_report, &footprints[i], &scratch);
     } else if (admit[i] == kIntOnly) {
-      ClassifyOps(history.txns[i], classify_report, nullptr);
+      ClassifyOps(history.txns[i], classify_report, nullptr, &scratch);
     }
   }
 

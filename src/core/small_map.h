@@ -43,6 +43,10 @@ class SmallMap {
     return &entries_.back().second;
   }
 
+  /// Room for `n` entries, so a map reused across transactions (Clear
+  /// keeps the capacity) inserts without a malloc.
+  void Reserve(size_t n) { entries_.reserve(n); }
+
   void Clear() { entries_.clear(); }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -5,22 +5,26 @@
 #include <utility>
 
 #include "core/gc_triggers.h"
-#include "core/list_replay.h"
-#include "core/small_map.h"
 
 namespace chronos {
 
 void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
-                 ClassifiedOps* out) {
-  SmallMap<Key, Value> int_val;
-  SmallMap<Key, Value> ext_val;
-  // List replay state: register and list namespaces are independent (a
-  // key used both ways keeps two states; generated workloads never mix).
-  SmallMap<Key, ListAccess> list_state;
-  SmallMap<Key, std::vector<Value>> all_appends;  // full delta per key
+                 ClassifiedOps* out, ClassifyScratch* scratch) {
+  SmallMap<Key, Value>& int_val = scratch->int_val;
+  SmallMap<Key, ListAccess>& list_state = scratch->list_state;
+  int_val.Clear();
+  int_val.Reserve(t.ops.size());
+  list_state.Clear();
   if (out) {
+    out->ext_reads.clear();
+    out->writes.clear();
+    out->list_reads.clear();
+    out->appends.clear();
     out->ext_reads.reserve(t.ops.size());
     out->writes.reserve(t.ops.size());
+    scratch->write_at.Clear();
+    scratch->write_at.Reserve(t.ops.size());
+    scratch->append_at.Clear();
   }
   for (const Op& op : t.ops) {
     if (op.type == OpType::kRead) {
@@ -29,7 +33,7 @@ void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
           report(t.commit_ts, {ViolationType::kInt, t.tid, kTxnNone, op.key,
                                *iv, op.value});
         }
-        int_val.Put(op.key, op.value);
+        *iv = op.value;
       } else {
         // External read: evaluated against the frontier by the engine.
         if (out) out->ext_reads.push_back({op.key, op.value});
@@ -37,18 +41,29 @@ void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
       }
     } else if (op.type == OpType::kWrite) {
       int_val.Put(op.key, op.value);
-      if (out && !ext_val.Find(op.key)) {
+      // writes carry each key once, in first-write order, with the
+      // *last* value written to it.
+      if (!out) continue;
+      if (const uint32_t* at = scratch->write_at.Find(op.key)) {
+        out->writes[*at].value = op.value;
+      } else {
+        scratch->write_at.Put(op.key,
+                              static_cast<uint32_t>(out->writes.size()));
         out->writes.push_back({op.key, op.value});
       }
-      ext_val.Put(op.key, op.value);
     } else if (op.type == OpType::kAppend) {
       list_state.FindOrInsert(op.key)->own.push_back(op.value);
-      std::vector<Value>* delta = all_appends.Find(op.key);
-      if (!delta) {
-        delta = all_appends.FindOrInsert(op.key);
-        if (out) out->appends.push_back({op.key, {}});
+      // appends carry each key once, in first-append order, with the
+      // full concatenated delta.
+      if (!out) continue;
+      const uint32_t* at = scratch->append_at.Find(op.key);
+      if (!at) {
+        scratch->append_at.Put(op.key,
+                               static_cast<uint32_t>(out->appends.size()));
+        out->appends.push_back({op.key, {}});
       }
-      delta->push_back(op.value);
+      out->appends[at ? *at : out->appends.size() - 1].delta.push_back(
+          op.value);
     } else if (op.type == OpType::kReadList) {
       if (op.list_index >= t.list_args.size()) continue;  // malformed input
       const std::vector<Value>& observed = t.list_args[op.list_index];
@@ -64,12 +79,12 @@ void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
       }
     }
   }
-  // writes must carry the *last* written value per key; appends carry
-  // the full concatenated delta.
-  if (out) {
-    for (auto& w : out->writes) w.value = *ext_val.Find(w.key);
-    for (auto& a : out->appends) a.delta = std::move(*all_appends.Find(a.key));
-  }
+}
+
+void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
+                 ClassifiedOps* out) {
+  ClassifyScratch scratch;
+  ClassifyOps(t, report, out, &scratch);
 }
 
 TxnIngress::TxnIngress(const CheckerOptions& options, CheckerStats* stats,
@@ -158,15 +173,15 @@ void TxnIngress::OnTransaction(const Transaction& t, uint64_t now_ms) {
     case Admission::Kind::kDrop:
       return;
     case Admission::Kind::kIntOnly:
-      ClassifyOps(t, report_, nullptr);
+      ClassifyOps(t, report_, nullptr, &classify_scratch_);
       return;
     case Admission::Kind::kDispatch: {
       // Step 1 (transaction-scoped half): INT checks and the per-key
-      // footprint classification.
-      ClassifiedOps ops;
-      ClassifyOps(t, report_, &ops);
-      dispatch_->DispatchTxn(adm.ctx, std::move(ops), adm.register_reads,
-                             adm.now_ms);
+      // footprint classification. Both dispatches only read the
+      // footprint, so its vectors come back for the next arrival.
+      ClassifyOps(t, report_, &classified_, &classify_scratch_);
+      dispatch_->DispatchTxn(adm.ctx, std::move(classified_),
+                             adm.register_reads, adm.now_ms);
       return;
     }
   }

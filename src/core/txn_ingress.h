@@ -21,8 +21,10 @@
 #include <vector>
 
 #include "core/key_engine.h"
+#include "core/list_replay.h"
 #include "core/online_checker.h"
 #include "core/session_order.h"
+#include "core/small_map.h"
 #include "core/types.h"
 
 namespace chronos {
@@ -42,9 +44,26 @@ struct ClassifiedOps {
   std::vector<KeyEngine::AppendReq> appends;
 };
 
+/// ClassifyOps's per-transaction replay state. A caller that classifies
+/// many transactions keeps one and passes it to each call: every call
+/// clears it, and it keeps its capacity.
+struct ClassifyScratch {
+  SmallMap<Key, Value> int_val;  // last value read or written per key
+  // Register and list namespaces are independent (a key used both ways
+  // keeps two states; generated workloads never mix).
+  SmallMap<Key, ListAccess> list_state;
+  SmallMap<Key, uint32_t> write_at;   // key -> its entry in out->writes
+  SmallMap<Key, uint32_t> append_at;  // key -> its entry in out->appends
+};
+
 /// Replays `t`'s operations, reporting INT violations through `report`
-/// (tagged with t.commit_ts) and, when `out` is non-null, producing the
-/// per-key footprint. Pure per-transaction computation: no key state.
+/// (tagged with t.commit_ts) and, when `out` is non-null, overwriting
+/// `*out` with the per-key footprint. Pure per-transaction computation:
+/// no key state. A reused `*out` keeps its vectors' capacity.
+void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
+                 ClassifiedOps* out, ClassifyScratch* scratch);
+
+/// ClassifyOps with a scratch of its own.
 void ClassifyOps(const Transaction& t, const KeyEngine::ReportFn& report,
                  ClassifiedOps* out);
 
@@ -58,7 +77,9 @@ class TxnIngress {
    public:
     virtual ~Dispatch() = default;
     /// One arrival's footprint. `register_reads` is false for a
-    /// replayed tid (reads are evaluated but not retained).
+    /// replayed tid (reads are evaluated but not retained). The ingress
+    /// reuses `ops` for the next arrival: an implementation that moves
+    /// from it only costs that arrival its capacity.
     virtual void DispatchTxn(const KeyEngine::TxnCtx& ctx,
                              ClassifiedOps&& ops, bool register_reads,
                              uint64_t now_ms) = 0;
@@ -165,6 +186,10 @@ class TxnIngress {
   std::deque<std::pair<uint64_t, TxnId>> deadlines_;
   Timestamp watermark_ = kTsMin;
   uint64_t last_now_ms_ = 0;
+  // Step 1's per-arrival work space, reused so an arrival's
+  // classification does not allocate.
+  ClassifyScratch classify_scratch_;
+  ClassifiedOps classified_;
 };
 
 }  // namespace chronos

@@ -50,6 +50,30 @@ bool TakeField(std::string_view* s, std::string_view prefix, Int* v) {
   return true;
 }
 
+// The common op line, "R <key> <value>" or "W <key> <value>", parsed
+// without building a status: appends the op and returns true when `line`
+// is exactly that, with the fields ParseOpLine would read. Any other
+// bytes leave `t` as it was and return false, and ParseOpLine accepts or
+// rejects the line, so this path never decides an error.
+bool ParseRegisterOp(std::string_view line, Transaction* t) {
+  if (line.size() < 5 || line[1] != ' ') return false;
+  Op op;
+  if (line[0] == 'R') {
+    op.type = OpType::kRead;
+  } else if (line[0] == 'W') {
+    op.type = OpType::kWrite;
+  } else {
+    return false;
+  }
+  const char* e = line.data() + line.size();
+  const auto key = std::from_chars(line.data() + 2, e, op.key);
+  if (key.ec != std::errc() || key.ptr == e || *key.ptr != ' ') return false;
+  const auto value = std::from_chars(key.ptr + 1, e, op.value);
+  if (value.ec != std::errc() || value.ptr != e) return false;
+  t->ops.push_back(op);
+  return true;
+}
+
 // The first `c` in [s, e), or null.
 const char* Find(const char* s, const char* e, char c) {
   return static_cast<const char*>(
@@ -323,8 +347,11 @@ bool HistoryReader::Next(Transaction* t) {
   CodecStatus st =
       ParseTxnLine(line, size_ - std::min(size_, in.consumed), t, &nops);
   for (size_t i = 0; st.ok && i < nops; ++i) {
-    st = in.Next(&line) ? ParseOpLine(line, t)
-                        : CodecStatus::Error("truncated operation list");
+    if (!in.Next(&line)) {
+      st = CodecStatus::Error("truncated operation list");
+    } else if (!ParseRegisterOp(line, t)) {
+      st = ParseOpLine(line, t);
+    }
   }
   if (!st.ok) return End(at_line(st.message));
   ++read_;
@@ -368,7 +395,8 @@ bool HistoryReader::ScanHeaders(
     if (!ParseTxnLine(line, 0, &t, &nops).ok || !header(t, nops)) continue;
     bool parsed = true;
     for (size_t i = 0; parsed && i < nops; ++i) {
-      parsed = in.Next(&line) && ParseOpLine(line, &t).ok;
+      parsed = in.Next(&line) &&
+               (ParseRegisterOp(line, &t) || ParseOpLine(line, &t).ok);
     }
     if (parsed && ops) ops(t);
   }

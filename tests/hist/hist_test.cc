@@ -552,6 +552,48 @@ TEST(HistoryReaderTest, RejectsWhatLoadHistoryRejectedAtTheSameLine) {
   EXPECT_EQ(stream.status().message, "line 9: malformed op line");
 }
 
+// HistoryReader parses "R/W <key> <value>" lines on a fast path of its
+// own and hands every other line to ParseOpLine. Each line here, read as
+// a block's only op, must give what ParseOpLine gives: the same op, or
+// the same error at the line's number.
+TEST(HistoryReaderTest, OpLineFastPathMatchesParseOpLine) {
+  const std::string lines[] = {
+      "R 1 2", "W 1 2", "W 0 0", "R 007 0042", "W 00000000000000000000001 1",
+      "R 1 -2", "R 1 -0", "R -1 2", "R -0 1", "R +1 2", "R 1 +2",
+      "R 18446744073709551615 9223372036854775807",
+      "R 18446744073709551616 0", "R 1 9223372036854775808",
+      "W 1 -9223372036854775808", "W 1 -9223372036854775809",
+      "R  1 2", "R 1  2", "R 1 2 ", "R 1 2  ", " R 1 2", "R\t1 2",
+      "R 1\t2", "R 1 2\r", "R 1", "R 1 ", "R", "R ", "", "W1 2", "R 1 2x",
+      "R x 2", "R 1 -", "W 1 2 3", "X 1 2", "r 1 2", "w 1 2", "A 1 5",
+      "A 1 -5", "A 1 5 6", "L 1 0", "L 1 2 3 4", "L 1 2 3", "L 1 2 3 4 ",
+      "L 1 1 -7", "L  1 0"};
+  const std::string path = TempPath("fast_path.hist");
+  for (const std::string& line : lines) {
+    Transaction want;
+    const CodecStatus parsed = ParseOpLine(line, &want);
+    WriteBytes(path, std::string(kHeader1) + "T 1 0 0 1 2 1\n" + line +
+                         "\n# end txns=1\n");
+    HistoryReader reader;
+    ASSERT_TRUE(reader.Open(path).ok);
+    Transaction got;
+    const bool read = reader.Next(&got);
+    ASSERT_EQ(read, parsed.ok) << line << ": " << reader.status().message;
+    if (!read) {
+      EXPECT_EQ(reader.status().message, "line 3: " + parsed.message) << line;
+      continue;
+    }
+    ASSERT_EQ(got.ops.size(), 1u) << line;
+    EXPECT_EQ(got.ops[0].type, want.ops[0].type) << line;
+    EXPECT_EQ(got.ops[0].key, want.ops[0].key) << line;
+    EXPECT_EQ(got.ops[0].value, want.ops[0].value) << line;
+    EXPECT_EQ(got.ops[0].list_index, want.ops[0].list_index) << line;
+    EXPECT_EQ(got.list_args, want.list_args) << line;
+    EXPECT_FALSE(reader.Next(&got)) << line;
+    EXPECT_TRUE(reader.status().ok) << line << ": " << reader.status().message;
+  }
+}
+
 TEST(CollectorTest, PreservesSessionOrder) {
   workload::WorkloadParams p;
   p.sessions = 8;

@@ -207,6 +207,96 @@ TEST(ToolFlagsTest, ChronosGenTakesTheBenchmarkFlags) {
   std::remove(out.c_str());
 }
 
+TEST(ToolFlagsTest, ChronosGenRejectsDefaultKnobsWithAnotherWorkload) {
+  // twitter, rubis and tpcc have shapes of their own: a default-workload
+  // knob would be ignored, so it exits 2 naming the knob. The flags every
+  // workload takes still work.
+  const std::string bin = ToolPath("chronos_gen");
+  if (bin.empty()) GTEST_SKIP() << "chronos_gen not built";
+  const std::string out = ::testing::TempDir() + "flags_test_apps.hist";
+  const std::string base = "--out=" + out + " --txns=40 ";
+  const struct {
+    std::string args;
+    const char* named;
+  } cases[] = {
+      {"--workload=rubis --list", "--list"},
+      {"--workload=twitter --sessions=5", "--sessions"},
+      {"--workload=tpcc --ops=3", "--ops"},
+      {"--workload=rubis --keys=5", "--keys"},
+      {"--workload=twitter --reads=0.9", "--reads"},
+      {"--workload=tpcc --dist=uniform", "--dist"},
+      {"--workload=rubis --txns=200 --list --dist=uniform --keys=5", "--list"},
+  };
+  for (const auto& c : cases) {
+    const ToolRun r = RunTool(bin, base + c.args);
+    EXPECT_EQ(r.status, 2) << c.args << ": " << r.out;
+    EXPECT_NE(r.out.find(c.named), std::string::npos) << c.args << ": "
+                                                      << r.out;
+    EXPECT_NE(r.out.find("--workload=default only"), std::string::npos)
+        << c.args << ": " << r.out;
+  }
+  for (const char* w : {"twitter", "rubis", "tpcc"}) {
+    const ToolRun r = RunTool(
+        bin, base + "--workload=" + w +
+                 " --seed=3 --level=ser --fault=stale_read --fault-prob=0.01 "
+                 "--fault-seed=2 --mix=si:50");
+    EXPECT_EQ(r.status, 0) << w << ": " << r.out;
+  }
+  std::remove(out.c_str());
+}
+
+TEST(ToolFlagsTest, ChronosFuzzRejectsLevelWhenTheSidecarDecides) {
+  // A .meta sidecar's seed decides the replay scenario, its level
+  // included: an explicit --level is a conflict, not a setting to drop.
+  const std::string bin = ToolPath("chronos_fuzz");
+  if (bin.empty()) GTEST_SKIP() << "chronos_fuzz not built";
+  const std::string tmp = ::testing::TempDir();
+  const std::string repro = tmp + "flags_test_sidecar.repro";
+  {
+    FILE* in = fopen((std::string(CHRONOS_TEST_SRCDIR) +
+                      "/tests/corpus/ser_write_skew.repro")
+                         .c_str(),
+                     "rb");
+    ASSERT_NE(in, nullptr);
+    FILE* out = fopen(repro.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    char buf[4096];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), in)) > 0) fwrite(buf, 1, n, out);
+    fclose(in);
+    fclose(out);
+    FILE* meta = fopen((repro + ".meta").c_str(), "w");
+    ASSERT_NE(meta, nullptr);
+    fputs("seed=1\n", meta);
+    fclose(meta);
+  }
+  const std::string args =
+      "--out-dir=" + tmp + "flags_test_fuzz --repro=" + repro;
+  for (const char* level : {"ser", "si"}) {
+    const ToolRun r = RunTool(bin, args + " --level=" + level);
+    EXPECT_EQ(r.status, 2) << level << ": " << r.out;
+    EXPECT_NE(r.out.find(std::string("--level=") + level + " conflicts with " +
+                         repro + ".meta"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.out.find("repro "), std::string::npos) << r.out;
+  }
+  const ToolRun sidecar = RunTool(bin, args);
+  EXPECT_NE(sidecar.status, 2) << sidecar.out;
+  EXPECT_NE(sidecar.out.find("replaying under fuzz scenario"),
+            std::string::npos)
+      << sidecar.out;
+  std::remove((repro + ".meta").c_str());
+  // Without the sidecar --level=ser applies: every checker reports the
+  // write skew.
+  const ToolRun plain = RunTool(bin, args + " --level=ser");
+  EXPECT_EQ(plain.status, 0) << plain.out;
+  EXPECT_NE(plain.out.find("chronos: DETECT total=1 EXT=1"),
+            std::string::npos)
+      << plain.out;
+  std::remove(repro.c_str());
+}
+
 TEST(CheckArgsTest, ParsesEveryOption) {
   Argv a({"--in=h.hist", "--level=ser", "--online", "--timeout-ms=1000",
           "--gc-every=500", "--gc-target=2000", "--shards=64",

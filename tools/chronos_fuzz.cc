@@ -36,7 +36,8 @@
 // CEGAR blowup overshoots by at most one checker run.
 //
 // Exit status: 0 all clean, 1 disagreements/mismatches, 2 usage error
-// (an unknown flag included, and --level without --repro).
+// (an unknown flag included, --level without --repro, and --level with
+// a repro whose .meta sidecar decides the scenario).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -69,8 +70,9 @@ fuzz::FuzzScenario ReplayScenario(IsolationLevel level) {
   return sc;
 }
 
-int RunRepro(const std::string& path, IsolationLevel level,
-             const std::string& work_dir) {
+// `level_flag` is --level's value, null when it was not given.
+int RunRepro(const std::string& path, const char* level_flag,
+             IsolationLevel level, const std::string& work_dir) {
   History h;
   hist::CodecStatus st = hist::LoadHistory(path, &h);
   if (!st.ok) {
@@ -80,11 +82,21 @@ int RunRepro(const std::string& path, IsolationLevel level,
   // A fuzz-emitted repro carries a .meta sidecar naming its seed;
   // knob-dependent disagreements (shuffle order, finite timeout, GC
   // cadence) only reproduce under that scenario's knobs, so re-derive
-  // them. Without a sidecar, replay under the strict default knobs.
+  // them, the level included, so an explicit --level is a conflict, not
+  // a setting to drop. Without a sidecar, replay under the strict
+  // default knobs at --level.
   fuzz::FuzzScenario sc = ReplayScenario(level);
   if (FILE* meta = fopen((path + ".meta").c_str(), "r")) {
     unsigned long long seed = 0;
     if (fscanf(meta, "seed=%llu", &seed) == 1) {
+      if (level_flag) {
+        std::fprintf(stderr,
+                     "--level=%s conflicts with %s.meta: its seed=%llu "
+                     "decides the replay scenario, level included\n",
+                     level_flag, path.c_str(), seed);
+        fclose(meta);
+        return 2;
+      }
       sc = fuzz::ScenarioFromSeed(seed);
       std::printf("replaying under fuzz scenario [%s]\n",
                   sc.Describe().c_str());
@@ -166,7 +178,8 @@ int main(int argc, char** argv) {
   const std::string work_dir = out_dir + "/work";
 
   if (repro) {
-    return RunRepro(repro, tools::RunLevelFlag(argc, argv), work_dir);
+    return RunRepro(repro, FlagValue(argc, argv, "--level"),
+                    tools::RunLevelFlag(argc, argv), work_dir);
   }
   if (const char* corpus = FlagValue(argc, argv, "--corpus")) {
     return RunCorpus(corpus, work_dir);

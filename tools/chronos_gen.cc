@@ -10,7 +10,8 @@
 //               [--fault-prob=0.05] [--fault-seed=42]
 //               [--hlc=<nodes>] [--skew=<max>]
 //   chronos_gen --out=h.hist --workload=twitter|rubis|tpcc --txns=20000
-//               [--seed=N]
+//               [--seed=N] [--level=si|ser] [--mix=...] [fault and
+//               --hlc/--skew flags as above]
 //
 // Every history is reproducible from its command line: --seed drives the
 // workload's operation stream (each workload has its own default),
@@ -24,7 +25,9 @@
 //
 // Any flag not listed above, and any --dist, --fault or --level value
 // not listed, exits 2, as does a numeric value that is not a whole
-// number (--hlc also outside 1-256).
+// number (--hlc also outside 1-256). So does a default-workload knob
+// (--sessions, --ops, --keys, --reads, --dist, --list) given with
+// another --workload, which has shapes of its own and would ignore it.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -54,6 +57,18 @@ int main(int argc, char** argv) {
                              ? FlagValue(argc, argv, "--workload")
                              : "default";
   uint64_t txns = U64Flag(argc, argv, "--txns", 10000);
+  if (const char* knob =
+          workload == "default"
+              ? nullptr
+              : FirstFlagOf(argc, argv,
+                            {"--sessions=", "--ops=", "--keys=", "--reads=",
+                             "--dist=", "--list"})) {
+    std::fprintf(stderr,
+                 "chronos_gen: %s applies to --workload=default only, not "
+                 "--workload=%s\n",
+                 knob, workload.c_str());
+    return 2;
+  }
 
   db::DbConfig cfg;
   cfg.isolation = RunLevelFlag(argc, argv);

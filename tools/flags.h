@@ -40,20 +40,34 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-/// The first argument that is none of `known`, or nullptr. An entry
-/// ending in '=' ("--in=") takes a value; any other ("--list") is a
-/// switch and matches only itself.
+/// True when `arg` is one of `flags`. An entry ending in '=' ("--in=")
+/// takes a value; any other ("--list") is a switch and matches only
+/// itself.
+inline bool FlagListed(const char* arg,
+                       std::initializer_list<const char*> flags) {
+  for (const char* k : flags) {
+    const size_t len = strlen(k);
+    if (k[len - 1] == '=' ? strncmp(arg, k, len) == 0 : strcmp(arg, k) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The first argument that is none of `known`, or nullptr.
 inline const char* UnknownFlag(int argc, char** argv,
                                std::initializer_list<const char*> known) {
   for (int i = 1; i < argc; ++i) {
-    bool ok = false;
-    for (const char* k : known) {
-      const size_t len = strlen(k);
-      ok = k[len - 1] == '=' ? strncmp(argv[i], k, len) == 0
-                             : strcmp(argv[i], k) == 0;
-      if (ok) break;
-    }
-    if (!ok) return argv[i];
+    if (!FlagListed(argv[i], known)) return argv[i];
+  }
+  return nullptr;
+}
+
+/// The first argument that is one of `flags`, or nullptr.
+inline const char* FirstFlagOf(int argc, char** argv,
+                               std::initializer_list<const char*> flags) {
+  for (int i = 1; i < argc; ++i) {
+    if (FlagListed(argv[i], flags)) return argv[i];
   }
   return nullptr;
 }
