@@ -18,27 +18,6 @@
 namespace chronos {
 namespace {
 
-// What a transaction's commit event applies (Algorithm 2's ext_val[tid]
-// and T.wkey), for register and list ops alike. Released at that event
-// (prompt GC) into the check's pool, which hands it, with its capacity,
-// to a later start event. A register-only transaction leaves `appends`
-// empty.
-struct TxnState {
-  SmallMap<Key, Value> ext_val;  // last value written per key
-  SmallMap<Key, std::vector<Value>> appends;  // elements appended per key
-  std::vector<Key> wkey;  // keys written or appended (first-write order)
-
-  // Empties the state for a transaction of `ops` operations, with room
-  // for all of them, so its replay does not allocate.
-  void Reset(size_t ops) {
-    ext_val.Clear();
-    appends.Clear();
-    wkey.clear();
-    ext_val.Reserve(ops);
-    wkey.reserve(ops);
-  }
-};
-
 // What INT compares against while one transaction replays (int_val[tid]
 // and each list's expected state). Owned by the check and cleared per
 // transaction, so it keeps its capacity.
@@ -47,15 +26,18 @@ struct OpScratch {
   SmallMap<Key, ListAccess> lists;  // list reads (core/list_replay.h)
 };
 
-// The committed state a snapshot reads: a register's last committed
-// value, a list's committed cumulative append sequence. Commit events
-// replay in timestamp order, so a list frontier only grows at the tail
-// (the offline mirror of the online materialized-prefix chain,
-// core/list_kv.h).
-struct Frontier {
-  std::unordered_map<Key, Value> regs;
-  std::unordered_map<Key, std::vector<Value>> lists;
+// The replay's state of one key: what a snapshot reads (a register's
+// last committed value, a list's committed cumulative append sequence)
+// and, under SI, the ongoing transactions that write or append it, which
+// NOCONFLICT checks at their commit events. Commit events replay in
+// timestamp order, so a list only grows at the tail (the offline mirror
+// of the online materialized-prefix chain, core/list_kv.h).
+struct KeyState {
+  Value reg = kValueInit;
+  std::vector<Value> list;
+  std::vector<TxnId> writers;
 };
+using KeyTable = std::unordered_map<Key, KeyState>;
 
 // Reports `v` and counts it, so CheckStats.violations stays equal to the
 // sink total.
@@ -72,13 +54,15 @@ Violation ListViolation(ViolationType type, TxnId tid, Key key,
           static_cast<Value>(got_len), divergence};
 }
 
-// Replays `t`'s ops into `st` (Algorithm 2 lines 11-22): INT against the
-// transaction's own earlier ops, EXT against `snapshot`. All ops replay
-// at the start event, so the frontier *is* the snapshot, and what INT
-// compares against (`scratch`) is only needed here. A null `snapshot`
-// checks INT only, which depends on program order alone: that is how
-// transactions with malformed timestamps are still checked.
-void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
+// Replays `t`'s ops at its start event (Algorithm 2 lines 11-22): INT
+// against the transaction's own earlier ops, EXT against the committed
+// state in `keys`. All ops replay at the start event, so the table *is*
+// the snapshot, and what INT compares against (`scratch`) is only needed
+// here. With `join`, `t` becomes an ongoing writer of each key it writes
+// or appends, once per key. A null `keys` checks INT only, which depends
+// on program order alone: that is how transactions with malformed
+// timestamps are still checked.
+void ReplayOps(const Transaction& t, KeyTable* keys, bool join,
                OpScratch* scratch, ViolationSink* sink,
                CountingSink* counted) {
   SmallMap<Key, Value>& int_val = scratch->int_val;
@@ -86,8 +70,10 @@ void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
   int_val.Clear();
   int_val.Reserve(t.ops.size());
   lists.Clear();
-  auto note_write = [st](Key k) {
-    if (!st->ext_val.Find(k) && !st->appends.Find(k)) st->wkey.push_back(k);
+  auto note_write = [&](Key k) {
+    if (!keys || !join) return;
+    std::vector<TxnId>& w = (*keys)[k].writers;
+    if (std::find(w.begin(), w.end(), t.tid) == w.end()) w.push_back(t.tid);
   };
   for (const Op& op : t.ops) {
     switch (op.type) {
@@ -98,9 +84,9 @@ void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
                   op.value},
                  sink, counted);
           }
-        } else if (snapshot) {
-          auto fit = snapshot->regs.find(op.key);
-          Value expect = fit == snapshot->regs.end() ? kValueInit : fit->second;
+        } else if (keys) {
+          auto kit = keys->find(op.key);
+          Value expect = kit == keys->end() ? kValueInit : kit->second.reg;
           if (op.value != expect) {
             Emit({ViolationType::kExt, t.tid, kTxnNone, op.key, expect,
                   op.value},
@@ -111,13 +97,11 @@ void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
         break;
       case OpType::kWrite:
         note_write(op.key);
-        st->ext_val.Put(op.key, op.value);
         int_val.Put(op.key, op.value);
         break;
       case OpType::kAppend:
         note_write(op.key);
         lists.FindOrInsert(op.key)->own.push_back(op.value);
-        st->appends.FindOrInsert(op.key)->push_back(op.value);
         break;
       case OpType::kReadList: {
         if (op.list_index >= t.list_args.size()) break;
@@ -127,10 +111,9 @@ void ReplayOps(const Transaction& t, Frontier* snapshot, TxnState* st,
           Emit(ListViolation(ViolationType::kInt, t.tid, op.key,
                              oc.expected_len, oc.got_len, oc.divergence),
                sink, counted);
-        } else if (oc.kind == ListReadOutcome::Kind::kResolvedBase &&
-                   snapshot) {
+        } else if (oc.kind == ListReadOutcome::Kind::kResolvedBase && keys) {
           // The resolved base must be the key's committed sequence.
-          const std::vector<Value>& snap = snapshot->lists[op.key];
+          const std::vector<Value>& snap = (*keys)[op.key].list;
           const int64_t div = FirstListDivergence(snap, oc.resolved);
           if (div >= 0) {
             Emit(ListViolation(ViolationType::kExt, t.tid, op.key,
@@ -208,13 +191,11 @@ CheckStats Chronos::Check(ReplaySource* source) {
   // the sorting stage (Algorithm 2 line 2) where the source sorts. ----
   Stopwatch sw;
   OpScratch scratch;
-  TxnState int_only;  // what an INT-only replay writes, never applied
   std::unordered_map<SessionId, SessionState> sessions;
   WellFormednessPrePass pre(options_.mode, sink_, &counted, &sessions,
                             [&](const Transaction& t) {
-                              int_only.Reset(t.ops.size());
-                              ReplayOps(t, nullptr, &int_only, &scratch,
-                                        sink_, &counted);
+                              ReplayOps(t, nullptr, false, &scratch, sink_,
+                                        &counted);
                             });
   if (!source->PrePass(&pre, &stats)) {
     stats.violations = counted.total();
@@ -224,19 +205,11 @@ CheckStats Chronos::Check(ReplaySource* source) {
   sw.Reset();
 
   // ---- Checking stage: simulate in timestamp order. ----
-  // Appends join `ongoing` like writes: NOCONFLICT is per key, whatever
-  // the data type. SER has no NOCONFLICT, so nothing joins it there.
+  // Appends are writers like writes: NOCONFLICT is per key, whatever the
+  // data type. SER has no NOCONFLICT, so no transaction joins a key's
+  // writers there.
   const bool noconflict = options_.mode == IsolationLevel::kSi;
-  Frontier frontier;
-  std::unordered_map<Key, std::vector<TxnId>> ongoing;
-  // Replay state of each transaction between its start and commit
-  // events, keyed by tid (a duplicate tid shares its state, as Algorithm
-  // 2's ext_val[tid]). A commit event extracts its node into `pool` and
-  // a later start event takes it back, state and capacity included.
-  using LiveMap = std::unordered_map<TxnId, TxnState>;
-  LiveMap live;
-  live.reserve(1024);
-  std::vector<LiveMap::node_type> pool;
+  KeyTable keys;
   auto report = [&](const Violation& v) { Emit(v, sink_, &counted); };
 
   uint64_t commits_since_gc = 0;
@@ -260,51 +233,31 @@ CheckStats Chronos::Check(ReplaySource* source) {
       ss.last_cts = t.commit_ts;
 
       // INT and EXT per operation (lines 11-22).
-      auto lit = live.find(t.tid);
-      if (lit == live.end()) {
-        if (pool.empty()) {
-          lit = live.try_emplace(t.tid).first;
-        } else {
-          pool.back().key() = t.tid;
-          lit = live.insert(std::move(pool.back())).position;
-          pool.pop_back();
-        }
-        lit->second.Reset(t.ops.size());
-      }
-      TxnState& st = lit->second;
-      ReplayOps(t, &frontier, &st, &scratch, sink_, &counted);
+      ReplayOps(t, &keys, noconflict, &scratch, sink_, &counted);
       // The lists it read, most of a list history's bytes, are not read
-      // again: the commit event needs only the tid.
+      // again: the commit event needs only the ops.
       next->list_args.clear();
-      if (noconflict) {
-        for (Key k : st.wkey) {
-          auto& og = ongoing[k];
-          if (std::find(og.begin(), og.end(), t.tid) == og.end()) {
-            og.push_back(t.tid);
-          }
-        }
-      }
     } else {
-      // Commit event: NOCONFLICT and frontier update (lines 23-33).
-      auto lit = live.find(t.tid);
-      if (lit == live.end()) continue;  // defensive; start always precedes
-      const TxnState& st = lit->second;
-      for (Key k : st.wkey) {
-        if (noconflict) {
-          auto& og = ongoing[k];
-          og.erase(std::remove(og.begin(), og.end(), t.tid), og.end());
-          for (TxnId other : og) {
-            report({ViolationType::kNoConflict, t.tid, other, k});
+      // Commit event: NOCONFLICT and the committed state (lines 23-33),
+      // from the ops the source still holds. A key's first write or
+      // append leaves its writers and reports those left; its last write
+      // is the value a later snapshot reads.
+      for (const Op& op : t.ops) {
+        if (op.type != OpType::kWrite && op.type != OpType::kAppend) continue;
+        KeyState& ks = keys[op.key];
+        auto self = std::find(ks.writers.begin(), ks.writers.end(), t.tid);
+        if (self != ks.writers.end()) {
+          ks.writers.erase(self);
+          for (TxnId other : ks.writers) {
+            report({ViolationType::kNoConflict, t.tid, other, op.key});
           }
         }
-        if (const Value* v = st.ext_val.Find(k)) frontier.regs[k] = *v;
-        if (const std::vector<Value>* a = st.appends.Find(k)) {
-          std::vector<Value>& f = frontier.lists[k];
-          f.insert(f.end(), a->begin(), a->end());
+        if (op.type == OpType::kWrite) {
+          ks.reg = op.value;
+        } else {
+          ks.list.push_back(op.value);
         }
       }
-      // Prompt GC of the transaction's replay state.
-      pool.push_back(live.extract(lit));
 
       if (options_.gc_every_n_txns > 0 &&
           ++commits_since_gc >= options_.gc_every_n_txns) {
@@ -313,11 +266,6 @@ CheckStats Chronos::Check(ReplaySource* source) {
         ++stats.gc_passes;
         // Release operation storage of processed transactions (T <- T\{T}).
         source->ReleaseCommitted();
-        std::unordered_map<Key, std::vector<TxnId>> compact_ongoing;
-        for (auto& [k, v] : ongoing) {
-          if (!v.empty()) compact_ongoing.emplace(k, std::move(v));
-        }
-        ongoing = std::move(compact_ongoing);
 #if defined(__GLIBC__)
         if (options_.trim_on_gc) malloc_trim(0);
 #endif

@@ -21,6 +21,15 @@
 // the NOCONFLICT bookkeeping; a register-only transaction builds no list
 // state.
 //
+// The replay keeps one table entry per key and nothing per transaction:
+// the key's committed register value and list, which a snapshot reads,
+// and under SI its ongoing writers. A start event replays the
+// transaction's ops against the table (INT, EXT) and joins it to the
+// writers of each key it writes or appends. Its commit event walks the
+// same ops, which the source still holds: a key's first write or append
+// leaves its writers and reports NOCONFLICT against those left, and the
+// key's last write is what later snapshots read.
+//
 // The replay reads its input from a ReplaySource: the well-formedness
 // pre-pass over every transaction, then the start/commit events in
 // timestamp order. Check(History&&) adapts an in-memory history (one
@@ -72,11 +81,12 @@ class ReplaySource {
 
   /// The next event of an Eq. (1)-valid transaction and that
   /// transaction, valid until the next call. False at the end of the
-  /// input and at the first error.
+  /// input and at the first error. A transaction keeps its ops until its
+  /// commit event has been replayed: the commit event applies them.
   virtual bool Next(EventKind* kind, Transaction** t) = 0;
 
   /// A periodic GC pass: release the operation storage of every
-  /// transaction whose commit event has been replayed.
+  /// transaction whose commit event has been replayed, and of no other.
   virtual void ReleaseCommitted() {}
 };
 

@@ -145,15 +145,13 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
   const size_t cmd_batch = cfg.adversarial_timing ? 1 : 256;
   const size_t queue_capacity = cfg.adversarial_timing ? 2 : 8192;
 
+  const GcPolicy gc = GcPolicy::Every(cfg.gc_every, cfg.gc_target);
   auto drive = [&](OnlineChecker* c) {
     uint64_t now = 1;
-    size_t since_gc = 0;
     for (size_t idx : perm) {
-      c->OnTransaction(*arrivals[idx].txn, now++);
-      if (cfg.gc_every > 0 && ++since_gc >= cfg.gc_every) {
-        since_gc = 0;
-        c->GcToLiveTarget(cfg.gc_target);
-      }
+      c->OnTransaction(*arrivals[idx].txn, now);
+      // Virtual time is the arrival count.
+      if (gc.Due(now++, *c)) c->GcToLiveTarget(gc.target_live);
     }
     c->Finish();
   };
@@ -196,18 +194,13 @@ ScheduleVerdict RunSchedule(const std::vector<Arrival>& arrivals,
     auto cur = std::make_unique<online::ShardedAion>(
         base, 2, &sinks.back(), cmd_batch, queue_capacity);
     uint64_t now = 1;
-    size_t since_gc = 0;
     size_t step = 0;
     bool ok = true;
     for (size_t idx : perm) {
       cur->OnTransaction(*arrivals[idx].txn, now++);
-      if (cfg.gc_every > 0 && ++since_gc >= cfg.gc_every) {
-        since_gc = 0;
-        cur->GcToLiveTarget(cfg.gc_target);
-      }
+      if (gc.Due(++step, *cur)) cur->GcToLiveTarget(gc.target_live);
       online::ShardedAion::StateImage img = cur->ExportState();
       sinks.emplace_back();
-      ++step;
       auto next = std::make_unique<online::ShardedAion>(
           base, 2, &sinks.back(), cmd_batch, queue_capacity);
       if (!next->ImportState(img)) {

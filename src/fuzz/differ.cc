@@ -93,13 +93,11 @@ template <typename Checker, typename StatsFn>
 CheckerReport DriveOnline(std::string name, Checker* checker,
                           const std::vector<hist::CollectedTxn>& arrivals,
                           const FuzzScenario& sc, StatsFn stats_fn) {
-  size_t since_gc = 0;
+  const GcPolicy gc = GcPolicy::Every(sc.gc_every, sc.gc_target);
+  uint64_t fed = 0;
   for (const hist::CollectedTxn& ct : arrivals) {
     checker->OnTransaction(ct.txn, ct.deliver_at_ms);
-    if (sc.gc_every > 0 && ++since_gc >= sc.gc_every) {
-      since_gc = 0;
-      checker->GcToLiveTarget(sc.gc_target);
-    }
+    if (gc.Due(++fed, *checker)) checker->GcToLiveTarget(gc.target_live);
   }
   checker->Finish();
   CheckerReport r;
@@ -352,7 +350,9 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
       CheckerOptions o = opt;
       if (!spill_root.empty()) o.spill_dir = spill_root + "/sh2ckpt";
       const size_t cut = arrivals.size() / 2;
-      size_t since_gc = 0;
+      // The GC cadence runs on across the cut: arrival i + 1 of the
+      // stream is due where the uninterrupted run's is.
+      const GcPolicy gc = GcPolicy::Every(sc.gc_every, sc.gc_target);
       online::ShardedAion::StateImage img;
       {
         // The pre-restore instance's destructor re-emits its buffered
@@ -362,10 +362,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
         online::ShardedAion first(o, 2, &discard);
         for (size_t i = 0; i < cut; ++i) {
           first.OnTransaction(arrivals[i].txn, arrivals[i].deliver_at_ms);
-          if (sc.gc_every > 0 && ++since_gc >= sc.gc_every) {
-            since_gc = 0;
-            first.GcToLiveTarget(sc.gc_target);
-          }
+          if (gc.Due(i + 1, first)) first.GcToLiveTarget(gc.target_live);
         }
         img = first.ExportState();
       }
@@ -377,10 +374,7 @@ DiffReport DiffHistory(const History& h, const FuzzScenario& sc,
         r.ran = true;
         for (size_t i = cut; i < arrivals.size(); ++i) {
           second->OnTransaction(arrivals[i].txn, arrivals[i].deliver_at_ms);
-          if (sc.gc_every > 0 && ++since_gc >= sc.gc_every) {
-            since_gc = 0;
-            second->GcToLiveTarget(sc.gc_target);
-          }
+          if (gc.Due(i + 1, *second)) second->GcToLiveTarget(gc.target_live);
         }
         second->Finish();
         r.stats = second->stats();

@@ -17,8 +17,10 @@
 //     being the largest commit_ts read; everything leaves at the end of
 //     the input. That is BuildSortedEvents' order.
 //
-// A transaction stays in one slot from its read to its commit event, and
-// the slot, with its op vector's capacity, then takes the next block.
+// A transaction stays in one slot from its read to its commit event, so
+// it keeps its ops until the replay has applied them at that event (the
+// ReplaySource contract); the slot, with its op vector's capacity, then
+// takes the next block.
 // An input that cannot seek (a pipe) cannot be pre-scanned: Load reads
 // it whole for an in-memory check. A history with iso= tags is checked
 // in memory too (NeedsMixedLevelCheck picks the checker): pass 1 stops

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "hist/codec.h"
+#include "hist/event_stream.h"
 
 namespace chronos {
 namespace {
@@ -232,6 +234,37 @@ TEST(ChronosTest, PeriodicGcPreservesVerdicts) {
   CheckStats stats = checker.Check(std::move(copy));
   EXPECT_EQ(gced.total(), plain.total());
   EXPECT_GE(stats.gc_passes, 1u);
+}
+
+TEST(ChronosTest, DuplicateTidAppliesEachTransactionsOwnWrites) {
+  // Two overlapping transactions share tid 1. The first commits at 10
+  // with only its own write, so tid 3's snapshot at 15 has key 2 still
+  // at its initial value: an EXT, as AION reports for a replayed tid.
+  const History h = HistoryBuilder()
+                        .Txn(1, 0, 0, 1, 10).W(1, 5)
+                        .Txn(1, 1, 0, 2, 20).W(2, 6)
+                        .Txn(3, 2, 0, 15, 16).R(1, 5).R(2, 6)
+                        .Build();
+  const std::string path = testing::UniqueTempDir("dup_tid") + "/h.hist";
+  ASSERT_TRUE(hist::SaveHistory(h, path).ok);
+  VectorSink in_memory, streamed;
+  Chronos::CheckHistory(h, &in_memory);
+  hist::EventStream stream(path);
+  Chronos(ChronosOptions{}, &streamed).Check(&stream);
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+  CountingSink online;
+  testing::RunAionToEnd(h.txns, IsolationLevel::kSi, &online);
+  EXPECT_EQ(online.total(), 1u);
+  EXPECT_EQ(online.count(ViolationType::kExt), 1u);
+  for (VectorSink* sink : {&in_memory, &streamed}) {
+    const std::vector<Violation> v = sink->TakeAll();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0].type, ViolationType::kExt);
+    EXPECT_EQ(v[0].tid, 3u);
+    EXPECT_EQ(v[0].key, 2u);
+    EXPECT_EQ(v[0].expected, kValueInit);
+    EXPECT_EQ(v[0].got, 6);
+  }
 }
 
 TEST(ChronosSerTest, AcceptsSequentialHistory) {

@@ -2,14 +2,16 @@
 // known-flags check, and chronos_check's whole command line
 // (tools/check_args.h). Only the parsers run here, so a rejected value
 // is seen before any checker or thread could exist; the subprocess cases
-// check that chronos_check exits 2 before it opens its input, and that
-// chronos_gen, chronos_fuzz and chronos_explore exit 2 naming a flag
-// they do not know or a value they do not take.
+// check that chronos_check exits 2 before it opens its input, that all
+// four tools exit 2 naming a flag they do not know or a value they do
+// not take, and that chronos_gen and chronos_check take every flag
+// e2ebench/run.py passes them.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,6 +209,46 @@ TEST(ToolFlagsTest, ChronosGenTakesTheBenchmarkFlags) {
   std::remove(out.c_str());
 }
 
+TEST(ToolFlagsTest, ChronosCheckTakesTheBenchmarkFlags) {
+  // Each flag set e2ebench/run.py's check_flags builds (offline, online,
+  // sharded, durable), with --stats; the durable one with
+  // --checkpoint-dir, then again with --resume.
+  const std::string bin = ToolPath("chronos_check");
+  if (bin.empty()) GTEST_SKIP() << "chronos_check not built";
+  const std::string in = "--in=" + std::string(CHRONOS_TEST_SRCDIR) +
+                         "/tests/corpus/fig11_stale_read.repro --stats ";
+  const std::string dir = ::testing::TempDir() + "flags_test_durable";
+  std::filesystem::remove_all(dir);
+  const std::string online = "--online --delay-mean=20 --delay-stddev=10";
+  const std::string durable =
+      "--online --shards=1 --pre-stage-workers=1 --timeout-ms=1000 "
+      "--checkpoint-every=12000 --gc-every=500 --gc-target=2000 "
+      "--checkpoint-dir=" + dir;
+  for (const std::string& flags :
+       {std::string(), online, online + " --shards=2 --pre-stage-workers=1",
+        durable, durable + " --resume"}) {
+    const ToolRun r = RunTool(bin, in + flags);
+    EXPECT_TRUE(r.status == 0 || r.status == 3) << flags << ": " << r.out;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ToolFlagsTest, ChronosCheckRejectsMisspelledFlags) {
+  // Each used to run on a clean history and exit 0: no GC, the default
+  // timeout, one shard.
+  const std::string bin = ToolPath("chronos_check");
+  if (bin.empty()) GTEST_SKIP() << "chronos_check not built";
+  const std::string in = "--in=" + std::string(CHRONOS_TEST_SRCDIR) +
+                         "/tests/corpus/clean_si.repro --online ";
+  for (const char* flag : {"--gc-evry=500", "--timout-ms=1", "--shard=2"}) {
+    const ToolRun r = RunTool(bin, in + flag);
+    EXPECT_EQ(r.status, 2) << flag << ": " << r.out;
+    EXPECT_NE(r.out.find(std::string("unknown flag '") + flag + "'"),
+              std::string::npos)
+        << r.out;
+  }
+}
+
 TEST(ToolFlagsTest, ChronosGenRejectsDefaultKnobsWithAnotherWorkload) {
   // twitter, rubis and tpcc have shapes of their own: a default-workload
   // knob would be ignored, so it exits 2 naming the knob. The flags every
@@ -344,6 +386,16 @@ TEST(CheckArgsTest, RejectsSilentMisreadings) {
   CheckArgs args;
   std::string err;
   EXPECT_FALSE(ParseCheckArgs(no_in.argc(), no_in.argv(), &args, &err));
+  // An argument that is none of chronos_check's flags, misspelled or
+  // given a value it does not take.
+  for (const char* flag : {"--gc-evry=500", "--online=1", "--inn=h.hist"}) {
+    Argv a({"--in=h.hist", flag});
+    EXPECT_FALSE(ParseCheckArgs(a.argc(), a.argv(), &args, &err)) << flag;
+    EXPECT_EQ(err, std::string("unknown flag '") + flag + "'");
+  }
+  Argv retired({"--in=h.hist", "--pre-stage-workers=1"});
+  EXPECT_TRUE(ParseCheckArgs(retired.argc(), retired.argv(), &args, &err))
+      << err;
 }
 
 TEST(CheckArgsTest, ChronosCheckExitsTwoBeforeOpeningItsInput) {

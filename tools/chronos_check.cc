@@ -39,8 +39,8 @@
 // collect with GcPolicy::Every(--gc-every, --gc-target).
 //
 // Every flag is parsed before the input is opened (tools/check_args.h):
-// a numeric value that is not a whole unsigned decimal, or --shards
-// above 64, exits 2. Exit codes: 0 clean, 1 load/recovery/WAL error
+// an unknown flag, a numeric value that is not a whole unsigned decimal,
+// or --shards above 64, exits 2. Exit codes: 0 clean, 1 load/recovery/WAL error
 // (a malformed line met mid-stream included: no verdict is printed),
 // 2 usage, 3 violations.
 #include <cstdio>
