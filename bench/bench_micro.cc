@@ -306,6 +306,37 @@ void BM_HistoryReaderNext(benchmark::State& state) {
 }
 BENCHMARK(BM_HistoryReaderNext)->Unit(benchmark::kMillisecond);
 
+// The codec's pass 1 over the same file: ScanHeaders finds each T line
+// and parses its header, as the offline and online streams' pre-passes
+// do. bytes/s is file bytes.
+void BM_HistoryReaderScanHeaders(benchmark::State& state) {
+  const std::string path = BenchPath("chronos_bm_headers_") + ".hist";
+  if (!hist::SaveHistory(MakeE2eHistory(10000), path).ok) {
+    state.SkipWithError("cannot write the history");
+    return;
+  }
+  const int64_t file_bytes =
+      static_cast<int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    hist::HistoryReader reader;
+    reader.Open(path);
+    uint64_t ops = 0;
+    const bool scanned =
+        reader.ScanHeaders([&ops](const Transaction&, size_t nops) {
+          ops += nops;
+          return false;
+        });
+    if (!scanned || !reader.status().ok || ops == 0) {
+      state.SkipWithError("headers did not scan");
+      break;
+    }
+    benchmark::DoNotOptimize(ops);
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(state.iterations() * file_bytes);
+}
+BENCHMARK(BM_HistoryReaderScanHeaders)->Unit(benchmark::kMillisecond);
+
 // One key's overlap query over uniformly random intervals, inserted in
 // random order: each insert pays a tail move, so the untimed set-up is
 // quadratic (seconds at 100k); only the queries are timed.

@@ -222,7 +222,7 @@ void TxnIngress::FinalizeRec(TxnId tid) {
   auto it = txns_.find(tid);
   if (it == txns_.end() || it->second.finalized) return;
   it->second.finalized = true;
-  finalized_views_.insert(it->second.view_ts);
+  finalized_views_.push(it->second.view_ts);
   dispatch_->DispatchFinalize(tid);
 }
 
@@ -248,14 +248,13 @@ void TxnIngress::Finish() {
 }
 
 std::optional<Timestamp> TxnIngress::OldestUnfinalizedView() {
-  while (!view_heap_.empty()) {
-    Timestamp v = view_heap_.top();
-    auto it = finalized_views_.find(v);
-    if (it == finalized_views_.end()) return v;
+  while (!finalized_views_.empty() &&
+         finalized_views_.top() == view_heap_.top()) {
     view_heap_.pop();
-    finalized_views_.erase(it);
+    finalized_views_.pop();
   }
-  return std::nullopt;
+  if (view_heap_.empty()) return std::nullopt;
+  return view_heap_.top();
 }
 
 Timestamp TxnIngress::Gc(Timestamp up_to) {
@@ -302,9 +301,9 @@ namespace {
 using MinHeap =
     std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>;
 
-// A min-heap, hash set or hash multiset of u64s travels as its values
-// in ascending order: each behaves as a pure function of its multiset,
-// so re-inserting the values restores it.
+// A min-heap or hash set of u64s travels as its values in ascending
+// order: each behaves as a pure function of its multiset, so
+// re-inserting the values restores it.
 std::vector<uint64_t> Ascending(MinHeap heap) {
   std::vector<uint64_t> v;
   v.reserve(heap.size());
@@ -352,6 +351,14 @@ void TxnIngress::Transfer(IO& io) {
   });
   TransferAscending(io, view_heap_);
   TransferAscending(io, finalized_views_);
+  if constexpr (IO::kReading) {
+    // OldestUnfinalizedView cancels each finalized view against an equal
+    // view, so every one of them must be among the views.
+    const std::vector<uint64_t> views = Ascending(view_heap_);
+    const std::vector<uint64_t> finalized = Ascending(finalized_views_);
+    io.Require(std::includes(views.begin(), views.end(), finalized.begin(),
+                             finalized.end()));
+  }
   // The registry is written twice: the checkpoint format (CHKPTv2) has
   // two ascending u64 sequences in this slot. A read requires two equal,
   // strictly ascending copies, which TsUsed's search relies on.

@@ -17,7 +17,6 @@
 #include <optional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/key_engine.h"
@@ -169,12 +168,13 @@ class TxnIngress {
   std::unordered_map<TxnId, TxnRec> txns_;
   // (cts, tid) of live txns, sorted by cts (append-mostly flat map).
   std::vector<std::pair<Timestamp, TxnId>> commit_index_;
-  // Unfinalized read views: min-heap plus lazy tombstones, counted:
-  // transactions of the commit-view levels may share a view (RC/RA claim
-  // no timestamps), and each finalize cancels one heap entry.
+  // Unfinalized read views: a min-heap of every live view, and a min-heap
+  // of the finalized ones, which is a sub-multiset of it. Transactions of
+  // the commit-view levels may share a view (RC/RA claim no timestamps),
+  // and each finalize cancels one equal entry: the oldest unfinalized
+  // view is the first top the two heaps do not share.
   std::priority_queue<Timestamp, std::vector<Timestamp>, std::greater<>>
-      view_heap_;
-  std::unordered_multiset<Timestamp> finalized_views_;
+      view_heap_, finalized_views_;
   // Timestamp-uniqueness registry: every used timestamp above the GC
   // line, ascending. Arrivals come in near-ts order, so membership and
   // inserts search from the back (TailLowerBound); GC erases the prefix

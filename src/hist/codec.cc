@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #ifdef _WIN32
 #include <io.h>
@@ -50,28 +56,128 @@ bool TakeField(std::string_view* s, std::string_view prefix, Int* v) {
   return true;
 }
 
-// The common op line, "R <key> <value>" or "W <key> <value>", parsed
-// without building a status: appends the op and returns true when `line`
-// is exactly that, with the fields ParseOpLine would read. Any other
-// bytes leave `t` as it was and return false, and ParseOpLine accepts or
-// rejects the line, so this path never decides an error.
-bool ParseRegisterOp(std::string_view line, Transaction* t) {
-  if (line.size() < 5 || line[1] != ' ') return false;
-  Op op;
-  if (line[0] == 'R') {
-    op.type = OpType::kRead;
-  } else if (line[0] == 'W') {
-    op.type = OpType::kWrite;
-  } else {
-    return false;
+// The scanner of the common lines. Each Scan* function reads a line at
+// `p` that ends in a '\n' inside a LineReader's buffer and returns the
+// byte after that '\n', or null for a line it does not take. Its loops
+// stop at any byte that is not a digit, so they never pass the '\n';
+// its loads stay inside the buffer's padding. It takes a subset of what
+// ParseTxnLine/ParseOpLine accept: no iso= tag, no A or L op, and at
+// most 19 digits a field, so no field can overflow. It parses each line
+// it takes to the fields they give. Every other line goes to them, so
+// the scanner never decides an error.
+constexpr int kMaxScannedDigits = 19;
+
+// 1 to kMaxScannedDigits decimal digits at `p` into *v.
+const char* ScanDigits(const char* p, uint64_t* v) {
+  const char* const first = p;
+  uint64_t x = 0;
+  for (unsigned d; (d = static_cast<unsigned char>(*p) - unsigned{'0'}) < 10;
+       ++p) {
+    x = x * 10 + d;
   }
-  const char* e = line.data() + line.size();
-  const auto key = std::from_chars(line.data() + 2, e, op.key);
-  if (key.ec != std::errc() || key.ptr == e || *key.ptr != ' ') return false;
-  const auto value = std::from_chars(key.ptr + 1, e, op.value);
-  if (value.ec != std::errc() || value.ptr != e) return false;
-  t->ops.push_back(op);
-  return true;
+  if (p == first || p - first > kMaxScannedDigits) return nullptr;
+  *v = x;
+  return p;
+}
+
+// " <digits>" at `p` into *v.
+const char* ScanField(const char* p, uint64_t* v) {
+  return *p == ' ' ? ScanDigits(p + 1, v) : nullptr;
+}
+
+// "T <tid> <sid> <sno> <start_ts> <commit_ts> <nops>\n".
+const char* ScanTxnLine(const char* p, Transaction* t, size_t* nops) {
+  uint64_t sid = 0, n = 0;
+  if (*p != 'T' || !(p = ScanField(p + 1, &t->tid)) ||
+      !(p = ScanField(p, &sid)) || sid > UINT32_MAX ||
+      !(p = ScanField(p, &t->sno)) || !(p = ScanField(p, &t->start_ts)) ||
+      !(p = ScanField(p, &t->commit_ts)) || !(p = ScanField(p, &n)) ||
+      n > SIZE_MAX || *p != '\n') {
+    return nullptr;
+  }
+  t->sid = static_cast<SessionId>(sid);
+  *nops = static_cast<size_t>(n);
+  return p + 1;
+}
+
+#ifdef __SSE2__
+// The 8 bytes at `p`, the first in the low byte (SSE2 implies x86, which
+// is little-endian).
+uint64_t Load8(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// The value of the `n` (1 to 8) digits at `p`: their 8 bytes as digit
+// values, the first `n` shifted to the top, then reduced by multiplies
+// (the SWAR reduction of fast_float's parse_eight_digits).
+uint64_t ShortFieldValue(const char* p, int n) {
+  uint64_t d = (Load8(p) ^ 0x3030303030303030) << (64 - 8 * n);
+  d = d * 10 + (d >> 8);
+  return (((d & 0x000000FF000000FF) * 0x000F424000000064) +
+          (((d >> 16) & 0x000000FF000000FF) * 0x0000271000000001)) >>
+         32;
+}
+
+// An R or W line of at most 16 bytes with fields of at most 8 digits,
+// which is nearly every op line: one 16-byte load marks its '\n',
+// spaces and digits as bit masks, so no loop runs per digit and no
+// branch depends on a field's length.
+const char* ScanShortRegisterOp(const char* p, Op* op) {
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  auto mask = [&v](char c) {
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(c))));
+  };
+  const unsigned nl = mask('\n');
+  if (nl == 0) return nullptr;
+  const int end = __builtin_ctz(nl);
+  const unsigned line = (1u << end) - 1;
+  const unsigned spaces = mask(' ') & line;
+  // The space after the key; any later one fails the digit check.
+  const unsigned second = spaces & ~2u;
+  if ((spaces & 2u) == 0 || second == 0) return nullptr;
+  const int sep = __builtin_ctz(second);
+  const bool negative = p[sep + 1] == '-';
+  const int value_at = sep + 1 + negative;
+  const __m128i d = _mm_sub_epi8(v, _mm_set1_epi8('0'));
+  const auto digits = static_cast<unsigned>(_mm_movemask_epi8(
+      _mm_cmpeq_epi8(_mm_min_epu8(d, _mm_set1_epi8(9)), d)));
+  const unsigned want =
+      (((1u << sep) - 1) & ~3u) | (line & ~((1u << value_at) - 1));
+  if ((*p != 'R' && *p != 'W') || sep < 3 || sep > 10 || value_at >= end ||
+      end - value_at > 8 || (digits & want) != want) {
+    return nullptr;
+  }
+  op->type = *p == 'W' ? OpType::kWrite : OpType::kRead;
+  op->key = ShortFieldValue(p + 2, sep - 2);
+  const auto magnitude =
+      static_cast<Value>(ShortFieldValue(p + value_at, end - value_at));
+  op->value = negative ? -magnitude : magnitude;
+  return p + end + 1;
+}
+#endif
+
+// "R <key> <value>\n" or "W <key> <value>\n", the value with an optional
+// '-'.
+const char* ScanRegisterOp(const char* p, Op* op) {
+#ifdef __SSE2__
+  if (const char* end = ScanShortRegisterOp(p, op)) return end;
+#endif
+  if (*p != 'R' && *p != 'W') return nullptr;
+  op->type = *p == 'W' ? OpType::kWrite : OpType::kRead;
+  uint64_t key = 0, magnitude = 0;
+  if (!(p = ScanField(p + 1, &key)) || *p != ' ') return nullptr;
+  const bool negative = p[1] == '-';
+  if (!(p = ScanDigits(p + 1 + negative, &magnitude)) || *p != '\n' ||
+      magnitude > static_cast<uint64_t>(INT64_MAX)) {
+    return nullptr;
+  }
+  op->key = key;
+  op->value = negative ? -static_cast<Value>(magnitude)
+                       : static_cast<Value>(magnitude);
+  return p + 1;
 }
 
 // The first `c` in [s, e), or null.
@@ -89,17 +195,66 @@ void ResetTxn(Transaction* t) {
   t->iso = IsolationLevel::kUnspecified;
 }
 
+// Takes the reader's next line as `t`'s T line when the scanner takes it
+// from the buffer's whole lines: resets `t` for it and sets `*nops`.
+// False, with nothing read, for any other line, which the caller hands
+// to ParseTxnLine (or reads as the footer).
+bool TakeTxnLine(LineReader* in, Transaction* t, size_t* nops) {
+  if (in->pos == in->whole) return false;
+  const char* const p = in->data() + in->pos;
+  const char* const end = ScanTxnLine(p, t, nops);
+  if (end == nullptr) return false;
+  ResetTxn(t);
+  const auto len = static_cast<size_t>(end - p);
+  in->pos += len;
+  in->consumed += len;
+  ++in->lines;
+  return true;
+}
+
+// Reads `nops` op lines into `t`: each run of whole lines in the buffer
+// that the scanner takes straight from the bytes, and every other line
+// through ParseOpLine, whose error is the result.
+CodecStatus ReadOps(LineReader* in, size_t nops, Transaction* t) {
+  Op op;
+  for (size_t i = 0; i < nops;) {
+    const char* const b = in->data();
+    const char* const whole = b + in->whole;
+    const char* const run = b + in->pos;
+    const char* p = run;
+    const size_t first = i;
+    for (const char* next; i < nops && p < whole &&
+                           (next = ScanRegisterOp(p, &op)) != nullptr;
+         p = next, ++i) {
+      t->ops.push_back(op);
+    }
+    const auto len = static_cast<size_t>(p - run);
+    in->pos += len;
+    in->consumed += len;
+    in->lines += i - first;
+    if (i == nops) break;
+    std::string_view line;
+    if (!in->Next(&line)) {
+      return CodecStatus::Error("truncated operation list");
+    }
+    CodecStatus st = ParseOpLine(line, t);
+    if (!st.ok) return st;
+    ++i;
+  }
+  return CodecStatus::Ok();
+}
+
 }  // namespace
 
 bool LineReader::NextMarked(std::string_view* line) {
   size_t from = pos;  // the bytes before `from` hold no marked line
   for (;;) {
-    if (pos < buf.size() && (buf[pos] == 'T' || buf[pos] == '#')) {
+    if (pos < size && (buf[pos] == 'T' || buf[pos] == '#')) {
       return Next(line);
     }
-    const char* b = buf.data();
-    const char* e = b + buf.size();
-    const char* s = b + std::min(std::max(from, pos + 1), buf.size());
+    const char* b = data();
+    const char* e = b + size;
+    const char* s = b + std::min(std::max(from, pos + 1), size);
     while (s < e) {
       const char* t = Find(s, e, 'T');
       const char* c = Find(s, t ? t : e, '#');
@@ -114,23 +269,40 @@ bool LineReader::NextMarked(std::string_view* line) {
       s = c + 1;
     }
     // None in the buffer: drop its whole lines and read on.
-    const size_t last = buf.rfind('\n');
-    if (last != std::string::npos && last >= pos) {
-      consumed += last + 1 - pos;
-      pos = last + 1;
+    if (whole > pos) {
+      consumed += whole - pos;
+      pos = whole;
     }
-    from = buf.size() - pos;
+    from = size - pos;
     if (!Fill()) return false;
   }
 }
 
+bool LineReader::Seek(uint64_t offset) {
+  pos = size = whole = 0;
+  consumed = offset;
+  return offset <= static_cast<uint64_t>(LONG_MAX) &&
+         fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
+}
+
 bool LineReader::Fill() {
-  buf.erase(0, pos);
+  const size_t have = size - pos;
+  if (have == cap) {
+    // One line fills the buffer (or there is none yet): grow it.
+    const size_t grown = std::max(kBlockBytes, 2 * cap);
+    std::unique_ptr<char[]> bigger(new char[grown + kPadBytes]);
+    if (have > 0) std::memcpy(bigger.get(), buf.get() + pos, have);
+    buf = std::move(bigger);
+    cap = grown;
+  } else if (have > 0) {
+    std::memmove(buf.get(), buf.get() + pos, have);
+  }
   pos = 0;
-  const size_t have = buf.size();
-  buf.resize(have + (1 << 16));
-  buf.resize(have + fread(&buf[have], 1, buf.size() - have, f));
-  return buf.size() != have;
+  size = have + fread(buf.get() + have, 1, cap - have, f);
+  std::memset(buf.get() + size, 0, kPadBytes);
+  whole = size;
+  while (whole > 0 && buf[whole - 1] != '\n') --whole;
+  return size != have;
 }
 
 size_t TxnBlockBound(const Transaction& t) {
@@ -322,37 +494,37 @@ bool HistoryReader::Next(Transaction* t) {
     return CodecStatus::Error("line " + std::to_string(in.lines) + ": " +
                               what);
   };
-  std::string_view line;
-  // The footer is mandatory: without it, a file truncated exactly at a
-  // record boundary is indistinguishable from a complete one.
-  if (!in.Next(&line)) {
-    return End(CodecStatus::Error(
-        "missing end footer (truncated file?): " + path_));
-  }
-  if (!line.empty() && line[0] == '#') {
-    uint64_t footer_txns = 0;
-    if (!TakeField(&line, "# end txns=", &footer_txns) || !line.empty()) {
-      return End(at_line("malformed footer"));
-    }
-    if (declared_txns_ != read_ || footer_txns != read_) {
-      return End(CodecStatus::Error(
-          "header declared " + std::to_string(declared_txns_) +
-          " txns, footer " + std::to_string(footer_txns) + ", found " +
-          std::to_string(read_)));
-    }
-    return End(CodecStatus::Ok());
-  }
-  ResetTxn(t);
   size_t nops = 0;
-  CodecStatus st =
-      ParseTxnLine(line, size_ - std::min(size_, in.consumed), t, &nops);
-  for (size_t i = 0; st.ok && i < nops; ++i) {
+  CodecStatus st;
+  if (TakeTxnLine(&in, t, &nops)) {
+    // ParseTxnLine's reserve, bounded the same way.
+    t->ops.reserve(static_cast<size_t>(std::min<uint64_t>(
+        nops, (size_ - std::min(size_, in.consumed)) / kMinOpLineBytes)));
+  } else {
+    std::string_view line;
+    // The footer is mandatory: without it, a file truncated exactly at a
+    // record boundary is indistinguishable from a complete one.
     if (!in.Next(&line)) {
-      st = CodecStatus::Error("truncated operation list");
-    } else if (!ParseRegisterOp(line, t)) {
-      st = ParseOpLine(line, t);
+      return End(CodecStatus::Error(
+          "missing end footer (truncated file?): " + path_));
     }
+    if (!line.empty() && line[0] == '#') {
+      uint64_t footer_txns = 0;
+      if (!TakeField(&line, "# end txns=", &footer_txns) || !line.empty()) {
+        return End(at_line("malformed footer"));
+      }
+      if (declared_txns_ != read_ || footer_txns != read_) {
+        return End(CodecStatus::Error(
+            "header declared " + std::to_string(declared_txns_) +
+            " txns, footer " + std::to_string(footer_txns) + ", found " +
+            std::to_string(read_)));
+      }
+      return End(CodecStatus::Ok());
+    }
+    ResetTxn(t);
+    st = ParseTxnLine(line, size_ - std::min(size_, in.consumed), t, &nops);
   }
+  if (st.ok) st = ReadOps(&in, nops, t);
   if (!st.ok) return End(at_line(st.message));
   ++read_;
   return true;
@@ -381,26 +553,29 @@ bool HistoryReader::ScanHeaders(
     const std::function<bool(const Transaction&, size_t nops)>& header,
     const std::function<void(const Transaction&)>& ops) {
   if (!in_ || !seekable_) return false;
-  FILE* f = in_->file.get();
-  // Next's LineReader holds what it has read past; only the file
-  // position has to come back.
-  const long resume_at = ftell(f);
-  if (resume_at < 0 || fseek(f, 0, SEEK_SET) != 0) return false;
-  LineReader in(f);
+  // The pass runs on Next's reader, from the file's first byte; Next then
+  // reads on from its line, from the file as it is after the pass.
+  LineReader& in = in_->lines;
+  const uint64_t resume_at = in.consumed;
+  const uint64_t lines = in.lines;
+  if (!in.Seek(0)) {
+    End(CodecStatus::Error("cannot seek in " + path_));
+    return true;
+  }
   std::string_view line;
   Transaction t;  // reused
-  size_t nops = 0;
   while (in.NextMarked(&line) && line[0] != '#') {
     ResetTxn(&t);
-    if (!ParseTxnLine(line, 0, &t, &nops).ok || !header(t, nops)) continue;
-    bool parsed = true;
-    for (size_t i = 0; parsed && i < nops; ++i) {
-      parsed = in.Next(&line) &&
-               (ParseRegisterOp(line, &t) || ParseOpLine(line, &t).ok);
+    size_t nops = 0;
+    // The line's '\n' follows it in the buffer, where the scanner stops.
+    if (ScanTxnLine(line.data(), &t, &nops) == nullptr &&
+        !ParseTxnLine(line, 0, &t, &nops).ok) {
+      continue;
     }
-    if (parsed && ops) ops(t);
+    if (header(t, nops) && ReadOps(&in, nops, &t).ok && ops) ops(t);
   }
-  if (fseek(f, resume_at, SEEK_SET) != 0) {
+  in.lines = lines;
+  if (!in.Seek(resume_at)) {
     End(CodecStatus::Error("cannot seek back in " + path_));
   }
   return true;

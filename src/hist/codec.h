@@ -19,10 +19,13 @@
 // op lines). WAL records (online/checkpoint.h) embed the same blocks in
 // their own framing, through AppendTxnBlock, ParseTxnLine and ParseOpLine.
 //
-// Files are read by one parser, HistoryReader: it pulls one validated
-// block at a time through a single line buffer, so a reader holds one
-// block of the file (or one longer line), never the whole file.
-// LoadHistory is a loop over it; the online collector
+// Files are read by one parser, HistoryReader. It reads the file through
+// one reused 256 KiB buffer, which grows only for a longer line, so a
+// reader holds one buffer, never the whole file. One scanner parses the
+// common lines (an untagged T line, an R or W line) straight from the
+// buffer's bytes, for both passes; every other line goes to ParseTxnLine
+// or ParseOpLine, which decide its acceptance and write every error.
+// LoadHistory is a loop over the reader; the online collector
 // (hist/collector.h) and the offline CHRONOS stream (hist/event_stream.h)
 // read from it without ever holding the history, after a pre-pass over
 // the T lines (ScanHeaders) that measures how far the file is from
@@ -33,6 +36,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -73,24 +77,36 @@ CodecStatus ParseTxnLine(std::string_view line, uint64_t bytes_left,
 /// Parses one R/W/A/L line, without its '\n', and appends the op to `t`.
 CodecStatus ParseOpLine(std::string_view line, Transaction* t);
 
-/// Reads '\n'-terminated lines of an open file through one reused buffer,
-/// so a reader holds one line of the file (or one 64 KiB read), never the
-/// whole file. HistoryReader reads history files through it and
-/// online::ReadWal the WAL.
+/// Reads '\n'-terminated lines of an open file through one reused
+/// buffer of kBlockBytes, each read filling what the lines returned so
+/// far freed, so a reader holds one buffer (larger only while one line
+/// is longer), never the whole file. Each read also finds the buffer's
+/// last '\n' (`whole`): every line before it is complete, so a scanner
+/// can parse them straight from the buffer. HistoryReader reads history
+/// files through it and online::ReadWal the WAL.
 struct LineReader {
+  /// The buffer's size and the most each read asks for. The buffer grows
+  /// only when one line fills it.
+  static constexpr size_t kBlockBytes = size_t{1} << 18;
+  /// Zero bytes kept after the data, so a scanner may load 32 bytes from
+  /// any position before `whole`.
+  static constexpr size_t kPadBytes = 32;
+
   explicit LineReader(FILE* file) : f(file) {}
 
   /// The next line without its '\n', valid until the next call. False at
   /// the end of the input, also after a last line with no '\n' (a torn
   /// file). Defined here, so the per-line call inlines into both readers.
   bool Next(std::string_view* line) {
-    size_t nl;
-    while ((nl = buf.find('\n', pos)) == std::string::npos) {
+    while (pos == whole) {
       if (!Fill()) return false;
     }
-    *line = std::string_view(buf).substr(pos, nl - pos);
-    consumed += nl + 1 - pos;
-    pos = nl + 1;
+    const char* b = data() + pos;
+    const size_t len = static_cast<size_t>(
+        static_cast<const char*>(std::memchr(b, '\n', whole - pos)) - b);
+    *line = std::string_view(b, len);
+    consumed += len + 1;
+    pos += len + 1;
     ++lines;
     return true;
   }
@@ -106,9 +122,19 @@ struct LineReader {
   /// at the end of the input.
   bool Fill();
 
+  /// Drops every buffered byte and reads on from byte `offset` of the
+  /// file, which `consumed` then counts from. False when the file cannot
+  /// seek there.
+  bool Seek(uint64_t offset);
+
+  const char* data() const { return buf.get(); }
+
   FILE* f;
-  std::string buf;
+  std::unique_ptr<char[]> buf;
+  size_t cap = 0;         ///< bytes buf has room for
+  size_t size = 0;        ///< bytes read into buf
   size_t pos = 0;         ///< start of the next line in buf
+  size_t whole = 0;       ///< one past buf's last '\n' (0 when none)
   uint64_t consumed = 0;  ///< file bytes returned as lines
   uint64_t lines = 0;
 };
@@ -137,7 +163,8 @@ class HistoryReader {
   bool Next(Transaction* t);
 
   /// A light pre-pass over the open file, in file order up to the first
-  /// '#' line (where Next stops); the read position is restored after.
+  /// '#' line (where Next stops). It runs on Next's buffer; Next then
+  /// reads on from its line, from the file as it is after the pass.
   /// `header` gets each T line that parses, as a transaction with no ops,
   /// and the op count the line declares. When it returns true, the
   /// block's op lines are parsed into that transaction and, if they all

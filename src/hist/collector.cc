@@ -82,7 +82,9 @@ bool DeliveryStream::Next(CollectedTxn* out) {
       std::pop_heap(delivery_.begin(), delivery_.end(), Later);
       const Entry e = delivery_.back();
       delivery_.pop_back();
-      out->txn = std::move(slots_[e.slot]);
+      // The slot takes the caller's previous transaction, so its op
+      // vector's capacity serves the next read.
+      std::swap(out->txn, slots_[e.slot]);
       out->deliver_at_ms = e.key;
       free_slots_.push_back(e.slot);
       return true;

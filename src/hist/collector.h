@@ -73,8 +73,10 @@ class DeliveryStream {
   /// Streams an in-memory history, moving each transaction out of it.
   DeliveryStream(History history, const CollectorParams& params);
 
-  /// Overwrites `*out` with the next arrival. False at the end of the
-  /// input and at the first malformed line: status() tells which.
+  /// Overwrites `*out` with the next arrival; the transaction `*out` held
+  /// goes back to the stream, which reads a later one into its op vector.
+  /// False at the end of the input and at the first malformed line:
+  /// status() tells which.
   bool Next(CollectedTxn* out);
 
   const CodecStatus& status() const { return status_; }

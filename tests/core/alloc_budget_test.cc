@@ -1,7 +1,8 @@
 // Heap-allocation budgets of Step 1, the per-transaction replay both
 // checkers run: CHRONOS's start/commit replay (in memory and streamed
-// from a file) and AION's ingress classification. This binary replaces
-// the global operator new with a counting one, so each test counts every
+// from a file) and AION's ingress admission and classification; and of
+// the online collector's stream that feeds it. This binary replaces the
+// global operator new with a counting one, so each test counts every
 // allocation the measured calls make, library containers included.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "core/types.h"
 #include "core/violation.h"
 #include "hist/codec.h"
+#include "hist/collector.h"
 #include "hist/event_stream.h"
 #include "workload/generator.h"
 
@@ -192,6 +194,26 @@ TEST(IngressAllocBudget, ClassificationStopsAllocatingAfterWarmUp) {
       << with_ops << " vs " << without_ops << " without ops";
 }
 
+// Admission itself: op-less arrivals whose EXT timeouts fire as they
+// go. What is left is the live record's node, freed at GC (none runs
+// here), and amortized growth; a finalize tombstone kept as a hash-set
+// node made it about 2 per arrival.
+TEST(IngressAllocBudget, AdmissionAllocatesAboutOncePerArrival) {
+  const History h = Generate(4000, IsolationLevel::kSi);
+  CheckerOptions options;
+  options.ext_timeout_ms = 1;
+  CheckerStats stats;
+  NullDispatch dispatch;
+  TxnIngress ingress(options, &stats, [](Timestamp, const Violation&) {},
+                     &dispatch);
+  const double n = AllocationsPerArrival(
+      WithoutOps(h.txns), 1000, [&](const Transaction& t, uint64_t now) {
+        ingress.OnTransaction(t, now);
+      });
+  EXPECT_EQ(stats.txns_processed, h.txns.size());
+  EXPECT_LT(n, 1.1);
+}
+
 // The same through Aion::OnTransaction, on arrivals that break Eq. (1):
 // they are replayed for INT only, so no key engine work follows and the
 // difference is the classification's alone (about 9 per arrival with
@@ -212,6 +234,34 @@ TEST(IngressAllocBudget, AionIntOnlyReplayStopsAllocatingAfterWarmUp) {
   const double without_ops = per_arrival(WithoutOps(h.txns));
   EXPECT_LT(with_ops - without_ops, 0.01)
       << with_ops << " vs " << without_ops << " without ops";
+}
+
+// The online collector over a file, with delays, drained into one
+// reused arrival: once its buffers and slots are warm, each transaction
+// is read into an op vector the stream got back from the caller. Moving
+// the transaction out instead left the slot empty, about one allocation
+// per arrival.
+TEST(DeliveryStreamAllocBudget, FileStreamStopsAllocatingAfterWarmUp) {
+  const std::string path =
+      chronos::testing::UniqueTempDir("alloc") + "/stream.hist";
+  ASSERT_TRUE(
+      hist::SaveHistory(Generate(6000, IsolationLevel::kSi), path).ok);
+  hist::CollectorParams params;
+  params.delay_mean_ms = 20;
+  params.delay_stddev_ms = 10;
+  hist::DeliveryStream stream(path, params);
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+  hist::CollectedTxn arrival;
+  constexpr size_t kWarm = 1000;
+  for (size_t i = 0; i < kWarm; ++i) ASSERT_TRUE(stream.Next(&arrival));
+  const uint64_t before = Allocations();
+  size_t arrivals = 0;
+  while (stream.Next(&arrival)) ++arrivals;
+  const double per_arrival = static_cast<double>(Allocations() - before) /
+                             static_cast<double>(arrivals);
+  ASSERT_TRUE(stream.status().ok) << stream.status().message;
+  EXPECT_EQ(arrivals, 6000 - kWarm);
+  EXPECT_LT(per_arrival, 0.05);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// History codec round-trips and failure handling; collector delivery
-// schedules (batching, delays, session-order preservation); the pull
-// reader and the streamed schedule against the in-memory ones; and
+// History codec round-trips and failure handling; the reader's scanner
+// against the strict line parsers, and every reader against a
+// line-by-line reference loader under seeded mutations; collector
+// delivery schedules (batching, delays, session-order preservation); the
+// pull reader and the streamed schedule against the in-memory ones; and
 // chronos_check's handling of input errors met mid-stream and of the
 // inputs its offline check loads instead of streaming.
 #include <gtest/gtest.h>
@@ -25,7 +27,11 @@
 #include "../testutil.h"
 #include "hist/codec.h"
 #include "core/chronos.h"
+#include "core/event_timeline.h"
+#include "core/session_order.h"
+#include "core/violation.h"
 #include "hist/collector.h"
+#include "hist/event_stream.h"
 #include "workload/generator.h"
 
 namespace chronos::hist {
@@ -593,6 +599,425 @@ TEST(HistoryReaderTest, OpLineFastPathMatchesParseOpLine) {
     EXPECT_TRUE(reader.status().ok) << line << ": " << reader.status().message;
   }
 }
+
+// The scanner reads an R or W line of at most 16 bytes with fields of at
+// most 8 digits from one 16-byte load where SSE2 is available, and other
+// lines digit by digit. Every key and value length on both sides of
+// those limits, signed or not, well-formed or broken by one byte, must
+// read as ParseOpLine reads it: the same op, or the same error.
+TEST(HistoryReaderTest, OpLinesOfEveryFieldLengthMatchParseOpLine) {
+  std::vector<std::string> lines;
+  for (const char* tag : {"R ", "W "}) {
+    for (size_t key_digits = 1; key_digits <= 10; ++key_digits) {
+      for (size_t value_digits = 1; value_digits <= 10; ++value_digits) {
+        for (const char* sign : {"", "-"}) {
+          const std::string key = std::string("9081726354").substr(
+              0, key_digits);
+          const std::string value = std::string("1029384756").substr(
+              0, value_digits);
+          const std::string line = tag + key + " " + sign + value;
+          lines.push_back(line);
+          lines.push_back(line + " ");
+          lines.push_back(line + "x");
+          lines.push_back(tag + key + "  " + sign + value);
+          lines.push_back(tag + key + "x " + sign + value);
+          lines.push_back(tag + key + " " + sign + "+" + value);
+          lines.push_back(tag + key + " " + sign + value.substr(1) + "/");
+        }
+      }
+    }
+  }
+  const std::string path = TempPath("op_lengths.hist");
+  for (const std::string& line : lines) {
+    Transaction want;
+    const CodecStatus parsed = ParseOpLine(line, &want);
+    WriteBytes(path, std::string(kHeader1) + "T 1 0 0 1 2 1\n" + line +
+                         "\n# end txns=1\n");
+    HistoryReader reader;
+    ASSERT_TRUE(reader.Open(path).ok);
+    Transaction got;
+    const bool read = reader.Next(&got);
+    ASSERT_EQ(read, parsed.ok) << line << ": " << reader.status().message;
+    if (!read) {
+      EXPECT_EQ(reader.status().message, "line 3: " + parsed.message) << line;
+      continue;
+    }
+    ASSERT_EQ(got.ops.size(), 1u) << line;
+    EXPECT_EQ(got.ops[0].type, want.ops[0].type) << line;
+    EXPECT_EQ(got.ops[0].key, want.ops[0].key) << line;
+    EXPECT_EQ(got.ops[0].value, want.ops[0].value) << line;
+  }
+}
+
+// LoadHistory written line by line from the codec's strict functions
+// alone, ParseTxnLine and ParseOpLine, and the header and footer rules:
+// the reference every reader of a history file must agree with, status
+// message and blocks alike. `bytes` is the file at `path`.
+template <typename Int>
+bool TakePrefixed(std::string_view* s, std::string_view prefix, Int* v) {
+  if (s->substr(0, prefix.size()) != prefix) return false;
+  const char* end = s->data() + s->size();
+  const auto [p, ec] = std::from_chars(s->data() + prefix.size(), end, *v);
+  if (ec != std::errc()) return false;
+  s->remove_prefix(static_cast<size_t>(p - s->data()));
+  return true;
+}
+
+CodecStatus ReferenceLoad(const std::string& bytes, const std::string& path,
+                          History* out) {
+  out->txns.clear();
+  out->num_sessions = 0;
+  size_t at = 0;         // the next line's first byte
+  uint64_t line_no = 0;  // lines read
+  std::string_view line;
+  // The next '\n'-terminated line; false at the end of the bytes, also
+  // after a last line without its '\n'.
+  auto next = [&] {
+    const size_t nl = bytes.find('\n', at);
+    if (nl == std::string::npos) return false;
+    line = std::string_view(bytes).substr(at, nl - at);
+    at = nl + 1;
+    ++line_no;
+    return true;
+  };
+  auto at_line = [&](const std::string& what) {
+    return CodecStatus::Error("line " + std::to_string(line_no) + ": " +
+                              what);
+  };
+  uint32_t sessions = 0;
+  uint64_t declared = 0;
+  if (!next() ||
+      !TakePrefixed(&line, "chronos-history v1 sessions=", &sessions) ||
+      !TakePrefixed(&line, " txns=", &declared) || !line.empty()) {
+    return CodecStatus::Error("bad header in " + path);
+  }
+  out->num_sessions = sessions;
+  for (uint64_t read = 0;; ++read) {
+    if (!next()) {
+      return CodecStatus::Error("missing end footer (truncated file?): " +
+                                path);
+    }
+    if (!line.empty() && line[0] == '#') {
+      uint64_t footer = 0;
+      if (!TakePrefixed(&line, "# end txns=", &footer) || !line.empty()) {
+        return at_line("malformed footer");
+      }
+      if (declared != read || footer != read) {
+        return CodecStatus::Error(
+            "header declared " + std::to_string(declared) + " txns, footer " +
+            std::to_string(footer) + ", found " + std::to_string(read));
+      }
+      return CodecStatus::Ok();
+    }
+    Transaction t;
+    size_t nops = 0;
+    CodecStatus st = ParseTxnLine(line, bytes.size() - at, &t, &nops);
+    for (size_t i = 0; st.ok && i < nops; ++i) {
+      st = next() ? ParseOpLine(line, &t)
+                  : CodecStatus::Error("truncated operation list");
+    }
+    if (!st.ok) return at_line(st.message);
+    out->txns.push_back(std::move(t));
+  }
+}
+
+TEST(ReferenceLoaderTest, GivesEveryMessageLoadHistoryGave) {
+  const std::string path = TempPath("reference.hist");
+  for (const Rejected& r : kRejected) {
+    const std::string raw = r.bytes;
+    const std::string bytes = raw.rfind("chronos-history", 0) == 0 ||
+                                      raw.rfind("not-", 0) == 0 || raw.empty()
+                                  ? raw
+                                  : kHeader1 + raw;
+    std::string want = r.message;
+    if (const size_t at = want.find("{path}"); at != std::string::npos) {
+      want.replace(at, 6, path);
+    }
+    History h;
+    EXPECT_EQ(ReferenceLoad(bytes, path, &h).message, want) << bytes;
+  }
+  History h;
+  const CodecStatus st = ReferenceLoad(kAllShapesText, path, &h);
+  ASSERT_TRUE(st.ok) << st.message;
+  EXPECT_EQ(Blocks(h), Blocks(AllShapes()));
+}
+
+// HistoryReader scans "T <six fields>" lines on its fast path and hands
+// every other T line to ParseTxnLine. Each line here, read as a block's T
+// line, must give what ParseTxnLine gives: the same header fields, or
+// the same error at the same line. The reference loader decides what
+// follows (the block's op lines, or an error at one of them).
+TEST(HistoryReaderTest, TxnLineFastPathMatchesParseTxnLine) {
+  const std::string lines[] = {
+      "T 1 0 0 1 2 1", "T 0 0 0 0 0 0", "T 7 3 5 10 20 2",
+      "T 007 0003 0 0010 00020 01",
+      "T 00000000000000000000001 0 0 1 2 1",
+      "T 1 0000000000000000000000003 0 1 2 1",
+      "T 1 0 0 1 2 00000000000000000000001",
+      "T 18446744073709551615 0 0 1 2 1",
+      "T 9999999999999999999 0 0 1 2 1", "T 18446744073709551616 0 0 1 2 1",
+      "T 1 4294967295 0 1 2 1", "T 1 4294967296 0 1 2 1",
+      "T 1 0 18446744073709551615 1 2 1", "T 1 0 0 18446744073709551615 2 1",
+      "T 1 0 0 1 18446744073709551615 1", "T 1 0 0 2 1 1",
+      "T 1 0 0 1 2 4611686018427387904", "T 1 0 0 1 2 1 iso=si",
+      "T 1 0 0 1 2 1 iso=ser", "T 1 0 0 1 2 1 iso=rc", "T 1 0 0 1 2 1 iso=ra",
+      "T 1 0 0 1 2 1 iso=xx", "T 1 0 0 1 2 1 iso=", "T 1 0 0 1 2 1 iso=si ",
+      "T 1 0 0 1 2 1 ", "T 1 0 0 1 2 1  ", "T 1 0 0 1 2 1\r", "T  1 0 0 1 2 1",
+      "T 1  0 0 1 2 1", "T\t1 0 0 1 2 1", "T 1 0 0 1 2\t1", " T 1 0 0 1 2 1",
+      "T 1 0 0 1 2", "T 1 0 0 1 2 ", "T 1 0 0 1 2 1 5", "T 1 0 0 1 2 x",
+      "T -1 0 0 1 2 1", "T 1 -0 0 1 2 1", "T +1 0 0 1 2 1", "T 1 0 0 1 2 -1",
+      "T1 0 0 1 2 1", "t 1 0 0 1 2 1", "T", "T ", "T 1 0 0 1 2 1x"};
+  const std::string path = TempPath("txn_fast_path.hist");
+  for (const std::string& line : lines) {
+    Transaction want;
+    size_t nops = 0;
+    const CodecStatus parsed = ParseTxnLine(line, 0, &want, &nops);
+    // As many "W 1 1" op lines as the line declares, up to three.
+    std::string bytes = std::string(kHeader1) + line + "\n";
+    for (size_t i = 0; parsed.ok && i < std::min<size_t>(nops, 3); ++i) {
+      bytes += "W 1 1\n";
+    }
+    bytes += "# end txns=1\n";
+    WriteBytes(path, bytes);
+    History reference;
+    const CodecStatus expected = ReferenceLoad(bytes, path, &reference);
+    HistoryReader reader;
+    ASSERT_TRUE(reader.Open(path).ok) << line;
+    Transaction got;
+    const bool read = reader.Next(&got);
+    if (!parsed.ok) {
+      EXPECT_FALSE(read) << line;
+      EXPECT_EQ(reader.status().message, "line 2: " + parsed.message) << line;
+    } else if (read) {
+      EXPECT_EQ(got.tid, want.tid) << line;
+      EXPECT_EQ(got.sid, want.sid) << line;
+      EXPECT_EQ(got.sno, want.sno) << line;
+      EXPECT_EQ(got.start_ts, want.start_ts) << line;
+      EXPECT_EQ(got.commit_ts, want.commit_ts) << line;
+      EXPECT_EQ(got.iso, want.iso) << line;
+      EXPECT_EQ(got.ops.size(), nops) << line;
+      reader.Next(&got);
+    }
+    EXPECT_EQ(reader.status().ok, expected.ok) << line;
+    EXPECT_EQ(reader.status().message, expected.message) << line;
+  }
+}
+
+// The blocks an EventStream hands out at their commit events, in that
+// order, and its final status. A history pass 1 finds tagged is read
+// through Load instead, as chronos_check reads it.
+CodecStatus DrainEvents(const std::string& path,
+                        std::vector<std::string>* blocks) {
+  EventStream stream(path);
+  if (!stream.status().ok) return stream.status();
+  CountingSink sink;
+  std::unordered_map<SessionId, SessionState> sessions;
+  WellFormednessPrePass pre(IsolationLevel::kSi, &sink, &sink, &sessions,
+                            [](const Transaction&) {});
+  CheckStats stats;
+  if (!stream.PrePass(&pre, &stats)) {
+    if (!stream.tagged()) return stream.status();
+    History h;
+    const CodecStatus st = stream.Load(&h);
+    for (const Transaction& t : h.txns) AppendTxnBlock(t, &blocks->emplace_back());
+    return st;
+  }
+  EventKind kind;
+  Transaction* t = nullptr;
+  while (stream.Next(&kind, &t)) {
+    if (kind == EventKind::kCommit) AppendTxnBlock(*t, &blocks->emplace_back());
+  }
+  return stream.status();
+}
+
+// The bytes at `path` through LoadHistory, a DeliveryStream and an
+// EventStream, each against the reference loader: the same status
+// message and, when the file loads, the same blocks in each reader's
+// order.
+void ExpectReadersMatchReference(const std::string& bytes,
+                                 const std::string& path,
+                                 const std::string& what) {
+  WriteBytes(path, bytes);
+  History want;
+  const CodecStatus ref = ReferenceLoad(bytes, path, &want);
+
+  History loaded;
+  const CodecStatus load = LoadHistory(path, &loaded);
+  EXPECT_EQ(load.ok, ref.ok) << what;
+  EXPECT_EQ(load.message, ref.message) << what;
+  if (ref.ok) {
+    EXPECT_EQ(Blocks(loaded), Blocks(want)) << what;
+  }
+
+  const CollectorParams cp;
+  DeliveryStream stream(path, cp);
+  const std::vector<CollectedTxn> arrivals = Drain(&stream);
+  EXPECT_EQ(stream.status().ok, ref.ok) << what;
+  EXPECT_EQ(stream.status().message, ref.message) << what;
+  if (ref.ok) {
+    EXPECT_EQ(AsText(arrivals), AsText(ReferenceSchedule(want, cp))) << what;
+  }
+
+  std::vector<std::string> events;
+  const CodecStatus replay = DrainEvents(path, &events);
+  EXPECT_EQ(replay.ok, ref.ok) << what;
+  EXPECT_EQ(replay.message, ref.message) << what;
+  if (ref.ok) {
+    // Commit events leave in (commit_ts, file index) order, and a block
+    // that breaks Eq. (1) has none. A tagged history loads in file order.
+    std::vector<const Transaction*> order;
+    for (const Transaction& t : want.txns) order.push_back(&t);
+    const bool tagged = std::any_of(
+        order.begin(), order.end(), [](const Transaction* t) {
+          return t->iso != IsolationLevel::kUnspecified;
+        });
+    if (!tagged) {
+      order.erase(std::remove_if(order.begin(), order.end(),
+                                 [](const Transaction* t) {
+                                   return !Replayed(*t, IsolationLevel::kSi);
+                                 }),
+                  order.end());
+      std::stable_sort(order.begin(), order.end(),
+                       [](const Transaction* a, const Transaction* b) {
+                         return a->commit_ts < b->commit_ts;
+                       });
+    }
+    std::vector<std::string> expected;
+    for (const Transaction* t : order) {
+      AppendTxnBlock(*t, &expected.emplace_back());
+    }
+    EXPECT_EQ(events, expected) << what;
+  }
+}
+
+// A history text for the mutation sweep: a generated register history
+// written field by field, some numbers with leading zeros (up to 22
+// digits, past what the scanner takes) or at the limits of their type,
+// spanning at least four reader blocks, and one block in the middle with
+// an A op and an L line longer than a reader block.
+std::string MutationBase(uint64_t seed) {
+  workload::WorkloadParams p;
+  p.sessions = 8;
+  p.txns = 9000;
+  p.ops_per_txn = 6;
+  p.keys = 200;
+  p.seed = seed;
+  const History h = workload::GenerateDefaultHistory(p);
+  std::mt19937_64 rng(seed);
+  auto num = [&rng](uint64_t v) {
+    std::string s = std::to_string(v);
+    switch (rng() % 48) {
+      case 0: return "0" + s;
+      case 1: return std::string(s.size() < 20 ? 20 - s.size() : 1, '0') + s;
+      case 2: return std::string(s.size() < 22 ? 22 - s.size() : 1, '0') + s;
+      default: return s;
+    }
+  };
+  auto field = [](std::string* out, const std::string& s) {
+    out->push_back(' ');
+    out->append(s);
+  };
+  std::string out = "chronos-history v1 sessions=" +
+                    std::to_string(p.sessions + 1) +
+                    " txns=" + std::to_string(h.txns.size() + 1) + "\n";
+  for (size_t i = 0; i < h.txns.size(); ++i) {
+    const Transaction& t = h.txns[i];
+    if (i == h.txns.size() / 2) {
+      // The list block, in a session of its own.
+      out += "T 999999 " + std::to_string(p.sessions) + " 0 " +
+             std::to_string(t.start_ts) + " " + std::to_string(t.start_ts) +
+             " 2\nA 7 3\nL 7 150000";
+      for (int e = 0; e < 150000; ++e) field(&out, std::to_string(e % 10));
+      out += "\n";
+    }
+    out += "T";
+    for (uint64_t v : {t.tid, uint64_t{t.sid}, t.sno, t.start_ts, t.commit_ts,
+                       uint64_t{t.ops.size()}}) {
+      field(&out, num(v));
+    }
+    out += "\n";
+    for (const Op& op : t.ops) {
+      out += op.type == OpType::kRead ? "R" : "W";
+      switch (rng() % 64) {
+        case 0:
+          out += " 18446744073709551615 -9223372036854775808\n";
+          continue;
+        case 1:
+          out += " 9999999999999999999 9223372036854775807\n";
+          continue;
+        default:
+          field(&out, num(op.key));
+          field(&out, op.value < 0 ? std::to_string(op.value)
+                                   : num(static_cast<uint64_t>(op.value)));
+          out += "\n";
+      }
+    }
+  }
+  return out + "# end txns=" + std::to_string(h.txns.size() + 1) + "\n";
+}
+
+// Seeded mutations of two base files, each read by every reader against
+// the reference: bit flips, byte replacements, truncations, splices of
+// the two files, and a count field made huge. Eight shards of 250.
+class CodecMutationTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CodecMutationTest, EveryReaderMatchesTheReference) {
+  const uint64_t shard = static_cast<uint64_t>(GetParam());
+  const std::string base = MutationBase(2 * shard + 1);
+  const std::string other = MutationBase(2 * shard + 2);
+  ASSERT_GE(base.size(), 4 * LineReader::kBlockBytes);
+  ASSERT_GT(base.find("\nT", base.find("\nL 7 ")) - base.find("\nL 7 "),
+            LineReader::kBlockBytes);
+  const std::string path = TempPath("mutated.hist");
+  ExpectReadersMatchReference(base, path, "unmutated");
+  std::mt19937_64 rng(shard);
+  const std::string bytes_pool = "0123456789 \nTRWAL#-+x\r\t";
+  for (int m = 0; m < 250; ++m) {
+    std::string bytes = base;
+    std::string what;
+    const size_t at = rng() % base.size();
+    switch (m % 5) {
+      case 0:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << (rng() % 8)));
+        what = "bit flip at " + std::to_string(at);
+        break;
+      case 1:
+        bytes[at] = bytes_pool[rng() % bytes_pool.size()];
+        what = "byte at " + std::to_string(at);
+        break;
+      case 2:
+        bytes.resize(at);
+        what = "truncated to " + std::to_string(at);
+        break;
+      case 3: {
+        const size_t from = rng() % other.size();
+        bytes = base.substr(0, at) + other.substr(from);
+        what = "splice at " + std::to_string(at) + " from " +
+               std::to_string(from);
+        break;
+      }
+      default: {
+        // A count made huge: the op count of the T line after `at`, or
+        // the L line's length.
+        size_t field_at = base.find("\nL 7 ") + 5;
+        if (rng() % 8 != 0) {
+          const size_t t = base.find("\nT ", at);
+          if (t == std::string::npos) continue;
+          field_at = base.rfind(' ', base.find('\n', t + 1)) + 1;
+        }
+        const char* huge[] = {"4611686018427387904", "18446744073709551615",
+                              "99999999999999999999", "1000000000"};
+        bytes.replace(field_at, base.find_first_of(" \n", field_at) - field_at,
+                      huge[rng() % 4]);
+        what = "huge count at " + std::to_string(field_at);
+      }
+    }
+    ExpectReadersMatchReference(bytes, path, what);
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CodecMutationTest, ::testing::Range(0, 8));
 
 TEST(CollectorTest, PreservesSessionOrder) {
   workload::WorkloadParams p;

@@ -1276,6 +1276,34 @@ TEST(CraftedCheckpointTest, ReaderLevelOutOfRangeFallsBack) {
   }
 }
 
+TEST(CraftedCheckpointTest, FinalizedViewOutsideTheViewsFallsBack) {
+  // OldestUnfinalizedView cancels each finalized view against an equal
+  // view, so every finalized view must be among the views.
+  auto ingress = [](std::vector<uint64_t> views,
+                    std::vector<uint64_t> finalized) {
+    StateWriter w;
+    for (uint64_t v : {0, 0, 0, 0}) w.U64(v);  // watermark .. commit index
+    for (const std::vector<uint64_t>* heap : {&views, &finalized}) {
+      w.U64(heap->size());
+      for (uint64_t v : *heap) w.U64(v);
+    }
+    for (uint64_t v : {0, 0, 0, 0}) w.U64(v);  // registry twice .. deadlines
+    return w.Take();
+  };
+  ShardedAion::StateImage img = FreshImage();
+  EXPECT_TRUE(ingress({}, {}) == img.ingress);  // the layout, kept honest
+  img.ingress = ingress({5, 7}, {5});
+  VectorSink sink;
+  ShardedAion ok(CheckerOptions{}, 1, &sink);
+  ASSERT_TRUE(ok.ImportState(img));  // the well-formed control
+  for (const auto& [name, finalized] :
+       std::vector<std::pair<std::string, std::vector<uint64_t>>>{
+           {"not_a_view", {6}}, {"twice", {5, 5}}, {"below_views", {3}}}) {
+    img.ingress = ingress({5, 7}, finalized);
+    ExpectRecoveryFallsBack(name, img);
+  }
+}
+
 TEST(DurableRunnerTest, SameGcPolicyAsRunMaxRateGivesSameRun) {
   // The two online drivers share one GcPolicy decision: the same stream
   // and policy must collect at the same arrivals, so the checker ends in
